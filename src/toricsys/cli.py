@@ -15,7 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import ToricError
+from .errors import ParamOutOfRange, ToricError
 from .geometry import MomentProfile, ball, classify, ellipsoid, fc_domain, polydisk
 from . import experiments, invariants, profile_io, reeb, surgery
 
@@ -24,20 +24,28 @@ EXIT_INVALID = 2
 EXIT_FINDING = 3
 
 
+# Inline family specs: builder, required and optional argument names.
+FAMILY_SPECS = {
+    "ellipsoid": (lambda a, b, n=1: ellipsoid(a, b, int(n)), ("a", "b"), ("n",)),
+    "polydisk": (polydisk, ("a", "b"), ()),
+    "ball": (lambda c, n=1: ball(c, int(n)), ("c",), ("n",)),
+    "fc": (lambda b, c, n=8: fc_domain(b, c, int(n)), ("b", "c"), ("n",)),
+}
+
+
 def resolve_profile(spec: str) -> MomentProfile:
     if Path(spec).exists():
         return profile_io.load(spec)
-    if ":" in spec:
-        family, _, argstr = spec.partition(":")
+    family, colon, argstr = spec.partition(":")
+    if colon and family in FAMILY_SPECS:
+        build, required, optional = FAMILY_SPECS[family]
         args = [float(x) for x in argstr.split(",") if x]
-        builders = {
-            "ellipsoid": lambda: ellipsoid(args[0], args[1], int(args[2]) if len(args) > 2 else 1),
-            "polydisk": lambda: polydisk(args[0], args[1]),
-            "ball": lambda: ball(args[0], int(args[1]) if len(args) > 1 else 1),
-            "fc": lambda: fc_domain(args[0], args[1], int(args[2]) if len(args) > 2 else 8),
-        }
-        if family in builders:
-            return builders[family]()
+        if not len(required) <= len(args) <= len(required) + len(optional):
+            names = ",".join(required) + "".join(f"[,{o}]" for o in optional)
+            raise ParamOutOfRange(
+                f"{family} takes arguments {names}; got {len(args)} in {spec!r}"
+            )
+        return build(*args)
     raise ToricError(f"cannot resolve profile {spec!r} (no such file or family spec)")
 
 

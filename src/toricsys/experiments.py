@@ -77,8 +77,11 @@ class RunConfig:
     corpus_size: int = 100
 
 
-def _sweep_one(op: str, p: MomentProfile, eps: float) -> SweepRecord:
-    vol_in = invariants.area(p)
+def _sweep_one(
+    op: str, p: MomentProfile, eps: float, vol_in: float, tmin_in: Optional[float]
+) -> SweepRecord:
+    """One sweep point; ``vol_in`` is the area of ``p`` and ``tmin_in`` its
+    T_min (needed for strain only), both computed once per run."""
     if op == "strangulate":
         out = surgery.strangulate(p, eps)
         rep = invariants.report(out.profile)
@@ -87,7 +90,6 @@ def _sweep_one(op: str, p: MomentProfile, eps: float) -> SweepRecord:
         side_ok = 16 * spec.w_star**2 * spec.theta < vol_in
         holds = (rep.sys <= bound + 1e-9) or not side_ok
     elif op == "strain":
-        tmin_in, _ = reeb.t_min(p)
         out = surgery.strain(p, eps)
         rep = invariants.report(out.profile)
         # Lower bound for the product: T_min(in)/(6 sqrt(eps) Vol(in)),
@@ -116,10 +118,14 @@ def run_sweep(config: RunConfig) -> list[SweepRecord]:
     """One record per epsilon, sorted descending; per-epsilon surgery
     errors are recorded in-row rather than raised."""
     p = config.profile
+    grid = sorted(config.eps_grid, reverse=True)
     records = []
-    for eps in sorted(config.eps_grid, reverse=True):
+    if grid:
+        vol_in = invariants.area(p)
+        tmin_in = reeb.t_min(p)[0] if config.op == "strain" else None
+    for eps in grid:
         try:
-            records.append(_sweep_one(config.op, p, eps))
+            records.append(_sweep_one(config.op, p, eps, vol_in, tmin_in))
         except ToricError as exc:
             records.append(SweepRecord(eps=eps, error=f"{type(exc).__name__}: {exc}"))
     if config.csv_path:

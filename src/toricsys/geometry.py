@@ -14,7 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
+from functools import cache, cached_property
 from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import (
     AxisViolation,
@@ -30,6 +34,11 @@ Point = tuple[float, float]
 # Relative tolerance for geometric predicates, scaled by profile diameter.
 TOL_REL = 1e-9
 
+# Primitive integer normals with components beyond this cap are treated as
+# irrational: their orbits' actions exceed the axis-orbit bound by orders
+# of magnitude, so they can never realize T_min.
+RATIONAL_CAP = 10**6
+
 
 def cross(u: Point, v: Point) -> float:
     return u[0] * v[1] - u[1] * v[0]
@@ -37,6 +46,46 @@ def cross(u: Point, v: Point) -> float:
 
 def dot(u: Point, v: Point) -> float:
     return u[0] * v[0] + u[1] * v[1]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@cache
+def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights mapped to [0, 1], read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    return _read_only((x + 1) / 2), _read_only(w / 2)
+
+
+def _decimal_ratio(x: float) -> tuple[int, int]:
+    # repr() is the shortest decimal that round-trips, so this recovers the
+    # intended decimal value rather than the raw binary expansion.
+    return Decimal(repr(x)).as_integer_ratio()
+
+
+def _primitive_normal(
+    p0: tuple[tuple[int, int], tuple[int, int]],
+    p1: tuple[tuple[int, int], tuple[int, int]],
+) -> Optional[tuple[int, int]]:
+    """Primitive integer vector along the outward normal (dw2, -dw1) of the
+    segment between two vertices given as exact (numerator, denominator)
+    coordinates, or None when a component exceeds RATIONAL_CAP."""
+    (nx0, dx0), (ny0, dy0) = p0
+    (nx1, dx1), (ny1, dy1) = p1
+    # Both components scaled by the positive common denominator
+    # dx0*dx1*dy0*dy1, which the gcd reduction removes again.
+    a1 = (ny1 * dy0 - ny0 * dy1) * dx0 * dx1
+    a2 = (nx0 * dx1 - nx1 * dx0) * dy0 * dy1
+    if a1 == 0 and a2 == 0:
+        return None
+    g = math.gcd(a1, a2)
+    m, n = a1 // g, a2 // g
+    if max(abs(m), abs(n)) > RATIONAL_CAP:
+        return None
+    return (m, n)
 
 
 @dataclass(frozen=True)
@@ -54,7 +103,18 @@ class CurveSegment:
 
 @dataclass(frozen=True)
 class MomentProfile:
-    """Closure of the positive-quadrant boundary arc, (a,0) -> (0,b)."""
+    """Closure of the positive-quadrant boundary arc, (a,0) -> (0,b).
+
+    Derived geometry is computed on first use and then cached on the
+    instance: ``diameter`` and ``tol``; the read-only arrays ``xy``
+    (vertices), ``directions`` and ``normals`` (per segment) and
+    ``tagged`` (indices of tagged segments); ``normal_turns`` at the
+    interior vertices; ``primitive_normals`` per segment; and the tag
+    samples at the Gauss-Legendre nodes of each order
+    (``curve_samples``).  Every cache assumes the instance never changes,
+    so a profile must not be mutated (not even through
+    ``object.__setattr__``); build a new one instead.
+    """
 
     vertices: tuple[Point, ...]
     tags: tuple[Optional[CurveSegment], ...] = ()
@@ -73,15 +133,80 @@ class MomentProfile:
     def n_segments(self) -> int:
         return len(self.vertices) - 1
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         xs = [v[0] for v in self.vertices]
         ys = [v[1] for v in self.vertices]
         return max(max(xs) - min(xs), max(ys) - min(ys), max(xs), max(ys))
 
-    @property
+    @cached_property
     def tol(self) -> float:
         return TOL_REL * self.diameter
+
+    @cached_property
+    def xy(self) -> np.ndarray:
+        """Vertices as an (n + 1, 2) array."""
+        return _read_only(np.array(self.vertices, dtype=float).reshape(-1, 2))
+
+    @cached_property
+    def directions(self) -> np.ndarray:
+        """Segment vectors (end minus start) as an (n, 2) array."""
+        return _read_only(np.diff(self.xy, axis=0))
+
+    @cached_property
+    def normals(self) -> np.ndarray:
+        """Unit outward segment normals as an (n, 2) array.
+
+        The path runs counterclockwise around the region (polar angle
+        increasing), so the outward normal of direction (d1, d2) is
+        (d2, -d1) normalized.
+        """
+        d = self.directions
+        # math.hypot, not np.hypot: the two differ in the last bit for
+        # some inputs, and cone and flag decisions compare these values.
+        length = np.array([math.hypot(d1, d2) for d1, d2 in d.tolist()])
+        return _read_only(np.column_stack((d[:, 1], -d[:, 0])) / length.reshape(-1, 1))
+
+    @cached_property
+    def normal_turns(self) -> tuple[float, ...]:
+        """Signed turning angle of the outward normal at each interior
+        vertex 1..n-1, positive at convex corners."""
+        a, b = self.normals[:-1], self.normals[1:]
+        c = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        d = a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
+        return tuple(map(math.atan2, c.tolist(), d.tolist()))
+
+    @cached_property
+    def primitive_normals(self) -> tuple[Optional[tuple[int, int]], ...]:
+        """Per segment, the primitive integer vector parallel to the
+        outward normal, rebuilt from the shortest round-trip decimals of
+        the vertex coordinates, or None beyond RATIONAL_CAP."""
+        exact = [(_decimal_ratio(x), _decimal_ratio(y)) for x, y in self.vertices]
+        return tuple(map(_primitive_normal, exact[:-1], exact[1:]))
+
+    @cached_property
+    def tagged(self) -> np.ndarray:
+        """Indices of the segments that carry an analytic tag."""
+        idx = [i for i, t in enumerate(self.tags) if t is not None]
+        return _read_only(np.array(idx, dtype=np.intp))
+
+    @cached_property
+    def _curve_samples(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        return {}
+
+    def curve_samples(self, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """Points and derivatives of the tagged segments (in the order of
+        ``tagged``) at the ``order`` Gauss-Legendre nodes on [0, 1], as
+        two (k, order, 2) arrays; sampled once per order."""
+        cache = self._curve_samples
+        if order not in cache:
+            nodes = _gl_nodes(order)[0].tolist()
+            curves = [self.tags[i] for i in self.tagged.tolist()]
+            shape, count, pair = (len(curves), order, 2), len(curves) * order, np.dtype((float, 2))
+            pts = np.fromiter((c.point(t) for c in curves for t in nodes), pair, count)
+            ders = np.fromiter((c.deriv(t) for c in curves for t in nodes), pair, count)
+            cache[order] = (_read_only(pts.reshape(shape)), _read_only(ders.reshape(shape)))
+        return cache[order]
 
     def segment(self, i: int) -> tuple[Point, Point]:
         return self.vertices[i], self.vertices[i + 1]
@@ -91,15 +216,9 @@ class MomentProfile:
         return (x1 - x0, y1 - y0)
 
     def segment_normal(self, i: int) -> Point:
-        """Unit outward normal of segment i.
-
-        The path runs counterclockwise around the region (polar angle
-        increasing), so the outward normal of direction (d1, d2) is
-        (d2, -d1) normalized.
-        """
-        d1, d2 = self.segment_direction(i)
-        n = math.hypot(d1, d2)
-        return (d2 / n, -d1 / n)
+        """Unit outward normal of segment i (a row of ``normals``)."""
+        n1, n2 = self.normals[i].tolist()
+        return (n1, n2)
 
     def tag(self, i: int) -> Optional[CurveSegment]:
         if not self.tags:
@@ -319,7 +438,7 @@ def normal_cone(p: MomentProfile, vertex_index: int) -> NormalCone:
         raise IndexError("normal_cone is defined at interior vertices")
     nu_in = p.segment_normal(vertex_index - 1)
     nu_out = p.segment_normal(vertex_index)
-    turn = math.atan2(cross(nu_in, nu_out), dot(nu_in, nu_out))
+    turn = p.normal_turns[vertex_index - 1]
     v = p.vertices[vertex_index]
     if turn >= 0:
         return NormalCone(v, nu_in, nu_out, turn, convex=True)
@@ -350,21 +469,16 @@ def endpoint_cone(p: MomentProfile, which: str) -> NormalCone:
 
 
 def classify(p: MomentProfile) -> Classification:
-    tol = p.tol
     witnesses: dict = {}
-
-    monotone = True
-    strictly = True
-    for i in range(p.n_segments):
-        n1, n2 = p.segment_normal(i)
-        if n1 < -TOL_REL or n2 < -TOL_REL:
-            if monotone:
-                witnesses["monotone"] = i
-            monotone = False
-        if n1 <= TOL_REL or n2 <= TOL_REL:
-            if strictly:
-                witnesses["strictly_monotone"] = i
-            strictly = False
+    nu = p.normals
+    decreasing = (nu < -TOL_REL).any(axis=1)
+    flat = (nu <= TOL_REL).any(axis=1)
+    monotone = not decreasing.any()
+    if not monotone:
+        witnesses["monotone"] = int(decreasing.argmax())
+    strictly = not flat.any()
+    if not strictly:
+        witnesses["strictly_monotone"] = int(flat.argmax())
     strictly = strictly and monotone
 
     convex = _convex_4d(p, witnesses)
@@ -384,19 +498,18 @@ def _convex_4d(p: MomentProfile, witnesses: dict) -> bool:
     the graph of a function (mu1 strictly increasing) and every consecutive
     triple must turn clockwise or stay straight.
     """
-    mu = [(math.sqrt(x), math.sqrt(y)) for x, y in reversed(p.vertices)]
-    tol = TOL_REL * max(m[0] + m[1] for m in mu)
-    n = len(mu)
-    for i in range(n - 1):
-        if mu[i + 1][0] - mu[i][0] <= tol:
-            witnesses["convex_4d"] = p.n_segments - 1 - i
-            return False
-    for i in range(n - 2):
-        d1 = (mu[i + 1][0] - mu[i][0], mu[i + 1][1] - mu[i][1])
-        d2 = (mu[i + 2][0] - mu[i + 1][0], mu[i + 2][1] - mu[i + 1][1])
-        if cross(d1, d2) > tol:
-            witnesses["convex_4d"] = p.n_segments - 2 - i
-            return False
+    mu = np.sqrt(p.xy[::-1])
+    tol = TOL_REL * (mu[:, 0] + mu[:, 1]).max()
+    step = np.diff(mu, axis=0)
+    backwards = step[:, 0] <= tol
+    if backwards.any():
+        witnesses["convex_4d"] = p.n_segments - 1 - int(backwards.argmax())
+        return False
+    turn = step[:-1, 0] * step[1:, 1] - step[:-1, 1] * step[1:, 0]
+    ccw = turn > tol
+    if ccw.any():
+        witnesses["convex_4d"] = p.n_segments - 2 - int(ccw.argmax())
+        return False
     return True
 
 

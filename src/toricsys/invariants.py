@@ -16,35 +16,25 @@ from typing import Optional
 import numpy as np
 
 from .errors import BadThresholds, DegenerateDenominator, NotMonotone
-from .geometry import Classification, MomentProfile, classify, cross
+from .geometry import Classification, MomentProfile, _gl_nodes, classify
 from . import reeb
 
 GL_ORDER = 8
 
 
-def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return (x + 1) / 2, w / 2  # mapped to [0, 1]
-
-
 def area(p: MomentProfile, gl_order: int = GL_ORDER) -> float:
     """Area between the profile and the axes: shoelace on straight
     segments, Gauss-Legendre on the tagged curves."""
-    nodes, weights = _gl_nodes(gl_order)
-    total = 0.0
-    for i in range(p.n_segments):
-        tag = p.tag(i)
-        if tag is None:
-            a, b = p.segment(i)
-            total += 0.5 * cross(a, b)
-        else:
-            acc = 0.0
-            for t, w in zip(nodes, weights):
-                pt = tag.point(t)
-                dv = tag.deriv(t)
-                acc += w * 0.5 * cross(pt, dv)
-            total += acc
-    return total
+    xy = p.xy
+    doubled = xy[:-1, 0] * xy[1:, 1] - xy[:-1, 1] * xy[1:, 0]
+    straight = np.ones(p.n_segments, dtype=bool)
+    straight[p.tagged] = False
+    total = doubled[straight].sum()
+    if p.tagged.size:
+        _, weights = _gl_nodes(gl_order)
+        pt, dv = p.curve_samples(gl_order)
+        total += (weights * (pt[..., 0] * dv[..., 1] - pt[..., 1] * dv[..., 0])).sum()
+    return float(0.5 * total)
 
 
 def contact_volume(p: MomentProfile, gl_order: int = GL_ORDER) -> float:
@@ -62,32 +52,28 @@ def ruelle_quadrature(p: MomentProfile, n: int = GL_ORDER) -> float:
     if n < 2:
         raise ValueError("need at least 2 quadrature points per segment")
     nodes, weights = _gl_nodes(n)
-    total = 0.0
-    for i in range(p.n_segments):
-        tag = p.tag(i)
-        if tag is None:
-            a, b = p.segment(i)
-            d = (b[0] - a[0], b[1] - a[1])
-
-            def geom(t, a=a, d=d):
-                return (a[0] + t * d[0], a[1] + t * d[1]), d
-        else:
-
-            def geom(t, tag=tag):
-                return tag.point(t), tag.deriv(t)
-
-        acc = 0.0
-        for t, w in zip(nodes, weights):
-            pt, dv = geom(t)
-            speed = math.hypot(dv[0], dv[1])
-            nu = (dv[1] / speed, -dv[0] / speed)
-            denom = nu[0] * pt[0] + nu[1] * pt[1]
-            if denom <= p.tol:
-                raise DegenerateDenominator(f"nu.w = {denom} on segment {i}")
-            rho = (nu[0] + nu[1]) / denom
-            acc += w * rho * cross(pt, dv)
-        total += acc
-    return total
+    # nu.w, nu1 + nu2 and cross(w, w') at every node of every segment, as
+    # (segments, n) arrays: along the chord on straight segments, from the
+    # shared curve samples on tagged ones.
+    a, d, nu = p.xy[:-1], p.directions, p.normals
+    x = a[:, :1] + nodes * d[:, :1]
+    y = a[:, 1:] + nodes * d[:, 1:]
+    denom = nu[:, :1] * x + nu[:, 1:] * y
+    crs = x * d[:, 1:] - y * d[:, :1]
+    nsum = np.repeat((nu[:, 0] + nu[:, 1])[:, None], n, axis=1)
+    if p.tagged.size:
+        cpt, cdv = p.curve_samples(n)
+        speed = np.hypot(cdv[..., 0], cdv[..., 1])
+        nu1, nu2 = cdv[..., 1] / speed, -cdv[..., 0] / speed
+        denom[p.tagged] = nu1 * cpt[..., 0] + nu2 * cpt[..., 1]
+        crs[p.tagged] = cpt[..., 0] * cdv[..., 1] - cpt[..., 1] * cdv[..., 0]
+        nsum[p.tagged] = nu1 + nu2
+    bad = ~(denom > p.tol)
+    if bad.any():
+        i = int(bad.any(axis=1).argmax())
+        j = int(bad[i].argmax())
+        raise DegenerateDenominator(f"nu.w = {float(denom[i, j])} on segment {i}")
+    return float((weights * (nsum / denom) * crs).sum())
 
 
 @dataclass(frozen=True)

@@ -12,27 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateDenominator, OracleCutoffInsufficient, StepTooLarge
 from .geometry import (
+    RATIONAL_CAP,
     MomentProfile,
     NormalCone,
     Point,
     cross,
     dot,
-    endpoint_cone,
     normal_cone,
 )
-
-# Primitive integer normals with components beyond this cap are treated as
-# irrational: their orbits' actions exceed the axis-orbit bound by orders
-# of magnitude, so they can never realize T_min.
-RATIONAL_CAP = 10**6
 
 # Relative tolerance for cone membership of integer directions.
 CONE_TOL = 1e-9
@@ -74,28 +67,11 @@ def rotation_density(p: MomentProfile, point: Point, normal: Point) -> float:
 # Rational normals and segment orbits
 
 
-def _fraction(x: float) -> Fraction:
-    # repr() is the shortest decimal that round-trips, so this recovers the
-    # intended decimal value rather than the raw binary expansion.
-    return Fraction(Decimal(repr(x)))
-
-
 def primitive_normal(p: MomentProfile, segment_index: int) -> Optional[tuple[int, int]]:
     """Primitive integer vector parallel to the outward normal of a
-    segment, or None when the reconstruction exceeds RATIONAL_CAP."""
-    (x0, y0), (x1, y1) = p.segment(segment_index)
-    n1 = _fraction(y1) - _fraction(y0)      # outward normal ~ (dw2, -dw1)
-    n2 = _fraction(x0) - _fraction(x1)
-    if n1 == 0 and n2 == 0:
-        return None
-    lcm = math.lcm(n1.denominator, n2.denominator)
-    a1 = n1.numerator * (lcm // n1.denominator)
-    a2 = n2.numerator * (lcm // n2.denominator)
-    g = math.gcd(abs(a1), abs(a2))
-    m, n = a1 // g, a2 // g
-    if max(abs(m), abs(n)) > RATIONAL_CAP:
-        return None
-    return (m, n)
+    segment, or None when the reconstruction exceeds RATIONAL_CAP
+    (``MomentProfile.primitive_normals``, computed once per profile)."""
+    return p.primitive_normals[segment_index]
 
 
 def closed_orbit_on_segment(p: MomentProfile, segment_index: int) -> Optional[OrbitDatum]:
@@ -306,10 +282,9 @@ def _base_candidates(p: MomentProfile) -> list[OrbitDatum]:
         OrbitDatum((1, 0), (a, 0.0), a, "axis", 0),
         OrbitDatum((0, 1), (0.0, b), b, "axis", 1),
     ]
-    for i in range(p.n_segments):
-        orbit = closed_orbit_on_segment(p, i)
-        if orbit is not None:
-            out.append(orbit)
+    for i, mn in enumerate(p.primitive_normals):
+        if mn is not None:
+            out.append(closed_orbit_on_segment(p, i))
     return out
 
 
@@ -328,12 +303,11 @@ def t_min(
     candidates = list(_base_candidates(p))
     best = min(o.action for o in candidates)
 
-    cones = []
-    for vi in range(1, len(p.vertices) - 1):
-        cone = normal_cone(p, vi)
-        if cone.width <= 1e-12:
-            continue
-        cones.append((vi, cone))
+    cones = [
+        (vi, normal_cone(p, vi))
+        for vi, turn in enumerate(p.normal_turns, start=1)
+        if abs(turn) > 1e-12
+    ]
 
     if method == "fast":
         for vi, cone in cones:

@@ -1,0 +1,246 @@
+"""Per-profile derived geometry and the vectorised quadratures.
+
+The scalar functions below are the plain per-node loops that `area`,
+`ruelle_quadrature` and `primitive_normal` replace; the library must agree
+with them to 1e-12 relative (summation order differs) and exactly for the
+integer normals.
+"""
+
+import math
+import random
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from toricsys import (
+    CurveSegment,
+    DegenerateDenominator,
+    MomentProfile,
+    ellipsoid,
+    fc_domain,
+    polydisk,
+    report,
+    smooth_corners,
+)
+from toricsys.experiments import random_monotone_profile, random_star_profile
+from toricsys.geometry import TOL_REL, _gl_nodes
+from toricsys.invariants import GL_ORDER, area, ruelle_quadrature
+from toricsys.reeb import RATIONAL_CAP, primitive_normal
+
+
+def _nodes(order):
+    x, w = np.polynomial.legendre.leggauss(order)
+    return [float(t) for t in (x + 1) / 2], [float(v) for v in w / 2]
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def ref_tol(p):
+    xs = [v[0] for v in p.vertices]
+    ys = [v[1] for v in p.vertices]
+    return TOL_REL * max(max(xs) - min(xs), max(ys) - min(ys), max(xs), max(ys))
+
+
+def ref_area(p, order=GL_ORDER):
+    nodes, weights = _nodes(order)
+    total = 0.0
+    for i in range(p.n_segments):
+        tag = p.tag(i)
+        if tag is None:
+            a, b = p.segment(i)
+            total += 0.5 * _cross(a, b)
+        else:
+            for t, w in zip(nodes, weights):
+                total += w * 0.5 * _cross(tag.point(t), tag.deriv(t))
+    return total
+
+
+def ref_ruelle(p, order=GL_ORDER):
+    nodes, weights = _nodes(order)
+    tol = ref_tol(p)
+    total = 0.0
+    for i in range(p.n_segments):
+        tag = p.tag(i)
+        for t, w in zip(nodes, weights):
+            if tag is None:
+                a, b = p.segment(i)
+                dv = (b[0] - a[0], b[1] - a[1])
+                pt = (a[0] + t * dv[0], a[1] + t * dv[1])
+            else:
+                pt, dv = tag.point(t), tag.deriv(t)
+            speed = math.hypot(dv[0], dv[1])
+            nu = (dv[1] / speed, -dv[0] / speed)
+            denom = nu[0] * pt[0] + nu[1] * pt[1]
+            if denom <= tol:
+                raise DegenerateDenominator(f"nu.w = {denom} on segment {i}")
+            total += w * (nu[0] + nu[1]) / denom * _cross(pt, dv)
+    return total
+
+
+def _fraction(x):
+    return Fraction(Decimal(repr(x)))
+
+
+def ref_primitive_normal(p, i):
+    (x0, y0), (x1, y1) = p.segment(i)
+    n1 = _fraction(y1) - _fraction(y0)
+    n2 = _fraction(x0) - _fraction(x1)
+    if n1 == 0 and n2 == 0:
+        return None
+    lcm = math.lcm(n1.denominator, n2.denominator)
+    a1 = n1.numerator * (lcm // n1.denominator)
+    a2 = n2.numerator * (lcm // n2.denominator)
+    g = math.gcd(abs(a1), abs(a2))
+    m, n = a1 // g, a2 // g
+    if max(abs(m), abs(n)) > RATIONAL_CAP:
+        return None
+    return (m, n)
+
+
+def _profiles():
+    rng = random.Random(20220310)
+    out = [("star", random_star_profile(rng)) for _ in range(12)]
+    out += [("monotone", random_monotone_profile(rng)) for _ in range(12)]
+    out += [
+        ("ellipsoid", ellipsoid(1, 4, 512)),
+        ("ellipsoid", ellipsoid(1.37, 0.61, 512)),
+        ("ellipsoid", ellipsoid(1, 1, 3)),
+        ("fc", fc_domain(2, 0.7, 256)),
+        ("fc", fc_domain(1, 0.5, 256)),
+        ("smoothed", smooth_corners(polydisk(1, 2), 0.2, 510)),
+        ("smoothed", smooth_corners(polydisk(2.3, 0.9), 0.1, 16)),
+        ("polydisk", polydisk(1, 2)),
+    ]
+    return out
+
+
+PROFILES = _profiles()
+IDS = [f"{kind}-{i}" for i, (kind, _) in enumerate(PROFILES)]
+
+
+def _rel(got, want):
+    return abs(got - want) / abs(want)
+
+
+@pytest.mark.parametrize("p", [p for _, p in PROFILES], ids=IDS)
+class TestAgainstScalarReference:
+    def test_area(self, p):
+        assert _rel(area(p), ref_area(p)) <= 1e-12
+
+    def test_ruelle_quadrature(self, p):
+        assert _rel(ruelle_quadrature(p), ref_ruelle(p)) <= 1e-12
+        assert _rel(ruelle_quadrature(p, 5), ref_ruelle(p, 5)) <= 1e-12
+
+    def test_primitive_normals_exact(self, p):
+        got = [primitive_normal(p, i) for i in range(p.n_segments)]
+        assert got == [ref_primitive_normal(p, i) for i in range(p.n_segments)]
+
+
+def _radial_tag(r0, r1, th0, th1, back):
+    """Polar curve from angle th0 to th1 whose angle first runs backwards
+    (for back > 0), so that nu.w < 0 near its start."""
+
+    def theta(t):
+        return th0 + (th1 - th0) * ((1 + back) * t * t - back * t)
+
+    def dtheta(t):
+        return (th1 - th0) * (2 * (1 + back) * t - back)
+
+    def point(t):
+        r = r0 + (r1 - r0) * t
+        return (r * math.cos(theta(t)), r * math.sin(theta(t)))
+
+    def deriv(t):
+        r = r0 + (r1 - r0) * t
+        th = theta(t)
+        dr, dth = r1 - r0, dtheta(t)
+        return (
+            dr * math.cos(th) - r * math.sin(th) * dth,
+            dr * math.sin(th) + r * math.cos(th) * dth,
+        )
+
+    return CurveSegment(point, deriv, kind="test")
+
+
+class TestDegenerateDenominator:
+    def _profile(self, bad):
+        angles = [0.0, math.pi / 6, math.pi / 3, math.pi / 2]
+        radii = [1.0, 1.0, 1.2, 1.0]
+        verts = tuple((r * math.cos(a), r * math.sin(a)) for r, a in zip(radii, angles))
+        verts = ((1.0, 0.0),) + verts[1:-1] + ((0.0, 1.0),)
+        tags = tuple(
+            _radial_tag(radii[i], radii[i + 1], angles[i], angles[i + 1], 1.0)
+            if i in bad else None
+            for i in range(3)
+        )
+        return MomentProfile(verts, tags)
+
+    @pytest.mark.parametrize("bad", [(1,), (2,), (1, 2), (0, 2)])
+    def test_first_bad_segment_named(self, bad):
+        p = self._profile(bad)
+        with pytest.raises(DegenerateDenominator) as want:
+            ref_ruelle(p)
+        with pytest.raises(DegenerateDenominator) as got:
+            ruelle_quadrature(p)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith(f"on segment {bad[0]}")
+
+    def test_good_curve_passes(self):
+        p = self._profile(())
+        assert _rel(ruelle_quadrature(p), ref_ruelle(p)) <= 1e-12
+
+    def test_too_few_nodes(self):
+        with pytest.raises(ValueError):
+            ruelle_quadrature(ellipsoid(1, 2), 1)
+
+
+class TestComputeOnce:
+    def test_report_computes_diameter_once(self, monkeypatch):
+        prop = MomentProfile.__dict__["diameter"]
+        real = prop.func
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(prop, "func", counting)
+        p = ellipsoid(1, 4, 2000)
+        rep = report(p)
+        assert rep.ruelle_quadrature == pytest.approx(5, rel=1e-12)
+        assert len(calls) <= 1
+
+    def test_curves_sampled_once_per_order(self):
+        calls = []
+
+        def counted(tag):
+            def point(t):
+                calls.append(t)
+                return tag.point(t)
+
+            return CurveSegment(point, tag.deriv, tag.kind)
+
+        base = fc_domain(2, 0.7, 8)
+        p = MomentProfile(base.vertices, tuple(t and counted(t) for t in base.tags))
+        tagged = sum(t is not None for t in p.tags)
+        report(p)
+        assert len(calls) == tagged * GL_ORDER
+        area(p, 5)
+        ruelle_quadrature(p, 5)
+        assert len(calls) == tagged * (GL_ORDER + 5)
+
+    def test_gl_nodes_cached_and_read_only(self):
+        nodes, weights = _gl_nodes(8)
+        assert _gl_nodes(8)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert weights.sum() == pytest.approx(1, rel=1e-15)
+
+    def test_derived_arrays_read_only(self):
+        p = fc_domain(1, 0.5, 8)
+        for arr in (p.xy, p.directions, p.normals, p.tagged, *p.curve_samples(4)):
+            with pytest.raises(ValueError):
+                arr[0] = 0

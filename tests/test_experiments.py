@@ -1,9 +1,10 @@
 import math
 import random
+import re
 
 import pytest
 
-from toricsys import ball, ellipsoid, fc_domain, polydisk
+from toricsys import ParamOutOfRange, ball, ellipsoid, fc_domain, polydisk
 from toricsys import cli, experiments, profile_io
 from toricsys.experiments import (
     RunConfig,
@@ -48,6 +49,22 @@ class TestSweep:
         recs = run_sweep(cfg)
         assert recs[0].error.startswith("EpsTooLarge")
         assert recs[1].error == ""
+
+    @pytest.mark.parametrize(
+        "op,profile,grid",
+        [
+            ("strangulate", ball(2), (0.2, 0.1, 0.05)),
+            ("strain", ellipsoid(1, 4, 1), (1e-2, 1e-3, 1e-4)),
+        ],
+    )
+    def test_grid_matches_single_points(self, op, profile, grid):
+        whole = run_sweep(RunConfig(profile=profile, op=op, eps_grid=grid))
+        single = [
+            rec
+            for eps in grid
+            for rec in run_sweep(RunConfig(profile=profile, op=op, eps_grid=(eps,)))
+        ]
+        assert whole == single
 
     def test_empty_grid(self, tmp_path):
         csv = tmp_path / "empty.csv"
@@ -142,6 +159,22 @@ class TestCli:
     def test_invalid_profile_exits_2(self, capsys):
         assert cli.main(["classify", "polydisk:-1,2"]) == 2
         assert cli.main(["classify", "/nonexistent/path.txt"]) == 2
+
+    @pytest.mark.parametrize(
+        "spec,needs",
+        [
+            ("ellipsoid:1", "a,b[,n]"),
+            ("ball:", "c[,n]"),
+            ("fc:1", "b,c[,n]"),
+            ("polydisk:1,2,3", "a,b"),
+        ],
+    )
+    def test_short_family_spec_exits_2(self, spec, needs, capsys):
+        with pytest.raises(ParamOutOfRange, match=re.escape(needs)):
+            cli.resolve_profile(spec)
+        assert cli.main(["invariants", spec]) == 2
+        err = capsys.readouterr().err
+        assert "ParamOutOfRange" in err and spec.partition(":")[0] in err
 
     def test_invariants_and_csv(self, tmp_path, capsys):
         csv = tmp_path / "r.csv"
