@@ -47,6 +47,7 @@ from .reeb import (
     ShearCheckResult,
     closed_orbit_on_segment,
     orbits_at_vertex,
+    orbits_below,
     reeb_angular_velocities,
     rotation_density,
     shear_monodromy_check,

@@ -2,7 +2,14 @@
 
 Profiles are given either as a file path (see profile_io) or as an
 inline family spec like ``ellipsoid:1,4,1``, ``polydisk:1,2``,
-``ball:2``, ``fc:1,0.5,8``.
+``ball:2``, ``fc:1,0.5,8`` (``geometry.FAMILIES``).
+
+Each subcommand takes only the flags it reads.  Output flags:
+``--csv PATH`` on ``invariants``, ``orbits`` and ``sweep``; ``--svg PATH``
+on ``invariants``, ``strangulate``, ``strain`` and ``sweep``; ``--out
+PATH`` (the output profile) on ``strangulate`` and ``strain``.
+``--oracle-n`` (brute-force cutoff) is taken by ``invariants`` and
+``tmin``.
 
 Exit codes: 0 success, 2 validation/usage error, 3 finding (a verified
 bound fails in a verification mode).
@@ -16,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .errors import ParamOutOfRange, ToricError
-from .geometry import MomentProfile, ball, classify, ellipsoid, fc_domain, polydisk
+from .geometry import FAMILIES, MomentProfile, classify
 from . import experiments, invariants, profile_io, reeb, surgery
 
 EXIT_OK = 0
@@ -24,21 +31,12 @@ EXIT_INVALID = 2
 EXIT_FINDING = 3
 
 
-# Inline family specs: builder, required and optional argument names.
-FAMILY_SPECS = {
-    "ellipsoid": (lambda a, b, n=1: ellipsoid(a, b, int(n)), ("a", "b"), ("n",)),
-    "polydisk": (polydisk, ("a", "b"), ()),
-    "ball": (lambda c, n=1: ball(c, int(n)), ("c",), ("n",)),
-    "fc": (lambda b, c, n=8: fc_domain(b, c, int(n)), ("b", "c"), ("n",)),
-}
-
-
 def resolve_profile(spec: str) -> MomentProfile:
     if Path(spec).exists():
         return profile_io.load(spec)
     family, colon, argstr = spec.partition(":")
-    if colon and family in FAMILY_SPECS:
-        build, required, optional = FAMILY_SPECS[family]
+    if colon and family in FAMILIES:
+        build, required, optional = FAMILIES[family]
         args = [float(x) for x in argstr.split(",") if x]
         if not len(required) <= len(args) <= len(required) + len(optional):
             names = ",".join(required) + "".join(f"[,{o}]" for o in optional)
@@ -49,13 +47,6 @@ def resolve_profile(spec: str) -> MomentProfile:
     raise ToricError(f"cannot resolve profile {spec!r} (no such file or family spec)")
 
 
-def _add_common(sp: argparse.ArgumentParser):
-    sp.add_argument("--csv", default=None, help="write CSV output to this path")
-    sp.add_argument("--svg", default=None, help="write SVG output to this path")
-    sp.add_argument("--tol", type=float, default=1e-9, help="tolerance override")
-    sp.add_argument("--oracle-n", type=int, default=200, help="brute-force cutoff")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="toricsys",
@@ -64,9 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     for name in ("classify", "invariants", "tmin", "verify-ruelle"):
-        sp = sub.add_parser(name)
-        sp.add_argument("profile")
-        _add_common(sp)
+        sub.add_parser(name).add_argument("profile")
     sub.choices["tmin"].add_argument("--method", choices=("fast", "oracle"), default="fast")
     sub.choices["verify-ruelle"].add_argument("--n", type=int, default=8,
                                               help="quadrature points per segment")
@@ -74,14 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("orbits")
     sp.add_argument("profile")
     sp.add_argument("--cutoff", type=float, required=True)
-    _add_common(sp)
 
     sp = sub.add_parser("strangulate")
     sp.add_argument("profile")
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--ray", type=float, default=math.pi / 4, help="ray angle (radians)")
     sp.add_argument("--out", default=None, help="write the output profile here")
-    _add_common(sp)
 
     sp = sub.add_parser("strain")
     sp.add_argument("profile")
@@ -89,25 +76,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--flatten", type=float, default=0.0,
                     help="flatten this w1-radius near the intercept first")
     sp.add_argument("--out", default=None)
-    _add_common(sp)
 
     sp = sub.add_parser("sweep")
     sp.add_argument("--op", choices=("strangulate", "strain"), required=True)
     sp.add_argument("--profile", required=True)
     sp.add_argument("--eps-grid", required=True, help="comma-separated epsilons")
-    _add_common(sp)
 
     sp = sub.add_parser("bounds")
     sp.add_argument("--corpus", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp)
 
     sp = sub.add_parser("fc-scan")
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--grid", default=None, help="comma-separated c values")
     sp.add_argument("--grid-n", type=int, default=20)
-    _add_common(sp)
 
+    for name in ("invariants", "tmin"):
+        sub.choices[name].add_argument("--oracle-n", type=int, default=200,
+                                       help="brute-force cutoff")
+    for name in ("invariants", "orbits", "sweep"):
+        sub.choices[name].add_argument("--csv", default=None,
+                                       help="write CSV output to this path")
+    for name in ("invariants", "strangulate", "strain", "sweep"):
+        sub.choices[name].add_argument("--svg", default=None,
+                                       help="write SVG output to this path")
     return ap
 
 
@@ -168,14 +160,7 @@ def _dispatch(args) -> int:
 
     if cmd == "orbits":
         p = resolve_profile(args.profile)
-        orbits = []
-        for o in reeb._base_candidates(p):
-            if o.action <= args.cutoff:
-                orbits.append(o)
-        for vi in range(1, len(p.vertices) - 1):
-            orbits.extend(reeb.orbits_at_vertex(p, vi, args.cutoff))
-        orbits.sort(key=reeb.OrbitDatum.sort_key)
-        rows = reeb.orbit_csv_rows(orbits)
+        rows = reeb.orbit_csv_rows(reeb.orbits_below(p, args.cutoff))
         print("\n".join(rows))
         if args.csv:
             Path(args.csv).write_text("\n".join(rows) + "\n")
@@ -229,7 +214,7 @@ def _dispatch(args) -> int:
         grid = tuple(float(x) for x in args.eps_grid.split(",") if x)
         config = experiments.RunConfig(
             command="sweep", profile=p, op=args.op, eps_grid=grid,
-            csv_path=args.csv, svg_path=args.svg, n_oracle=args.oracle_n,
+            csv_path=args.csv, svg_path=args.svg,
         )
         records = experiments.run_sweep(config)
         for r in records:

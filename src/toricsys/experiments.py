@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -71,8 +71,6 @@ class RunConfig:
     eps_grid: tuple[float, ...] = ()
     csv_path: Optional[str] = None
     svg_path: Optional[str] = None
-    tol: float = 1e-9
-    n_oracle: int = 200
     seed: int = 0
     corpus_size: int = 100
 

@@ -25,6 +25,7 @@ from .errors import (
     NotStarShaped,
     ParamOutOfRange,
     RadiusTooLarge,
+    RayMissesBoundary,
     SelfIntersection,
     SmoothingBreaksStarShape,
 )
@@ -105,6 +106,11 @@ class CurveSegment:
 class MomentProfile:
     """Closure of the positive-quadrant boundary arc, (a,0) -> (0,b).
 
+    Valid by construction: the coordinates are converted to float and
+    checked by ``_validate`` (axis endpoints, star shape, no zero-length
+    segment), axis endpoints within tolerance are snapped onto the axes,
+    and a non-empty ``tags`` must hold one entry per segment.
+
     Derived geometry is computed on first use and then cached on the
     instance: ``diameter`` and ``tol``; the read-only arrays ``xy``
     (vertices), ``directions`` and ``normals`` (per segment) and
@@ -120,6 +126,14 @@ class MomentProfile:
     tags: tuple[Optional[CurveSegment], ...] = ()
     family: str = "custom"
     params: tuple[tuple[str, float], ...] = ()
+
+    def __post_init__(self):
+        verts = _validate(tuple((float(x), float(y)) for x, y in self.vertices))
+        object.__setattr__(self, "vertices", verts)
+        if self.tags and len(self.tags) != len(verts) - 1:
+            raise ParamOutOfRange(
+                f"{len(self.tags)} tags for a profile with {len(verts) - 1} segments"
+            )
 
     @property
     def a_intercept(self) -> float:
@@ -283,8 +297,7 @@ def _validate(vertices: tuple[Point, ...]) -> tuple[Point, ...]:
 
 def from_vertices(points) -> MomentProfile:
     """Build and validate a polygonal profile from (w1, w2) pairs."""
-    verts = _validate(tuple((float(x), float(y)) for x, y in points))
-    return MomentProfile(verts)
+    return MomentProfile(tuple(points))
 
 
 def ellipsoid(a: float, b: float, n: int = 1) -> MomentProfile:
@@ -296,9 +309,7 @@ def ellipsoid(a: float, b: float, n: int = 1) -> MomentProfile:
     verts = tuple(
         (a * (1 - i / n), b * (i / n)) for i in range(n + 1)
     )
-    return MomentProfile(
-        _validate(verts), family="ellipsoid", params=(("a", a), ("b", b), ("n", n))
-    )
+    return MomentProfile(verts, family="ellipsoid", params=(("a", a), ("b", b), ("n", n)))
 
 
 def polydisk(a: float, b: float) -> MomentProfile:
@@ -306,7 +317,7 @@ def polydisk(a: float, b: float) -> MomentProfile:
     if a <= 0 or b <= 0:
         raise ParamOutOfRange("polydisk requires a, b > 0")
     verts = ((a, 0.0), (a, b), (0.0, b))
-    return MomentProfile(_validate(verts), family="polydisk", params=(("a", a), ("b", b)))
+    return MomentProfile(verts, family="polydisk", params=(("a", a), ("b", b)))
 
 
 def ball(c: float, n: int = 1) -> MomentProfile:
@@ -394,10 +405,39 @@ def fc_domain(b: float, c: float, n: int = 8) -> MomentProfile:
         tags.append(seg)
     verts.append((0.0, b))
 
-    valid = _validate(tuple(verts))
     return MomentProfile(
-        valid, tuple(tags), family="fc", params=(("b", b), ("c", c), ("n", n))
+        tuple(verts), tuple(tags), family="fc", params=(("b", b), ("c", c), ("n", n))
     )
+
+
+# Named families for inline specs and profile files: builder, then the
+# required and optional parameter names in call order.  The builders look
+# the constructors up by module name at call time, so a wrapper installed
+# on a constructor (as the benchmark's tracer does) sees these calls too.
+FAMILIES = {
+    "ellipsoid": (lambda a, b, n=1: ellipsoid(a, b, int(n)), ("a", "b"), ("n",)),
+    "polydisk": (lambda a, b: polydisk(a, b), ("a", "b"), ()),
+    "ball": (lambda c, n=1: ball(c, int(n)), ("c",), ("n",)),
+    "fc": (lambda b, c, n=8: fc_domain(b, c, int(n)), ("b", "c"), ("n",)),
+}
+
+
+def ray_hit(p: MomentProfile, u: Point) -> tuple[float, float, int]:
+    """Where the ray t*u (t > 0) from the origin crosses the profile
+    polyline: the ray parameter t, the parameter s in [0, 1] along the
+    crossed segment, and that segment's index (the first in path order)."""
+    for i in range(p.n_segments):
+        a, b = p.segment(i)
+        d = (b[0] - a[0], b[1] - a[1])
+        denom = cross(u, d)
+        if abs(denom) < 1e-300:
+            continue
+        s = cross(u, a) / -denom
+        if -1e-12 <= s <= 1 + 1e-12:
+            t = cross(a, d) / denom
+            if t > 0:
+                return t, s, i
+    raise RayMissesBoundary(f"ray direction {u} does not hit the profile")
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +521,7 @@ def classify(p: MomentProfile) -> Classification:
         witnesses["strictly_monotone"] = int(flat.argmax())
     strictly = strictly and monotone
 
-    convex = _convex_4d(p, witnesses)
+    convex = _convex_4d(p, monotone, witnesses)
     return Classification(
         star_shaped=True,
         monotone=monotone,
@@ -491,20 +531,21 @@ def classify(p: MomentProfile) -> Classification:
     )
 
 
-def _convex_4d(p: MomentProfile, witnesses: dict) -> bool:
-    """Concave decreasing chain test in sqrt-coordinates.
+def _convex_4d(p: MomentProfile, monotone: bool, witnesses: dict) -> bool:
+    """Concave chain test in sqrt-coordinates.
 
-    Traversed with mu1 increasing (reverse of path order) the chain must be
-    the graph of a function (mu1 strictly increasing) and every consecutive
-    triple must turn clockwise or stay straight.
+    A convex toric domain is monotone, and traversed with mu1 increasing
+    (reverse of path order) every consecutive triple of its square-root
+    chain turns clockwise or stays straight; vertical steps (polydisk
+    sides) are allowed.  A non-monotone profile takes the monotone
+    witness.
     """
+    if not monotone:
+        witnesses["convex_4d"] = witnesses["monotone"]
+        return False
     mu = np.sqrt(p.xy[::-1])
     tol = TOL_REL * (mu[:, 0] + mu[:, 1]).max()
     step = np.diff(mu, axis=0)
-    backwards = step[:, 0] <= tol
-    if backwards.any():
-        witnesses["convex_4d"] = p.n_segments - 1 - int(backwards.argmax())
-        return False
     turn = step[:-1, 0] * step[1:, 1] - step[:-1, 1] * step[1:, 0]
     ccw = turn > tol
     if ccw.any():
@@ -600,7 +641,6 @@ def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentPr
     verts.append(p.vertices[-1])
 
     try:
-        valid = _validate(tuple(verts))
+        return MomentProfile(tuple(verts), tuple(tags), family="custom")
     except NotStarShaped as exc:
         raise SmoothingBreaksStarShape(str(exc)) from exc
-    return MomentProfile(valid, tuple(tags), family="custom")

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import ParamOutOfRange
-from .geometry import MomentProfile, _validate, ball, ellipsoid, fc_domain, polydisk
+from .errors import ParamOutOfRange, ToricError
+from .geometry import FAMILIES, MomentProfile
 
 
 def dumps(p: MomentProfile) -> str:
@@ -31,15 +31,14 @@ def save(p: MomentProfile, path) -> None:
 
 
 def _rebuild_from_family(family: str, params: dict[str, float]):
-    if family == "ellipsoid":
-        return ellipsoid(params["a"], params["b"], int(params.get("n", 1)))
-    if family == "polydisk":
-        return polydisk(params["a"], params["b"])
-    if family == "ball":
-        return ball(params["c"], int(params.get("n", 1)))
-    if family == "fc":
-        return fc_domain(params["b"], params["c"], int(params.get("n", 8)))
-    return None
+    """The family's constructor applied to the file's params (extra params
+    are ignored), or None for a family outside ``FAMILIES``."""
+    if family not in FAMILIES:
+        return None
+    build, required, optional = FAMILIES[family]
+    args = [params[name] for name in required]
+    args += [params[name] for name in optional if name in params]
+    return build(*args)
 
 
 def loads(text: str) -> MomentProfile:
@@ -71,12 +70,12 @@ def loads(text: str) -> MomentProfile:
     verts = tuple(vertices)
     try:
         rebuilt = _rebuild_from_family(family, params)
-    except Exception:
+    except (ToricError, KeyError, ValueError, OverflowError):
         rebuilt = None
     if rebuilt is not None and rebuilt.vertices == verts:
         return rebuilt
     return MomentProfile(
-        _validate(verts),
+        verts,
         family="custom" if rebuilt is None else family,
         params=tuple(sorted(params.items())),
     )

@@ -25,6 +25,7 @@ from .geometry import (
     cross,
     dot,
     normal_cone,
+    ray_hit,
 )
 
 # Relative tolerance for cone membership of integer directions.
@@ -40,7 +41,6 @@ class OrbitDatum:
     action: float
     location_kind: str  # 'axis' | 'segment' | 'vertex'
     location_index: int
-    on_cone_boundary: bool = False
 
     def sort_key(self):
         rank = {"axis": 0, "segment": 1, "vertex": 2}[self.location_kind]
@@ -99,12 +99,6 @@ def _in_cone(cone: NormalCone, d: tuple[float, float]) -> bool:
     return cross(cone.start, d) >= -tol and cross(d, cone.end) >= -tol
 
 
-def _on_boundary(cone: NormalCone, d: tuple[float, float]) -> bool:
-    norm = math.hypot(d[0], d[1])
-    tol = CONE_TOL * norm
-    return abs(cross(cone.start, d)) <= tol or abs(cross(d, cone.end)) <= tol
-
-
 def orbits_at_vertex(
     p: MomentProfile, vertex_index: int, action_cutoff: float
 ) -> list[OrbitDatum]:
@@ -123,15 +117,11 @@ def orbits_at_vertex(
         action = mn[0] * v[0] + mn[1] * v[1]
         if action > action_cutoff * (1 + 1e-12):
             return []
-        return [OrbitDatum(mn, v, action, "vertex", vertex_index, on_cone_boundary=True)]
-    out = []
-    for m, n, action in _enumerate_cone(cone, action_cutoff):
-        out.append(
-            OrbitDatum(
-                (m, n), v, action, "vertex", vertex_index,
-                on_cone_boundary=_on_boundary(cone, (m, n)),
-            )
-        )
+        return [OrbitDatum(mn, v, action, "vertex", vertex_index)]
+    out = [
+        OrbitDatum((m, n), v, action, "vertex", vertex_index)
+        for m, n, action in _enumerate_cone(cone, action_cutoff)
+    ]
     out.sort(key=lambda o: (o.action, o.mn))
     return out
 
@@ -288,6 +278,17 @@ def _base_candidates(p: MomentProfile) -> list[OrbitDatum]:
     return out
 
 
+def orbits_below(p: MomentProfile, cutoff: float) -> list[OrbitDatum]:
+    """Every primitive closed orbit with action <= cutoff: axis and
+    rational-segment orbits, then the orbits at each interior vertex,
+    sorted by ``OrbitDatum.sort_key``."""
+    orbits = [o for o in _base_candidates(p) if o.action <= cutoff]
+    for vi in range(1, len(p.vertices) - 1):
+        orbits.extend(orbits_at_vertex(p, vi, cutoff))
+    orbits.sort(key=OrbitDatum.sort_key)
+    return orbits
+
+
 def t_min(
     p: MomentProfile, method: str = "fast", n_oracle: int = 200
 ) -> tuple[float, OrbitDatum]:
@@ -312,12 +313,7 @@ def t_min(
     if method == "fast":
         for vi, cone in cones:
             for action, mn in _min_in_cone_fast(cone, best):
-                candidates.append(
-                    OrbitDatum(
-                        mn, cone.vertex, action, "vertex", vi,
-                        on_cone_boundary=_on_boundary(cone, mn),
-                    )
-                )
+                candidates.append(OrbitDatum(mn, cone.vertex, action, "vertex", vi))
                 best = min(best, action)
     else:
         for vi, cone in cones:
@@ -325,12 +321,7 @@ def t_min(
             if got is None:
                 continue
             action, mn = got
-            candidates.append(
-                OrbitDatum(
-                    mn, cone.vertex, action, "vertex", vi,
-                    on_cone_boundary=_on_boundary(cone, mn),
-                )
-            )
+            candidates.append(OrbitDatum(mn, cone.vertex, action, "vertex", vi))
         best = min(o.action for o in candidates)
         # Vectors beyond the cutoff have euclidean norm > n_oracle; over a
         # cone arc shorter than pi the unit-direction action is minimized
@@ -366,21 +357,9 @@ class ShearCheckResult:
 def project_radial(p: MomentProfile, x: Point) -> tuple[Point, int]:
     """Intersection of the ray from the origin through x with the profile
     polyline, and the index of the segment containing it."""
-    best = None
-    for i in range(p.n_segments):
-        a, b = p.segment(i)
-        denom = cross((b[0] - a[0], b[1] - a[1]), x)
-        if abs(denom) < 1e-300:
-            continue
-        s = cross((x[0] - a[0], x[1] - a[1]), x) / denom
-        if -1e-9 <= s <= 1 + 1e-9:
-            pt = (a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1]))
-            if dot(pt, x) > 0:
-                best = (pt, i)
-                break
-    if best is None:
-        raise DegenerateDenominator(f"radial projection of {x} misses the profile")
-    return best
+    _, s, i = ray_hit(p, x)
+    (a1, a2), (b1, b2) = p.segment(i)
+    return (a1 + s * (b1 - a1), a2 + s * (b2 - a2)), i
 
 
 def shear_monodromy_check(

@@ -28,11 +28,11 @@ from .geometry import (
     Classification,
     MomentProfile,
     Point,
-    _validate,
     classify,
     cross,
     dot,
     normal_cone,
+    ray_hit,
 )
 from . import invariants, reeb
 
@@ -66,22 +66,6 @@ class SurgeryOutcome:
 def _rot(u: Point, ang: float) -> Point:
     c, s = math.cos(ang), math.sin(ang)
     return (c * u[0] - s * u[1], s * u[0] + c * u[1])
-
-
-def _ray_hit(p: MomentProfile, u: Point) -> tuple[float, int]:
-    """Parameter t > 0 with t*u on the profile, and the segment index."""
-    for i in range(p.n_segments):
-        a, b = p.segment(i)
-        d = (b[0] - a[0], b[1] - a[1])
-        denom = cross(u, d)
-        if abs(denom) < 1e-300:
-            continue
-        s = cross(u, a) / -denom
-        if -1e-12 <= s <= 1 + 1e-12:
-            t = cross(a, d) / denom
-            if t > 0:
-                return t, i
-    raise RayMissesBoundary(f"ray direction {u} does not hit the profile")
 
 
 def _sector_interval(
@@ -130,7 +114,7 @@ def strangulate(
     if not (0 < ray_angle < math.pi / 2):
         raise RayMissesBoundary("ray must point into the open quadrant")
     u = (math.cos(ray_angle), math.sin(ray_angle))
-    t_hit, _ = _ray_hit(p, u)
+    t_hit, _, _ = ray_hit(p, u)
     umax = max(u)
     d_norm = (u[0] / umax, u[1] / umax)
     w_star = t_hit * umax
@@ -199,7 +183,7 @@ def strangulate(
         push(v)
 
     try:
-        out = MomentProfile(_validate(tuple(verts)))
+        out = MomentProfile(tuple(verts))
     except NotStarShaped as exc:
         raise ClippingBreaksStarShape(str(exc)) from exc
 
@@ -267,7 +251,7 @@ def flatten_near_intercept(p: MomentProfile, radius: float) -> tuple[MomentProfi
         return p, k
     verts = (p.vertices[0],) + p.vertices[j:]
     tags = ((None,) + p.tags[j:]) if p.tags else ()
-    return MomentProfile(_validate(verts), tags), k
+    return MomentProfile(verts, tags), k
 
 
 def strain(p: MomentProfile, eps: float, k: Optional[float] = None) -> SurgeryOutcome:
@@ -318,7 +302,7 @@ def strain(p: MomentProfile, eps: float, k: Optional[float] = None) -> SurgeryOu
         new_tags = [None, None] + tags_rest
     verts = ((spike, 0.0), tip, *rest)
     tags = tuple(new_tags) if p.tags else ()
-    out = MomentProfile(_validate(verts), tags)
+    out = MomentProfile(verts, tags)
 
     tmin_in, _ = reeb.t_min(p)
     witnesses = reeb.orbits_at_vertex(out, 1, action_cutoff=2 * tmin_in)

@@ -107,7 +107,7 @@ class TestFamilies:
 class TestClassify:
     def test_polydisk_flags(self):
         c = classify(polydisk(1, 2))
-        assert c.monotone and not c.strictly_monotone and not c.convex_4d
+        assert c.monotone and not c.strictly_monotone and c.convex_4d
         assert "strictly_monotone" in c.witnesses
 
     def test_ellipsoid_flags(self):
