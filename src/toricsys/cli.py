@@ -8,8 +8,7 @@ Each subcommand takes only the flags it reads.  Output flags:
 ``--csv PATH`` on ``invariants``, ``orbits`` and ``sweep``; ``--svg PATH``
 on ``invariants``, ``strangulate``, ``strain`` and ``sweep``; ``--out
 PATH`` (the output profile) on ``strangulate`` and ``strain``.
-``--oracle-n`` (brute-force cutoff) is taken by ``invariants`` and
-``tmin``.
+``--oracle-n`` (brute-force cutoff) is taken by ``tmin`` only.
 
 Exit codes: 0 success, 2 validation/usage error, 3 finding (a verified
 bound fails in a verification mode).
@@ -57,6 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("classify", "invariants", "tmin", "verify-ruelle"):
         sub.add_parser(name).add_argument("profile")
     sub.choices["tmin"].add_argument("--method", choices=("fast", "oracle"), default="fast")
+    sub.choices["tmin"].add_argument("--oracle-n", type=int, default=200,
+                                     help="brute-force cutoff")
     sub.choices["verify-ruelle"].add_argument("--n", type=int, default=8,
                                               help="quadrature points per segment")
 
@@ -91,9 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", default=None, help="comma-separated c values")
     sp.add_argument("--grid-n", type=int, default=20)
 
-    for name in ("invariants", "tmin"):
-        sub.choices[name].add_argument("--oracle-n", type=int, default=200,
-                                       help="brute-force cutoff")
     for name in ("invariants", "orbits", "sweep"):
         sub.choices[name].add_argument("--csv", default=None,
                                        help="write CSV output to this path")
@@ -146,7 +144,7 @@ def _dispatch(args) -> int:
 
     if cmd == "invariants":
         p = resolve_profile(args.profile)
-        rep = invariants.report(p, n_oracle=args.oracle_n)
+        rep = invariants.report(p)
         sys.stdout.write(invariants.report_to_text(rep))
         if args.csv:
             Path(args.csv).write_text(

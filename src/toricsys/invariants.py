@@ -115,23 +115,18 @@ REPORT_FIELDS = (
 )
 
 
-def report(
-    p: MomentProfile,
-    method: str = "fast",
-    n_oracle: int = 200,
-    quad_n: int = GL_ORDER,
-) -> InvariantReport:
+def report(p: MomentProfile) -> InvariantReport:
     vol = area(p)
     cv = 2 * vol
     ru_cf = ruelle_closed_form(p)
-    tmin, _ = reeb.t_min(p, method=method, n_oracle=n_oracle)
+    tmin, _ = reeb.t_min(p)
     sys_ratio = tmin * tmin / cv
     ru_ratio = ru_cf / math.sqrt(cv)
     return InvariantReport(
         area=vol,
         contact_volume=cv,
         ruelle=ru_cf,
-        ruelle_quadrature=ruelle_quadrature(p, quad_n),
+        ruelle_quadrature=ruelle_quadrature(p),
         t_min=tmin,
         sys=sys_ratio,
         ru=ru_ratio,

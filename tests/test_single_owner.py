@@ -256,7 +256,7 @@ class TestFamilies:
 
 OPTIONS = {
     "classify": set(),
-    "invariants": {"--oracle-n", "--csv", "--svg"},
+    "invariants": {"--csv", "--svg"},
     "tmin": {"--method", "--oracle-n"},
     "verify-ruelle": {"--n"},
     "orbits": {"--cutoff", "--csv"},
