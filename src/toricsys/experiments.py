@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import ParamOutOfRange, ToricError
 from .geometry import MomentProfile, classify, from_vertices, fc_domain
-from . import invariants, reeb, surgery
+from . import invariants, surgery
 
 CSV_SCHEMA_LINE = "#schema=1"
 
@@ -79,7 +79,7 @@ def _sweep_one(
     op: str, p: MomentProfile, eps: float, vol_in: float, tmin_in: Optional[float]
 ) -> SweepRecord:
     """One sweep point; ``vol_in`` is the area of ``p`` and ``tmin_in`` its
-    T_min (needed for strain only), both computed once per run."""
+    T_min (needed for strain only), both computed once per profile."""
     if op == "strangulate":
         out = surgery.strangulate(p, eps)
         rep = invariants.report(out.profile)
@@ -119,8 +119,8 @@ def run_sweep(config: RunConfig) -> list[SweepRecord]:
     grid = sorted(config.eps_grid, reverse=True)
     records = []
     if grid:
-        vol_in = invariants.area(p)
-        tmin_in = reeb.t_min(p)[0] if config.op == "strain" else None
+        vol_in = surgery.input_area(p)
+        tmin_in = surgery.input_t_min(p) if config.op == "strain" else None
     for eps in grid:
         try:
             records.append(_sweep_one(config.op, p, eps, vol_in, tmin_in))

@@ -117,9 +117,10 @@ class MomentProfile:
     ``tagged`` (indices of tagged segments); ``normal_turns`` at the
     interior vertices; ``primitive_normals`` per segment; and the tag
     samples at the Gauss-Legendre nodes of each order
-    (``curve_samples``).  Every cache assumes the instance never changes,
-    so a profile must not be mutated (not even through
-    ``object.__setattr__``); build a new one instead.
+    (``curve_samples``); and the results callers store with ``memo``.
+    Every cache assumes the instance never changes, so a profile must not
+    be mutated (not even through ``object.__setattr__``); build a new one
+    instead.
     """
 
     vertices: tuple[Point, ...]
@@ -207,6 +208,19 @@ class MomentProfile:
     @cached_property
     def _curve_samples(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         return {}
+
+    @cached_property
+    def _memo(self) -> dict[str, object]:
+        return {}
+
+    def memo(self, key: str, compute: Callable[[], object]):
+        """``compute()``, evaluated once per profile instance and key.  For
+        whole-profile results that several callers need, such as the
+        input's area and T_min in a surgery sweep."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     def curve_samples(self, order: int) -> tuple[np.ndarray, np.ndarray]:
         """Points and derivatives of the tagged segments (in the order of

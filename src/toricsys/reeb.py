@@ -22,14 +22,11 @@ from .geometry import (
     MomentProfile,
     NormalCone,
     Point,
-    cross,
     dot,
     normal_cone,
     ray_hit,
 )
-
-# Relative tolerance for cone membership of integer directions.
-CONE_TOL = 1e-9
+from .lattice import enumerate_in_cone, in_cone_mask, min_in_cone
 
 
 @dataclass(frozen=True)
@@ -93,12 +90,6 @@ def closed_orbit_on_segment(p: MomentProfile, segment_index: int) -> Optional[Or
 # Vertex cones
 
 
-def _in_cone(cone: NormalCone, d: tuple[float, float]) -> bool:
-    norm = math.hypot(d[0], d[1])
-    tol = CONE_TOL * norm
-    return cross(cone.start, d) >= -tol and cross(d, cone.end) >= -tol
-
-
 def orbits_at_vertex(
     p: MomentProfile, vertex_index: int, action_cutoff: float
 ) -> list[OrbitDatum]:
@@ -106,7 +97,13 @@ def orbits_at_vertex(
     sorted by action, then lexicographically by (m, n).
 
     Covers interior vertices; at a collinear vertex the cone degenerates
-    to the incident segment's normal ray.
+    to the incident segment's normal ray.  The cone's lattice points come
+    from ``lattice.enumerate_in_cone``, which scans only the lattice lines
+    along the shorter side of the cone's bounding box, so time and memory
+    grow with the number of orbits returned rather than with the box's
+    area.  At a strain tip that number is about 2/eps: ``strain`` still
+    lists every tip orbit as a witness (reporting the minimal one plus a
+    count is a planned API change).
     """
     cone = normal_cone(p, vertex_index)
     v = cone.vertex
@@ -118,119 +115,16 @@ def orbits_at_vertex(
         if action > action_cutoff * (1 + 1e-12):
             return []
         return [OrbitDatum(mn, v, action, "vertex", vertex_index)]
-    out = [
-        OrbitDatum((m, n), v, action, "vertex", vertex_index)
-        for m, n, action in _enumerate_cone(cone, action_cutoff)
+    m, n, action = enumerate_in_cone(cone, action_cutoff)
+    order = np.lexsort((n, m, action))
+    return [
+        OrbitDatum((mi, ni), v, a, "vertex", vertex_index)
+        for mi, ni, a in zip(m[order].tolist(), n[order].tolist(), action[order].tolist())
     ]
-    out.sort(key=lambda o: (o.action, o.mn))
-    return out
-
-
-def _enumerate_cone(cone: NormalCone, cutoff: float):
-    """Integer primitive (m, n) in the closed cone with m*w1 + n*w2 <= cutoff."""
-    v = cone.vertex
-    corners = [(0.0, 0.0)]
-    for r in (cone.start, cone.end):
-        f = r[0] * v[0] + r[1] * v[1]
-        if f <= 0:
-            raise DegenerateDenominator("cone boundary has nonpositive action")
-        corners.append((r[0] * cutoff / f, r[1] * cutoff / f))
-    m_lo = math.floor(min(c[0] for c in corners)) - 1
-    m_hi = math.ceil(max(c[0] for c in corners)) + 1
-    n_lo = math.floor(min(c[1] for c in corners)) - 1
-    n_hi = math.ceil(max(c[1] for c in corners)) + 1
-    for m in range(m_lo, m_hi + 1):
-        for n in range(n_lo, n_hi + 1):
-            if (m, n) == (0, 0) or math.gcd(abs(m), abs(n)) != 1:
-                continue
-            if not _in_cone(cone, (m, n)):
-                continue
-            action = m * v[0] + n * v[1]
-            if action <= cutoff * (1 + 1e-12):
-                yield m, n, action
 
 
 # ---------------------------------------------------------------------------
-# Minimal action: Stern-Brocot descent (fast) and brute force (oracle)
-
-_QUADRANT_PAIRS = (
-    ((1, 0), (0, 1)),
-    ((0, 1), (-1, 0)),
-    ((-1, 0), (0, -1)),
-    ((0, -1), (1, 0)),
-)
-
-
-def _arcs_intersect(L, R, cone: NormalCone) -> bool:
-    """Does the (unimodular) arc L->R intersect the target cone arc?
-
-    Both arcs are shorter than pi, so intersection happens iff either arc
-    contains an endpoint of the other.
-    """
-    if _in_cone(cone, L) or _in_cone(cone, R):
-        return True
-
-    def in_lr(d):
-        norm = math.hypot(d[0], d[1])
-        tol = CONE_TOL * norm
-        return cross(L, d) >= -tol and cross(d, R) >= -tol
-
-    return in_lr(cone.start) or in_lr(cone.end)
-
-
-def _min_in_cone_fast(cone: NormalCone, incumbent: float) -> list[tuple[float, tuple[int, int]]]:
-    """Candidates (action, (m, n)) in the cone with action <= incumbent,
-    found by mediant descent with pruning by the running best.
-
-    The pruning bound uses f(a*L + b*R) = a*f(L) + b*f(R) >= f(L) + f(R)
-    for interior vectors of a subtree with both endpoint values positive;
-    ties with the incumbent are never pruned, so tie-breaking matches the
-    brute-force oracle.
-    """
-    v = cone.vertex
-
-    def f(d):
-        return d[0] * v[0] + d[1] * v[1]
-
-    best = incumbent
-    found: list[tuple[float, tuple[int, int]]] = []
-    seen: set[tuple[int, int]] = set()
-
-    def consider(d):
-        nonlocal best
-        if d in seen:
-            return
-        seen.add(d)
-        a = f(d)
-        if a <= best:
-            best = min(best, a)
-            found.append((a, d))
-
-    stack = [
-        (L, R)
-        for L, R in _QUADRANT_PAIRS
-        if _arcs_intersect(L, R, cone)
-    ]
-    steps = 0
-    while stack:
-        steps += 1
-        if steps > 2_000_000:
-            raise RuntimeError("mediant search failed to converge")
-        L, R = stack.pop()
-        if _in_cone(cone, L):
-            consider(L)
-        if _in_cone(cone, R):
-            consider(R)
-        fL, fR = f(L), f(R)
-        if fL > 0 and fR > 0 and fL + fR > best:
-            continue
-        M = (L[0] + R[0], L[1] + R[1])
-        if _arcs_intersect(L, M, cone):
-            stack.append((L, M))
-        if _arcs_intersect(M, R, cone):
-            stack.append((M, R))
-    return [(a, d) for a, d in found if a <= best]
-
+# Minimal action: lattice descent (fast) and brute force (oracle)
 
 _PRIMITIVE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -250,11 +144,7 @@ def _cone_candidates_oracle(
 ) -> Optional[tuple[float, tuple[int, int]]]:
     """Exact per-cone minimum over primitive vectors with max norm <= n_max."""
     mm, nn = _primitive_vectors(n_max)
-    norm = np.hypot(mm, nn)
-    tol = CONE_TOL * norm
-    sx, sy = cone.start
-    ex, ey = cone.end
-    member = (sx * nn - sy * mm >= -tol) & (mm * ey - nn * ex >= -tol)
+    member = in_cone_mask(cone, mm, nn)
     if not member.any():
         return None
     v = cone.vertex
@@ -294,10 +184,14 @@ def t_min(
 ) -> tuple[float, OrbitDatum]:
     """Minimal closed-orbit action and a minimizing orbit.
 
-    ``fast`` minimizes the linear form over each vertex normal cone by
-    Stern-Brocot mediant descent with pruning; ``oracle`` brute-forces all
-    primitive integer vectors with max-norm <= n_oracle and raises
-    OracleCutoffInsufficient when larger vectors could still win.
+    ``fast`` minimizes the linear form over each vertex normal cone with
+    ``lattice.min_in_cone``: a Stern-Brocot descent with pruning that takes
+    each continued-fraction run in one step, so a cone costs O(log
+    coefficient) Python steps, and a run of in-cone vectors whose actions
+    are equal up to rounding (as at a strangulation apex) is evaluated in
+    one numpy pass.  ``oracle`` brute-forces all primitive integer vectors
+    with max-norm <= n_oracle and raises OracleCutoffInsufficient when
+    larger vectors could still win.
     """
     if method not in ("fast", "oracle"):
         raise ValueError("method must be 'fast' or 'oracle'")
@@ -312,7 +206,7 @@ def t_min(
 
     if method == "fast":
         for vi, cone in cones:
-            for action, mn in _min_in_cone_fast(cone, best):
+            for action, mn in min_in_cone(cone, best)[0]:
                 candidates.append(OrbitDatum(mn, cone.vertex, action, "vertex", vi))
                 best = min(best, action)
     else:

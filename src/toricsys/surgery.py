@@ -30,10 +30,10 @@ from .geometry import (
     Point,
     classify,
     cross,
-    dot,
     normal_cone,
     ray_hit,
 )
+from .lattice import nearest_in_cone
 from . import invariants, reeb
 
 
@@ -61,6 +61,18 @@ class SurgeryOutcome:
     new_orbit_witnesses: list
     preserved_flags: Classification
     spec: object
+
+
+def input_area(p: MomentProfile) -> float:
+    """Area of a surgery input, computed once per profile instance
+    (``MomentProfile.memo``), so a sweep of surgeries on one input and
+    the sweep itself share it."""
+    return p.memo("area", lambda: invariants.area(p))
+
+
+def input_t_min(p: MomentProfile) -> float:
+    """T_min of a surgery input, computed once per profile instance."""
+    return p.memo("t_min", lambda: reeb.t_min(p)[0])
 
 
 def _rot(u: Point, ang: float) -> Point:
@@ -190,27 +202,16 @@ def strangulate(
     # Witness orbit: the primitive integer direction in the apex normal
     # cone closest to the ray.
     cone = normal_cone(out, apex_index)
-    best = None
-    for m in range(0, 33):
-        for n in range(0, 33):
-            if (m, n) == (0, 0) or math.gcd(m, n) != 1:
-                continue
-            if not reeb._in_cone(cone, (m, n)):
-                continue
-            c = dot((m, n), u) / math.hypot(m, n)
-            key = (-c, m * m + n * n)
-            if best is None or key < best[0]:
-                best = (key, (m, n))
+    mn = nearest_in_cone(cone, u)
     witnesses = []
-    if best is not None:
-        mn = best[1]
+    if mn is not None:
         witnesses.append(
             reeb.OrbitDatum(
                 mn, apex, mn[0] * apex[0] + mn[1] * apex[1], "vertex", apex_index
             )
         )
 
-    vol_in = invariants.area(p)
+    vol_in = input_area(p)
     vol_out = invariants.area(out)
     return SurgeryOutcome(
         profile=out,
@@ -262,6 +263,10 @@ def strain(p: MomentProfile, eps: float, k: Optional[float] = None) -> SurgeryOu
     Requires a straight first segment (see flatten_near_intercept) of
     slope k with eps inside its height range; for k < 0 the spike's upper
     edge must be shallower than k so the result stays (strictly) monotone.
+
+    The witnesses are every orbit at the tip with action <= 2*T_min of the
+    input, about 2/eps of them.  The input's T_min and area are computed
+    once per profile (``input_t_min``, ``input_area``).
     """
     if eps <= 0:
         raise ParamOutOfRange("eps must be positive")
@@ -304,9 +309,9 @@ def strain(p: MomentProfile, eps: float, k: Optional[float] = None) -> SurgeryOu
     tags = tuple(new_tags) if p.tags else ()
     out = MomentProfile(verts, tags)
 
-    tmin_in, _ = reeb.t_min(p)
+    tmin_in = input_t_min(p)
     witnesses = reeb.orbits_at_vertex(out, 1, action_cutoff=2 * tmin_in)
-    vol_in = invariants.area(p)
+    vol_in = input_area(p)
     vol_out = invariants.area(out)
     return SurgeryOutcome(
         profile=out,

@@ -18,7 +18,7 @@ from toricsys import (
     shear_monodromy_check,
     t_min,
 )
-from toricsys import reeb, surgery
+from toricsys import lattice, reeb, surgery
 from toricsys.experiments import random_star_profile
 
 SQ2 = math.sqrt(2)
@@ -198,4 +198,4 @@ def test_enumerated_orbits_well_formed(seed):
             assert o.action > 0
             cone = reeb.normal_cone(p, vi)
             if cone.width > 1e-12:
-                assert reeb._in_cone(cone, o.mn)
+                assert lattice.in_cone(cone, o.mn)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -158,3 +159,53 @@ class TestSurgeryComposition:
         p = from_vertices([(1.5, 0), (1.0, 0.5), (0.4, 1.4), (0, 1.8)])
         out = strain(p, 1e-3)
         assert ruelle_closed_form(out.profile) == 1.8 + 1 / math.sqrt(1e-3)
+
+
+class TestInputComputedOnce:
+    """A strain sweep computes its input's area and T_min once."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        """Count calls of module.name under every name a toricsys module
+        binds it to."""
+        f = getattr(module, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return f(*args, **kwargs)
+
+        for mod in [m for key, m in sys.modules.items() if key.startswith("toricsys")]:
+            for key, value in list(vars(mod).items()):
+                if value is f:
+                    monkeypatch.setattr(mod, key, counted)
+        return calls
+
+    def test_strain_sweep_call_counts(self, monkeypatch):
+        from toricsys import experiments, invariants, reeb
+
+        p, _ = flatten_near_intercept(ball(2, 16), 0.1)
+        t_min_calls = self._count(monkeypatch, reeb, "t_min")
+        area_calls = self._count(monkeypatch, invariants, "area")
+        config = experiments.RunConfig(profile=p, op="strain", eps_grid=(1e-2, 1e-3, 1e-4))
+        records = experiments.run_sweep(config)
+        assert [r.error for r in records] == ["", "", ""]
+        # Input once each; per point, t_min of the output in its report and
+        # the output's area in strain and in the report.
+        assert len(t_min_calls) == 4
+        assert len(area_calls) == 7
+        assert sum(q is p for q in t_min_calls) == 1
+        assert sum(q is p for q in area_calls) == 1
+
+    def test_strain_reuses_its_input_values(self, monkeypatch):
+        from toricsys import invariants, reeb
+
+        p, _ = flatten_near_intercept(ball(2, 16), 0.1)
+        t_min_calls = self._count(monkeypatch, reeb, "t_min")
+        area_calls = self._count(monkeypatch, invariants, "area")
+        first = strain(p, 1e-3)
+        again = strain(p, 1e-3)
+        assert [q is p for q in t_min_calls] == [True]
+        assert [q is p for q in area_calls] == [True, False, False]
+        assert first.volume_delta == again.volume_delta
+        assert first.new_orbit_witnesses == again.new_orbit_witnesses
