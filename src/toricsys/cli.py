@@ -36,7 +36,12 @@ def resolve_profile(spec: str) -> MomentProfile:
     family, colon, argstr = spec.partition(":")
     if colon and family in FAMILIES:
         build, required, optional = FAMILIES[family]
-        args = [float(x) for x in argstr.split(",") if x]
+        try:
+            args = [float(x) for x in argstr.split(",") if x]
+        except ValueError:
+            raise ParamOutOfRange(f"{family} takes numbers; got {argstr!r}") from None
+        if not all(map(math.isfinite, args)):
+            raise ParamOutOfRange(f"{family} takes finite numbers; got {argstr!r}")
         if not len(required) <= len(args) <= len(required) + len(optional):
             names = ",".join(required) + "".join(f"[,{o}]" for o in optional)
             raise ParamOutOfRange(
@@ -197,7 +202,7 @@ def _dispatch(args) -> int:
 
     if cmd == "strain":
         p = resolve_profile(args.profile)
-        if args.flatten > 0:
+        if args.flatten != 0:
             p, _ = surgery.flatten_near_intercept(p, args.flatten)
         out = surgery.strain(p, args.eps)
         _print_outcome(out)
@@ -238,6 +243,8 @@ def _dispatch(args) -> int:
         lo = args.b / (1 + args.b)
         if args.grid:
             grid = [float(x) for x in args.grid.split(",") if x]
+        elif args.grid_n < 2:
+            raise ParamOutOfRange(f"--grid-n must be at least 2; got {args.grid_n}")
         else:
             grid = [lo + (1 - 1e-6 - lo) * i / (args.grid_n - 1) for i in range(args.grid_n)]
         summary = experiments.run_fc_scan(args.b, grid)

@@ -218,6 +218,8 @@ def run_corpus_bounds(config: RunConfig) -> dict:
     """
     rng = random.Random(config.seed)
     n = config.corpus_size
+    if n < 1:
+        raise ParamOutOfRange(f"corpus size must be at least 1; got {n}")
     mono = [random_monotone_profile(rng) for _ in range(n)]
     conv = [random_convex_monotone_profile(rng) for _ in range(n)]
     mono_products = [invariants.report(p).product for p in mono]
@@ -248,6 +250,8 @@ def run_fc_scan(b: float, grid, n_samples: int = 16) -> dict:
     """Per-c records of Gromov width / volume over the extremal family,
     with quadrature area cross-checked against the closed form."""
     lo = b / (1 + b)
+    if not grid:
+        raise ParamOutOfRange("the c grid is empty")
     records = []
     for c in grid:
         if not (lo - 1e-12 <= c < 1):

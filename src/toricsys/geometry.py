@@ -115,9 +115,12 @@ class MomentProfile:
     instance: ``diameter`` and ``tol``; the read-only arrays ``xy``
     (vertices), ``directions`` and ``normals`` (per segment) and
     ``tagged`` (indices of tagged segments); ``normal_turns`` at the
-    interior vertices; ``primitive_normals`` per segment; and the tag
-    samples at the Gauss-Legendre nodes of each order
-    (``curve_samples``); and the results callers store with ``memo``.
+    interior vertices; the primitive integer normal of each segment
+    (``primitive_normal``, memoised per segment, so that a caller that
+    needs only a few segments, like ``reeb.t_min``, pays only for those;
+    ``primitive_normals`` lists all of them); the tag samples at the
+    Gauss-Legendre nodes of each order (``curve_samples``); and the
+    results callers store with ``memo``.
     Every cache assumes the instance never changes, so a profile must not
     be mutated (not even through ``object.__setattr__``); build a new one
     instead.
@@ -193,11 +196,25 @@ class MomentProfile:
 
     @cached_property
     def primitive_normals(self) -> tuple[Optional[tuple[int, int]], ...]:
-        """Per segment, the primitive integer vector parallel to the
-        outward normal, rebuilt from the shortest round-trip decimals of
-        the vertex coordinates, or None beyond RATIONAL_CAP."""
-        exact = [(_decimal_ratio(x), _decimal_ratio(y)) for x, y in self.vertices]
-        return tuple(map(_primitive_normal, exact[:-1], exact[1:]))
+        """``primitive_normal`` of every segment."""
+        return tuple(map(self.primitive_normal, range(self.n_segments)))
+
+    @cached_property
+    def _primitive_normals(self) -> dict[int, Optional[tuple[int, int]]]:
+        return {}
+
+    def primitive_normal(self, i: int) -> Optional[tuple[int, int]]:
+        """The primitive integer vector parallel to the outward normal of
+        segment i, rebuilt from the shortest round-trip decimals of its
+        two vertices' coordinates, or None beyond RATIONAL_CAP; computed
+        once per segment, when first asked for."""
+        memo = self._primitive_normals
+        if i not in memo:
+            (x0, y0), (x1, y1) = self.segment(i)
+            memo[i] = _primitive_normal(
+                (_decimal_ratio(x0), _decimal_ratio(y0)), (_decimal_ratio(x1), _decimal_ratio(y1))
+            )
+        return memo[i]
 
     @cached_property
     def tagged(self) -> np.ndarray:
@@ -424,15 +441,22 @@ def fc_domain(b: float, c: float, n: int = 8) -> MomentProfile:
     )
 
 
+def _whole(n: float) -> int:
+    """A family's subdivision count, read as a number: it must be whole."""
+    if n != int(n):
+        raise ParamOutOfRange(f"n must be a whole number; got {n}")
+    return int(n)
+
+
 # Named families for inline specs and profile files: builder, then the
 # required and optional parameter names in call order.  The builders look
 # the constructors up by module name at call time, so a wrapper installed
 # on a constructor (as the benchmark's tracer does) sees these calls too.
 FAMILIES = {
-    "ellipsoid": (lambda a, b, n=1: ellipsoid(a, b, int(n)), ("a", "b"), ("n",)),
+    "ellipsoid": (lambda a, b, n=1: ellipsoid(a, b, _whole(n)), ("a", "b"), ("n",)),
     "polydisk": (lambda a, b: polydisk(a, b), ("a", "b"), ()),
-    "ball": (lambda c, n=1: ball(c, int(n)), ("c",), ("n",)),
-    "fc": (lambda b, c, n=8: fc_domain(b, c, int(n)), ("b", "c"), ("n",)),
+    "ball": (lambda c, n=1: ball(c, _whole(n)), ("c",), ("n",)),
+    "fc": (lambda b, c, n=8: fc_domain(b, c, _whole(n)), ("b", "c"), ("n",)),
 }
 
 

@@ -68,6 +68,16 @@ def in_cone_mask(cone: NormalCone, m: np.ndarray, n: np.ndarray) -> np.ndarray:
     return (sx * n - sy * m >= -tol) & (m * ey - n * ex >= -tol)
 
 
+def clear_of_axes(normals: np.ndarray) -> np.ndarray:
+    """Per row of an (k, 2) array of unit normals: are both components
+    above 2 * CONE_TOL?  A cone bounded by two such normals holds no axis
+    vector and meets only the first quadrant arc, up to ``in_cone``'s
+    tolerance, so ``min_in_cone``'s first step pops ((1, 0), (0, 1)) and
+    returns ([], 1) exactly when v1 + v2 (the same float sum) exceeds the
+    incumbent: v1 + v2 is a lower bound on the cone's least action."""
+    return np.minimum(normals[:, 0], normals[:, 1]) > 2 * CONE_TOL
+
+
 # ---------------------------------------------------------------------------
 # Minimal action
 

@@ -26,7 +26,10 @@ from .geometry import (
     normal_cone,
     ray_hit,
 )
-from .lattice import enumerate_in_cone, in_cone_mask, min_in_cone
+from .lattice import clear_of_axes, enumerate_in_cone, in_cone_mask, min_in_cone
+
+# Where an orbit lives, in tie-break order.
+LOCATION_KINDS = ("axis", "segment", "vertex")
 
 
 @dataclass(frozen=True)
@@ -36,11 +39,11 @@ class OrbitDatum:
     mn: tuple[int, int]
     base_point: Point
     action: float
-    location_kind: str  # 'axis' | 'segment' | 'vertex'
+    location_kind: str  # one of LOCATION_KINDS
     location_index: int
 
     def sort_key(self):
-        rank = {"axis": 0, "segment": 1, "vertex": 2}[self.location_kind]
+        rank = LOCATION_KINDS.index(self.location_kind)
         return (self.action, rank, self.mn[0], self.mn[1], self.location_index)
 
 
@@ -67,8 +70,8 @@ def rotation_density(p: MomentProfile, point: Point, normal: Point) -> float:
 def primitive_normal(p: MomentProfile, segment_index: int) -> Optional[tuple[int, int]]:
     """Primitive integer vector parallel to the outward normal of a
     segment, or None when the reconstruction exceeds RATIONAL_CAP
-    (``MomentProfile.primitive_normals``, computed once per profile)."""
-    return p.primitive_normals[segment_index]
+    (``MomentProfile.primitive_normal``, computed once per segment)."""
+    return p.primitive_normal(segment_index)
 
 
 def closed_orbit_on_segment(p: MomentProfile, segment_index: int) -> Optional[OrbitDatum]:
@@ -77,13 +80,23 @@ def closed_orbit_on_segment(p: MomentProfile, segment_index: int) -> Optional[Or
     The action m*w1 + n*w2 is constant along the segment; the midpoint is
     reported as base point.
     """
-    mn = primitive_normal(p, segment_index)
+    got = _segment_orbit(p, segment_index)
+    if got is None:
+        return None
+    action, mn, mid = got
+    return OrbitDatum(mn, mid, action, "segment", segment_index)
+
+
+def _segment_orbit(
+    p: MomentProfile, i: int
+) -> Optional[tuple[float, tuple[int, int], Point]]:
+    """(action, (m, n), midpoint) of segment i's orbit family, or None."""
+    mn = p.primitive_normal(i)
     if mn is None:
         return None
-    (x0, y0), (x1, y1) = p.segment(segment_index)
+    (x0, y0), (x1, y1) = p.segment(i)
     mid = ((x0 + x1) / 2, (y0 + y1) / 2)
-    action = mn[0] * mid[0] + mn[1] * mid[1]
-    return OrbitDatum(mn, mid, action, "segment", segment_index)
+    return mn[0] * mid[0] + mn[1] * mid[1], mn, mid
 
 
 # ---------------------------------------------------------------------------
@@ -182,56 +195,105 @@ def orbits_below(p: MomentProfile, cutoff: float) -> list[OrbitDatum]:
 def t_min(
     p: MomentProfile, method: str = "fast", n_oracle: int = 200
 ) -> tuple[float, OrbitDatum]:
-    """Minimal closed-orbit action and a minimizing orbit.
+    """Minimal closed-orbit action and a minimizing orbit, the least by
+    ``OrbitDatum.sort_key``.
 
-    ``fast`` minimizes the linear form over each vertex normal cone with
-    ``lattice.min_in_cone``: a Stern-Brocot descent with pruning that takes
-    each continued-fraction run in one step, so a cone costs O(log
-    coefficient) Python steps, and a run of in-cone vectors whose actions
-    are equal up to rounding (as at a strangulation apex) is evaluated in
-    one numpy pass.  ``oracle`` brute-forces all primitive integer vectors
-    with max-norm <= n_oracle and raises OracleCutoffInsufficient when
+    ``fast`` is a best-first pass (branch and bound): every segment and
+    vertex cone gets a float lower bound on its action, and they are
+    visited in bound order until a bound exceeds the best action found
+    (ties are visited).  The two axis orbits are the first incumbent.  A
+    segment whose direction has dw1 < 0 < dw2 is bounded by mid1 + mid2:
+    shortest round-trip decimals keep the order of floats, so its
+    primitive normal has m, n >= 1, and m*mid1 + n*mid2 >= mid1 + mid2
+    after rounding.  A vertex cone between two unit normals that are
+    ``lattice.clear_of_axes`` is bounded by v1 + v2, the sum
+    ``min_in_cone`` prunes it by in its first step.  Every other segment
+    or cone is bounded by -inf and always visited.  A visited segment
+    computes its primitive normal (``MomentProfile.primitive_normal``); a
+    visited cone is searched by ``lattice.min_in_cone``, a Stern-Brocot
+    descent with pruning that takes each continued-fraction run in one
+    step.  The result does not depend on the visiting order.
+
+    ``oracle`` brute-forces all primitive integer vectors with max-norm
+    <= n_oracle over every cone and raises OracleCutoffInsufficient when
     larger vectors could still win.
     """
-    if method not in ("fast", "oracle"):
+    if method == "fast":
+        return _t_min_fast(p)
+    if method != "oracle":
         raise ValueError("method must be 'fast' or 'oracle'")
-    candidates = list(_base_candidates(p))
-    best = min(o.action for o in candidates)
-
+    candidates = _base_candidates(p)
     cones = [
         (vi, normal_cone(p, vi))
         for vi, turn in enumerate(p.normal_turns, start=1)
         if abs(turn) > 1e-12
     ]
-
-    if method == "fast":
-        for vi, cone in cones:
-            for action, mn in min_in_cone(cone, best)[0]:
-                candidates.append(OrbitDatum(mn, cone.vertex, action, "vertex", vi))
-                best = min(best, action)
-    else:
-        for vi, cone in cones:
-            got = _cone_candidates_oracle(cone, n_oracle)
-            if got is None:
-                continue
-            action, mn = got
-            candidates.append(OrbitDatum(mn, cone.vertex, action, "vertex", vi))
-        best = min(o.action for o in candidates)
-        # Vectors beyond the cutoff have euclidean norm > n_oracle; over a
-        # cone arc shorter than pi the unit-direction action is minimized
-        # at one of the boundary rays.
-        uncovered = math.inf
-        for _, cone in cones:
-            v = cone.vertex
-            unit_min = min(dot(cone.start, v), dot(cone.end, v))
-            uncovered = min(uncovered, (n_oracle + 1) * unit_min)
-        if uncovered < best * (1 + 1e-9):
-            raise OracleCutoffInsufficient(
-                f"best action {best} not certified: cutoff-{n_oracle} bound is {uncovered}"
-            )
-
+    for vi, cone in cones:
+        got = _cone_candidates_oracle(cone, n_oracle)
+        if got is None:
+            continue
+        action, mn = got
+        candidates.append(OrbitDatum(mn, cone.vertex, action, "vertex", vi))
+    best = min(o.action for o in candidates)
+    # Vectors beyond the cutoff have euclidean norm > n_oracle; over a
+    # cone arc shorter than pi the unit-direction action is minimized
+    # at one of the boundary rays.
+    uncovered = math.inf
+    for _, cone in cones:
+        v = cone.vertex
+        unit_min = min(dot(cone.start, v), dot(cone.end, v))
+        uncovered = min(uncovered, (n_oracle + 1) * unit_min)
+    if uncovered < best * (1 + 1e-9):
+        raise OracleCutoffInsufficient(
+            f"best action {best} not certified: cutoff-{n_oracle} bound is {uncovered}"
+        )
     winner = min(candidates, key=OrbitDatum.sort_key)
     return winner.action, winner
+
+
+def _candidate_bounds(p: MomentProfile) -> np.ndarray:
+    """Float lower bounds on the action of each candidate of ``t_min``'s
+    best-first pass: entry i < n for segment i, entry n + j for the cone
+    at vertex j + 1 (n segments)."""
+    xy, d = p.xy, p.directions
+    mid = (xy[:-1] + xy[1:]) / 2
+    seg = np.where((d[:, 0] < 0) & (d[:, 1] > 0), mid[:, 0] + mid[:, 1], -np.inf)
+    clear = clear_of_axes(p.normals)
+    cone = np.where(clear[:-1] & clear[1:], xy[1:-1, 0] + xy[1:-1, 1], -np.inf)
+    return np.concatenate((seg, cone))
+
+
+def _t_min_fast(p: MomentProfile) -> tuple[float, OrbitDatum]:
+    """The best-first pass of ``t_min``; see there."""
+    a, b = p.a_intercept, p.b_intercept
+    # The winner so far, as its sort key (action, rank, m, n, index).
+    best = min((a, 0, 1, 0, 0), (b, 0, 0, 1, 1))
+    n, turns = p.n_segments, p.normal_turns
+    bounds = _candidate_bounds(p)
+    # The incumbent only falls: nothing bounded above it now is visited.
+    live = np.flatnonzero(bounds <= best[0])
+    live = live[np.argsort(bounds[live], kind="stable")]
+    for bound, k in zip(bounds[live].tolist(), live.tolist()):
+        if bound > best[0]:
+            break
+        if k < n:
+            got = _segment_orbit(p, k)
+            if got is not None:
+                action, (m1, m2), _ = got
+                best = min(best, (action, 1, m1, m2, k))
+        elif abs(turns[k - n]) > 1e-12:
+            vi = k - n + 1
+            for action, (m1, m2) in min_in_cone(normal_cone(p, vi), best[0])[0]:
+                best = min(best, (action, 2, m1, m2, vi))
+
+    action, rank, m1, m2, i = best
+    if rank == 1:
+        return action, closed_orbit_on_segment(p, i)
+    if rank == 0:
+        base = (a, 0.0) if i == 0 else (0.0, b)
+    else:
+        base = p.vertices[i]
+    return action, OrbitDatum((m1, m2), base, action, LOCATION_KINDS[rank], i)
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,8 @@ def strangulate(
     invariant is preserved; the apex vertex carries a new short orbit
     (for the diagonal ray: (1, 1) with action 2*eps).
     """
-    if eps <= 0:
-        raise ParamOutOfRange("eps must be positive")
+    if not eps > 0:
+        raise ParamOutOfRange(f"eps must be positive; got {eps}")
     if not (0 < ray_angle < math.pi / 2):
         raise RayMissesBoundary("ray must point into the open quadrant")
     u = (math.cos(ray_angle), math.sin(ray_angle))
@@ -232,8 +232,8 @@ def flatten_near_intercept(p: MomentProfile, radius: float) -> tuple[MomentProfi
     Polygonal profiles whose first vertex is already past the window are
     returned unchanged.
     """
-    if radius < 0:
-        raise RadiusTooLarge("radius must be nonnegative")
+    if not radius >= 0:
+        raise RadiusTooLarge(f"radius must be nonnegative; got {radius}")
     a = p.a_intercept
     j = None
     for idx in range(1, len(p.vertices)):
@@ -268,8 +268,8 @@ def strain(p: MomentProfile, eps: float, k: Optional[float] = None) -> SurgeryOu
     input, about 2/eps of them.  The input's T_min and area are computed
     once per profile (``input_t_min``, ``input_area``).
     """
-    if eps <= 0:
-        raise ParamOutOfRange("eps must be positive")
+    if not eps > 0:
+        raise ParamOutOfRange(f"eps must be positive; got {eps}")
     if p.tag(0) is not None:
         raise NotFlattened("first segment carries an analytic tag")
     a = p.a_intercept
