@@ -26,10 +26,11 @@ from .errors import (
     ValidityConditionFails,
 )
 from .geometry import (
+    Arc,
     Classification,
-    CurveSegment,
     MomentProfile,
     NormalCone,
+    SquaredSegment,
     ball,
     classify,
     ellipsoid,

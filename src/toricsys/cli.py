@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .errors import ParamOutOfRange, ToricError
-from .geometry import FAMILIES, MomentProfile, classify
+from .geometry import FAMILIES, MomentProfile, classify, fc_c_min
 from . import experiments, invariants, profile_io, reeb, surgery
 
 EXIT_OK = 0
@@ -240,7 +240,7 @@ def _dispatch(args) -> int:
         return EXIT_FINDING if summary["violations"] else EXIT_OK
 
     if cmd == "fc-scan":
-        lo = args.b / (1 + args.b)
+        lo = fc_c_min(args.b)
         if args.grid:
             grid = [float(x) for x in args.grid.split(",") if x]
         elif args.grid_n < 2:

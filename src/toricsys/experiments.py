@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .errors import ParamOutOfRange, ToricError
-from .geometry import MomentProfile, classify, from_vertices, fc_domain
+from .geometry import MomentProfile, classify, fc_c_min, fc_domain, from_vertices
 from . import invariants, surgery
 
 CSV_SCHEMA_LINE = "#schema=1"
@@ -249,13 +251,11 @@ def run_corpus_bounds(config: RunConfig) -> dict:
 def run_fc_scan(b: float, grid, n_samples: int = 16) -> dict:
     """Per-c records of Gromov width / volume over the extremal family,
     with quadrature area cross-checked against the closed form."""
-    lo = b / (1 + b)
+    lo = fc_c_min(b)
     if not grid:
         raise ParamOutOfRange("the c grid is empty")
     records = []
     for c in grid:
-        if not (lo - 1e-12 <= c < 1):
-            raise ParamOutOfRange(f"c = {c} outside [{lo}, 1)")
         p = fc_domain(b, c, n=n_samples)
         vol_quad = invariants.area(p)
         vol_closed = invariants.vol_fc(b, c)
@@ -292,39 +292,31 @@ def _svg_header(w: float, h: float) -> str:
     )
 
 
-def emit_profile_svg(p: MomentProfile, path, overlay=None) -> None:
-    """Profile polyline with axes; ``overlay`` is an optional list of
-    points drawn as a red polygon (sector or spike)."""
+def emit_profile_svg(p: MomentProfile, path) -> None:
+    """Profile path with axes; each tagged segment is drawn through eight
+    points of its curve."""
     W = H = 400.0
     pad = 30.0
-    xs = [v[0] for v in p.vertices] + ([pt[0] for pt in overlay] if overlay else [])
-    ys = [v[1] for v in p.vertices] + ([pt[1] for pt in overlay] if overlay else [])
-    scale = (W - 2 * pad) / max(max(xs), max(ys), 1e-12)
+    x_max, y_max = p.xy.max(axis=0).tolist()
+    scale = (W - 2 * pad) / max(x_max, y_max, 1e-12)
 
     def to_px(pt):
         return (pad + pt[0] * scale, H - pad - pt[1] * scale)
 
-    def poly(points, color, fill="none"):
+    def poly(points, color):
         coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(q) for q in points))
-        return f'<polyline points="{coords}" stroke="{color}" fill="{fill}" stroke-width="1.5"/>'
+        return f'<polyline points="{coords}" stroke="{color}" fill="none" stroke-width="1.5"/>'
 
     parts = [_svg_header(W, H)]
-    parts.append(poly([(0, 0), (max(xs) * 1.05, 0)], "black"))
-    parts.append(poly([(0, 0), (0, max(ys) * 1.05)], "black"))
-    pts = []
-    for i in range(p.n_segments):
-        tag = p.tag(i)
-        if tag is None:
-            pts.append(p.vertices[i])
-        else:
-            pts.extend(tag.point(t / 8) for t in range(8))
+    parts.append(poly([(0, 0), (x_max * 1.05, 0)], "black"))
+    parts.append(poly([(0, 0), (0, y_max * 1.05)], "black"))
+    curves = dict(zip(p.tagged.tolist(), p.sample_curves(np.arange(8) / 8)[0].tolist()))
+    pts = [q for i, v in enumerate(p.vertices[:-1]) for q in curves.get(i, [v])]
     pts.append(p.vertices[-1])
     parts.append(poly(pts, "blue"))
     for v in (p.vertices[0], p.vertices[-1]):
         x, y = to_px(v)
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="blue"/>')
-    if overlay:
-        parts.append(poly(list(overlay) + [overlay[0]], "red", fill="rgba(255,0,0,0.2)"))
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
 

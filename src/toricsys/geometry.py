@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import cache, cached_property
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 
@@ -90,16 +90,70 @@ def _primitive_normal(
 
 
 @dataclass(frozen=True)
-class CurveSegment:
-    """Analytic description of one profile segment.
+class Arc:
+    """Circular arc ``center + r (cos a, sin a)``, the angle a running
+    linearly in t from a0 to a1 (counterclockwise when a1 > a0); the arcs
+    of ``smooth_corners``."""
 
-    ``point(t)`` traces the true curve for t in [0, 1] between the
-    segment's two polyline vertices; ``deriv(t)`` is d(point)/dt.
-    """
+    center: Point
+    r: float
+    a0: float
+    a1: float
+    kind: ClassVar[str] = "arc"
 
-    point: Callable[[float], Point]
-    deriv: Callable[[float], Point]
-    kind: str = "analytic"
+    @classmethod
+    def from_numbers(cls, numbers) -> "Arc":
+        cx, cy, r, a0, a1 = numbers
+        return cls((cx, cy), r, a0, a1)
+
+    def numbers(self) -> tuple[float, ...]:
+        return (*self.center, self.r, self.a0, self.a1)
+
+    def sample(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Points and derivatives at the parameters ``t``, stacked on a
+        last axis of length 2; the fields may be arrays that broadcast
+        with ``t``."""
+        (cx, cy), r, da = self.center, self.r, self.a1 - self.a0
+        a = self.a0 + da * t
+        cos, sin = r * np.cos(a), r * np.sin(a)
+        return np.stack((cx + cos, cy + sin), -1), np.stack((-da * sin, da * cos), -1)
+
+    def scaled(self, s: float) -> "Arc":
+        return Arc((s * self.center[0], s * self.center[1]), s * self.r, self.a0, self.a1)
+
+
+@dataclass(frozen=True)
+class SquaredSegment:
+    """The curve w = (mu1^2, mu2^2), mu running linearly in t from mu0 to
+    mu1: a straight segment in square-root coordinates, as in both curved
+    pieces of ``fc_domain``."""
+
+    mu0: Point
+    mu1: Point
+    kind: ClassVar[str] = "squared"
+
+    @classmethod
+    def from_numbers(cls, numbers) -> "SquaredSegment":
+        p0, q0, p1, q1 = numbers
+        return cls((p0, q0), (p1, q1))
+
+    def numbers(self) -> tuple[float, ...]:
+        return (*self.mu0, *self.mu1)
+
+    def sample(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """As ``Arc.sample``."""
+        (p0, q0), (p1, q1) = self.mu0, self.mu1
+        dp, dq = p1 - p0, q1 - q0
+        p, q = p0 + dp * t, q0 + dq * t
+        return np.stack((p * p, q * q), -1), np.stack((2 * p * dp, 2 * q * dq), -1)
+
+    def scaled(self, s: float) -> "SquaredSegment":
+        return SquaredSegment.from_numbers([math.sqrt(s) * x for x in self.numbers()])
+
+
+Tag = Union[Arc, SquaredSegment]
+# Tag types by the name profile files give them.
+TAG_KINDS: dict[str, type] = {cls.kind: cls for cls in (Arc, SquaredSegment)}
 
 
 @dataclass(frozen=True)
@@ -107,9 +161,10 @@ class MomentProfile:
     """Closure of the positive-quadrant boundary arc, (a,0) -> (0,b).
 
     Valid by construction: the coordinates are converted to float and
-    checked by ``_validate`` (axis endpoints, star shape, no zero-length
-    segment), axis endpoints within tolerance are snapped onto the axes,
-    and a non-empty ``tags`` must hold one entry per segment.
+    checked by ``_validate`` (finite coordinates, axis endpoints, star
+    shape, no zero-length segment), axis endpoints within tolerance are
+    snapped onto the axes, and a non-empty ``tags`` must hold one entry
+    per segment.
 
     Derived geometry is computed on first use and then cached on the
     instance: ``diameter`` and ``tol``; the read-only arrays ``xy``
@@ -127,7 +182,7 @@ class MomentProfile:
     """
 
     vertices: tuple[Point, ...]
-    tags: tuple[Optional[CurveSegment], ...] = ()
+    tags: tuple[Optional[Tag], ...] = ()
     family: str = "custom"
     params: tuple[tuple[str, float], ...] = ()
 
@@ -223,10 +278,6 @@ class MomentProfile:
         return _read_only(np.array(idx, dtype=np.intp))
 
     @cached_property
-    def _curve_samples(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        return {}
-
-    @cached_property
     def _memo(self) -> dict[str, object]:
         return {}
 
@@ -239,19 +290,27 @@ class MomentProfile:
             memo[key] = compute()
         return memo[key]
 
-    def curve_samples(self, order: int) -> tuple[np.ndarray, np.ndarray]:
+    def sample_curves(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Points and derivatives of the tagged segments (in the order of
-        ``tagged``) at the ``order`` Gauss-Legendre nodes on [0, 1], as
-        two (k, order, 2) arrays; sampled once per order."""
-        cache = self._curve_samples
-        if order not in cache:
-            nodes = _gl_nodes(order)[0].tolist()
-            curves = [self.tags[i] for i in self.tagged.tolist()]
-            shape, count, pair = (len(curves), order, 2), len(curves) * order, np.dtype((float, 2))
-            pts = np.fromiter((c.point(t) for c in curves for t in nodes), pair, count)
-            ders = np.fromiter((c.deriv(t) for c in curves for t in nodes), pair, count)
-            cache[order] = (_read_only(pts.reshape(shape)), _read_only(ders.reshape(shape)))
-        return cache[order]
+        ``tagged``) at the parameters ``t``, as two (k, len(t), 2) arrays:
+        the tags of one type are stacked into a single instance whose
+        fields are columns, so each type is sampled in one numpy call."""
+        tags = [self.tags[i] for i in self.tagged.tolist()]
+        pts = np.empty((len(tags), len(t), 2))
+        ders = np.empty_like(pts)
+        for cls in set(map(type, tags)):
+            rows = [k for k, tag in enumerate(tags) if type(tag) is cls]
+            columns = np.array([tags[k].numbers() for k in rows]).T[..., None]
+            pts[rows], ders[rows] = cls.from_numbers(columns).sample(t)
+        return pts, ders
+
+    def curve_samples(self, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """``sample_curves`` at the ``order`` Gauss-Legendre nodes on
+        [0, 1], read-only; sampled once per order (``memo``)."""
+        return self.memo(
+            f"curve_samples {order}",
+            lambda: tuple(map(_read_only, self.sample_curves(_gl_nodes(order)[0]))),
+        )
 
     def segment(self, i: int) -> tuple[Point, Point]:
         return self.vertices[i], self.vertices[i + 1]
@@ -265,29 +324,16 @@ class MomentProfile:
         n1, n2 = self.normals[i].tolist()
         return (n1, n2)
 
-    def tag(self, i: int) -> Optional[CurveSegment]:
-        if not self.tags:
-            return None
-        return self.tags[i]
+    def tag(self, i: int) -> Optional[Tag]:
+        return self.tags[i] if self.tags else None
 
     def scaled(self, s: float) -> "MomentProfile":
         """All vertex coordinates (and tag curves) multiplied by s > 0."""
         if s <= 0:
             raise ParamOutOfRange("scale factor must be positive")
         verts = tuple((s * x, s * y) for x, y in self.vertices)
-        tags = tuple(_scale_tag(t, s) for t in self.tags) if self.tags else ()
+        tags = tuple(t and t.scaled(s) for t in self.tags)
         return MomentProfile(verts, tags, family="custom")
-
-
-def _scale_tag(tag: Optional[CurveSegment], s: float) -> Optional[CurveSegment]:
-    if tag is None:
-        return None
-    pt, dv = tag.point, tag.deriv
-    return CurveSegment(
-        point=lambda t, pt=pt, s=s: (s * pt(t)[0], s * pt(t)[1]),
-        deriv=lambda t, dv=dv, s=s: (s * dv(t)[0], s * dv(t)[1]),
-        kind=tag.kind,
-    )
 
 
 def _validate(vertices: tuple[Point, ...]) -> tuple[Point, ...]:
@@ -297,6 +343,9 @@ def _validate(vertices: tuple[Point, ...]) -> tuple[Point, ...]:
     """
     if len(vertices) < 2:
         raise AxisViolation("a profile needs at least two vertices")
+    for i, (x, y) in enumerate(vertices):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParamOutOfRange(f"vertex {i} at {(x, y)} is not finite")
     diam = max(max(abs(x), abs(y)) for x, y in vertices)
     tol = TOL_REL * diam
 
@@ -356,8 +405,11 @@ def ball(c: float, n: int = 1) -> MomentProfile:
     return ellipsoid(c, c, n)
 
 
-def _fc_breakpoints(b: float, c: float) -> tuple[float, float]:
-    return c * (b - c) / b, c * c
+def fc_c_min(b: float) -> float:
+    """The least c of the extremal family with parameter b >= 1: b/(1+b)."""
+    if not b >= 1:
+        raise ParamOutOfRange(f"fc_domain requires b >= 1; got b = {b}")
+    return b / (1 + b)
 
 
 def fc_domain(b: float, c: float, n: int = 8) -> MomentProfile:
@@ -365,75 +417,38 @@ def fc_domain(b: float, c: float, n: int = 8) -> MomentProfile:
     a linear piece in sqrt-coordinates, the straight piece w2 = c - w1, and
     a second sqrt-linear piece.
 
-    Samples n points per piece; the curved pieces carry analytic tags
-    parametrized linearly in mu1 = sqrt(w1).
+    Samples n points per piece; the curved pieces carry ``SquaredSegment``
+    tags, linear in mu = sqrt(w).
     """
-    if b < 1:
-        raise ParamOutOfRange("fc_domain requires b >= 1")
-    lo = b / (1 + b)
+    lo = fc_c_min(b)
     if not (lo - 1e-12 <= c < 1):
-        raise ParamOutOfRange(f"fc_domain requires c in [{lo}, 1)")
+        raise ParamOutOfRange(f"fc_domain requires c in [{lo}, 1); got c = {c}")
     if n < 2:
         raise ParamOutOfRange("fc_domain requires n >= 2")
-    w_break1, w_break2 = _fc_breakpoints(b, c)
-
-    # Piece near the w2-axis, in mu-coordinates: mu2 = sqrt(b) - s*mu1.
-    s1 = math.sqrt((b - c) / c)
-
-    def curve1(m0: float, m1: float) -> CurveSegment:
-        def point(t: float) -> Point:
-            m = m0 + (m1 - m0) * t
-            g = math.sqrt(b) - s1 * m
-            return (m * m, g * g)
-
-        def deriv(t: float) -> Point:
-            m = m0 + (m1 - m0) * t
-            dm = m1 - m0
-            g = math.sqrt(b) - s1 * m
-            return (2 * m * dm, 2 * g * (-s1) * dm)
-
-        return CurveSegment(point, deriv, kind="fc1")
-
-    # Piece near the w1-axis: mu2 = sqrt(c/(1-c)) * (1 - mu1).
+    w_break1, w_break2 = c * (b - c) / b, c * c
+    # Piece near the w1-axis: mu2 = sqrt(c/(1-c)) * (1 - mu1); piece near
+    # the w2-axis: mu2 = sqrt(b) - sqrt((b-c)/c) * mu1.
     s3 = math.sqrt(c / (1 - c))
-
-    def curve3(m0: float, m1: float) -> CurveSegment:
-        def point(t: float) -> Point:
-            m = m0 + (m1 - m0) * t
-            g = s3 * (1 - m)
-            return (m * m, g * g)
-
-        def deriv(t: float) -> Point:
-            m = m0 + (m1 - m0) * t
-            dm = m1 - m0
-            g = s3 * (1 - m)
-            return (2 * m * dm, 2 * g * (-s3) * dm)
-
-        return CurveSegment(point, deriv, kind="fc3")
+    s1, sb = math.sqrt((b - c) / c), math.sqrt(b)
 
     verts: list[Point] = []
-    tags: list[Optional[CurveSegment]] = []
+    tags: list[Optional[Tag]] = []
+
+    def piece(mus: list[Point]):
+        for mu0, mu1 in zip(mus, mus[1:]):
+            verts.append((mu0[0] * mu0[0], mu0[1] * mu0[1]))
+            tags.append(SquaredSegment(mu0, mu1))
 
     # Path runs from (1, 0) toward (0, b): traverse piece 3 with mu1
     # decreasing from 1 to c, then the straight piece, then piece 1 with
     # mu1 decreasing from sqrt(w_break1) to 0.
-    mus3 = [1 - (1 - c) * i / n for i in range(n + 1)]
-    for i in range(n):
-        m0, m1 = mus3[i], mus3[i + 1]
-        seg = curve3(m0, m1)
-        verts.append(seg.point(0.0))
-        tags.append(seg)
+    piece([(m, s3 * (1 - m)) for m in (1 - (1 - c) * i / n for i in range(n + 1))])
     mid_degenerate = w_break2 - w_break1 <= 1e-12 * max(1.0, b)
     if not mid_degenerate:
         verts.append((w_break2, c - w_break2))
         tags.append(None)  # straight piece w2 = c - w1
     mu_hi = math.sqrt(w_break1)
-    mus1 = [mu_hi * (1 - i / n) for i in range(n + 1)]
-    for i in range(n):
-        m0, m1 = mus1[i], mus1[i + 1]
-        seg = curve1(m0, m1)
-        verts.append(seg.point(0.0))
-        tags.append(seg)
+    piece([(m, sb - s1 * m) for m in (mu_hi * (1 - i / n) for i in range(n + 1))])
     verts.append((0.0, b))
 
     return MomentProfile(
@@ -602,15 +617,10 @@ def sqrt_transform(p: MomentProfile) -> list[Point]:
 
 
 def total_turning(p: MomentProfile) -> float:
-    """Total turning of the outward normal along the profile: sum of
-    signed exterior angles at interior vertices plus, for arc-tagged
-    segments, nothing extra (chord turning already accounts for it)."""
-    total = 0.0
-    for i in range(1, p.n_segments):
-        d1 = p.segment_direction(i - 1)
-        d2 = p.segment_direction(i)
-        total += math.atan2(cross(d1, d2), dot(d1, d2))
-    return total
+    """Total turning of the outward normal along the profile: the sum of
+    ``normal_turns``, the signed exterior angles at interior vertices
+    (an arc's turning is already in the turns between its chords)."""
+    return sum(p.normal_turns)
 
 
 def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentProfile:
@@ -618,20 +628,23 @@ def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentPr
     both incident segments.  Reflex corners are left sharp.
 
     The arc is sampled into ``arc_points`` sub-segments, each carrying an
-    analytic arc tag for exact quadrature.
+    ``Arc`` tag for exact quadrature.  A corner whose normal turns by at
+    most 1e-12 rad counts as collinear and stays, whatever the profile's
+    scale; so does one whose arc, of length r * turn, is too short to
+    split into ``arc_points`` chords above the profile's tolerance.
     """
     if r < 0:
         raise RadiusTooLarge("radius must be nonnegative")
     if r == 0:
         return p
     if any(t is not None for t in p.tags):
-        raise ValueError("smooth_corners expects a purely polygonal profile")
+        raise ParamOutOfRange("smooth_corners expects a purely polygonal profile")
 
     seg_len = [
         math.hypot(*(p.segment_direction(i))) for i in range(p.n_segments)
     ]
     verts: list[Point] = [p.vertices[0]]
-    tags: list[Optional[CurveSegment]] = []
+    tags: list[Optional[Tag]] = []
 
     for i in range(1, p.n_segments):
         v = p.vertices[i]
@@ -641,9 +654,10 @@ def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentPr
         u1 = (d1[0] / l1, d1[1] / l1)
         u2 = (d2[0] / l2, d2[1] / l2)
         turn = math.atan2(cross(u1, u2), dot(u1, u2))
-        if turn <= p.tol:
-            # collinear or reflex: keep the vertex
-            tags.append(p.tag(i - 1))
+        if turn <= 1e-12 or r * turn <= arc_points * p.tol:
+            # collinear or reflex, or too little turn for arc chords longer
+            # than the zero-length tolerance of _validate: keep the vertex
+            tags.append(None)
             verts.append(v)
             continue
         tangent = r * math.tan(turn / 2)
@@ -658,24 +672,14 @@ def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentPr
         center = (t1[0] + r * left1[0], t1[1] + r * left1[1])
         ang0 = math.atan2(t1[1] - center[1], t1[0] - center[0])
         # Normal rotates CCW by `turn` across a convex corner.
-        tags.append(p.tag(i - 1))
+        tags.append(None)
         verts.append(t1)
         for j in range(arc_points):
             a0 = ang0 + turn * j / arc_points
             a1 = ang0 + turn * (j + 1) / arc_points
-
-            def point(t: float, a0=a0, a1=a1, c=center) -> Point:
-                a = a0 + (a1 - a0) * t
-                return (c[0] + r * math.cos(a), c[1] + r * math.sin(a))
-
-            def deriv(t: float, a0=a0, a1=a1) -> Point:
-                a = a0 + (a1 - a0) * t
-                da = a1 - a0
-                return (-r * math.sin(a) * da, r * math.cos(a) * da)
-
             verts.append((center[0] + r * math.cos(a1), center[1] + r * math.sin(a1)))
-            tags.append(CurveSegment(point, deriv, kind="arc"))
-    tags.append(p.tag(p.n_segments - 1))
+            tags.append(Arc(center, r, a0, a1))
+    tags.append(None)
     verts.append(p.vertices[-1])
 
     try:

@@ -155,21 +155,15 @@ def report_to_csv_row(r: InvariantReport) -> str:
     return ",".join(vals)
 
 
-def gromov_width_monotone(p: MomentProfile, curve_samples: int = 64) -> float:
+def gromov_width_monotone(p: MomentProfile) -> float:
     """First-touch value of the antidiagonal line w1 + w2 = L: the
-    minimum of w1 + w2 over the boundary path (monotone profiles only)."""
+    minimum of w1 + w2 over the boundary path (monotone profiles only),
+    taken at the vertices and at t = j/64 (0 < j < 64) on each curve."""
     cls = classify(p)
     if not cls.monotone:
         raise NotMonotone(f"witness segment {cls.witnesses.get('monotone')}")
-    best = min(x + y for x, y in p.vertices)
-    for i in range(p.n_segments):
-        tag = p.tag(i)
-        if tag is None:
-            continue
-        for j in range(1, curve_samples):
-            x, y = tag.point(j / curve_samples)
-            best = min(best, x + y)
-    return best
+    pts, _ = p.sample_curves(np.arange(1, 64) / 64)
+    return float(np.concatenate((p.xy, pts.reshape(-1, 2))).sum(axis=1).min())
 
 
 def vol_gr_bound_check(p: MomentProfile) -> tuple[float, float, bool]:

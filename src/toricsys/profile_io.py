@@ -1,25 +1,31 @@
 """Plain-text profile files.
 
-Format: optional ``family`` line, ``param`` lines, then a ``vertices:``
-block with one ``w1 w2`` pair per line.  Values are written with 17
+Format: optional ``family`` line, ``param`` lines, one ``tag`` line per
+tagged segment, then a ``vertices:`` block with one ``w1 w2`` pair per
+line.  A tag line reads ``tag <segment> <kind> <numbers>``, the kind a
+key of ``geometry.TAG_KINDS`` (``arc``: center, radius and the two
+angles; ``squared``: the two mu end points).  Values are written with 17
 significant digits so the writer round-trips bit-exactly through the
-reader.  Known families are rebuilt through their constructors on read so
-analytic segment tags survive the round trip; if the rebuilt vertices
-disagree with the file, the file's vertices win.
+reader.  Family and params are carried through as read; they are not
+rebuilt, so a file's vertices and tags are the whole profile.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
-from .errors import ParamOutOfRange, ToricError
-from .geometry import FAMILIES, MomentProfile
+from .errors import ParamOutOfRange
+from .geometry import TAG_KINDS, MomentProfile, Tag
 
 
 def dumps(p: MomentProfile) -> str:
     lines = ["# toricsys profile", f"family = {p.family}"]
     for name, val in p.params:
         lines.append(f"param {name} = {val:.17g}")
+    for i in p.tagged.tolist():
+        tag = p.tags[i]
+        lines.append(" ".join([f"tag {i} {tag.kind}", *(f"{v:.17g}" for v in tag.numbers())]))
     lines.append("vertices:")
     for x, y in p.vertices:
         lines.append(f"{x:.17g} {y:.17g}")
@@ -30,55 +36,54 @@ def save(p: MomentProfile, path) -> None:
     Path(path).write_text(dumps(p))
 
 
-def _rebuild_from_family(family: str, params: dict[str, float]):
-    """The family's constructor applied to the file's params (extra params
-    are ignored), or None for a family outside ``FAMILIES``."""
-    if family not in FAMILIES:
-        return None
-    build, required, optional = FAMILIES[family]
-    args = [params[name] for name in required]
-    args += [params[name] for name in optional if name in params]
-    return build(*args)
+def _read_tag(line: str) -> tuple[int, Tag]:
+    _, index, kind, *fields = line.split()
+    if kind not in TAG_KINDS:
+        raise ParamOutOfRange(f"unknown tag kind {kind!r} in {line!r}")
+    numbers = [float(x) for x in fields]
+    if not all(map(math.isfinite, numbers)):
+        raise ParamOutOfRange(f"non-finite number in tag line: {line!r}")
+    return int(index), TAG_KINDS[kind].from_numbers(numbers)
 
 
 def loads(text: str) -> MomentProfile:
+    """The profile a file's text describes; a line that does not parse
+    raises ``ParamOutOfRange``."""
     family = "custom"
     params: dict[str, float] = {}
+    tag_lines: dict[int, Tag] = {}
     vertices: list[tuple[float, float]] = []
     in_vertices = False
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if in_vertices:
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise ParamOutOfRange(f"bad vertex line: {line!r}")
-            vertices.append((float(parts[0]), float(parts[1])))
-        elif line == "vertices:":
-            in_vertices = True
-        elif line.startswith("family"):
-            family = line.split("=", 1)[1].strip()
-        elif line.startswith("param"):
-            body = line[len("param") :].strip()
-            name, val = body.split("=", 1)
-            params[name.strip()] = float(val)
-        else:
-            raise ParamOutOfRange(f"unrecognized line: {line!r}")
+        try:
+            if in_vertices:
+                x, y = map(float, line.replace(",", " ").split())
+                vertices.append((x, y))
+            elif line == "vertices:":
+                in_vertices = True
+            elif line.startswith("family"):
+                family = line.partition("=")[2].strip()
+            elif line.startswith("param"):
+                name, val = line[len("param") :].split("=", 1)
+                params[name.strip()] = float(val)
+            elif line.startswith("tag"):
+                index, tag = _read_tag(line)
+                tag_lines[index] = tag
+            else:
+                raise ParamOutOfRange(f"unrecognized line: {line!r}")
+        except ValueError:
+            raise ParamOutOfRange(f"bad line: {line!r}") from None
     if not vertices:
         raise ParamOutOfRange("profile file has no vertices")
-    verts = tuple(vertices)
-    try:
-        rebuilt = _rebuild_from_family(family, params)
-    except (ToricError, KeyError, ValueError, OverflowError):
-        rebuilt = None
-    if rebuilt is not None and rebuilt.vertices == verts:
-        return rebuilt
-    return MomentProfile(
-        verts,
-        family="custom" if rebuilt is None else family,
-        params=tuple(sorted(params.items())),
-    )
+    n = len(vertices) - 1
+    for i in tag_lines:
+        if not 0 <= i < n:
+            raise ParamOutOfRange(f"tag line for segment {i} of a profile with {n} segments")
+    tags = tuple(tag_lines.get(i) for i in range(n)) if tag_lines else ()
+    return MomentProfile(tuple(vertices), tags, family=family, params=tuple(params.items()))
 
 
 def load(path) -> MomentProfile:

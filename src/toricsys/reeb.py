@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateDenominator, OracleCutoffInsufficient, StepTooLarge
+from .errors import DegenerateDenominator, OracleCutoffInsufficient, ParamOutOfRange, StepTooLarge
 from .geometry import (
     RATIONAL_CAP,
     MomentProfile,
@@ -184,7 +184,9 @@ def _base_candidates(p: MomentProfile) -> list[OrbitDatum]:
 def orbits_below(p: MomentProfile, cutoff: float) -> list[OrbitDatum]:
     """Every primitive closed orbit with action <= cutoff: axis and
     rational-segment orbits, then the orbits at each interior vertex,
-    sorted by ``OrbitDatum.sort_key``."""
+    sorted by ``OrbitDatum.sort_key``.  The cutoff must be finite."""
+    if not math.isfinite(cutoff):
+        raise ParamOutOfRange(f"action cutoff must be finite; got {cutoff}")
     orbits = [o for o in _base_candidates(p) if o.action <= cutoff]
     for vi in range(1, len(p.vertices) - 1):
         orbits.extend(orbits_at_vertex(p, vi, cutoff))

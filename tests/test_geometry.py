@@ -196,6 +196,25 @@ class TestSmoothCorners:
         sm = smooth_corners(p, 0.05)
         assert total_turning(sm) == pytest.approx(total_turning(p), abs=1e-9)
 
+    def test_corner_test_is_scale_free(self):
+        # The corners turn by less than 1 rad; at s = 1e9 a length
+        # tolerance would have left them sharp.
+        p = from_vertices([(1, 0), (0.9, 0.5), (0.5, 0.9), (0, 1)])
+        unit = smooth_corners(p, 0.05, 4)
+        big = smooth_corners(p.scaled(1e9), 0.05 * 1e9, 4)
+        assert big.n_segments == unit.n_segments == 11
+        assert area(big) == pytest.approx(1e18 * area(unit), rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1, 1e9])
+    @pytest.mark.parametrize("d", [1e-9, 1e-10, 1e-11])
+    def test_arc_below_tolerance_keeps_the_corner(self, d, s):
+        p = from_vertices([(1, 0), (0.5 + d, 0.5 + d), (0, 1)]).scaled(s)
+        assert smooth_corners(p, 0.05 * s).vertices == p.vertices
+
+    def test_tagged_input_is_a_typed_error(self):
+        with pytest.raises(ParamOutOfRange):
+            smooth_corners(fc_domain(2, 0.7, 4), 0.01)
+
     def test_reflex_corner_kept_sharp(self):
         p = from_vertices([(1, 0), (0.4, 0.3), (0.5, 0.9), (0, 1)])
         sm = smooth_corners(p, 0.02)

@@ -247,7 +247,6 @@ class TestFamilies:
         assert line in text.splitlines()
         p = profile_io.loads(text.replace(line, replacement))
         assert p.vertices == ellipsoid(1, 4, 1).vertices
-        assert p.family == "custom"
 
 
 # ---------------------------------------------------------------------------
