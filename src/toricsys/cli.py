@@ -216,8 +216,7 @@ def _dispatch(args) -> int:
         p = resolve_profile(args.profile)
         grid = tuple(float(x) for x in args.eps_grid.split(",") if x)
         config = experiments.RunConfig(
-            command="sweep", profile=p, op=args.op, eps_grid=grid,
-            csv_path=args.csv, svg_path=args.svg,
+            profile=p, op=args.op, eps_grid=grid, csv_path=args.csv, svg_path=args.svg
         )
         records = experiments.run_sweep(config)
         for r in records:
@@ -226,9 +225,7 @@ def _dispatch(args) -> int:
         return EXIT_FINDING if bad else EXIT_OK
 
     if cmd == "bounds":
-        config = experiments.RunConfig(
-            command="bounds", seed=args.seed, corpus_size=args.corpus
-        )
+        config = experiments.RunConfig(seed=args.seed, corpus_size=args.corpus)
         summary = experiments.run_corpus_bounds(config)
         for key in (
             "n", "seed", "monotone_min_product", "monotone_max_product",

@@ -67,6 +67,7 @@ class SweepRecord:
 
 @dataclass
 class RunConfig:
+    # Read by nothing; kept while bench/workloads.py still passes it.
     command: str = ""
     profile: Optional[MomentProfile] = None
     op: str = "strangulate"

@@ -164,7 +164,8 @@ class MomentProfile:
     checked by ``_validate`` (finite coordinates, axis endpoints, star
     shape, no zero-length segment), axis endpoints within tolerance are
     snapped onto the axes, and a non-empty ``tags`` must hold one entry
-    per segment.
+    per segment, each tag's curve starting and ending at its segment's
+    vertices.
 
     Derived geometry is computed on first use and then cached on the
     instance: ``diameter`` and ``tol``; the read-only arrays ``xy``
@@ -193,6 +194,25 @@ class MomentProfile:
             raise ParamOutOfRange(
                 f"{len(self.tags)} tags for a profile with {len(verts) - 1} segments"
             )
+        if len(self.tagged):
+            self._check_tag_ends()
+
+    def _check_tag_ends(self) -> None:
+        """Every tag's curve must start and end at its segment's vertices,
+        within the profile's tolerance; sampled at t = 0 and 1 in one numpy
+        call per tag type."""
+        ends, _ = self.sample_curves(np.array([0.0, 1.0]))
+        idx, xy = self.tagged, self.xy
+        gap = np.maximum(np.abs(ends[:, 0] - xy[idx]), np.abs(ends[:, 1] - xy[idx + 1]))
+        off = ~(gap.max(axis=1) <= self.tol)
+        if off.any():
+            k = int(off.argmax())
+            i = int(idx[k])
+            (s0, s1), (e0, e1) = ends[k].tolist()
+            raise ParamOutOfRange(
+                f"tag of segment {i} runs from {(s0, s1)} to {(e0, e1)}, not from "
+                f"vertex {i} at {self.vertices[i]} to vertex {i + 1} at {self.vertices[i + 1]}"
+            )
 
     @property
     def a_intercept(self) -> float:
@@ -208,9 +228,8 @@ class MomentProfile:
 
     @cached_property
     def diameter(self) -> float:
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        return max(max(xs) - min(xs), max(ys) - min(ys), max(xs), max(ys))
+        lo, hi = self.xy.min(axis=0), self.xy.max(axis=0)
+        return max(*(hi - lo).tolist(), *hi.tolist())
 
     @cached_property
     def tol(self) -> float:
@@ -290,18 +309,27 @@ class MomentProfile:
             memo[key] = compute()
         return memo[key]
 
-    def sample_curves(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Points and derivatives of the tagged segments (in the order of
-        ``tagged``) at the parameters ``t``, as two (k, len(t), 2) arrays:
-        the tags of one type are stacked into a single instance whose
-        fields are columns, so each type is sampled in one numpy call."""
+    @cached_property
+    def _stacked_tags(self) -> list[tuple[np.ndarray, Tag]]:
+        """Per tag type: the positions of its tags in ``tagged``, and one
+        instance of the type whose fields are columns holding those tags'
+        fields."""
         tags = [self.tags[i] for i in self.tagged.tolist()]
-        pts = np.empty((len(tags), len(t), 2))
-        ders = np.empty_like(pts)
+        out = []
         for cls in set(map(type, tags)):
             rows = [k for k, tag in enumerate(tags) if type(tag) is cls]
             columns = np.array([tags[k].numbers() for k in rows]).T[..., None]
-            pts[rows], ders[rows] = cls.from_numbers(columns).sample(t)
+            out.append((np.array(rows, dtype=np.intp), cls.from_numbers(columns)))
+        return out
+
+    def sample_curves(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Points and derivatives of the tagged segments (in the order of
+        ``tagged``) at the parameters ``t``, as two (k, len(t), 2) arrays;
+        each tag type is sampled in one numpy call (``_stacked_tags``)."""
+        pts = np.empty((len(self.tagged), len(t), 2))
+        ders = np.empty_like(pts)
+        for rows, stacked in self._stacked_tags:
+            pts[rows], ders[rows] = stacked.sample(t)
         return pts, ders
 
     def curve_samples(self, order: int) -> tuple[np.ndarray, np.ndarray]:

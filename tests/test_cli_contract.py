@@ -48,6 +48,25 @@ def test_non_finite_vertex_in_a_profile_file(middle, says, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, says",
+    [
+        (
+            "tag 0 arc 5 5 1 0 1\nvertices:\n1 0\n0 1\n",
+            "tag of segment 0 runs from (6.0, 5.0) to (5.54030230586814, 5.841470984807897), "
+            "not from vertex 0 at (1.0, 0.0) to vertex 1 at (0.0, 1.0)",
+        ),
+    ],
+)
+def test_tag_off_its_segment_in_a_profile_file(text, says, tmp_path, capsys):
+    path = tmp_path / "profile.txt"
+    path.write_text(text)
+    assert main(["invariants", str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ParamOutOfRange: {says}\n"
+
+
+@pytest.mark.parametrize(
     "argv, error",
     [
         ("strain ball:2 --flatten nan --eps 0.01", "RadiusTooLarge"),

@@ -237,13 +237,15 @@ class TestComputeOnce:
             monkeypatch.setattr(cls, "sample", counted)
         p = fc_domain(2, 0.7, 8)
         q = smooth_corners(polydisk(1, 2), 0.2, 4)
+        # Construction samples each tag's two ends (``_check_tag_ends``).
+        assert calls == [(SquaredSegment, 2), (Arc, 2)]
         report(p)
         report(q)
-        assert calls == [(SquaredSegment, GL_ORDER), (Arc, GL_ORDER)]
+        assert calls[2:] == [(SquaredSegment, GL_ORDER), (Arc, GL_ORDER)]
         area(p, 5)
         ruelle_quadrature(p, 5)
         report(p)
-        assert calls[2:] == [(SquaredSegment, 5)]
+        assert calls[4:] == [(SquaredSegment, 5)]
 
     def test_gl_nodes_cached_and_read_only(self):
         nodes, weights = _gl_nodes(8)

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricsys import (
+    Arc,
     AxisViolation,
+    MomentProfile,
     NotStarShaped,
     ParamOutOfRange,
     RadiusTooLarge,
@@ -18,6 +20,7 @@ from toricsys import (
     normal_cone,
     polydisk,
     smooth_corners,
+    SquaredSegment,
     sqrt_transform,
     total_turning,
 )
@@ -230,6 +233,40 @@ class TestScaling:
     def test_scale_must_be_positive(self):
         with pytest.raises(ParamOutOfRange):
             polydisk(1, 2).scaled(0)
+
+
+class TestTagEnds:
+    """A tag's curve must start and end at its segment's vertices."""
+
+    def test_family_tags_pass(self):
+        rounded = smooth_corners(polydisk(1, 2), 0.2, 16)
+        for p in (fc_domain(2, 0.7, 16), rounded, rounded.scaled(1e6)):
+            assert MomentProfile(p.vertices, p.tags).tags == p.tags
+
+    def test_first_bad_segment_is_named(self):
+        p = fc_domain(2, 0.7, 8)
+        tags = list(p.tags)
+        tags[3], tags[5] = tags[4], tags[4]
+        with pytest.raises(ParamOutOfRange, match="tag of segment 3 runs from"):
+            MomentProfile(p.vertices, tuple(tags))
+
+    @pytest.mark.parametrize(
+        "tag",
+        [
+            Arc((5.0, 5.0), 1.0, 0.0, 1.0),
+            SquaredSegment((0.0, 1.0), (1.0, 0.0)),
+            SquaredSegment((1.0, 0.0), (0.0, 2.0)),
+            SquaredSegment((1.0, 0.0), (0.0, math.nan)),
+        ],
+        ids=["far-arc", "reversed", "wrong-end", "nan"],
+    )
+    def test_tag_off_its_segment(self, tag):
+        with pytest.raises(ParamOutOfRange, match="not from vertex 0 at .* to vertex 1"):
+            MomentProfile(((1.0, 0.0), (0.0, 1.0)), (tag,))
+
+    def test_end_within_tolerance_passes(self):
+        tag = SquaredSegment((1.0, 0.0), (0.0, 1.0 + 1e-12))
+        assert MomentProfile(((1.0, 0.0), (0.0, 1.0)), (tag,)).tags == (tag,)
 
 
 @settings(max_examples=50, deadline=None)
