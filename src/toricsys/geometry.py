@@ -663,6 +663,8 @@ def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentPr
     """
     if r < 0:
         raise RadiusTooLarge("radius must be nonnegative")
+    if arc_points < 1:
+        raise ParamOutOfRange(f"arc_points must be at least 1; got {arc_points}")
     if r == 0:
         return p
     if any(t is not None for t in p.tags):

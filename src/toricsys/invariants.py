@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadThresholds, DegenerateDenominator, NotMonotone
+from .errors import BadThresholds, DegenerateDenominator, NotMonotone, ParamOutOfRange
 from .geometry import Classification, MomentProfile, _gl_nodes, classify
 from . import reeb
 
@@ -49,7 +49,7 @@ def ruelle_quadrature(p: MomentProfile, n: int = GL_ORDER) -> float:
     rho(w) (w1 dw2 - w2 dw1) along the profile, n Gauss-Legendre points
     per segment.  Telescopes exactly on straight segments."""
     if n < 2:
-        raise ValueError("need at least 2 quadrature points per segment")
+        raise ParamOutOfRange(f"need at least 2 quadrature points per segment; got {n}")
     nodes, weights = _gl_nodes(n)
     # nu.w, nu1 + nu2 and cross(w, w') at every node of every segment, as
     # (segments, n) arrays: along the chord on straight segments, from the

@@ -263,6 +263,8 @@ def t_min(
         return _t_min_fast(p)
     if method != "oracle":
         raise ValueError("method must be 'fast' or 'oracle'")
+    if n_oracle < 1:
+        raise ParamOutOfRange(f"oracle cutoff must be at least 1; got {n_oracle}")
     candidates = _base_candidates(p)
     cones = [
         (vi, normal_cone(p, vi))

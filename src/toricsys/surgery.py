@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import (
     ClippingBreaksStarShape,
     EpsTooLarge,
@@ -31,7 +33,6 @@ from .geometry import (
     MomentProfile,
     Point,
     classify,
-    cross,
     normal_cone,
     ray_hit,
 )
@@ -77,38 +78,57 @@ def input_t_min(p: MomentProfile) -> float:
     return p.memo("t_min", lambda: reeb.t_min(p)[0])
 
 
-def _rot(u: Point, ang: float) -> Point:
-    c, s = math.cos(ang), math.sin(ang)
-    return (c * u[0] - s * u[1], s * u[0] + c * u[1])
+def _clear_angle(p: MomentProfile, apex: Point, u: Point, hit: Point, box: float) -> float:
+    """Least angle to u, seen from the apex, of a boundary point outside
+    the box |x - hit| <= box (in each coordinate), or inf if none is.
+
+    Each segment is clipped to the box (Liang-Barsky): what lies outside
+    is the piece before its entry parameter and the piece after its exit.
+    Along a piece the angle is least at an end, or 0 where the piece
+    crosses the forward ray; but that ray lies on the ray from the origin,
+    which meets the star-shaped boundary only at the hit point, so no
+    piece outside the box crosses it."""
+    a, d = p.xy[:-1], p.directions
+    rel = a - hit
+    s_in, s_out = np.zeros(len(a)), np.ones(len(a))
+    for k in (0, 1):
+        for step, room in ((-d[:, k], rel[:, k] + box), (d[:, k], box - rel[:, k])):
+            # step * s <= room; a parallel segment outside its slab misses
+            miss = np.where(room < 0, math.inf, -math.inf)
+            r = np.divide(room, step, out=miss, where=step != 0)
+            s_in = np.where(step <= 0, np.maximum(s_in, r), s_in)
+            s_out = np.where(step > 0, np.minimum(s_out, r), s_out)
+    missed = s_in > s_out
+    s_in[missed] = s_out[missed] = 1.0  # a missed segment is all one piece
+    ends = np.concatenate([a, a + s_in[:, None] * d, a + s_out[:, None] * d, p.xy[1:]])
+    outside = np.concatenate([s_in > 0, s_in > 0, s_out < 1, s_out < 1])
+    x, y = (ends - apex).T
+    angle = np.arctan2(abs(u[0] * y - u[1] * x), u[0] * x + u[1] * y)
+    return float(angle[outside].min(initial=math.inf))
 
 
-def _sector_interval(
-    seg: tuple[Point, Point], apex: Point, d_right: Point, d_left: Point
-) -> Optional[tuple[float, float]]:
-    """Sub-interval of the segment (as parameters in [0,1]) lying inside
-    the sector bounded by the two rays from the apex, or None."""
-    a, b = seg
-    lo, hi = 0.0, 1.0
-    for bound, sign in ((d_right, 1.0), (d_left, -1.0)):
-        # keep sign * cross(bound, x - apex) >= 0, linear in s
-        f0 = sign * cross(bound, (a[0] - apex[0], a[1] - apex[1]))
-        f1 = sign * cross(bound, (b[0] - apex[0], b[1] - apex[1]))
-        if f0 < 0 and f1 < 0:
-            return None
-        if f0 < 0 or f1 < 0:
-            s = f0 / (f0 - f1)
-            if f0 < 0:
-                lo = max(lo, s)
-            else:
-                hi = min(hi, s)
-    if lo >= hi - 1e-15:
-        return None
-    return lo, hi
-
-
-def _point_on(seg: tuple[Point, Point], s: float) -> Point:
-    a, b = seg
-    return (a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1]))
+def _sector_intervals(
+    p: MomentProfile, apex: Point, u: Point, theta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per segment, the parameters [lo, hi] in [0, 1] of its part inside
+    the sector of half-angle theta about u with the given apex, and
+    whether that part is non-empty."""
+    c, s = math.cos(theta), math.sin(theta)
+    rel = p.xy - apex
+    lo, hi = np.zeros(p.n_segments), np.ones(p.n_segments)
+    empty = np.zeros(p.n_segments, dtype=bool)
+    right = (c * u[0] + s * u[1], c * u[1] - s * u[0])
+    left = (c * u[0] - s * u[1], s * u[0] + c * u[1])
+    for bound, sign in ((right, 1.0), (left, -1.0)):
+        # keep sign * cross(bound, x - apex) >= 0, linear along a segment
+        f = sign * (bound[0] * rel[:, 1] - bound[1] * rel[:, 0])
+        f0, f1 = f[:-1], f[1:]
+        empty |= (f0 < 0) & (f1 < 0)
+        cut = (f0 < 0) != (f1 < 0)
+        at = np.divide(f0, f0 - f1, out=np.zeros_like(f0), where=cut)
+        lo = np.where(cut & (f0 < 0), np.maximum(lo, at), lo)
+        hi = np.where(cut & (f1 < 0), np.minimum(hi, at), hi)
+    return lo, hi, ~(empty | (lo >= hi - 1e-15))
 
 
 def strangulate(
@@ -117,11 +137,13 @@ def strangulate(
     """Remove a thin sector with apex at distance-parameter eps along the
     ray, pinching the domain toward the ray.
 
-    The half-angle theta(eps) is the largest (by 60-step bisection) such
-    that the sector meets the boundary only inside the eps-box around the
-    ray's hit point.  Intercepts are untouched, so the closed-form Ruelle
-    invariant is preserved; the apex vertex carries a new short orbit
-    (for the diagonal ray: (1, 1) with action 2*eps).
+    The half-angle theta(eps) is the largest such that the sector meets
+    the boundary only inside the eps-box around the ray's hit point:
+    the least angle to the ray of a boundary point outside the box
+    (``_clear_angle``), capped at pi/4 and at the angles to both axes.
+    Intercepts are untouched, so the closed-form Ruelle invariant is
+    preserved; the apex vertex carries a new short orbit (for the
+    diagonal ray: (1, 1) with action 2*eps).
     """
     if not eps > 0:
         raise ParamOutOfRange(f"eps must be positive; got {eps}")
@@ -137,49 +159,18 @@ def strangulate(
         raise EpsTooLarge(f"eps {eps} >= ray hit parameter {w_star}")
     apex = (eps * d_norm[0], eps * d_norm[1])
 
-    box = eps * (1 + 1e-12)
-
-    def sector_ok(theta: float) -> bool:
-        d_left = _rot(u, theta)
-        d_right = _rot(u, -theta)
-        for i in range(p.n_segments):
-            iv = _sector_interval(p.segment(i), apex, d_right, d_left)
-            if iv is None:
-                continue
-            for s in iv:
-                x, y = _point_on(p.segment(i), s)
-                if abs(x - hit[0]) > box or abs(y - hit[1]) > box:
-                    return False
-        return True
-
-    hi = min(math.pi / 4, ray_angle, math.pi / 2 - ray_angle)
-    lo = 0.0
-    if sector_ok(hi):
-        lo = hi
-    else:
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            if sector_ok(mid):
-                lo = mid
-            else:
-                hi = mid
-    theta = lo
+    cap = min(math.pi / 4, ray_angle, math.pi / 2 - ray_angle)
+    theta = min(cap, _clear_angle(p, apex, u, hit, eps * (1 + 1e-12)))
     if theta <= 0:
         raise EpsTooLarge("no positive sector half-angle keeps the cut local")
 
-    d_left = _rot(u, theta)
-    d_right = _rot(u, -theta)
-    intervals = [
-        (i, _sector_interval(p.segment(i), apex, d_right, d_left))
-        for i in range(p.n_segments)
-    ]
-    inside = [(i, iv) for i, iv in intervals if iv is not None]
-    if not inside:
+    lo, hi, inside = _sector_intervals(p, apex, u, theta)
+    inside = np.flatnonzero(inside)
+    if not len(inside):
         raise EpsTooLarge("sector does not reach the boundary")
-    i0, (s0, _) = inside[0]
-    i1, (_, s1) = inside[-1]
-    entry = _point_on(p.segment(i0), s0)
-    exit_ = _point_on(p.segment(i1), s1)
+    i0, i1 = inside[0], inside[-1]
+    entry = tuple(p.xy[i0] + lo[i0] * p.directions[i0])
+    exit_ = tuple(p.xy[i1] + hi[i1] * p.directions[i1])
 
     tol = p.tol
     verts: list[Point] = list(p.vertices[: i0 + 1])

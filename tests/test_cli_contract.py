@@ -22,6 +22,9 @@ from toricsys.cli import EXIT_INVALID, main
         ("orbits ball:2 --cutoff nan", "action cutoff must be finite; got nan"),
         ("fc-scan --b nan", "fc_domain requires b >= 1; got b = nan"),
         ("fc-scan --b -1", "fc_domain requires b >= 1; got b = -1.0"),
+        ("verify-ruelle ball:2 --n 1", "need at least 2 quadrature points per segment; got 1"),
+        ("tmin ball:2 --method oracle --oracle-n 0", "oracle cutoff must be at least 1; got 0"),
+        ("tmin ball:2 --method oracle --oracle-n -1", "oracle cutoff must be at least 1; got -1"),
     ],
 )
 def test_invalid_input_is_a_typed_error(argv, says, capsys):

@@ -19,6 +19,7 @@ from toricsys import (
     Arc,
     DegenerateDenominator,
     MomentProfile,
+    ParamOutOfRange,
     SquaredSegment,
     classify,
     ellipsoid,
@@ -206,7 +207,7 @@ class TestDegenerateDenominator:
         assert _rel(ruelle_quadrature(p), ref_ruelle(p)) <= 1e-12
 
     def test_too_few_nodes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamOutOfRange):
             ruelle_quadrature(ellipsoid(1, 2), 1)
 
 

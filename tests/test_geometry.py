@@ -218,6 +218,14 @@ class TestSmoothCorners:
         with pytest.raises(ParamOutOfRange):
             smooth_corners(fc_domain(2, 0.7, 4), 0.01)
 
+    @pytest.mark.parametrize("arc_points", [0, -3])
+    def test_arc_needs_a_point(self, arc_points):
+        # With no arc points each corner would be cut by one wrong chord:
+        # polydisk(1, 2) at r = 0.1 came out with area 1.95 (1.99785 at 16).
+        with pytest.raises(ParamOutOfRange, match=f"arc_points must be at least 1; got {arc_points}"):
+            smooth_corners(polydisk(1, 2), 0.1, arc_points)
+        assert area(smooth_corners(polydisk(1, 2), 0.1, 1)) < area(polydisk(1, 2))
+
     def test_reflex_corner_kept_sharp(self):
         p = from_vertices([(1, 0), (0.4, 0.3), (0.5, 0.9), (0, 1)])
         sm = smooth_corners(p, 0.02)

@@ -7,7 +7,13 @@ directory, so one command can write a profile that the next one reads.
 The files were captured with the unit-step lattice descent and the
 bounding-box enumerator that ``toricsys.lattice`` replaced; the kernel
 must reproduce them exactly (orbit lists, T_min witnesses, strangulation
-and strain witness lines).
+and strain witness lines).  The 13 files that run ``strangulate`` were
+recaptured when the sector half-angle theta changed from a 60-step
+bisection to a closed form exact to rounding.  Theta moved by at most
+1.6e-16 (1.4e-12 relative), and with it ``volume_delta_bound``,
+``volume_delta`` and, at eps = 0.1 on the diagonal, the T_min value and
+witness coordinates (at most 2.2e-12 relative); every (m, n), location,
+flags line and exit code stayed the same.
 
 To recapture after an intended change of output:
 ``python tests/test_golden.py`` (with ``src`` on ``PYTHONPATH``).

@@ -6,6 +6,7 @@ import pytest
 from toricsys import (
     BadThresholds,
     NotMonotone,
+    ParamOutOfRange,
     ball,
     criterion_verdict,
     ellipsoid,
@@ -58,7 +59,7 @@ class TestRuelle:
         assert ruelle_quadrature(p, n=8) == pytest.approx(2.0, abs=1e-6)
 
     def test_quadrature_needs_two_points(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamOutOfRange, match="got 1"):
             ruelle_quadrature(ball(1), n=1)
 
 

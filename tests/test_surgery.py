@@ -1,9 +1,11 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from toricsys import (
+    ClippingBreaksStarShape,
     EpsTooLarge,
     EpsTooLargeForNeighborhood,
     NotFlattened,
@@ -21,6 +23,7 @@ from toricsys import (
     t_min,
 )
 from toricsys.invariants import area, ruelle_closed_form
+from toricsys.surgery import _sector_intervals
 
 
 class TestStrangulate:
@@ -68,10 +71,48 @@ class TestStrangulate:
         assert ruelle_closed_form(out.profile) == 4.0
         assert abs(out.volume_delta) <= out.volume_delta_bound + 1e-9
 
+    @staticmethod
+    def _reach(p, apex, u, hit, theta):
+        """Largest max-norm distance from the hit point of a boundary point
+        in the sector of half-angle theta."""
+        lo, hi, inside = _sector_intervals(p, apex, u, theta)
+        a, d = p.xy[:-1][inside], p.directions[inside]
+        ends = np.concatenate([a + lo[inside, None] * d, a + hi[inside, None] * d])
+        return abs(ends - hit).max()
+
     def test_sector_meets_boundary_only_in_box(self):
-        out = strangulate(ball(2), 0.1)
-        spec = out.spec
-        assert spec.eps < spec.w_star
+        """theta is the largest half-angle whose sector meets the boundary
+        only inside the eps-box around the ray's hit point: every in-sector
+        point at theta lies in the box, up to rounding of the interval ends
+        (``slack``); unless theta is the cap, the sector at
+        theta * (1 + 1e-9) reaches a point outside the box by more than
+        that."""
+        profiles = (
+            ball(2),
+            ellipsoid(1, 4, 1),
+            polydisk(1, 2),
+            fc_domain(2, 0.7, 16),
+            fc_domain(1, 0.5, 8),
+        )
+        checked = 0
+        for p in profiles:
+            for ray in (0.3, math.pi / 4, 1.2):
+                u = (math.cos(ray), math.sin(ray))
+                d_norm = np.array(u) / max(u)
+                for eps in (10 ** (-k / 2) for k in range(2, 9)):
+                    try:
+                        spec = strangulate(p, eps, ray).spec
+                    except ClippingBreaksStarShape:
+                        continue  # rejected by the star-shape tolerance (ROADMAP item 1)
+                    hit, apex = spec.w_star * d_norm, eps * d_norm
+                    box = eps * (1 + 1e-12)
+                    slack = 1e-14 * abs(hit).max()
+                    assert self._reach(p, apex, u, hit, spec.theta) <= box + slack
+                    if spec.theta < min(math.pi / 4, ray, math.pi / 2 - ray):
+                        wider = spec.theta * (1 + 1e-9)
+                        assert self._reach(p, apex, u, hit, wider) > box + slack
+                    checked += 1
+        assert checked == 5 * 3 * 7 - 3  # ellipsoid(1, 4, 1) fails at eps = 1e-4
 
 
 class TestFlatten:
