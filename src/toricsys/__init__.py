@@ -7,7 +7,6 @@ ratio) are computed from the moment-plane profile alone.
 
 from .errors import (
     AxisViolation,
-    BadThresholds,
     ClippingBreaksStarShape,
     DegenerateDenominator,
     EpsTooLarge,
@@ -55,11 +54,9 @@ from .reeb import (
     t_min,
 )
 from .invariants import (
-    CriterionVerdict,
     InvariantReport,
     area,
     contact_volume,
-    criterion_verdict,
     gromov_width_monotone,
     report,
     ruelle_closed_form,

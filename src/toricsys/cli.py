@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.choices["tmin"].add_argument("--oracle-n", type=int, default=200,
                                      help="brute-force cutoff")
     sub.choices["verify-ruelle"].add_argument("--n", type=int, default=8,
-                                              help="quadrature points per segment")
+                                              help="quadrature points per segment, 2 to 100")
 
     sp = sub.add_parser("orbits")
     sp.add_argument("profile")

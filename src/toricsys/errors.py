@@ -78,7 +78,3 @@ class ValidityConditionFails(ToricError):
 class NotFlattened(ToricError):
     """Strain requires a straight initial run; call flatten_near_intercept
     first."""
-
-
-class BadThresholds(ToricError):
-    """Criterion thresholds must satisfy 0 < lower <= upper."""

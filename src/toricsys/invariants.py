@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadThresholds, DegenerateDenominator, NotMonotone, ParamOutOfRange
+from .errors import DegenerateDenominator, NotMonotone, ParamOutOfRange
 from .geometry import Classification, MomentProfile, _gl_nodes, classify
 from . import reeb
 
@@ -47,9 +47,12 @@ def ruelle_closed_form(p: MomentProfile) -> float:
 def ruelle_quadrature(p: MomentProfile, n: int = GL_ORDER) -> float:
     """Composite quadrature of the rotation-density line integral
     rho(w) (w1 dw2 - w2 dw1) along the profile, n Gauss-Legendre points
-    per segment.  Telescopes exactly on straight segments."""
+    per segment, 2 <= n <= 100 (numpy's ``leggauss`` is tested only up to
+    degree 100).  Telescopes exactly on straight segments."""
     if n < 2:
         raise ParamOutOfRange(f"need at least 2 quadrature points per segment; got {n}")
+    if n > 100:
+        raise ParamOutOfRange(f"at most 100 quadrature points per segment; got {n}")
     nodes, weights = _gl_nodes(n)
     # nu.w, nu1 + nu2 and cross(w, w') at every node of every segment, as
     # (segments, n) arrays: along the chord on straight segments, from the
@@ -176,38 +179,6 @@ def vol_gr_bound_check(p: MomentProfile) -> tuple[float, float, bool]:
     b = max(p.a_intercept, p.b_intercept)
     rhs = b * gromov_width_monotone(p)
     return vol, rhs, vol <= rhs + 1e-9 * max(1.0, rhs)
-
-
-@dataclass(frozen=True)
-class CriterionVerdict:
-    product: float
-    lower: float
-    upper: float
-    verdict: str  # 'BelowLower' | 'AboveUpper' | 'Inconclusive'
-    note: str
-
-
-_CRITERION_NOTE = (
-    "BelowLower/AboveUpper rule out symplectic convexity only relative to "
-    "the supplied thresholds; the true criterion constants are unknown "
-    "(lower <= 1/2, upper >= 3)."
-)
-
-
-def criterion_verdict(
-    p: MomentProfile, c_threshold: float = 0.5, C_threshold: float = 3.0
-) -> CriterionVerdict:
-    """Compare the convexity-criterion product against thresholds."""
-    if not (0 < c_threshold <= C_threshold):
-        raise BadThresholds(f"need 0 < {c_threshold} <= {C_threshold}")
-    prod = report(p).product
-    if prod < c_threshold:
-        verdict = "BelowLower"
-    elif prod > C_threshold:
-        verdict = "AboveUpper"
-    else:
-        verdict = "Inconclusive"
-    return CriterionVerdict(prod, c_threshold, C_threshold, verdict, _CRITERION_NOTE)
 
 
 def vol_fc(b: float, c: float) -> float:

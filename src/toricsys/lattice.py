@@ -11,9 +11,10 @@ searches over those vectors:
   descent that takes each continued-fraction run of the cone's boundary
   directions in one step, so it costs O(log coefficient) Python steps
   instead of one per unit of each coefficient;
-* ``enumerate_in_cone``: every vector with action below a cutoff, found
-  line by line across the cone's bounding box, in memory proportional
-  to the output;
+* ``enumerate_in_cone``: every vector with action below a cutoff (and
+  optionally max norm below a bound), found line by line across the
+  cone's bounding box, in memory proportional to the output; the orbit
+  lists and the brute-force T_min oracle both use it;
 * ``nearest_in_cone``: the small first-quadrant vector closest in angle
   to a given direction.
 """
@@ -277,19 +278,20 @@ def min_in_cone(
 
 
 def enumerate_in_cone(
-    cone: NormalCone, cutoff: float
+    cone: NormalCone, cutoff: float, n_max: Optional[int] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every primitive (m, n) in the closed cone with action
-    m*v1 + n*v2 <= cutoff (up to a relative 1e-12), as arrays m, n and
+    m*v1 + n*v2 <= cutoff (up to a relative 1e-12), and with max norm
+    max(|m|, |n|) <= n_max unless n_max is None, as arrays m, n and
     action, in no particular order.
 
     The candidates lie in the bounding box of the triangle spanned by the
     origin and the two boundary rays cut at the cutoff (one unit of margin
-    on each side).  Only the lattice lines along the box's shorter side
-    are scanned; on each, the two cone half-planes and the cutoff bound
-    the other coordinate to an interval, widened by one unit, and the
-    membership predicate then decides in numpy.  Memory is proportional
-    to the output plus the number of lines.
+    on each side), clipped to [-n_max, n_max]^2.  Only the lattice lines
+    along the box's shorter side are scanned; on each, the two cone
+    half-planes and the cutoff bound the other coordinate to an interval,
+    widened by one unit, and the membership predicate then decides in
+    numpy.  Memory is proportional to the output plus the number of lines.
     """
     v0, v1 = cone.vertex
     corners = [(0.0, 0.0)]
@@ -302,6 +304,8 @@ def enumerate_in_cone(
         (math.floor(min(c[i] for c in corners)) - 1, math.ceil(max(c[i] for c in corners)) + 1)
         for i in (0, 1)
     ]
+    if n_max is not None:
+        box = [(max(lo, -n_max), min(hi, n_max)) for lo, hi in box]
     limit = cutoff * (1 + 1e-12)
     # Half-planes a_m*m + a_n*n >= b that every solution satisfies: the two
     # cone sides with their tolerance bounded over the box, and the cutoff.

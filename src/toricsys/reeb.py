@@ -26,7 +26,7 @@ from .geometry import (
     normal_cone,
     ray_hit,
 )
-from .lattice import clear_of_axes, enumerate_in_cone, in_cone_mask, min_in_cone
+from .lattice import clear_of_axes, enumerate_in_cone, min_in_cone
 
 # Where an orbit lives, in tie-break order.
 LOCATION_KINDS = ("axis", "segment", "vertex")
@@ -103,6 +103,13 @@ def _segment_orbit(
 # Vertex cones
 
 
+def _is_corner(p: MomentProfile, vertex_index: int) -> bool:
+    """Does the outward normal turn by more than 1e-12 rad at the interior
+    vertex?  Every other vertex counts as collinear: its one normal is
+    that of its incoming segment, and it has no cone to search."""
+    return abs(p.normal_turns[vertex_index - 1]) > 1e-12
+
+
 def orbits_at_vertex(
     p: MomentProfile, vertex_index: int, action_cutoff: float
 ) -> list[OrbitDatum]:
@@ -120,7 +127,7 @@ def orbits_at_vertex(
     """
     cone = normal_cone(p, vertex_index)
     v = cone.vertex
-    if cone.width <= 1e-12:
+    if not _is_corner(p, vertex_index):
         mn = primitive_normal(p, vertex_index - 1)
         if mn is None:
             return []
@@ -139,68 +146,19 @@ def orbits_at_vertex(
 # ---------------------------------------------------------------------------
 # Minimal action: lattice descent (fast) and brute force (oracle)
 
-_PRIMITIVE_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-# Angular slack around a cone's arc when slicing the oracle's table: it
-# covers the band of about CONE_TOL rad that ``in_cone`` admits beyond
-# each boundary, and the rounding of atan2.  Vectors inside the slack but
-# outside the cone are rejected by ``in_cone_mask`` as before.
-_ORACLE_SLACK = 1e-7
-
-
-def _primitive_vectors(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Primitive integer vectors (m, n) with max norm <= n_max and their
-    angles atan2(n, m) in (-pi, pi], sorted by angle; built once per n_max."""
-    if n_max not in _PRIMITIVE_CACHE:
-        rng = np.arange(-n_max, n_max + 1)
-        mm, nn = np.meshgrid(rng, rng, indexing="ij")
-        mm, nn = mm.ravel(), nn.ravel()
-        mask = np.gcd(np.abs(mm), np.abs(nn)) == 1
-        mm, nn = mm[mask], nn[mask]
-        angle = np.arctan2(nn, mm)
-        order = np.argsort(angle)
-        _PRIMITIVE_CACHE[n_max] = (mm[order], nn[order], angle[order])
-    return _PRIMITIVE_CACHE[n_max]
-
-
-def _cone_slice(cone: NormalCone, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The vectors of ``_primitive_vectors(n_max)`` whose angle lies within
-    ``_ORACLE_SLACK`` of the cone's arc: a superset of those ``in_cone``
-    admits.  The arc from start to start + width is one slice of the table,
-    or two where it crosses the angle pi.  A cone narrower than twice the
-    slack takes the whole table: ``in_cone``'s tolerance then also admits
-    the directions opposite to it.  So does one within 1e-6 of a half
-    turn, whose slice would be most of the table anyway."""
-    mm, nn, angle = _primitive_vectors(n_max)
-    if not 2 * _ORACLE_SLACK <= cone.width <= math.pi - 1e-6:
-        return mm, nn
-    lo = math.atan2(cone.start[1], cone.start[0]) - _ORACLE_SLACK
-    hi = lo + cone.width + 2 * _ORACLE_SLACK
-    if lo < -math.pi:
-        bounds = ((lo + 2 * math.pi, math.inf), (-math.inf, hi))
-    elif hi > math.pi:
-        bounds = ((lo, math.inf), (-math.inf, hi - 2 * math.pi))
-    else:
-        bounds = ((lo, hi),)
-    pieces = [slice(*np.searchsorted(angle, b).tolist()) for b in bounds]
-    return tuple(np.concatenate([a[s] for s in pieces]) for a in (mm, nn))
-
 
 def _cone_candidates_oracle(
-    cone: NormalCone, n_max: int
+    cone: NormalCone, cutoff: float, n_max: int
 ) -> Optional[tuple[float, tuple[int, int]]]:
-    """Exact per-cone minimum over primitive vectors with max norm <= n_max,
-    brute force over the cone's slice of the angle-sorted table."""
-    mm, nn = _cone_slice(cone, n_max)
-    member = in_cone_mask(cone, mm, nn)
-    if not member.any():
+    """The least action in the cone over primitive vectors with max norm
+    <= n_max and action <= cutoff, and the least (m, n) taking it, or None
+    when there is no such vector: brute force by ``enumerate_in_cone``."""
+    m, n, action = enumerate_in_cone(cone, cutoff, n_max)
+    if not action.size:
         return None
-    v = cone.vertex
-    actions = mm[member] * v[0] + nn[member] * v[1]
-    amin = actions.min()
-    ties = np.flatnonzero(actions == amin)
-    cand = sorted((int(mm[member][i]), int(nn[member][i])) for i in ties)
-    return float(amin), cand[0]
+    amin = action.min()
+    ties = action == amin
+    return float(amin), min(zip(m[ties].tolist(), n[ties].tolist()))
 
 
 def _base_candidates(p: MomentProfile) -> list[OrbitDatum]:
@@ -252,12 +210,13 @@ def t_min(
     step.  The result does not depend on the visiting order.
 
     ``oracle`` brute-forces all primitive integer vectors with max-norm
-    <= n_oracle over every cone and raises OracleCutoffInsufficient when
-    larger vectors could still win.  The N vectors are sorted by angle
-    once per n_oracle (``_primitive_vectors``), and each cone checks only
-    its angular slice of them (``_cone_slice``), found by binary search:
-    O(log N + width/2pi * N) per cone instead of O(N), with the same
-    result as a scan of the whole table.
+    <= n_oracle over every corner's cone and raises
+    OracleCutoffInsufficient when larger vectors could still win.  T_min
+    is at most the least axis or segment action, so each cone lists only
+    the vectors with action up to it, by ``lattice.enumerate_in_cone``
+    with its box clipped to the max-norm bound, and keeps the least
+    action, then the least (m, n).  It shares no search with
+    ``min_in_cone``, the descent it checks.
     """
     if method == "fast":
         return _t_min_fast(p)
@@ -266,17 +225,15 @@ def t_min(
     if n_oracle < 1:
         raise ParamOutOfRange(f"oracle cutoff must be at least 1; got {n_oracle}")
     candidates = _base_candidates(p)
+    ceiling = min(o.action for o in candidates)
     cones = [
-        (vi, normal_cone(p, vi))
-        for vi, turn in enumerate(p.normal_turns, start=1)
-        if abs(turn) > 1e-12
+        (vi, normal_cone(p, vi)) for vi in range(1, len(p.vertices) - 1) if _is_corner(p, vi)
     ]
     for vi, cone in cones:
-        got = _cone_candidates_oracle(cone, n_oracle)
-        if got is None:
-            continue
-        action, mn = got
-        candidates.append(OrbitDatum(mn, cone.vertex, action, "vertex", vi))
+        got = _cone_candidates_oracle(cone, ceiling, n_oracle)
+        if got is not None:
+            action, mn = got
+            candidates.append(OrbitDatum(mn, cone.vertex, action, "vertex", vi))
     best = min(o.action for o in candidates)
     # Vectors beyond the cutoff have euclidean norm > n_oracle; over a
     # cone arc shorter than pi the unit-direction action is minimized
@@ -311,7 +268,7 @@ def _t_min_fast(p: MomentProfile) -> tuple[float, OrbitDatum]:
     a, b = p.a_intercept, p.b_intercept
     # The winner so far, as its sort key (action, rank, m, n, index).
     best = min((a, 0, 1, 0, 0), (b, 0, 0, 1, 1))
-    n, turns = p.n_segments, p.normal_turns
+    n = p.n_segments
     bounds = _candidate_bounds(p)
     # The incumbent only falls: nothing bounded above it now is visited.
     live = np.flatnonzero(bounds <= best[0])
@@ -324,7 +281,7 @@ def _t_min_fast(p: MomentProfile) -> tuple[float, OrbitDatum]:
             if got is not None:
                 action, (m1, m2), _ = got
                 best = min(best, (action, 1, m1, m2, k))
-        elif abs(turns[k - n]) > 1e-12:
+        elif _is_corner(p, k - n + 1):
             vi = k - n + 1
             for action, (m1, m2) in min_in_cone(normal_cone(p, vi), best[0])[0]:
                 best = min(best, (action, 2, m1, m2, vi))

@@ -23,6 +23,7 @@ from toricsys.cli import EXIT_INVALID, main
         ("fc-scan --b nan", "fc_domain requires b >= 1; got b = nan"),
         ("fc-scan --b -1", "fc_domain requires b >= 1; got b = -1.0"),
         ("verify-ruelle ball:2 --n 1", "need at least 2 quadrature points per segment; got 1"),
+        ("verify-ruelle ball:2 --n 101", "at most 100 quadrature points per segment; got 101"),
         ("tmin ball:2 --method oracle --oracle-n 0", "oracle cutoff must be at least 1; got 0"),
         ("tmin ball:2 --method oracle --oracle-n -1", "oracle cutoff must be at least 1; got -1"),
     ],

@@ -4,11 +4,9 @@ import random
 import pytest
 
 from toricsys import (
-    BadThresholds,
     NotMonotone,
     ParamOutOfRange,
     ball,
-    criterion_verdict,
     ellipsoid,
     fc_domain,
     from_vertices,
@@ -61,6 +59,11 @@ class TestRuelle:
     def test_quadrature_needs_two_points(self):
         with pytest.raises(ParamOutOfRange, match="got 1"):
             ruelle_quadrature(ball(1), n=1)
+
+    def test_quadrature_takes_at_most_100_points(self):
+        assert ruelle_quadrature(ball(1), n=100) == pytest.approx(2.0, rel=1e-12)
+        with pytest.raises(ParamOutOfRange, match="got 101"):
+            ruelle_quadrature(ball(1), n=101)
 
 
 class TestReport:
@@ -138,27 +141,21 @@ class TestVolGrBound:
 
 
 class TestCriterion:
+    """The criterion product ru * sqrt(sys) against the paper's constants
+    (lower <= 1/2, upper >= 3), with 0.4 and 3 as thresholds."""
+
     def test_wide_polydisk_inconclusive(self):
-        v = criterion_verdict(polydisk(1, 1000), 0.4, 3)
-        assert v.verdict == "Inconclusive"
-        assert v.product == pytest.approx(0.5005, rel=1e-9)
+        prod = report(polydisk(1, 1000)).product
+        assert 0.4 <= prod <= 3
+        assert prod == pytest.approx(0.5005, rel=1e-9)
 
     def test_strangulated_below_lower(self):
         out = surgery.strangulate(ball(2), 0.01)
-        assert criterion_verdict(out.profile, 0.4, 3).verdict == "BelowLower"
+        assert report(out.profile).product < 0.4
 
     def test_strained_above_upper(self):
         out = surgery.strain(ellipsoid(1, 4, 1), 1e-4)
-        assert criterion_verdict(out.profile, 0.4, 3).verdict == "AboveUpper"
-
-    def test_bad_thresholds(self):
-        with pytest.raises(BadThresholds):
-            criterion_verdict(ball(1), 3, 0.5)
-        with pytest.raises(BadThresholds):
-            criterion_verdict(ball(1), 0, 1)
-
-    def test_note_attached(self):
-        assert "thresholds" in criterion_verdict(ball(1)).note
+        assert report(out.profile).product > 3
 
 
 def test_scaling_covariance():

@@ -305,9 +305,11 @@ def test_enumeration_matches_bounding_box(seed):
     p = (random_star_profile if seed % 2 else random_monotone_profile)(rng)
     for cone in _vertex_cones(p):
         cutoff = rng.uniform(0.5, 4) * min(p.a_intercept, p.b_intercept)
-        m, n, action = enumerate_in_cone(cone, cutoff)
-        got = sorted(zip(m.tolist(), n.tolist(), action.tolist()))
-        assert got == sorted(_old_enumerate_cone(cone, cutoff))
+        want = sorted(_old_enumerate_cone(cone, cutoff))
+        for n_max in (None, 1, 7, 200):
+            m, n, action = enumerate_in_cone(cone, cutoff, n_max)
+            got = sorted(zip(m.tolist(), n.tolist(), action.tolist()))
+            assert got == [t for t in want if n_max is None or max(map(abs, t[:2])) <= n_max]
 
 
 def test_enumeration_rejects_nonpositive_boundary_action():

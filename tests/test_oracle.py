@@ -1,12 +1,15 @@
-"""The angle-sorted brute-force oracle against the full-table scan it replaced.
+"""The brute-force T_min oracle against the full-table scan it replaced.
 
 ``_old_primitive_vectors`` and ``_old_cone_candidates_oracle`` are verbatim
-copies (renamed only) of the oracle that ran ``in_cone_mask`` over every
-primitive vector at every vertex cone.  The oracle now scans only the
-cone's angular slice of an angle-sorted table.  On every cone below both
-must return the same (action, (m, n)), compared with ``==``; ``t_min``'s
-oracle must return the same ``(action, OrbitDatum)`` and raise
-``OracleCutoffInsufficient`` in exactly the same cases.
+copies (renamed only) of the oracle's per-cone step when it ran
+``in_cone_mask`` over every primitive vector of max norm <= n_max, and
+``_old_t_min_oracle`` is a verbatim copy of ``t_min``'s oracle branch
+around it.  The oracle now lists each cone's vectors with
+``lattice.enumerate_in_cone``, clipped to that max norm and cut at an
+action cutoff.  On every cone below it must return the old minimum when
+that minimum lies within the cutoff and None otherwise, compared with
+``==``; ``t_min``'s oracle must return the same ``(action, OrbitDatum)``
+and raise ``OracleCutoffInsufficient`` with the same message.
 """
 
 import math
@@ -16,12 +19,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricsys import ball, flatten_near_intercept, strain, strangulate, t_min
+from toricsys import ball, flatten_near_intercept, from_vertices, strain, strangulate, t_min
 from toricsys import reeb
 from toricsys.errors import OracleCutoffInsufficient
 from toricsys.experiments import random_monotone_profile, random_star_profile
-from toricsys.geometry import NormalCone
+from toricsys.geometry import NormalCone, dot, normal_cone
 from toricsys.lattice import in_cone_mask
+from toricsys.reeb import OrbitDatum, _base_candidates
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +58,36 @@ def _old_cone_candidates_oracle(cone, n_max):
     return float(amin), cand[0]
 
 
+def _old_t_min_oracle(p, n_oracle=200):
+    candidates = _base_candidates(p)
+    cones = [
+        (vi, normal_cone(p, vi))
+        for vi, turn in enumerate(p.normal_turns, start=1)
+        if abs(turn) > 1e-12
+    ]
+    for vi, cone in cones:
+        got = _old_cone_candidates_oracle(cone, n_oracle)
+        if got is None:
+            continue
+        action, mn = got
+        candidates.append(OrbitDatum(mn, cone.vertex, action, "vertex", vi))
+    best = min(o.action for o in candidates)
+    # Vectors beyond the cutoff have euclidean norm > n_oracle; over a
+    # cone arc shorter than pi the unit-direction action is minimized
+    # at one of the boundary rays.
+    uncovered = math.inf
+    for _, cone in cones:
+        v = cone.vertex
+        unit_min = min(dot(cone.start, v), dot(cone.end, v))
+        uncovered = min(uncovered, (n_oracle + 1) * unit_min)
+    if uncovered < best * (1 + 1e-9):
+        raise OracleCutoffInsufficient(
+            f"best action {best} not certified: cutoff-{n_oracle} bound is {uncovered}"
+        )
+    winner = min(candidates, key=OrbitDatum.sort_key)
+    return winner.action, winner
+
+
 # ---------------------------------------------------------------------------
 # Cones built directly
 
@@ -64,33 +98,45 @@ def _unit(angle):
     return (math.cos(angle), math.sin(angle))
 
 
-def _cone(start_angle, width, vertex):
+def _vertex(start_angle, width, t, r=1.0):
+    """A vertex with positive action on both boundary rays of the cone from
+    start_angle of the given width: at angle t * (pi - width) / 2 from its
+    bisector (|t| < 1), at distance r.  Profiles produce only such cones."""
+    x, y = _unit(start_angle + width / 2 + t * (math.pi - width) / 2)
+    return (r * x, r * y)
+
+
+def _cone(start_angle, width, t, r=1.0):
+    vertex = _vertex(start_angle, width, t, r)
     return NormalCone(vertex, _unit(start_angle), _unit(start_angle + width), width, True)
 
 
 def _same(cone, n_max):
-    assert reeb._cone_candidates_oracle(cone, n_max) == _old_cone_candidates_oracle(cone, n_max)
-
-
-def test_table_is_sorted_and_complete():
-    for n_max in N_MAX:
-        mm, nn, angle = reeb._primitive_vectors(n_max)
-        old_m, old_n = _old_primitive_vectors(n_max)
-        assert sorted(zip(mm.tolist(), nn.tolist())) == sorted(zip(old_m.tolist(), old_n.tolist()))
-        assert (np.diff(angle) > 0).all()
-        assert np.array_equal(angle, np.arctan2(nn, mm))
-        assert reeb._primitive_vectors(n_max)[0] is mm
+    """The oracle's per-cone step at four cutoffs: half the cone's least
+    unit-direction action, one above every action in the max-norm box,
+    the old minimum itself, and one below it, where the result is None."""
+    v = cone.vertex
+    unit_min = min(dot(cone.start, v), dot(cone.end, v))
+    assert unit_min > 0
+    old = _old_cone_candidates_oracle(cone, n_max)
+    cutoffs = [unit_min / 2, 2 * n_max * (abs(v[0]) + abs(v[1]))]
+    if old is not None:
+        cutoffs += [old[0], old[0] - abs(old[0]) / 2]
+    for cutoff in cutoffs:
+        want = old if old is not None and old[0] <= cutoff * (1 + 1e-12) else None
+        assert reeb._cone_candidates_oracle(cone, cutoff, n_max) == want, (cone, cutoff)
 
 
 @settings(max_examples=120, deadline=None)
 @given(
     start=st.floats(-math.pi, math.pi),
     log_width=st.floats(-12, math.log10(math.pi - 1e-9)),
-    vertex=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+    t=st.floats(-0.9, 0.9),
+    log_r=st.floats(-2, 1),
     n_max=st.sampled_from(N_MAX),
 )
-def test_random_cones(start, log_width, vertex, n_max):
-    _same(_cone(start, min(10**log_width, math.pi - 1e-9), vertex), n_max)
+def test_random_cones(start, log_width, t, log_r, n_max):
+    _same(_cone(start, min(10**log_width, math.pi - 1e-9), t, 10**log_r), n_max)
 
 
 WIDTHS = (1e-12, 1e-9, 2e-9, 1e-7, 2e-7, 1e-4, 0.3, 1.0, math.pi / 2, 3.0, math.pi - 1e-6,
@@ -103,9 +149,9 @@ def test_cones_straddling_pi(width, n_max):
     rng = random.Random(f"straddle {width} {n_max}")
     for _ in range(5):
         start = math.pi - width * rng.uniform(0, 1)
-        vertex = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-        _same(_cone(start, width, vertex), n_max)
-        _same(_cone(start - 2 * math.pi, width, vertex), n_max)
+        t, r = rng.uniform(-0.9, 0.9), rng.uniform(0.2, 2)
+        _same(_cone(start, width, t, r), n_max)
+        _same(_cone(start - 2 * math.pi, width, t, r), n_max)
 
 
 AXES = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
@@ -116,9 +162,11 @@ AXES = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 def test_cones_starting_or_ending_on_an_axis(axis, n_max):
     a = math.atan2(axis[1], axis[0])
     for width in WIDTHS[::2]:
-        for vertex in ((0.7, 1.3), (-1.1, 0.4), (0.2, -0.9)):
-            _same(NormalCone(vertex, axis, _unit(a + width), width, True), n_max)
-            _same(NormalCone(vertex, _unit(a - width), axis, width, True), n_max)
+        for t, r in ((0.0, 1.5), (0.8, 0.4), (-0.8, 0.9)):
+            starts = NormalCone(_vertex(a, width, t, r), axis, _unit(a + width), width, True)
+            ends = NormalCone(_vertex(a - width, width, t, r), _unit(a - width), axis, width, True)
+            _same(starts, n_max)
+            _same(ends, n_max)
 
 
 LATTICE_DIRECTIONS = ((3, 5), (-5, 3), (1, 1), (199, 200), (-7, -2), (200, -1))
@@ -133,36 +181,60 @@ def _direction(m, n):
 @pytest.mark.parametrize("mn", LATTICE_DIRECTIONS, ids=str)
 def test_boundaries_through_lattice_directions(mn, n_max):
     """Boundaries through (m, n)/|(m, n)| and nudged off it by less and more
-    than CONE_TOL: there ``in_cone``'s tolerance decides membership."""
+    than CONE_TOL: there ``in_cone``'s tolerance decides membership.  The
+    vertex leans away from that boundary, so the vectors along it are the
+    cheapest in the cone."""
     a = math.atan2(mn[1], mn[0])
-    vertex = (-mn[0] - 0.5, -mn[1] + 0.25)
     for nudge in (0.0, 5e-10, -5e-10, 2e-9, -2e-9, 1e-7, -1e-7):
         for width in (1e-6, 0.01, 1.0, 3.0):
             edge = a + nudge
-            starts = NormalCone(vertex, _unit(edge), _unit(edge + width), width, True)
-            ends = NormalCone(vertex, _unit(edge - width), _unit(edge), width, True)
-            exact = NormalCone(vertex, _direction(*mn), _unit(a + width), width, True)
+            starts = NormalCone(
+                _vertex(edge, width, 0.8), _unit(edge), _unit(edge + width), width, True
+            )
+            ends = NormalCone(
+                _vertex(edge - width, width, -0.8), _unit(edge - width), _unit(edge), width, True
+            )
+            exact = NormalCone(
+                _vertex(a, width, 0.5), _direction(*mn), _unit(a + width), width, True
+            )
             for cone in (starts, ends, exact):
                 _same(cone, n_max)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, ties",
+    (
+        (0.0, math.pi / 2, [(1, 0), (0, 1)]),
+        (-0.5, math.pi / 2 + 0.5, [(2, -1), (1, 0), (0, 1), (-1, 2)]),
+        (-0.5, math.pi / 2, [(2, -1), (1, 0), (0, 1)]),
+        (0.0, math.pi / 2 + 0.5, [(1, 0), (0, 1), (-1, 2)]),
+    ),
+)
+@pytest.mark.parametrize("n_max", N_MAX)
+def test_ties_go_to_the_least_vector(lo, hi, ties, n_max):
+    """At vertex (1, 1) every vector with m + n = 1 in the cone has action
+    exactly 1: (1, 0) and (0, 1), and (2, -1) and (-1, 2) in the wider
+    cones.  The least (m, n) among those within the max norm wins."""
+    cone = NormalCone((1.0, 1.0), _unit(lo), _unit(hi), hi - lo, True)
+    _same(cone, n_max)
+    want = min(t for t in ties if max(map(abs, t)) <= n_max)
+    assert reeb._cone_candidates_oracle(cone, 1.0, n_max) == (1.0, want)
 
 
 # ---------------------------------------------------------------------------
 # t_min's oracle on profiles
 
 
-def _outcome(p, n_oracle):
+def _outcome(oracle, p, n_oracle):
     try:
-        return t_min(p, method="oracle", n_oracle=n_oracle)
+        return oracle(p, n_oracle)
     except OracleCutoffInsufficient as exc:
         return OracleCutoffInsufficient, str(exc)
 
 
 def _same_t_min(p, n_oracle=200):
-    new = _outcome(p, n_oracle)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reeb, "_cone_candidates_oracle", _old_cone_candidates_oracle)
-        old = _outcome(p, n_oracle)
-    assert new == old
+    new = _outcome(lambda p, n: t_min(p, method="oracle", n_oracle=n), p, n_oracle)
+    assert new == _outcome(_old_t_min_oracle, p, n_oracle)
     return new
 
 
@@ -196,3 +268,25 @@ def test_both_outcomes_are_covered():
     assert certified[1].mn == (-4, 5)
     failed = _same_t_min(strangulate(ball(2), 1e-3).profile)
     assert failed[0] is OracleCutoffInsufficient
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    (
+        [(2.0, 0.0), (1.0, 0.5 + 1e-10), (0.0, 1.0)],
+        [(2.0, 0.0), (1.0, 0.5 - 1e-10), (0.0, 1.0)],
+        [(3.0, 0.0), (1.0, 2 / 3 + 1e-10), (0.0, 1.0)],
+    ),
+)
+def test_far_opposite_vectors_of_a_needle_cone_are_not_listed(vertices):
+    """A vertex a hair off the line through its neighbours has a cone
+    narrower than 2 * CONE_TOL, and ``in_cone`` then also admits the
+    directions opposite it, such as (-1, -2) on the first profile.  The
+    full table found those up to the max norm and returned their negative
+    action; the enumerator's box reaches only one unit past the origin on
+    the far side, so there the oracle agrees with fast ``t_min``: the
+    (0, 1) axis orbit of action 1."""
+    p = from_vertices(vertices)
+    assert _old_t_min_oracle(p)[0] < 0
+    assert t_min(p, method="oracle") == t_min(p)
+    assert t_min(p)[1].mn == (0, 1)
