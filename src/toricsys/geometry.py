@@ -35,6 +35,10 @@ Point = tuple[float, float]
 # Relative tolerance for geometric predicates, scaled by profile diameter.
 TOL_REL = 1e-9
 
+# An interior vertex whose outward normal turns by at most this many
+# radians counts as collinear: it is no corner, whatever the profile's scale.
+COLLINEAR_TURN = 1e-12
+
 # Primitive integer normals with components beyond this cap are treated as
 # irrational: their orbits' actions exceed the axis-orbit bound by orders
 # of magnitude, so they can never realize T_min.
@@ -656,9 +660,9 @@ def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentPr
     both incident segments.  Reflex corners are left sharp.
 
     The arc is sampled into ``arc_points`` sub-segments, each carrying an
-    ``Arc`` tag for exact quadrature.  A corner whose normal turns by at
-    most 1e-12 rad counts as collinear and stays, whatever the profile's
-    scale; so does one whose arc, of length r * turn, is too short to
+    ``Arc`` tag for exact quadrature.  A corner whose normal turns
+    (``normal_turns``) by at most ``COLLINEAR_TURN`` counts as collinear
+    and stays; so does one whose arc, of length r * turn, is too short to
     split into ``arc_points`` chords above the profile's tolerance.
     """
     if r < 0:
@@ -678,18 +682,16 @@ def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentPr
 
     for i in range(1, p.n_segments):
         v = p.vertices[i]
-        d1 = p.segment_direction(i - 1)
-        d2 = p.segment_direction(i)
-        l1, l2 = seg_len[i - 1], seg_len[i]
-        u1 = (d1[0] / l1, d1[1] / l1)
-        u2 = (d2[0] / l2, d2[1] / l2)
-        turn = math.atan2(cross(u1, u2), dot(u1, u2))
-        if turn <= 1e-12 or r * turn <= arc_points * p.tol:
+        turn = p.normal_turns[i - 1]
+        if turn <= COLLINEAR_TURN or r * turn <= arc_points * p.tol:
             # collinear or reflex, or too little turn for arc chords longer
             # than the zero-length tolerance of _validate: keep the vertex
             tags.append(None)
             verts.append(v)
             continue
+        d1 = p.segment_direction(i - 1)
+        l1, l2 = seg_len[i - 1], seg_len[i]
+        u1 = (d1[0] / l1, d1[1] / l1)
         tangent = r * math.tan(turn / 2)
         if tangent > min(l1, l2) / 2 or r > min(l1, l2) / 2:
             raise RadiusTooLarge(

@@ -4,7 +4,7 @@ The normal cone at a vertex v is the arc of outward normals from
 ``cone.start`` counterclockwise to ``cone.end`` (shorter than pi).  The
 closed Reeb orbits at v are the primitive integer vectors (m, n) in it,
 with action f(m, n) = m*v1 + n*v2.  This module owns the membership
-predicate (``in_cone`` and its array form ``in_cone_mask``) and the
+predicate (``in_cone`` and its array form ``in_cone_mask``) and the two
 searches over those vectors:
 
 * ``min_in_cone``: the vectors of least action, by a Stern-Brocot
@@ -14,9 +14,11 @@ searches over those vectors:
 * ``enumerate_in_cone``: every vector with action below a cutoff (and
   optionally max norm below a bound), found line by line across the
   cone's bounding box, in memory proportional to the output; the orbit
-  lists and the brute-force T_min oracle both use it;
-* ``nearest_in_cone``: the small first-quadrant vector closest in angle
-  to a given direction.
+  lists and the brute-force T_min oracle both use it.
+
+The descent serves fast T_min and strangulation's witness (the apex
+cone's least action); the enumerator is the oracle's independent
+reference and shares no search with it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateDenominator
-from .geometry import NormalCone, Point
+from .geometry import NormalCone
 
 # Relative tolerance for cone membership of integer directions.
 CONE_TOL = 1e-9
@@ -340,31 +342,3 @@ def enumerate_in_cone(
     action = m * v0 + n * v1
     keep = (np.gcd(m, n) == 1) & in_cone_mask(cone, m, n) & (action <= limit)
     return m[keep], n[keep], action[keep]
-
-
-# ---------------------------------------------------------------------------
-# Closest direction
-
-def _first_quadrant_primitive(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Primitive (m, n) with 0 <= m, n <= n_max, in (m, n) order."""
-    m, n = np.divmod(np.arange((n_max + 1) ** 2), n_max + 1)
-    keep = np.gcd(m, n) == 1
-    return m[keep], n[keep]
-
-
-_NEAR_M, _NEAR_N = _first_quadrant_primitive(32)
-
-
-def nearest_in_cone(cone: NormalCone, u: Point) -> Optional[Vector]:
-    """The primitive (m, n) with 0 <= m, n <= 32 in the cone whose
-    direction is closest to u (largest cosine, then smallest m*m + n*n,
-    then first in (m, n) order), or None when the cone holds none."""
-    m, n = _NEAR_M, _NEAR_N
-    member = in_cone_mask(cone, m, n)
-    if not member.any():
-        return None
-    r2 = m * m + n * n
-    cos = np.where(member, (m * u[0] + n * u[1]) / np.sqrt(r2), -np.inf)
-    ties = np.flatnonzero(cos == cos.max())
-    j = ties[np.argmin(r2[ties])]
-    return int(m[j]), int(n[j])

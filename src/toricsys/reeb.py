@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateDenominator, OracleCutoffInsufficient, ParamOutOfRange, StepTooLarge
 from .geometry import (
-    RATIONAL_CAP,
+    COLLINEAR_TURN,
     MomentProfile,
     NormalCone,
     Point,
@@ -47,31 +47,28 @@ class OrbitDatum:
         return (self.action, rank, self.mn[0], self.mn[1], self.location_index)
 
 
-def reeb_angular_velocities(p: MomentProfile, point: Point, normal: Point) -> Point:
-    """Angular velocities (Theta1, Theta2) of the Reeb flow over ``point``."""
+def _nu_dot_p(p: MomentProfile, point: Point, normal: Point) -> float:
+    """nu . p, the denominator of the Reeb flow over ``point``; raises
+    DegenerateDenominator unless it exceeds the profile's tolerance."""
     denom = normal[0] * point[0] + normal[1] * point[1]
     if denom <= p.tol:
         raise DegenerateDenominator(f"nu.p = {denom} at {point}")
+    return denom
+
+
+def reeb_angular_velocities(p: MomentProfile, point: Point, normal: Point) -> Point:
+    """Angular velocities (Theta1, Theta2) of the Reeb flow over ``point``."""
+    denom = _nu_dot_p(p, point, normal)
     return (2 * math.pi * normal[0] / denom, 2 * math.pi * normal[1] / denom)
 
 
 def rotation_density(p: MomentProfile, point: Point, normal: Point) -> float:
     """Asymptotic rotation density (nu1 + nu2)/(nu1 w1 + nu2 w2)."""
-    denom = normal[0] * point[0] + normal[1] * point[1]
-    if denom <= p.tol:
-        raise DegenerateDenominator(f"nu.p = {denom} at {point}")
-    return (normal[0] + normal[1]) / denom
+    return (normal[0] + normal[1]) / _nu_dot_p(p, point, normal)
 
 
 # ---------------------------------------------------------------------------
 # Rational normals and segment orbits
-
-
-def primitive_normal(p: MomentProfile, segment_index: int) -> Optional[tuple[int, int]]:
-    """Primitive integer vector parallel to the outward normal of a
-    segment, or None when the reconstruction exceeds RATIONAL_CAP
-    (``MomentProfile.primitive_normal``, computed once per segment)."""
-    return p.primitive_normal(segment_index)
 
 
 def closed_orbit_on_segment(p: MomentProfile, segment_index: int) -> Optional[OrbitDatum]:
@@ -104,10 +101,10 @@ def _segment_orbit(
 
 
 def _is_corner(p: MomentProfile, vertex_index: int) -> bool:
-    """Does the outward normal turn by more than 1e-12 rad at the interior
-    vertex?  Every other vertex counts as collinear: its one normal is
-    that of its incoming segment, and it has no cone to search."""
-    return abs(p.normal_turns[vertex_index - 1]) > 1e-12
+    """Does the outward normal turn by more than ``COLLINEAR_TURN`` at the
+    interior vertex?  Every other vertex counts as collinear: its one
+    normal is that of its incoming segment, and it has no cone to search."""
+    return abs(p.normal_turns[vertex_index - 1]) > COLLINEAR_TURN
 
 
 def orbits_at_vertex(
@@ -128,7 +125,7 @@ def orbits_at_vertex(
     cone = normal_cone(p, vertex_index)
     v = cone.vertex
     if not _is_corner(p, vertex_index):
-        mn = primitive_normal(p, vertex_index - 1)
+        mn = p.primitive_normal(vertex_index - 1)
         if mn is None:
             return []
         action = mn[0] * v[0] + mn[1] * v[1]

@@ -36,7 +36,7 @@ from .geometry import (
     normal_cone,
     ray_hit,
 )
-from .lattice import nearest_in_cone
+from .lattice import min_in_cone
 from . import invariants, reeb
 
 
@@ -78,11 +78,24 @@ def input_t_min(p: MomentProfile) -> float:
     return p.memo("t_min", lambda: reeb.t_min(p)[0])
 
 
+def _clip(step: np.ndarray, room: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of (segments, planes) arrays: the interval [s_in, s_out] of
+    parameters s in [0, 1] with step * s <= room for every plane.  The
+    interval is empty when s_in > s_out; a plane parallel to its segment
+    (step 0) empties it by s_in = inf when the segment lies outside
+    (room < 0) and otherwise leaves it alone."""
+    miss = np.where(room < 0, math.inf, -math.inf)
+    r = np.divide(room, step, out=miss, where=step != 0)
+    s_in = np.where(step <= 0, r, 0.0).max(axis=1, initial=0.0)
+    s_out = np.where(step > 0, r, 1.0).min(axis=1, initial=1.0)
+    return s_in, s_out
+
+
 def _clear_angle(p: MomentProfile, apex: Point, u: Point, hit: Point, box: float) -> float:
     """Least angle to u, seen from the apex, of a boundary point outside
     the box |x - hit| <= box (in each coordinate), or inf if none is.
 
-    Each segment is clipped to the box (Liang-Barsky): what lies outside
+    Each segment is clipped to the box's four planes: what lies outside
     is the piece before its entry parameter and the piece after its exit.
     Along a piece the angle is least at an end, or 0 where the piece
     crosses the forward ray; but that ray lies on the ray from the origin,
@@ -90,14 +103,7 @@ def _clear_angle(p: MomentProfile, apex: Point, u: Point, hit: Point, box: float
     piece outside the box crosses it."""
     a, d = p.xy[:-1], p.directions
     rel = a - hit
-    s_in, s_out = np.zeros(len(a)), np.ones(len(a))
-    for k in (0, 1):
-        for step, room in ((-d[:, k], rel[:, k] + box), (d[:, k], box - rel[:, k])):
-            # step * s <= room; a parallel segment outside its slab misses
-            miss = np.where(room < 0, math.inf, -math.inf)
-            r = np.divide(room, step, out=miss, where=step != 0)
-            s_in = np.where(step <= 0, np.maximum(s_in, r), s_in)
-            s_out = np.where(step > 0, np.minimum(s_out, r), s_out)
+    s_in, s_out = _clip(np.hstack((-d, d)), np.hstack((rel + box, box - rel)))
     missed = s_in > s_out
     s_in[missed] = s_out[missed] = 1.0  # a missed segment is all one piece
     ends = np.concatenate([a, a + s_in[:, None] * d, a + s_out[:, None] * d, p.xy[1:]])
@@ -114,21 +120,16 @@ def _sector_intervals(
     the sector of half-angle theta about u with the given apex, and
     whether that part is non-empty."""
     c, s = math.cos(theta), math.sin(theta)
-    rel = p.xy - apex
-    lo, hi = np.zeros(p.n_segments), np.ones(p.n_segments)
-    empty = np.zeros(p.n_segments, dtype=bool)
+    x, y = (p.xy - apex).T
     right = (c * u[0] + s * u[1], c * u[1] - s * u[0])
     left = (c * u[0] - s * u[1], s * u[0] + c * u[1])
-    for bound, sign in ((right, 1.0), (left, -1.0)):
-        # keep sign * cross(bound, x - apex) >= 0, linear along a segment
-        f = sign * (bound[0] * rel[:, 1] - bound[1] * rel[:, 0])
-        f0, f1 = f[:-1], f[1:]
-        empty |= (f0 < 0) & (f1 < 0)
-        cut = (f0 < 0) != (f1 < 0)
-        at = np.divide(f0, f0 - f1, out=np.zeros_like(f0), where=cut)
-        lo = np.where(cut & (f0 < 0), np.maximum(lo, at), lo)
-        hi = np.where(cut & (f1 < 0), np.minimum(hi, at), hi)
-    return lo, hi, ~(empty | (lo >= hi - 1e-15))
+    # Inside is cross(right, x - apex) >= 0 and cross(left, x - apex) <= 0:
+    # f >= 0 for both columns of f.  Along a segment f0 + s * (f1 - f0) >= 0
+    # is the plane (f0 - f1) * s <= f0.
+    f = np.column_stack((right[0] * y - right[1] * x, left[1] * x - left[0] * y))
+    f0, f1 = f[:-1], f[1:]
+    lo, hi = _clip(f0 - f1, f0)
+    return lo, hi, ~(lo >= hi - 1e-15)
 
 
 def strangulate(
@@ -142,8 +143,9 @@ def strangulate(
     the least angle to the ray of a boundary point outside the box
     (``_clear_angle``), capped at pi/4 and at the angles to both axes.
     Intercepts are untouched, so the closed-form Ruelle invariant is
-    preserved; the apex vertex carries a new short orbit (for the
-    diagonal ray: (1, 1) with action 2*eps).
+    preserved; the apex vertex carries a new short orbit, the witness:
+    the least-action apex orbit (``lattice.min_in_cone``, least (m, n) on
+    ties), <= 2*eps on the diagonal since (1, 1) lies in the cone.
     """
     if not eps > 0:
         raise ParamOutOfRange(f"eps must be positive; got {eps}")
@@ -192,17 +194,13 @@ def strangulate(
     except NotStarShaped as exc:
         raise ClippingBreaksStarShape(str(exc)) from exc
 
-    # Witness orbit: the primitive integer direction in the apex normal
-    # cone closest to the ray.
+    # Witness orbit: the least (action, m, n) in the apex normal cone.
     cone = normal_cone(out, apex_index)
-    mn = nearest_in_cone(cone, u)
+    found, _ = min_in_cone(cone, math.inf)
     witnesses = []
-    if mn is not None:
-        witnesses.append(
-            reeb.OrbitDatum(
-                mn, apex, mn[0] * apex[0] + mn[1] * apex[1], "vertex", apex_index
-            )
-        )
+    if found:
+        action, mn = min(found)
+        witnesses.append(reeb.OrbitDatum(mn, cone.vertex, action, "vertex", apex_index))
 
     vol_in = input_area(p)
     vol_out = invariants.area(out)

@@ -1,10 +1,10 @@
 """Per-profile derived geometry and the vectorised quadratures.
 
 The scalar functions below are the plain per-node loops that `area`,
-`ruelle_quadrature` and `primitive_normal` replace, with each tag's curve
-written out in `math` (`ref_point_deriv`); the library must agree with
-them to 1e-12 relative (summation order differs) and exactly for the
-integer normals.
+`ruelle_quadrature` and `MomentProfile.primitive_normal` replace, with
+each tag's curve written out in `math` (`ref_point_deriv`); the library
+must agree with them to 1e-12 relative (summation order differs) and
+exactly for the integer normals.
 """
 
 import math
@@ -29,9 +29,8 @@ from toricsys import (
     smooth_corners,
 )
 from toricsys.experiments import random_monotone_profile, random_star_profile
-from toricsys.geometry import TOL_REL, _gl_nodes
+from toricsys.geometry import RATIONAL_CAP, TOL_REL, _gl_nodes
 from toricsys.invariants import GL_ORDER, area, gromov_width_monotone, ruelle_quadrature
-from toricsys.reeb import RATIONAL_CAP, primitive_normal
 
 
 def _nodes(order):
@@ -162,7 +161,7 @@ class TestAgainstScalarReference:
         assert _rel(ruelle_quadrature(p, 5), ref_ruelle(p, 5)) <= 1e-12
 
     def test_primitive_normals_exact(self, p):
-        got = [primitive_normal(p, i) for i in range(p.n_segments)]
+        got = [p.primitive_normal(i) for i in range(p.n_segments)]
         assert got == [ref_primitive_normal(p, i) for i in range(p.n_segments)]
 
 

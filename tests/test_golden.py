@@ -13,7 +13,11 @@ bisection to a closed form exact to rounding.  Theta moved by at most
 1.6e-16 (1.4e-12 relative), and with it ``volume_delta_bound``,
 ``volume_delta`` and, at eps = 0.1 on the diagonal, the T_min value and
 witness coordinates (at most 2.2e-12 relative); every (m, n), location,
-flags line and exit code stayed the same.
+flags line and exit code stayed the same.  The same 13 files were
+recaptured again when strangulation's witness became the least-action
+apex orbit (``lattice.min_in_cone``) instead of the small vector closest
+in angle to the ray: exactly their 13 ``witness_orbit`` lines changed,
+each to the same apex with an action no larger.
 
 To recapture after an intended change of output:
 ``python tests/test_golden.py`` (with ``src`` on ``PYTHONPATH``).

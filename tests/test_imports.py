@@ -12,8 +12,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "toricsys"
 
-# Imported only so that the old import path keeps resolving.
-ALLOWED = {("reeb", "RATIONAL_CAP")}
+# (module, name) pairs imported only so that an old import path keeps
+# resolving; none today.
+ALLOWED: set[tuple[str, str]] = set()
 
 
 def unused_imports(source: str) -> list[str]:

@@ -1,10 +1,11 @@
 """The lattice-cone kernel against the searches it replaced.
 
 The functions prefixed ``_old`` are verbatim copies (renamed only) of the
-unit-step Stern-Brocot descent, the bounding-box enumerator and the
-33 x 33 strangulation-witness loop that ``toricsys.lattice`` replaces.
-On every cone below the kernel must give identical candidate lists (same
-actions, vectors and order), the same orbit sets and the same witnesses.
+unit-step Stern-Brocot descent and the bounding-box enumerator that
+``toricsys.lattice`` replaces.  On every cone below the kernel must give
+identical candidate lists (same actions, vectors and order) and the same
+orbit sets.  Strangulation's witness, the least (action, m, n) of the
+descent over the apex cone, is checked against the enumerator.
 """
 
 import math
@@ -27,7 +28,7 @@ from toricsys import (
 )
 from toricsys.errors import DegenerateDenominator, RadiusTooLarge
 from toricsys.experiments import random_monotone_profile, random_star_profile
-from toricsys.geometry import NormalCone, cross, dot
+from toricsys.geometry import NormalCone, cross
 from toricsys import lattice
 from toricsys.lattice import (
     CONE_TOL,
@@ -35,7 +36,6 @@ from toricsys.lattice import (
     in_cone,
     in_cone_mask,
     min_in_cone,
-    nearest_in_cone,
 )
 from toricsys.reeb import _base_candidates
 
@@ -151,21 +151,6 @@ def _old_min_in_cone_fast(cone, incumbent):
         if _old_arcs_intersect(M, R, cone):
             stack.append((M, R))
     return [(a, d) for a, d in found if a <= best]
-
-
-def _old_witness(cone, u):
-    best = None
-    for m in range(0, 33):
-        for n in range(0, 33):
-            if (m, n) == (0, 0) or math.gcd(m, n) != 1:
-                continue
-            if not _old_in_cone(cone, (m, n)):
-                continue
-            c = dot((m, n), u) / math.hypot(m, n)
-            key = (-c, m * m + n * n)
-            if best is None or key < best[0]:
-                best = (key, (m, n))
-    return None if best is None else best[1]
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +324,23 @@ def test_witness_matches_loop(seed):
     rng = random.Random(seed)
     eps = 10 ** rng.uniform(-4, -1)
     ray = rng.uniform(0.2, math.pi / 2 - 0.2)
+    if seed % 3 == 0:
+        ray = math.pi / 4
     u = (math.cos(ray), math.sin(ray))
     out = strangulate(ball(rng.uniform(1, 3)), eps, ray)
-    apex = out.new_orbit_witnesses[0]
-    cone = normal_cone(out.profile, apex.location_index)
-    assert nearest_in_cone(cone, u) == _old_witness(cone, u) == apex.mn
-    # Arbitrary cones and directions, including cones with no vector.
-    for cone in _vertex_cones(random_star_profile(rng)):
-        u = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-        assert nearest_in_cone(cone, u) == _old_witness(cone, u)
+    [witness] = out.new_orbit_witnesses
+    umax = max(u)
+    apex = (eps * (u[0] / umax), eps * (u[1] / umax))
+    assert witness.location_kind == "vertex"
+    assert witness.base_point == out.profile.vertices[witness.location_index] == apex
+    # The least (action, m, n) of every primitive vector in the apex cone
+    # up to the witness's action, listed by the enumerator.
+    cone = normal_cone(out.profile, witness.location_index)
+    m, n, action = enumerate_in_cone(cone, witness.action)
+    assert min(zip(action.tolist(), m.tolist(), n.tolist())) == (witness.action, *witness.mn)
+    if ray == math.pi / 4:
+        # (1, 1) lies in the apex cone, with action 2 * eps.
+        assert witness.action <= 2 * eps * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -3,7 +3,8 @@
 ``_old_rot``, ``_old_sector_interval``, ``_old_point_on`` and
 ``_old_strangulate`` are verbatim copies (renamed only) of the
 strangulation that found the half-angle theta by a 60-step bisection of
-``sector_ok``.  ``strangulate`` now computes theta in closed form.  On
+``sector_ok``, less ``_old_strangulate``'s witness lines (its witness
+search is gone from the library).  ``strangulate`` now computes theta in closed form.  On
 every input below both must give theta within 1e-15 (the bisection's own
 interval and rounding of the angles) and raise the same exception class
 whenever either raises.
@@ -31,11 +32,9 @@ from toricsys.geometry import (
     Point,
     classify,
     cross,
-    normal_cone,
     ray_hit,
 )
-from toricsys.lattice import nearest_in_cone
-from toricsys import invariants, reeb
+from toricsys import invariants
 from toricsys.surgery import StrangulationSpec, SurgeryOutcome, input_area
 
 
@@ -157,7 +156,6 @@ def _old_strangulate(
 
     push(entry)
     push(apex)
-    apex_index = len(verts) - 1
     push(exit_)
     for v in p.vertices[i1 + 1 :]:
         push(v)
@@ -167,25 +165,13 @@ def _old_strangulate(
     except NotStarShaped as exc:
         raise ClippingBreaksStarShape(str(exc)) from exc
 
-    # Witness orbit: the primitive integer direction in the apex normal
-    # cone closest to the ray.
-    cone = normal_cone(out, apex_index)
-    mn = nearest_in_cone(cone, u)
-    witnesses = []
-    if mn is not None:
-        witnesses.append(
-            reeb.OrbitDatum(
-                mn, apex, mn[0] * apex[0] + mn[1] * apex[1], "vertex", apex_index
-            )
-        )
-
     vol_in = input_area(p)
     vol_out = invariants.area(out)
     return SurgeryOutcome(
         profile=out,
         volume_delta=vol_in - vol_out,
         volume_delta_bound=8 * w_star * w_star * theta,
-        new_orbit_witnesses=witnesses,
+        new_orbit_witnesses=[],
         preserved_flags=classify(out),
         spec=StrangulationSpec(eps=eps, ray_angle=ray_angle, theta=theta, w_star=w_star),
     )

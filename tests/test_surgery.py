@@ -17,13 +17,15 @@ from toricsys import (
     fc_domain,
     flatten_near_intercept,
     from_vertices,
+    normal_cone,
     polydisk,
     strain,
     strangulate,
     t_min,
 )
 from toricsys.invariants import area, ruelle_closed_form
-from toricsys.surgery import _sector_intervals
+from toricsys.lattice import in_cone, min_in_cone
+from toricsys.surgery import _clip, _sector_intervals
 
 
 class TestStrangulate:
@@ -40,11 +42,20 @@ class TestStrangulate:
         assert out.volume_delta > 0  # a sector was actually removed
 
     def test_witness_orbit_diagonal(self):
+        # The least-action apex orbit: (1, 1) lies in the apex cone with
+        # action 2 * eps; (-4, 5) and (-3, 4) tie below it, and the least
+        # (m, n) is taken.
         out = strangulate(ball(2), 0.1)
-        w = out.new_orbit_witnesses[0]
-        assert w.mn == (1, 1)
-        assert w.action == pytest.approx(0.2, rel=1e-12)
-        assert w.base_point == pytest.approx((0.1, 0.1))
+        [w] = out.new_orbit_witnesses
+        assert (w.location_kind, w.base_point) == ("vertex", (0.1, 0.09999999999999999))
+        assert w.base_point == out.profile.vertices[w.location_index]
+        cone = normal_cone(out.profile, w.location_index)
+        assert in_cone(cone, (1, 1))
+        assert w.action <= 0.2 * (1 + 1e-12)
+        assert w.mn == (-4, 5)
+        assert w.action == pytest.approx(0.1, rel=1e-12)
+        ties = [(w.action, (-4, 5)), (w.action, (-3, 4))]
+        assert sorted(min_in_cone(cone, math.inf)[0]) == ties
 
     def test_short_orbit_created(self):
         for eps in (0.2, 0.05):
@@ -113,6 +124,16 @@ class TestStrangulate:
                         assert self._reach(p, apex, u, hit, wider) > box + slack
                     checked += 1
         assert checked == 5 * 3 * 7 - 3  # ellipsoid(1, 4, 1) fails at eps = 1e-4
+
+    def test_clip_parallel_planes(self):
+        # Rows: a plane parallel to the segment with the segment outside,
+        # the same plane with it inside, and two cuts from either side.
+        step = np.array([[0.0, 2.0], [0.0, 2.0], [-4.0, 2.0]])
+        room = np.array([[-1.0, 1.0], [1.0, 1.0], [-1.0, 1.0]])
+        s_in, s_out = _clip(step, room)
+        assert s_in[0] > s_out[0]
+        assert (s_in[1], s_out[1]) == (0.0, 0.5)
+        assert (s_in[2], s_out[2]) == (0.25, 0.5)
 
 
 class TestFlatten:
