@@ -67,15 +67,14 @@ class SweepRecord:
 
 @dataclass
 class RunConfig:
-    # Read by nothing; kept while bench/workloads.py still passes it.
+    """The inputs of ``run_sweep``: the surgery ``op`` applied to
+    ``profile`` at each epsilon of ``eps_grid``.  ``command`` is read by
+    nothing; it stays while ``bench/workloads.py`` passes it."""
+
+    profile: MomentProfile
+    op: str
+    eps_grid: tuple[float, ...]
     command: str = ""
-    profile: Optional[MomentProfile] = None
-    op: str = "strangulate"
-    eps_grid: tuple[float, ...] = ()
-    csv_path: Optional[str] = None
-    svg_path: Optional[str] = None
-    seed: int = 0
-    corpus_size: int = 100
 
 
 def _sweep_one(
@@ -117,7 +116,8 @@ def _sweep_one(
 
 def run_sweep(config: RunConfig) -> list[SweepRecord]:
     """One record per epsilon, sorted descending; per-epsilon surgery
-    errors are recorded in-row rather than raised."""
+    errors are recorded in-row rather than raised.  Writes no file: see
+    ``write_sweep_csv`` and ``emit_sweep_svg``."""
     p = config.profile
     grid = sorted(config.eps_grid, reverse=True)
     records = []
@@ -129,10 +129,6 @@ def run_sweep(config: RunConfig) -> list[SweepRecord]:
             records.append(_sweep_one(config.op, p, eps, vol_in, tmin_in))
         except ToricError as exc:
             records.append(SweepRecord(eps=eps, error=f"{type(exc).__name__}: {exc}"))
-    if config.csv_path:
-        write_sweep_csv(records, config.csv_path)
-    if config.svg_path:
-        emit_sweep_svg(records, config.svg_path)
     return records
 
 
@@ -213,14 +209,13 @@ def random_convex_monotone_profile(rng: random.Random) -> MomentProfile:
             return p
 
 
-def run_corpus_bounds(config: RunConfig) -> dict:
+def run_corpus_bounds(seed: int, n: int) -> dict:
     """Evaluate the criterion product over seeded random corpora.
 
     Monotone corpus: product should stay >= 1/2.  Convex corpus: product
     should stay <= 3.  Violations are reported as findings, not raised.
     """
-    rng = random.Random(config.seed)
-    n = config.corpus_size
+    rng = random.Random(seed)
     if n < 1:
         raise ParamOutOfRange(f"corpus size must be at least 1; got {n}")
     mono = [random_monotone_profile(rng) for _ in range(n)]
@@ -236,7 +231,7 @@ def run_corpus_bounds(config: RunConfig) -> dict:
             violations.append(("convex", i, prod))
     return {
         "n": n,
-        "seed": config.seed,
+        "seed": seed,
         "monotone_min_product": min(mono_products),
         "monotone_max_product": max(mono_products),
         "convex_min_product": min(conv_products),
@@ -249,15 +244,16 @@ def run_corpus_bounds(config: RunConfig) -> dict:
 # Extremal convex family scan
 
 
-def run_fc_scan(b: float, grid, n_samples: int = 16) -> dict:
-    """Per-c records of Gromov width / volume over the extremal family,
-    with quadrature area cross-checked against the closed form."""
+def run_fc_scan(b: float, grid) -> dict:
+    """Per-c records of Gromov width / volume over the extremal family
+    (16 segments per domain), with quadrature area cross-checked against
+    the closed form."""
     lo = fc_c_min(b)
     if not grid:
         raise ParamOutOfRange("the c grid is empty")
     records = []
     for c in grid:
-        p = fc_domain(b, c, n=n_samples)
+        p = fc_domain(b, c, n=16)
         vol_quad = invariants.area(p)
         vol_closed = invariants.vol_fc(b, c)
         c_gr = invariants.gromov_width_monotone(p)

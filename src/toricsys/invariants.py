@@ -21,23 +21,27 @@ from . import reeb
 GL_ORDER = 8
 
 
-def area(p: MomentProfile, gl_order: int = GL_ORDER) -> float:
+def _straight(p: MomentProfile) -> np.ndarray:
+    straight = np.ones(p.n_segments, dtype=bool)
+    straight[p.tagged] = False
+    return straight
+
+
+def area(p: MomentProfile) -> float:
     """Area between the profile and the axes: shoelace on straight
     segments, Gauss-Legendre on the tagged curves."""
     xy = p.xy
     doubled = xy[:-1, 0] * xy[1:, 1] - xy[:-1, 1] * xy[1:, 0]
-    straight = np.ones(p.n_segments, dtype=bool)
-    straight[p.tagged] = False
-    total = doubled[straight].sum()
+    total = doubled[_straight(p)].sum()
     if p.tagged.size:
-        _, weights = _gl_nodes(gl_order)
-        pt, dv = p.curve_samples(gl_order)
+        _, weights = _gl_nodes(GL_ORDER)
+        pt, dv = p.curve_samples(GL_ORDER)
         total += (weights * (pt[..., 0] * dv[..., 1] - pt[..., 1] * dv[..., 0])).sum()
     return float(0.5 * total)
 
 
-def contact_volume(p: MomentProfile, gl_order: int = GL_ORDER) -> float:
-    return 2 * area(p, gl_order)
+def contact_volume(p: MomentProfile) -> float:
+    return 2 * area(p)
 
 
 def ruelle_closed_form(p: MomentProfile) -> float:
@@ -45,43 +49,40 @@ def ruelle_closed_form(p: MomentProfile) -> float:
 
 
 def ruelle_quadrature(p: MomentProfile, n: int = GL_ORDER) -> float:
-    """Composite quadrature of the rotation-density line integral
-    rho(w) (w1 dw2 - w2 dw1) along the profile, n Gauss-Legendre points
-    per segment, 2 <= n <= 100 (numpy's ``leggauss`` is tested only up to
-    degree 100).
+    """The rotation-density line integral rho(w) (w1 dw2 - w2 dw1) along
+    the profile.
 
     On a straight segment with vector d = (dw1, dw2) the integrand is
-    constant, (nu1 + nu2) * cross(w, d) / (nu . w) = dw2 - dw1, so over
-    a polygon the quadrature telescopes to a + b at any order and agrees
-    with ``ruelle_closed_form`` up to rounding.  It is an independent
-    check of the closed form only on tagged (curved) pieces."""
+    constant, (nu1 + nu2) * cross(w, d) / (nu . w) = dw2 - dw1, so those
+    segments are summed in closed form and, over a polygon, the result
+    telescopes to a + b.  Tagged (curved) pieces take n Gauss-Legendre
+    points each, 2 <= n <= 100 (numpy's ``leggauss`` is tested only up to
+    degree 100); only there is this an independent check of
+    ``ruelle_closed_form``.  On a validated straight segment
+    nu . w = cross(a, b) / |b - a| > 0, so nu . w is checked at the tag
+    nodes only."""
     if n < 2:
         raise ParamOutOfRange(f"need at least 2 quadrature points per segment; got {n}")
     if n > 100:
         raise ParamOutOfRange(f"at most 100 quadrature points per segment; got {n}")
-    nodes, weights = _gl_nodes(n)
-    # nu.w, nu1 + nu2 and cross(w, w') at every node of every segment, as
-    # (segments, n) arrays: along the chord on straight segments, from the
-    # shared curve samples on tagged ones.
-    a, d, nu = p.xy[:-1], p.directions, p.normals
-    x = a[:, :1] + nodes * d[:, :1]
-    y = a[:, 1:] + nodes * d[:, 1:]
-    denom = nu[:, :1] * x + nu[:, 1:] * y
-    crs = x * d[:, 1:] - y * d[:, :1]
-    nsum = np.repeat((nu[:, 0] + nu[:, 1])[:, None], n, axis=1)
+    d = p.directions[_straight(p)]
+    total = (d[:, 1] - d[:, 0]).sum()
     if p.tagged.size:
-        cpt, cdv = p.curve_samples(n)
-        speed = np.hypot(cdv[..., 0], cdv[..., 1])
-        nu1, nu2 = cdv[..., 1] / speed, -cdv[..., 0] / speed
-        denom[p.tagged] = nu1 * cpt[..., 0] + nu2 * cpt[..., 1]
-        crs[p.tagged] = cpt[..., 0] * cdv[..., 1] - cpt[..., 1] * cdv[..., 0]
-        nsum[p.tagged] = nu1 + nu2
-    bad = ~(denom > p.tol)
-    if bad.any():
-        i = int(bad.any(axis=1).argmax())
-        j = int(bad[i].argmax())
-        raise DegenerateDenominator(f"nu.w = {float(denom[i, j])} on segment {i}")
-    return float((weights * (nsum / denom) * crs).sum())
+        _, weights = _gl_nodes(n)
+        pt, dv = p.curve_samples(n)
+        speed = np.hypot(dv[..., 0], dv[..., 1])
+        nu1, nu2 = dv[..., 1] / speed, -dv[..., 0] / speed
+        denom = nu1 * pt[..., 0] + nu2 * pt[..., 1]
+        bad = ~(denom > p.tol)
+        if bad.any():
+            i = int(bad.any(axis=1).argmax())
+            j = int(bad[i].argmax())
+            raise DegenerateDenominator(
+                f"nu.w = {float(denom[i, j])} on segment {int(p.tagged[i])}"
+            )
+        crs = pt[..., 0] * dv[..., 1] - pt[..., 1] * dv[..., 0]
+        total += (weights * ((nu1 + nu2) / denom) * crs).sum()
+    return float(total)
 
 
 @dataclass(frozen=True)

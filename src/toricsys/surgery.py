@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -246,7 +245,7 @@ def flatten_near_intercept(p: MomentProfile, radius: float) -> tuple[MomentProfi
     return MomentProfile(verts, tags), k
 
 
-def strain(p: MomentProfile, eps: float, k: Optional[float] = None) -> SurgeryOutcome:
+def strain(p: MomentProfile, eps: float) -> SurgeryOutcome:
     """Glue the thin triangular spike with vertices (0,0), (w*(eps), eps),
     (1/sqrt(eps), 0) onto the profile; the (0,0) corner is interior, so
     the boundary gains the spike tip and a new w1-intercept 1/sqrt(eps).
@@ -268,11 +267,7 @@ def strain(p: MomentProfile, eps: float, k: Optional[float] = None) -> SurgeryOu
     d = (v1[0] - a, v1[1])
     if abs(d[0]) <= p.tol:
         raise NotFlattened("first segment is vertical; slope is not finite")
-    k_seg = d[1] / d[0]
-    if k is None:
-        k = k_seg
-    if k == 0:
-        raise ParamOutOfRange("slope k must be nonzero")
+    k = d[1] / d[0]
     if eps > v1[1] + p.tol:
         raise EpsTooLargeForNeighborhood(
             f"eps {eps} exceeds the flattened height {v1[1]}"

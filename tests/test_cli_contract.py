@@ -1,8 +1,15 @@
-"""Invalid CLI input exits 2 with a typed error, never 0 or a traceback."""
+"""Invalid CLI input exits 2 with a typed error, never 0 or a traceback;
+a closed output pipe exits 141 without a word."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from toricsys.cli import EXIT_INVALID, main
+import toricsys
+from toricsys.cli import EXIT_INVALID, EXIT_PIPE, main
 
 
 @pytest.mark.parametrize(
@@ -26,6 +33,7 @@ from toricsys.cli import EXIT_INVALID, main
         ("verify-ruelle ball:2 --n 101", "at most 100 quadrature points per segment; got 101"),
         ("tmin ball:2 --method oracle --oracle-n 0", "oracle cutoff must be at least 1; got 0"),
         ("tmin ball:2 --method oracle --oracle-n -1", "oracle cutoff must be at least 1; got -1"),
+        ("tmin ball:2 --oracle-n 5", "--oracle-n is read only with --method oracle"),
     ],
 )
 def test_invalid_input_is_a_typed_error(argv, says, capsys):
@@ -33,6 +41,11 @@ def test_invalid_input_is_a_typed_error(argv, says, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: ParamOutOfRange: {says}\n"
+
+
+def test_empty_grid_is_not_ignored(capsys):
+    assert main(["fc-scan", "--b", "2", "--grid", ""]) == EXIT_INVALID
+    assert capsys.readouterr().err == "error: ParamOutOfRange: the c grid is empty\n"
 
 
 @pytest.mark.parametrize(
@@ -86,3 +99,41 @@ def test_whole_counts_pass_and_nan_radii_fail(argv, error, capsys):
         assert (code, err) == (0, "")
     else:
         assert code == EXIT_INVALID and err.startswith(f"error: {error}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["fc-scan --b 2 --grid 0.7 --grid-n 5", "fc-scan --b 2 --grid 0.7 --grid-n 20"],
+)
+def test_grid_and_grid_n_are_exclusive(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--grid-n: not allowed with argument --grid" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        # the reader takes one line of a long witness list
+        ("strain ball:2 --flatten 0.1 --eps 1e-4", 1),
+        # the reader is gone before the short report is flushed
+        ("invariants ball:2", 0),
+    ],
+)
+def test_closed_pipe_exits_141_quietly(argv, lines):
+    env = {**os.environ, "PYTHONPATH": str(Path(toricsys.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered, as a shell pipe is by default
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toricsys.cli", *argv.split()],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    for _ in range(lines):
+        assert proc.stdout.readline().endswith(b"\n")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_PIPE
+    assert err == b""

@@ -242,7 +242,6 @@ class TestComputeOnce:
         report(p)
         report(q)
         assert calls[2:] == [(SquaredSegment, GL_ORDER), (Arc, GL_ORDER)]
-        area(p, 5)
         ruelle_quadrature(p, 5)
         report(p)
         assert calls[4:] == [(SquaredSegment, 5)]

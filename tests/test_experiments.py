@@ -19,9 +19,11 @@ from toricsys import (
 from toricsys import cli, experiments, profile_io
 from toricsys.experiments import (
     RunConfig,
+    emit_sweep_svg,
     run_corpus_bounds,
     run_fc_scan,
     run_sweep,
+    write_sweep_csv,
 )
 
 
@@ -29,11 +31,10 @@ class TestSweep:
     def test_strangulation_records(self, tmp_path):
         csv = tmp_path / "s.csv"
         svg = tmp_path / "s.svg"
-        cfg = RunConfig(
-            profile=ball(2), op="strangulate", eps_grid=(0.1, 0.2),
-            csv_path=str(csv), svg_path=str(svg),
-        )
+        cfg = RunConfig(profile=ball(2), op="strangulate", eps_grid=(0.1, 0.2))
         recs = run_sweep(cfg)
+        write_sweep_csv(recs, csv)
+        emit_sweep_svg(recs, svg)
         assert [r.eps for r in recs] == [0.2, 0.1]  # sorted descending
         for r in recs:
             assert r.error == ""
@@ -79,8 +80,9 @@ class TestSweep:
 
     def test_empty_grid(self, tmp_path):
         csv = tmp_path / "empty.csv"
-        cfg = RunConfig(profile=ball(2), op="strangulate", eps_grid=(), csv_path=str(csv))
+        cfg = RunConfig(profile=ball(2), op="strangulate", eps_grid=())
         assert run_sweep(cfg) == []
+        write_sweep_csv([], csv)
         lines = csv.read_text().splitlines()
         assert lines[0] == "#schema=1" and len(lines) == 2
 
@@ -88,22 +90,22 @@ class TestSweep:
         paths = []
         for name in ("a.csv", "b.csv"):
             path = tmp_path / name
-            run_sweep(RunConfig(profile=ball(2), op="strangulate",
-                                eps_grid=(0.05, 0.1), csv_path=str(path)))
+            recs = run_sweep(RunConfig(profile=ball(2), op="strangulate", eps_grid=(0.05, 0.1)))
+            write_sweep_csv(recs, path)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
 
 class TestCorpusBounds:
     def test_bounds_hold(self):
-        s = run_corpus_bounds(RunConfig(seed=1, corpus_size=20))
+        s = run_corpus_bounds(1, 20)
         assert s["violations"] == []
         assert s["monotone_min_product"] >= 0.5 - 1e-9
         assert s["convex_max_product"] <= 3 + 1e-9
 
     def test_seed_determinism(self):
-        a = run_corpus_bounds(RunConfig(seed=2, corpus_size=10))
-        b = run_corpus_bounds(RunConfig(seed=2, corpus_size=10))
+        a = run_corpus_bounds(2, 10)
+        b = run_corpus_bounds(2, 10)
         assert a == b
 
     def test_polydisk_product_sequence(self):

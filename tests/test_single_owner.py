@@ -287,6 +287,9 @@ def _subparsers():
 
 
 class TestCliFlags:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
     def test_exact_option_sets(self):
         got = {
             name: {
