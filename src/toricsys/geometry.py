@@ -13,6 +13,8 @@ the region under the profile equals the 4D symplectic volume.
 from __future__ import annotations
 
 import math
+import operator
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import cache, cached_property
@@ -56,6 +58,10 @@ def dot(u: Point, v: Point) -> float:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+# ``tagged`` of every profile without tags.
+_UNTAGGED = _read_only(np.empty(0, dtype=np.intp))
 
 
 @cache
@@ -160,21 +166,34 @@ Tag = Union[Arc, SquaredSegment]
 TAG_KINDS: dict[str, type] = {cls.kind: cls for cls in (Arc, SquaredSegment)}
 
 
+class _ColumnTags(tuple):
+    """A family builder's tags, handed to ``MomentProfile`` together with
+    their ``_stacked_tags`` built from the same arrays, so that the profile
+    need not rebuild the columns from each tag's ``numbers()``."""
+
+    def __new__(cls, tags, stacked: list):
+        self = super().__new__(cls, tags)
+        self.stacked = stacked
+        return self
+
+
 @dataclass(frozen=True)
 class MomentProfile:
     """Closure of the positive-quadrant boundary arc, (a,0) -> (0,b).
 
-    Valid by construction: the coordinates are converted to float and
-    checked by ``_validate`` (finite coordinates, axis endpoints, star
-    shape, no zero-length segment), axis endpoints within tolerance are
-    snapped onto the axes, and a non-empty ``tags`` must hold one entry
-    per segment, each tag's curve starting and ending at its segment's
-    vertices.
+    Valid by construction: the vertices are read once into an (n + 1, 2)
+    float array and checked by ``_validate`` in one numpy pass (finite
+    coordinates, axis endpoints, star shape, no zero-length segment), axis
+    endpoints within tolerance are snapped onto the axes, and a non-empty
+    ``tags`` must hold one entry per segment, each tag's curve starting and
+    ending at its segment's vertices.  The checked array is kept as the
+    read-only ``xy``, with the ``diameter`` (largest coordinate) and ``tol``
+    the checks used; ``vertices`` is rebuilt from it as float pairs.
 
     Derived geometry is computed on first use and then cached on the
-    instance: ``diameter`` and ``tol``; the read-only arrays ``xy``
-    (vertices), ``directions`` and ``normals`` (per segment) and
-    ``tagged`` (indices of tagged segments); ``normal_turns`` at the
+    instance: the read-only arrays ``directions`` and ``normals`` (per
+    segment) and ``tagged`` (indices of tagged segments, set on
+    construction when there are no tags); ``normal_turns`` at the
     interior vertices; the primitive integer normal of each segment
     (``primitive_normal``, memoised per segment, so that a caller that
     needs only a few segments, like ``reeb.t_min``, pays only for those;
@@ -190,13 +209,25 @@ class MomentProfile:
     tags: tuple[Optional[Tag], ...] = ()
     family: str = "custom"
     params: tuple[tuple[str, float], ...] = ()
+    # Set on construction from ``_validate``.
+    xy: np.ndarray = field(init=False, repr=False, compare=False)
+    diameter: float = field(init=False, repr=False, compare=False)
+    tol: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        verts = _validate(tuple((float(x), float(y)) for x, y in self.vertices))
-        object.__setattr__(self, "vertices", verts)
-        if self.tags and len(self.tags) != len(verts) - 1:
+        xy, diameter = _validate(self.vertices)
+        # Frozen: the fields are set in the instance dict directly.
+        self.__dict__.update(
+            vertices=tuple(zip(*xy.T.tolist())), xy=xy, diameter=diameter, tol=TOL_REL * diameter
+        )
+        if isinstance(self.tags, _ColumnTags):
+            self.__dict__.update(_stacked_tags=self.tags.stacked, tags=tuple(self.tags))
+        if not self.tags:
+            self.__dict__["tagged"] = _UNTAGGED
+            return
+        if len(self.tags) != len(xy) - 1:
             raise ParamOutOfRange(
-                f"{len(self.tags)} tags for a profile with {len(verts) - 1} segments"
+                f"{len(self.tags)} tags for a profile with {len(xy) - 1} segments"
             )
         if len(self.tagged):
             self._check_tag_ends()
@@ -231,20 +262,6 @@ class MomentProfile:
         return len(self.vertices) - 1
 
     @cached_property
-    def diameter(self) -> float:
-        lo, hi = self.xy.min(axis=0), self.xy.max(axis=0)
-        return max(*(hi - lo).tolist(), *hi.tolist())
-
-    @cached_property
-    def tol(self) -> float:
-        return TOL_REL * self.diameter
-
-    @cached_property
-    def xy(self) -> np.ndarray:
-        """Vertices as an (n + 1, 2) array."""
-        return _read_only(np.array(self.vertices, dtype=float).reshape(-1, 2))
-
-    @cached_property
     def directions(self) -> np.ndarray:
         """Segment vectors (end minus start) as an (n, 2) array."""
         return _read_only(np.diff(self.xy, axis=0))
@@ -260,7 +277,7 @@ class MomentProfile:
         d = self.directions
         # math.hypot, not np.hypot: the two differ in the last bit for
         # some inputs, and cone and flag decisions compare these values.
-        length = np.array([math.hypot(d1, d2) for d1, d2 in d.tolist()])
+        length = np.array(list(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist())))
         return _read_only(np.column_stack((d[:, 1], -d[:, 0])) / length.reshape(-1, 1))
 
     @cached_property
@@ -363,48 +380,90 @@ class MomentProfile:
         """All vertex coordinates (and tag curves) multiplied by s > 0."""
         if s <= 0:
             raise ParamOutOfRange("scale factor must be positive")
-        verts = tuple((s * x, s * y) for x, y in self.vertices)
         tags = tuple(t and t.scaled(s) for t in self.tags)
-        return MomentProfile(verts, tags, family="custom")
+        with _quiet():
+            xy = s * self.xy
+            if len(self.tagged):
+                stacked = [(rows, st.scaled(s)) for rows, st in self._stacked_tags]
+                tags = _ColumnTags(tags, stacked)
+        return MomentProfile(xy, tags, family="custom")
 
 
-def _validate(vertices: tuple[Point, ...]) -> tuple[Point, ...]:
-    """Check the profile invariants, snapping axis endpoints exactly.
+def _quiet(needed: bool = True):
+    """numpy arithmetic that turns overflow and inf * 0 into inf and nan
+    without a warning, as Python float arithmetic does; a no-op unless
+    ``needed``, since entering ``np.errstate`` costs about 2 µs."""
+    return np.errstate(over="ignore", invalid="ignore") if needed else nullcontext()
 
-    Returns the (possibly snapped) vertex tuple or raises.
+
+def _validate(vertices) -> tuple[np.ndarray, float]:
+    """Check the profile invariants in one numpy pass, snapping axis
+    endpoints exactly.
+
+    The vertices are read once into an (n + 1, 2) float array.  Returns
+    that array, snapped and read-only, and the diameter max |coordinate|
+    that scales the tolerance, or raises at the first violation in this
+    order: input that is not (w1, w2) pairs of real numbers, fewer than two
+    vertices, the first non-finite vertex, the first vertex off the
+    positive w1-axis, the last off the positive w2-axis, the first interior
+    vertex on an axis, and then segments in path order, a zero-length
+    segment before a star-shape violation at the same index.
     """
-    if len(vertices) < 2:
+    try:
+        xy = np.array(vertices, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParamOutOfRange(f"vertices must be (w1, w2) pairs of real numbers: {exc}") from None
+    if xy.shape[1:] != (2,) and xy.shape != (0,):
+        raise ParamOutOfRange(f"vertices must be (w1, w2) pairs; got an array of shape {xy.shape}")
+    if len(xy) < 2:
         raise AxisViolation("a profile needs at least two vertices")
-    for i, (x, y) in enumerate(vertices):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ParamOutOfRange(f"vertex {i} at {(x, y)} is not finite")
-    diam = max(max(abs(x), abs(y)) for x, y in vertices)
+    # Masks are searched with argmax, the first True (and the first nan of
+    # a float array), which numpy runs without the overhead of any()/max().
+    size = np.abs(xy)
+    diam = size.item(size.argmax())
+    if not diam < math.inf:
+        # numpy reads None as nan: name it as float() would have.
+        for x, y in vertices:
+            if x is None or y is None:
+                raise ParamOutOfRange(f"vertices must be (w1, w2) pairs of real numbers: {(x, y)}")
+        i = int((~np.isfinite(xy)).any(axis=1).argmax())
+        raise ParamOutOfRange(f"vertex {i} at {tuple(xy[i].tolist())} is not finite")
     tol = TOL_REL * diam
 
-    first, last = vertices[0], vertices[-1]
-    if abs(first[1]) > tol or first[0] <= tol:
-        raise AxisViolation(f"first vertex {first} must lie on the positive w1-axis")
-    if abs(last[0]) > tol or last[1] <= tol:
-        raise AxisViolation(f"last vertex {last} must lie on the positive w2-axis")
-    verts = list(vertices)
-    verts[0] = (first[0], 0.0)
-    verts[-1] = (0.0, last[1])
+    (x0, y0), (xn, yn) = xy[0].tolist(), xy[-1].tolist()
+    if abs(y0) > tol or x0 <= tol:
+        raise AxisViolation(f"first vertex {(x0, y0)} must lie on the positive w1-axis")
+    if abs(xn) > tol or yn <= tol:
+        raise AxisViolation(f"last vertex {(xn, yn)} must lie on the positive w2-axis")
+    xy[0, 1] = xy[-1, 0] = 0.0
 
-    for i, (x, y) in enumerate(verts[1:-1], start=1):
-        if x <= tol or y <= tol:
-            raise AxisViolation(f"interior vertex {i} at {(x, y)} touches an axis")
+    on_axis = xy[1:-1] <= tol
+    if len(on_axis) and on_axis.item(k := on_axis.argmax()):
+        i = k // 2 + 1
+        raise AxisViolation(f"interior vertex {i} at {tuple(xy[i].tolist())} touches an axis")
 
-    for i in range(len(verts) - 1):
-        p, q = verts[i], verts[i + 1]
-        if math.hypot(q[0] - p[0], q[1] - p[1]) <= tol:
-            raise SelfIntersection(f"zero-length segment at index {i}")
-        # cross(p, q) equals (nu . p)|q - p| on the segment; positivity is
-        # simultaneously the strictly-increasing-polar-angle condition and
-        # the transversality of rays from the origin.
-        if cross(p, q) <= tol * diam:
-            raise NotStarShaped(i)
-
-    return tuple(verts)
+    # cross(p, q) equals (nu . p)|q - p| on the segment; positivity is
+    # simultaneously the strictly-increasing-polar-angle condition and
+    # the transversality of rays from the origin.  It is also
+    # cross(p, q - p), so on a zero-length segment (math.hypot <= tol, so
+    # both |dq| <= tol) it is at most 2 diam tol, up to a rounding far below
+    # diam tol: the segments whose cross is at most 3 diam tol hold every
+    # violation of either check, and only they are checked one by one.
+    # That bound needs products of coordinates in the normal float range;
+    # for coordinates beyond 1e-140 .. 1e140 every segment is checked.
+    if 1e-140 < diam < 1e140:
+        pq = xy[:-1] * xy[1:, ::-1]
+        near = pq[:, 0] - pq[:, 1] <= 3 * tol * diam
+    else:
+        near = np.ones(len(xy) - 1, dtype=bool)
+    if near.item(near.argmax()):
+        for i in np.flatnonzero(near).tolist():
+            p, q = xy[i : i + 2].tolist()
+            if math.hypot(q[0] - p[0], q[1] - p[1]) <= tol:
+                raise SelfIntersection(f"zero-length segment at index {i}")
+            if cross(p, q) <= tol * diam:
+                raise NotStarShaped(i)
+    return _read_only(xy), diam
 
 
 def from_vertices(points) -> MomentProfile:
@@ -418,9 +477,10 @@ def ellipsoid(a: float, b: float, n: int = 1) -> MomentProfile:
         raise ParamOutOfRange("ellipsoid requires a, b > 0")
     if n < 1:
         raise ParamOutOfRange("ellipsoid requires n >= 1")
-    verts = tuple(
-        (a * (1 - i / n), b * (i / n)) for i in range(n + 1)
-    )
+    t = np.arange(operator.index(n) + 1) / n
+    verts = np.empty((len(t), 2))
+    with _quiet(math.isinf(a) or math.isinf(b)):
+        verts[:, 0], verts[:, 1] = a * (1 - t), b * t
     return MomentProfile(verts, family="ellipsoid", params=(("a", a), ("b", b), ("n", n)))
 
 
@@ -463,28 +523,28 @@ def fc_domain(b: float, c: float, n: int = 8) -> MomentProfile:
     s3 = math.sqrt(c / (1 - c))
     s1, sb = math.sqrt((b - c) / c), math.sqrt(b)
 
-    verts: list[Point] = []
-    tags: list[Optional[Tag]] = []
-
-    def piece(mus: list[Point]):
-        for mu0, mu1 in zip(mus, mus[1:]):
-            verts.append((mu0[0] * mu0[0], mu0[1] * mu0[1]))
-            tags.append(SquaredSegment(mu0, mu1))
-
     # Path runs from (1, 0) toward (0, b): traverse piece 3 with mu1
     # decreasing from 1 to c, then the straight piece, then piece 1 with
     # mu1 decreasing from sqrt(w_break1) to 0.
-    piece([(m, s3 * (1 - m)) for m in (1 - (1 - c) * i / n for i in range(n + 1))])
-    mid_degenerate = w_break2 - w_break1 <= 1e-12 * max(1.0, b)
-    if not mid_degenerate:
-        verts.append((w_break2, c - w_break2))
-        tags.append(None)  # straight piece w2 = c - w1
-    mu_hi = math.sqrt(w_break1)
-    piece([(m, sb - s1 * m) for m in (mu_hi * (1 - i / n) for i in range(n + 1))])
-    verts.append((0.0, b))
-
+    i = np.arange(operator.index(n) + 1)
+    m3 = 1 - (1 - c) * i / n
+    m1 = math.sqrt(w_break1) * (1 - i / n)
+    mus = [np.column_stack((m3, s3 * (1 - m3))), np.column_stack((m1, sb - s1 * m1))]
+    # Start and end of each tagged segment, piece 3's then piece 1's.
+    mu0 = np.concatenate([mu[:-1] for mu in mus])
+    mu1 = np.concatenate([mu[1:] for mu in mus])
+    tags: list[Optional[Tag]] = list(
+        map(SquaredSegment, zip(*mu0.T.tolist()), zip(*mu1.T.tolist()))
+    )
+    starts = mu0 * mu0
+    pieces = [starts[:n], starts[n:], [(0.0, b)]]
+    if not w_break2 - w_break1 <= 1e-12 * max(1.0, b):
+        pieces.insert(1, [(w_break2, c - w_break2)])
+        tags.insert(n, None)  # straight piece w2 = c - w1
+    stacked = [(np.arange(2 * n), SquaredSegment.from_numbers(np.hstack((mu0, mu1)).T[..., None]))]
     return MomentProfile(
-        tuple(verts), tuple(tags), family="fc", params=(("b", b), ("c", c), ("n", n))
+        np.concatenate(pieces), _ColumnTags(tags, stacked),
+        family="fc", params=(("b", b), ("c", c), ("n", n)),
     )
 
 
@@ -671,27 +731,24 @@ def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentPr
         raise ParamOutOfRange(f"arc_points must be at least 1; got {arc_points}")
     if r == 0:
         return p
-    if any(t is not None for t in p.tags):
+    if len(p.tagged):
         raise ParamOutOfRange("smooth_corners expects a purely polygonal profile")
 
-    seg_len = [
-        math.hypot(*(p.segment_direction(i))) for i in range(p.n_segments)
-    ]
-    verts: list[Point] = [p.vertices[0]]
-    tags: list[Optional[Tag]] = []
-
-    for i in range(1, p.n_segments):
-        v = p.vertices[i]
-        turn = p.normal_turns[i - 1]
-        if turn <= COLLINEAR_TURN or r * turn <= arc_points * p.tol:
-            # collinear or reflex, or too little turn for arc chords longer
-            # than the zero-length tolerance of _validate: keep the vertex
-            tags.append(None)
-            verts.append(v)
-            continue
-        d1 = p.segment_direction(i - 1)
-        l1, l2 = seg_len[i - 1], seg_len[i]
-        u1 = (d1[0] / l1, d1[1] / l1)
+    m = arc_points
+    turns = np.array(p.normal_turns)
+    # Collinear or reflex corners, and those with too little turn for arc
+    # chords longer than the zero-length tolerance of _validate, stay.
+    with _quiet():
+        stay = (turns <= COLLINEAR_TURN) | (r * turns <= m * p.tol)
+    rounded = (np.flatnonzero(~stay) + 1).tolist()
+    if not rounded:
+        return MomentProfile(p.xy, (None,) * p.n_segments, family="custom")
+    t1s, centers, ang0s, corner_turns = [], [], [], []
+    for i in rounded:
+        (x, y), turn = p.vertices[i], p.normal_turns[i - 1]
+        (d1x, d1y), d2 = p.directions[i - 1 : i + 1].tolist()
+        l1, l2 = math.hypot(d1x, d1y), math.hypot(*d2)
+        u1 = (d1x / l1, d1y / l1)
         tangent = r * math.tan(turn / 2)
         if tangent > min(l1, l2) / 2 or r > min(l1, l2) / 2:
             raise RadiusTooLarge(
@@ -699,22 +756,43 @@ def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentPr
             )
         # Arc center: offset from the tangent point on the incoming segment
         # along its inward normal (the left-hand side of the traversal).
-        t1 = (v[0] - tangent * u1[0], v[1] - tangent * u1[1])
+        t1 = (x - tangent * u1[0], y - tangent * u1[1])
         left1 = (-u1[1], u1[0])
         center = (t1[0] + r * left1[0], t1[1] + r * left1[1])
-        ang0 = math.atan2(t1[1] - center[1], t1[0] - center[0])
-        # Normal rotates CCW by `turn` across a convex corner.
-        tags.append(None)
-        verts.append(t1)
-        for j in range(arc_points):
-            a0 = ang0 + turn * j / arc_points
-            a1 = ang0 + turn * (j + 1) / arc_points
-            verts.append((center[0] + r * math.cos(a1), center[1] + r * math.sin(a1)))
-            tags.append(Arc(center, r, a0, a1))
-    tags.append(None)
-    verts.append(p.vertices[-1])
+        t1s.append(t1)
+        centers.append(center)
+        ang0s.append(math.atan2(t1[1] - center[1], t1[0] - center[0]))
+        corner_turns.append(turn)
+
+    # Each of the k rounded corners becomes its tangent point t1 and m arc
+    # points; the normal rotates CCW by `turn` across it, and angles[j, s]
+    # is where the s-th arc of corner j starts.
+    k = len(rounded)
+    angles = np.reshape(ang0s, (k, 1)) + np.reshape(corner_turns, (k, 1)) * np.arange(m + 1) / m
+    cx, cy = np.reshape(centers, (k, 2, 1)).transpose(1, 0, 2)
+    blocks = np.empty((k, m + 1, 2))
+    blocks[:, 0] = np.reshape(t1s, (k, 2))
+    blocks[:, 1:, 0] = cx + r * np.cos(angles[:, 1:])
+    blocks[:, 1:, 1] = cy + r * np.sin(angles[:, 1:])
+    pieces, start = [], 0
+    for i, block in zip(rounded, blocks):
+        pieces += [p.xy[start:i], block]
+        start = i + 1
+    pieces.append(p.xy[start:])
+    verts = np.concatenate(pieces)
+
+    # Corner j's t1 replaces vertex rounded[j] after j earlier corners grew
+    # by m vertices each; its m arcs are the segments that follow.
+    a0, a1 = angles[:, :-1].ravel(), angles[:, 1:].ravel()
+    arc_centers = [c for c in centers for _ in range(m)]
+    arcs = list(map(Arc, arc_centers, [r] * len(a0), a0.tolist(), a1.tolist()))
+    tags: list[Optional[Tag]] = [None] * (len(verts) - 1)
+    for j, i in enumerate(rounded):
+        tags[i + j * m : i + (j + 1) * m] = arcs[j * m : (j + 1) * m]
+    columns = np.array([cx.repeat(m), cy.repeat(m), np.full(len(a0), r), a0, a1])
+    stacked = [(np.arange(len(arcs)), Arc.from_numbers(columns[..., None]))]
 
     try:
-        return MomentProfile(tuple(verts), tuple(tags), family="custom")
+        return MomentProfile(verts, _ColumnTags(tags, stacked), family="custom")
     except NotStarShaped as exc:
         raise SmoothingBreaksStarShape(str(exc)) from exc

@@ -28,6 +28,7 @@ from toricsys import (
     report,
     smooth_corners,
 )
+from toricsys import geometry
 from toricsys.experiments import random_monotone_profile, random_star_profile
 from toricsys.geometry import RATIONAL_CAP, TOL_REL, _gl_nodes
 from toricsys.invariants import GL_ORDER, area, gromov_width_monotone, ruelle_quadrature
@@ -212,19 +213,20 @@ class TestDegenerateDenominator:
 
 class TestComputeOnce:
     def test_report_computes_diameter_once(self, monkeypatch):
-        prop = MomentProfile.__dict__["diameter"]
-        real = prop.func
+        # The diameter is computed by ``_validate``, once per construction.
+        real = geometry._validate
         calls = []
 
-        def counting(self):
-            calls.append(self)
-            return real(self)
+        def counting(vertices):
+            calls.append(vertices)
+            return real(vertices)
 
-        monkeypatch.setattr(prop, "func", counting)
+        monkeypatch.setattr(geometry, "_validate", counting)
         p = ellipsoid(1, 4, 2000)
         rep = report(p)
         assert rep.ruelle_quadrature == pytest.approx(5, rel=1e-12)
-        assert len(calls) <= 1
+        assert len(calls) == 1  # the construction; report validates nothing
+        assert p.diameter == 4 and p.tol == TOL_REL * 4
 
     def test_curves_sampled_once_per_order(self, monkeypatch):
         calls = []

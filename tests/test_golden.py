@@ -17,7 +17,11 @@ flags line and exit code stayed the same.  The same 13 files were
 recaptured again when strangulation's witness became the least-action
 apex orbit (``lattice.min_in_cone``) instead of the small vector closest
 in angle to the ray: exactly their 13 ``witness_orbit`` lines changed,
-each to the same apex with an action no larger.
+each to the same apex with an action no larger.  The four cases on large
+family constructors (``invariants_fc_256``, ``classify_ellipsoid_512``,
+``invariants_ellipsoid_512`` and ``strangulate_fc_64``) were captured
+before the constructors and ``_validate`` moved from per-vertex Python to
+numpy arrays, and hold that move to the same bytes.
 
 To recapture after an intended change of output:
 ``python tests/test_golden.py`` (with ``src`` on ``PYTHONPATH``).
@@ -59,6 +63,13 @@ CASES = {
     },
     "strain_ball": [["strain", "ball:2", "--flatten", "0.1", "--eps", "1e-2"]],
     "strain_ellipsoid": [["strain", "ellipsoid:1,4,1", "--eps", "1e-2"]],
+    "invariants_fc_256": [["invariants", "fc:2,0.7,256"]],
+    "classify_ellipsoid_512": [["classify", "ellipsoid:1.5,2.5,512"]],
+    "invariants_ellipsoid_512": [["invariants", "ellipsoid:1,3,512"]],
+    "strangulate_fc_64": [
+        ["strangulate", "fc:2,0.7,64", "--eps", "1e-2", "--out", OUT],
+        ["invariants", OUT],
+    ],
 }
 
 
