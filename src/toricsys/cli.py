@@ -77,6 +77,17 @@ def command(name, *flags):
     return register
 
 
+def _grid(text: str, flag: str, what: str) -> tuple[float, ...]:
+    """The numbers of a comma-separated grid flag, of which there must be one."""
+    try:
+        grid = tuple(float(x) for x in text.split(",") if x)
+    except ValueError:
+        raise ParamOutOfRange(f"{flag} takes comma-separated numbers; got {text!r}") from None
+    if not grid:
+        raise ParamOutOfRange(f"the {what} grid is empty ({flag})")
+    return grid
+
+
 PROFILE = _flag("profile")
 EPS = _flag("--eps", type=float, required=True)
 CSV = _flag("--csv", help="write CSV output to this path")
@@ -177,7 +188,7 @@ def _strain(args, p) -> int:
          _flag("--profile", required=True),
          _flag("--eps-grid", required=True, help="comma-separated epsilons"), CSV, SVG)
 def _sweep(args, p) -> int:
-    grid = tuple(float(x) for x in args.eps_grid.split(",") if x)
+    grid = _grid(args.eps_grid, "--eps-grid", "eps")
     records = experiments.run_sweep(experiments.RunConfig(profile=p, op=args.op, eps_grid=grid))
     if args.csv:
         experiments.write_sweep_csv(records, args.csv)
@@ -209,7 +220,7 @@ def _fc_scan(args, p) -> int:
     lo = fc_c_min(args.b)
     n = 20 if args.grid_n is None else args.grid_n
     if args.grid is not None:
-        grid = [float(x) for x in args.grid.split(",") if x]
+        grid = _grid(args.grid, "--grid", "c")
     elif n < 2:
         raise ParamOutOfRange(f"--grid-n must be at least 2; got {n}")
     else:

@@ -11,7 +11,6 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -77,11 +76,10 @@ class RunConfig:
     command: str = ""
 
 
-def _sweep_one(
-    op: str, p: MomentProfile, eps: float, vol_in: float, tmin_in: Optional[float]
-) -> SweepRecord:
-    """One sweep point; ``vol_in`` is the area of ``p`` and ``tmin_in`` its
-    T_min (needed for strain only), both computed once per profile."""
+def _sweep_one(op: str, p: MomentProfile, eps: float) -> SweepRecord:
+    """One sweep point.  The input's area (``invariants.area``) and T_min
+    (``surgery.input_t_min``) are computed once per profile."""
+    vol_in = invariants.area(p)
     if op == "strangulate":
         out = surgery.strangulate(p, eps)
         rep = invariants.report(out.profile)
@@ -95,7 +93,7 @@ def _sweep_one(
         # Lower bound for the product: T_min(in)/(6 sqrt(eps) Vol(in)),
         # from Ru >= 1/sqrt(eps), T_min(out) >= T_min(in)/2 and
         # Vol(out) <= (3/2) Vol(in) for eps below the flatness window.
-        bound = tmin_in / (6 * math.sqrt(eps) * vol_in)
+        bound = surgery.input_t_min(p) / (6 * math.sqrt(eps) * vol_in)
         holds = rep.product >= bound - 1e-9
     else:
         raise ParamOutOfRange(f"unknown sweep op {op!r}")
@@ -118,15 +116,10 @@ def run_sweep(config: RunConfig) -> list[SweepRecord]:
     """One record per epsilon, sorted descending; per-epsilon surgery
     errors are recorded in-row rather than raised.  Writes no file: see
     ``write_sweep_csv`` and ``emit_sweep_svg``."""
-    p = config.profile
-    grid = sorted(config.eps_grid, reverse=True)
     records = []
-    if grid:
-        vol_in = surgery.input_area(p)
-        tmin_in = surgery.input_t_min(p) if config.op == "strain" else None
-    for eps in grid:
+    for eps in sorted(config.eps_grid, reverse=True):
         try:
-            records.append(_sweep_one(config.op, p, eps, vol_in, tmin_in))
+            records.append(_sweep_one(config.op, config.profile, eps))
         except ToricError as exc:
             records.append(SweepRecord(eps=eps, error=f"{type(exc).__name__}: {exc}"))
     return records

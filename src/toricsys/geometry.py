@@ -188,18 +188,21 @@ class MomentProfile:
     ``tags`` must hold one entry per segment, each tag's curve starting and
     ending at its segment's vertices.  The checked array is kept as the
     read-only ``xy``, with the ``diameter`` (largest coordinate) and ``tol``
-    the checks used; ``vertices`` is rebuilt from it as float pairs.
+    the checks used and the segment measures they compared, read-only:
+    ``directions`` (end minus start), their ``lengths`` and the
+    ``cross_products`` x0 y1 - y0 x1 of the segments' ends.  ``vertices``
+    is rebuilt from ``xy`` as float pairs.
 
     Derived geometry is computed on first use and then cached on the
-    instance: the read-only arrays ``directions`` and ``normals`` (per
-    segment) and ``tagged`` (indices of tagged segments, set on
-    construction when there are no tags); ``normal_turns`` at the
-    interior vertices; the primitive integer normal of each segment
-    (``primitive_normal``, memoised per segment, so that a caller that
-    needs only a few segments, like ``reeb.t_min``, pays only for those;
-    ``primitive_normals`` lists all of them); the tag samples at the
-    Gauss-Legendre nodes of each order (``curve_samples``); and the
-    results callers store with ``memo``.
+    instance: the read-only arrays ``normals`` (per segment) and
+    ``tagged`` (indices of tagged segments, set on construction when there
+    are no tags); ``normal_turns`` at the interior vertices; the primitive
+    integer normal of each segment (``primitive_normal``, memoised per
+    segment, so that a caller that needs only a few segments, like
+    ``reeb.t_min``, pays only for those; ``primitive_normals`` lists all of
+    them); the tag samples at the Gauss-Legendre nodes of each order
+    (``curve_samples``); and the whole-profile results their owners store
+    with ``memo``: ``classify`` and ``invariants.area``.
     Every cache assumes the instance never changes, so a profile must not
     be mutated (not even through ``object.__setattr__``); build a new one
     instead.
@@ -213,12 +216,16 @@ class MomentProfile:
     xy: np.ndarray = field(init=False, repr=False, compare=False)
     diameter: float = field(init=False, repr=False, compare=False)
     tol: float = field(init=False, repr=False, compare=False)
+    directions: np.ndarray = field(init=False, repr=False, compare=False)
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    cross_products: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        xy, diameter = _validate(self.vertices)
+        xy, diameter, *measures = _validate(self.vertices)
         # Frozen: the fields are set in the instance dict directly.
         self.__dict__.update(
-            vertices=tuple(zip(*xy.T.tolist())), xy=xy, diameter=diameter, tol=TOL_REL * diameter
+            zip(("directions", "lengths", "cross_products"), measures),
+            vertices=tuple(zip(*xy.T.tolist())), xy=xy, diameter=diameter, tol=TOL_REL * diameter,
         )
         if isinstance(self.tags, _ColumnTags):
             self.__dict__.update(_stacked_tags=self.tags.stacked, tags=tuple(self.tags))
@@ -262,23 +269,15 @@ class MomentProfile:
         return len(self.vertices) - 1
 
     @cached_property
-    def directions(self) -> np.ndarray:
-        """Segment vectors (end minus start) as an (n, 2) array."""
-        return _read_only(np.diff(self.xy, axis=0))
-
-    @cached_property
     def normals(self) -> np.ndarray:
         """Unit outward segment normals as an (n, 2) array.
 
         The path runs counterclockwise around the region (polar angle
         increasing), so the outward normal of direction (d1, d2) is
-        (d2, -d1) normalized.
+        (d2, -d1) divided by its length.
         """
         d = self.directions
-        # math.hypot, not np.hypot: the two differ in the last bit for
-        # some inputs, and cone and flag decisions compare these values.
-        length = np.array(list(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist())))
-        return _read_only(np.column_stack((d[:, 1], -d[:, 0])) / length.reshape(-1, 1))
+        return _read_only(np.column_stack((d[:, 1], -d[:, 0])) / self.lengths[:, None])
 
     @cached_property
     def normal_turns(self) -> tuple[float, ...]:
@@ -323,8 +322,8 @@ class MomentProfile:
 
     def memo(self, key: str, compute: Callable[[], object]):
         """``compute()``, evaluated once per profile instance and key.  For
-        whole-profile results that several callers need, such as the
-        input's area and T_min in a surgery sweep."""
+        whole-profile results that several callers need: ``classify``,
+        ``invariants.area`` and a surgery input's T_min."""
         memo = self._memo
         if key not in memo:
             memo[key] = compute()
@@ -365,13 +364,12 @@ class MomentProfile:
         return self.vertices[i], self.vertices[i + 1]
 
     def segment_direction(self, i: int) -> Point:
-        (x0, y0), (x1, y1) = self.segment(i)
-        return (x1 - x0, y1 - y0)
+        """Segment i's vector, end minus start (a row of ``directions``)."""
+        return tuple(self.directions[i].tolist())
 
     def segment_normal(self, i: int) -> Point:
         """Unit outward normal of segment i (a row of ``normals``)."""
-        n1, n2 = self.normals[i].tolist()
-        return (n1, n2)
+        return tuple(self.normals[i].tolist())
 
     def tag(self, i: int) -> Optional[Tag]:
         return self.tags[i] if self.tags else None
@@ -396,18 +394,19 @@ def _quiet(needed: bool = True):
     return np.errstate(over="ignore", invalid="ignore") if needed else nullcontext()
 
 
-def _validate(vertices) -> tuple[np.ndarray, float]:
-    """Check the profile invariants in one numpy pass, snapping axis
-    endpoints exactly.
+def _validate(vertices) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray]:
+    """Check the profile invariants in one numpy pass that measures every
+    segment, snapping axis endpoints exactly.
 
     The vertices are read once into an (n + 1, 2) float array.  Returns
-    that array, snapped and read-only, and the diameter max |coordinate|
-    that scales the tolerance, or raises at the first violation in this
-    order: input that is not (w1, w2) pairs of real numbers, fewer than two
-    vertices, the first non-finite vertex, the first vertex off the
-    positive w1-axis, the last off the positive w2-axis, the first interior
-    vertex on an axis, and then segments in path order, a zero-length
-    segment before a star-shape violation at the same index.
+    that array, snapped, the diameter max |coordinate| that scales the
+    tolerance, and the segments' directions, lengths and cross products
+    x0 y1 - y0 x1 (arrays read-only), or raises at the first violation in
+    this order: input that is not (w1, w2) pairs of real numbers, fewer
+    than two vertices, the first non-finite vertex, the first vertex off
+    the positive w1-axis, the last off the positive w2-axis, the first
+    interior vertex on an axis, and then segments in path order, a
+    zero-length segment before a star-shape violation at the same index.
     """
     try:
         xy = np.array(vertices, dtype=float)
@@ -442,28 +441,24 @@ def _validate(vertices) -> tuple[np.ndarray, float]:
         i = k // 2 + 1
         raise AxisViolation(f"interior vertex {i} at {tuple(xy[i].tolist())} touches an axis")
 
+    # math.hypot, not np.hypot: the two differ in the last bit for some
+    # inputs, and cone and flag decisions compare the normals built on it.
+    d = np.diff(xy, axis=0)
+    length = np.array(list(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist())))
     # cross(p, q) equals (nu . p)|q - p| on the segment; positivity is
     # simultaneously the strictly-increasing-polar-angle condition and
-    # the transversality of rays from the origin.  It is also
-    # cross(p, q - p), so on a zero-length segment (math.hypot <= tol, so
-    # both |dq| <= tol) it is at most 2 diam tol, up to a rounding far below
-    # diam tol: the segments whose cross is at most 3 diam tol hold every
-    # violation of either check, and only they are checked one by one.
-    # That bound needs products of coordinates in the normal float range;
-    # for coordinates beyond 1e-140 .. 1e140 every segment is checked.
-    if 1e-140 < diam < 1e140:
+    # the transversality of rays from the origin.  The coordinates lie in
+    # [0, diam], so only products beyond diam^2 overflow (to inf, and
+    # inf - inf to nan, which passes as in Python float arithmetic).
+    with _quiet(math.isinf(diam * diam)):
         pq = xy[:-1] * xy[1:, ::-1]
-        near = pq[:, 0] - pq[:, 1] <= 3 * tol * diam
-    else:
-        near = np.ones(len(xy) - 1, dtype=bool)
-    if near.item(near.argmax()):
-        for i in np.flatnonzero(near).tolist():
-            p, q = xy[i : i + 2].tolist()
-            if math.hypot(q[0] - p[0], q[1] - p[1]) <= tol:
-                raise SelfIntersection(f"zero-length segment at index {i}")
-            if cross(p, q) <= tol * diam:
-                raise NotStarShaped(i)
-    return _read_only(xy), diam
+        crs = pq[:, 0] - pq[:, 1]
+    bad = (length <= tol) | (crs <= tol * diam)
+    if bad.item(i := int(bad.argmax())):
+        if length.item(i) <= tol:
+            raise SelfIntersection(f"zero-length segment at index {i}")
+        raise NotStarShaped(i)
+    return _read_only(xy), diam, _read_only(d), _read_only(length), _read_only(crs)
 
 
 def from_vertices(points) -> MomentProfile:
@@ -498,9 +493,10 @@ def ball(c: float, n: int = 1) -> MomentProfile:
 
 
 def fc_c_min(b: float) -> float:
-    """The least c of the extremal family with parameter b >= 1: b/(1+b)."""
-    if not b >= 1:
-        raise ParamOutOfRange(f"fc_domain requires b >= 1; got b = {b}")
+    """The least c of the extremal family with parameter 1 <= b < inf: b/(1+b)."""
+    if not 1 <= b < math.inf:
+        need = "a finite b" if b >= 1 else "b >= 1"
+        raise ParamOutOfRange(f"fc_domain requires {need}; got b = {b}")
     return b / (1 + b)
 
 
@@ -571,9 +567,7 @@ def ray_hit(p: MomentProfile, u: Point) -> tuple[float, float, int]:
     """Where the ray t*u (t > 0) from the origin crosses the profile
     polyline: the ray parameter t, the parameter s in [0, 1] along the
     crossed segment, and that segment's index (the first in path order)."""
-    for i in range(p.n_segments):
-        a, b = p.segment(i)
-        d = (b[0] - a[0], b[1] - a[1])
+    for i, (a, d) in enumerate(zip(p.vertices, p.directions.tolist())):
         denom = cross(u, d)
         if abs(denom) < 1e-300:
             continue
@@ -654,6 +648,12 @@ def endpoint_cone(p: MomentProfile, which: str) -> NormalCone:
 
 
 def classify(p: MomentProfile) -> Classification:
+    """The profile's monotonicity and 4D-convexity flags, computed once per
+    profile (``MomentProfile.memo``) and shared by every caller."""
+    return p.memo("classify", lambda: _classify(p))
+
+
+def _classify(p: MomentProfile) -> Classification:
     witnesses: dict = {}
     nu = p.normals
     decreasing = (nu < -TOL_REL).any(axis=1)
@@ -746,8 +746,8 @@ def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentPr
     t1s, centers, ang0s, corner_turns = [], [], [], []
     for i in rounded:
         (x, y), turn = p.vertices[i], p.normal_turns[i - 1]
-        (d1x, d1y), d2 = p.directions[i - 1 : i + 1].tolist()
-        l1, l2 = math.hypot(d1x, d1y), math.hypot(*d2)
+        d1x, d1y = p.directions[i - 1].tolist()
+        l1, l2 = p.lengths[i - 1 : i + 1].tolist()
         u1 = (d1x / l1, d1y / l1)
         tangent = r * math.tan(turn / 2)
         if tangent > min(l1, l2) / 2 or r > min(l1, l2) / 2:

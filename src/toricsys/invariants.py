@@ -29,10 +29,13 @@ def _straight(p: MomentProfile) -> np.ndarray:
 
 def area(p: MomentProfile) -> float:
     """Area between the profile and the axes: shoelace on straight
-    segments, Gauss-Legendre on the tagged curves."""
-    xy = p.xy
-    doubled = xy[:-1, 0] * xy[1:, 1] - xy[:-1, 1] * xy[1:, 0]
-    total = doubled[_straight(p)].sum()
+    segments (their ``cross_products``), Gauss-Legendre on the tagged
+    curves; computed once per profile (``MomentProfile.memo``)."""
+    return p.memo("area", lambda: _area(p))
+
+
+def _area(p: MomentProfile) -> float:
+    total = p.cross_products[_straight(p)].sum()
     if p.tagged.size:
         _, weights = _gl_nodes(GL_ORDER)
         pt, dv = p.curve_samples(GL_ORDER)

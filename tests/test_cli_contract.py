@@ -25,10 +25,16 @@ from toricsys.cli import EXIT_INVALID, EXIT_PIPE, main
         ("invariants ball:nan", "ball takes finite numbers; got 'nan'"),
         ("classify polydisk:1,inf", "polydisk takes finite numbers; got '1,inf'"),
         ("fc-scan --b 2 --grid-n 1", "--grid-n must be at least 2; got 1"),
-        ("fc-scan --b 2 --grid ,", "the c grid is empty"),
+        ("fc-scan --b 2 --grid ,", "the c grid is empty (--grid)"),
+        ("fc-scan --b 2 --grid x", "--grid takes comma-separated numbers; got 'x'"),
+        ("fc-scan --b 2 --grid 0.7,x", "--grid takes comma-separated numbers; got '0.7,x'"),
+        ("sweep --op strangulate --profile ball:2 --eps-grid ,", "the eps grid is empty (--eps-grid)"),
+        ("sweep --op strain --profile ball:2 --eps-grid abc",
+         "--eps-grid takes comma-separated numbers; got 'abc'"),
         ("orbits ball:2 --cutoff nan", "action cutoff must be finite; got nan"),
         ("fc-scan --b nan", "fc_domain requires b >= 1; got b = nan"),
         ("fc-scan --b -1", "fc_domain requires b >= 1; got b = -1.0"),
+        ("fc-scan --b inf", "fc_domain requires a finite b; got b = inf"),
         ("verify-ruelle ball:2 --n 1", "need at least 2 quadrature points per segment; got 1"),
         ("verify-ruelle ball:2 --n 101", "at most 100 quadrature points per segment; got 101"),
         ("tmin ball:2 --method oracle --oracle-n 0", "oracle cutoff must be at least 1; got 0"),
@@ -45,7 +51,7 @@ def test_invalid_input_is_a_typed_error(argv, says, capsys):
 
 def test_empty_grid_is_not_ignored(capsys):
     assert main(["fc-scan", "--b", "2", "--grid", ""]) == EXIT_INVALID
-    assert capsys.readouterr().err == "error: ParamOutOfRange: the c grid is empty\n"
+    assert capsys.readouterr().err == "error: ParamOutOfRange: the c grid is empty (--grid)\n"
 
 
 @pytest.mark.parametrize(

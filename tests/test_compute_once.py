@@ -9,8 +9,10 @@ exactly for the integer normals.
 
 import math
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from toricsys import (
     MomentProfile,
     ParamOutOfRange,
     SquaredSegment,
+    ball,
     classify,
     ellipsoid,
     fc_domain,
@@ -28,8 +31,15 @@ from toricsys import (
     report,
     smooth_corners,
 )
-from toricsys import geometry
-from toricsys.experiments import random_monotone_profile, random_star_profile
+from toricsys import geometry, invariants, reeb
+from toricsys.cli import resolve_profile
+from toricsys.experiments import (
+    RunConfig,
+    random_monotone_profile,
+    random_star_profile,
+    run_sweep,
+)
+from toricsys.surgery import flatten_near_intercept, strain, strangulate
 from toricsys.geometry import RATIONAL_CAP, TOL_REL, _gl_nodes
 from toricsys.invariants import GL_ORDER, area, gromov_width_monotone, ruelle_quadrature
 
@@ -259,3 +269,121 @@ class TestComputeOnce:
         for arr in (p.xy, p.directions, p.normals, p.tagged, *p.curve_samples(4)):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+
+# ---------------------------------------------------------------------------
+# Whole-profile results computed once, by their owners
+
+
+def _count_computations(monkeypatch):
+    """Per kind, the profiles whose classification and area are computed:
+    the functions behind the caches of ``classify`` and ``area`` are
+    wrapped, not the public names."""
+    seen = {"classify": [], "area": []}
+    for module, name, kind in ((geometry, "_classify", "classify"), (invariants, "_area", "area")):
+
+        def counted(p, real=getattr(module, name), calls=seen[kind]):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+def _ids(profiles):
+    return list(map(id, profiles))
+
+
+def _per_profile(calls):
+    """How often each profile was computed; the list keeps the profiles
+    alive, so their ids stay distinct."""
+    return list(Counter(map(id, calls)).values())
+
+
+class TestWholeProfileCaches:
+    def test_corpus_item(self, monkeypatch):
+        rng = random.Random(7)
+        # Rebuilt, since the monotone generator classifies its profile.
+        drawn = [random_monotone_profile(rng), random_star_profile(rng)]
+        seen = _count_computations(monkeypatch)
+        profiles = [MomentProfile(q.vertices) for q in drawn] + [fc_domain(2, 0.7, 8)]
+        for p in profiles:
+            if classify(p).monotone:
+                gromov_width_monotone(p)
+            assert report(p).classification is classify(p)
+        assert _ids(seen["classify"]) == _ids(seen["area"]) == _ids(profiles)
+
+    def test_dense_item(self, monkeypatch):
+        seen = _count_computations(monkeypatch)
+        profiles = [smooth_corners(polydisk(1, 2), 0.2, 64), ellipsoid(1, 4, 512), fc_domain(2, 0.7, 256)]
+        for p in profiles:
+            classify(p)
+            report(p)
+        assert _ids(seen["classify"]) == _ids(seen["area"]) == _ids(profiles)
+
+    @pytest.mark.parametrize("ray", [0.3, math.pi / 4, 1.2])
+    def test_strangulate_then_report(self, monkeypatch, ray):
+        p = ball(2)
+        seen = _count_computations(monkeypatch)
+        out = strangulate(p, 1e-2, ray)
+        rep = report(out.profile)
+        assert rep.classification is out.preserved_flags
+        assert _ids(seen["classify"]) == [id(out.profile)]
+        assert _ids(seen["area"]) == [id(p), id(out.profile)]
+
+    def test_strain_sweep_point(self, monkeypatch):
+        p, _ = flatten_near_intercept(ball(2, 16), 0.1)
+        seen = _count_computations(monkeypatch)
+        (record,) = run_sweep(RunConfig(profile=p, op="strain", eps_grid=(1e-3,)))
+        assert record.error == ""
+        assert len(seen["classify"]) == 1 and seen["classify"][0] is not p
+        assert _per_profile(seen["area"]) == [1, 1] and id(p) in _ids(seen["area"])
+
+    def test_t_min_keeps_no_cache(self, monkeypatch):
+        p = ellipsoid(1, 4, 64)
+        calls = []
+        real = reeb._t_min_fast
+        monkeypatch.setattr(reeb, "_t_min_fast", lambda q: calls.append(q) or real(q))
+        report(p)
+        report(p)
+        assert calls == [p, p]
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _golden_profiles():
+    """Every family profile the golden CLI transcripts run on, and the
+    surgery outputs they print."""
+    specs = set()
+    for path in GOLDEN.glob("*.txt"):
+        for line in path.read_text().splitlines():
+            if line.startswith("$ toricsys "):
+                specs.update(a for a in line.split()[2:] if a.partition(":")[0] in geometry.FAMILIES)
+    profiles = [resolve_profile(spec) for spec in sorted(specs)]
+    surgeries = [
+        strangulate(ball(2), eps, ray) for eps in (1e-1, 1e-2, 1e-3, 1e-4) for ray in (0.3, math.pi / 4, 1.2)
+    ]
+    surgeries += [
+        strangulate(fc_domain(2, 0.7, 64), 1e-2),
+        strain(flatten_near_intercept(ball(2), 0.1)[0], 1e-2),
+        strain(ellipsoid(1, 4, 1), 1e-2),
+    ]
+    return profiles, surgeries
+
+
+GOLDEN_PROFILES = [p for group in _golden_profiles() for p in group]
+
+
+@pytest.mark.parametrize("p", GOLDEN_PROFILES, ids=[f"golden-{i}" for i in range(len(GOLDEN_PROFILES))])
+def test_cached_results_equal_a_fresh_profile(p):
+    """The results cached on a profile, here filled by a surgery or a
+    report, equal those of a fresh profile on the same vertices and tags."""
+    if isinstance(p, geometry.MomentProfile):
+        report(p)
+    else:
+        p = p.profile
+    fresh = MomentProfile(p.vertices, p.tags)
+    assert classify(p) == geometry._classify(fresh)
+    assert area(p) == invariants._area(fresh)
+    assert report(p).classification is classify(p)

@@ -8,8 +8,10 @@ replaced; ``MomentProfile`` here is the construction those copies ran
 in the library's profile on the checked vertices.  The library must give
 the same vertices, tags, area and Ruelle quadrature bit for bit, and raise
 the same exception class with the same message.  The values a profile
-seeds on construction (``xy``, ``diameter``, ``tol`` and the stacked tag
-columns) must equal those recomputed from its vertices and tags.
+seeds on construction (``xy``, ``diameter``, ``tol``, the per-segment
+``directions``, ``lengths`` and ``cross_products``, and the stacked tag
+columns) must equal those recomputed from its vertices and tags, and its
+``normals`` those of ``parent_normals``, the computation they replaced.
 """
 
 import math
@@ -227,6 +229,14 @@ def scaled(self, s: float) -> "MomentProfile":
     tags = tuple(t and t.scaled(s) for t in self.tags)
     return MomentProfile(verts, tags, family="custom")
 
+def parent_normals(d: np.ndarray) -> np.ndarray:
+    """``MomentProfile.normals`` of the segment vectors ``d`` as computed
+    before ``_validate`` measured the segment lengths, copied verbatim."""
+    # math.hypot, not np.hypot: the two differ in the last bit for
+    # some inputs, and cone and flag decisions compare these values.
+    length = np.array(list(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist())))
+    return np.column_stack((d[:, 1], -d[:, 0])) / length.reshape(-1, 1)
+
 
 # ---------------------------------------------------------------------------
 # Comparison
@@ -263,6 +273,14 @@ def assert_seeded(p):
     lo, hi = xy.min(axis=0), xy.max(axis=0)
     assert p.diameter == max(*(hi - lo).tolist(), *hi.tolist()) == np.abs(xy).max()
     assert p.tol == TOL_REL * p.diameter
+    d = np.diff(xy, axis=0)
+    for measured in (p.directions, p.lengths, p.cross_products):
+        assert not measured.flags.writeable
+    assert np.array_equal(p.directions, d)
+    assert p.lengths.tolist() == list(map(math.hypot, *d.T.tolist()))
+    crosses = [cross(u, v) for u, v in zip(p.vertices, p.vertices[1:])]
+    assert np.array_equal(p.cross_products, crosses, equal_nan=True)
+    assert np.array_equal(p.normals, parent_normals(d))
     assert p.tagged.tolist() == [i for i, t in enumerate(p.tags) if t is not None]
     assert p.tagged.dtype == np.intp and not p.tagged.flags.writeable
     got, want = stacked_by_type(p._stacked_tags), stacked_by_type(recomputed_stacked(p))
@@ -297,7 +315,7 @@ def assert_validates_same(vertices):
     if isinstance(want, tuple) and isinstance(want[0], type):
         assert got == want
     else:
-        xy, diam = got
+        xy, diam, *_ = got
         assert tuple(map(tuple, xy.tolist())) == want
         assert diam == max(max(abs(float(x)), abs(float(y))) for x, y in vertices)
     assert_same(outcome(geometry.MomentProfile, vertices), outcome(MomentProfile, vertices))
@@ -501,8 +519,9 @@ class TestValidate:
     def test_overflowing_products_are_quiet(self):
         # The profile is valid; its area overflows, so it is not compared.
         pts = ((1e156, 0.0), (1e156, 1e156), (0.0, 1e156))
-        xy, diam = geometry._validate(pts)
+        xy, diam, *_ = geometry._validate(pts)
         assert tuple(map(tuple, xy.tolist())) == _validate(pts) and diam == 1e156
+        assert_seeded(geometry.MomentProfile(pts))
 
     def test_short_case_is_not_reentrant(self):
         p, q = (2, 2), (2 - 1.3e-9, 2 + 1.3e-9)

@@ -130,6 +130,14 @@ class TestFcScan:
         assert s["argmax_c"] == pytest.approx(2 / 3)
         assert s["max_ratio"] == pytest.approx(2, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "build", [lambda: fc_domain(math.inf, 0.5), lambda: run_fc_scan(math.inf, [0.5])]
+    )
+    def test_infinite_b_is_named(self, build):
+        # b/(1+b) is nan at b = inf; the check names b, not c.
+        with pytest.raises(ParamOutOfRange, match=r"^fc_domain requires a finite b; got b = inf$"):
+            build()
+
     def test_quadrature_matches_closed_form(self):
         grid = [0.7, 0.8, 0.9]
         s = run_fc_scan(2, grid)

@@ -35,7 +35,8 @@ from toricsys.geometry import (
     ray_hit,
 )
 from toricsys import invariants
-from toricsys.surgery import StrangulationSpec, SurgeryOutcome, input_area
+from toricsys.invariants import area as input_area  # the copy's name for the input's area
+from toricsys.surgery import StrangulationSpec, SurgeryOutcome
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,10 @@ class TestSurgeryComposition:
 
 
 class TestInputComputedOnce:
-    """A strain sweep computes its input's area and T_min once."""
+    """A strain sweep computes its input's area and T_min once.  What is
+    counted is computations: ``invariants._area``, the function behind
+    ``area``'s per-profile cache, and ``reeb.t_min``, which keeps no cache
+    (``surgery.input_t_min`` memoises the input's)."""
 
     @staticmethod
     def _count(monkeypatch, module, name):
@@ -248,26 +251,29 @@ class TestInputComputedOnce:
 
         p, _ = flatten_near_intercept(ball(2, 16), 0.1)
         t_min_calls = self._count(monkeypatch, reeb, "t_min")
-        area_calls = self._count(monkeypatch, invariants, "area")
+        area_calls = self._count(monkeypatch, invariants, "_area")
         config = experiments.RunConfig(profile=p, op="strain", eps_grid=(1e-2, 1e-3, 1e-4))
         records = experiments.run_sweep(config)
         assert [r.error for r in records] == ["", "", ""]
         # Input once each; per point, t_min of the output in its report and
-        # the output's area in strain and in the report.
+        # the output's area once, shared by strain and the report.
         assert len(t_min_calls) == 4
-        assert len(area_calls) == 7
+        assert len(area_calls) == 4
         assert sum(q is p for q in t_min_calls) == 1
         assert sum(q is p for q in area_calls) == 1
+        assert len(set(map(id, area_calls))) == 4
 
     def test_strain_reuses_its_input_values(self, monkeypatch):
         from toricsys import invariants, reeb
 
         p, _ = flatten_near_intercept(ball(2, 16), 0.1)
         t_min_calls = self._count(monkeypatch, reeb, "t_min")
-        area_calls = self._count(monkeypatch, invariants, "area")
+        area_calls = self._count(monkeypatch, invariants, "_area")
         first = strain(p, 1e-3)
         again = strain(p, 1e-3)
         assert [q is p for q in t_min_calls] == [True]
-        assert [q is p for q in area_calls] == [True, False, False]
+        # The input's area once; each call's new output once.
+        assert sorted(q is p for q in area_calls) == [False, False, True]
+        assert area_calls[-1] is again.profile
         assert first.volume_delta == again.volume_delta
         assert first.new_orbit_witnesses == again.new_orbit_witnesses
