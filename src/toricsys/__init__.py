@@ -45,6 +45,7 @@ from .geometry import (
 from .reeb import (
     OrbitDatum,
     ShearCheckResult,
+    VertexOrbits,
     closed_orbit_on_segment,
     orbits_at_vertex,
     orbits_below,

@@ -403,7 +403,8 @@ def _validate(vertices) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.n
     tolerance, and the segments' directions, lengths and cross products
     x0 y1 - y0 x1 (arrays read-only), or raises at the first violation in
     this order: input that is not (w1, w2) pairs of real numbers, fewer
-    than two vertices, the first non-finite vertex, the first vertex off
+    than two vertices, the first non-finite vertex, coordinates so large
+    that diam^2 overflows (ParamOutOfRange), the first vertex off
     the positive w1-axis, the last off the positive w2-axis, the first
     interior vertex on an axis, and then segments in path order, a
     zero-length segment before a star-shape violation at the same index.
@@ -427,6 +428,8 @@ def _validate(vertices) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.n
                 raise ParamOutOfRange(f"vertices must be (w1, w2) pairs of real numbers: {(x, y)}")
         i = int((~np.isfinite(xy)).any(axis=1).argmax())
         raise ParamOutOfRange(f"vertex {i} at {tuple(xy[i].tolist())} is not finite")
+    if math.isinf(diam * diam):
+        raise ParamOutOfRange("coordinates too large: squared diameter overflows")
     tol = TOL_REL * diam
 
     (x0, y0), (xn, yn) = xy[0].tolist(), xy[-1].tolist()
@@ -448,11 +451,9 @@ def _validate(vertices) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.n
     # cross(p, q) equals (nu . p)|q - p| on the segment; positivity is
     # simultaneously the strictly-increasing-polar-angle condition and
     # the transversality of rays from the origin.  The coordinates lie in
-    # [0, diam], so only products beyond diam^2 overflow (to inf, and
-    # inf - inf to nan, which passes as in Python float arithmetic).
-    with _quiet(math.isinf(diam * diam)):
-        pq = xy[:-1] * xy[1:, ::-1]
-        crs = pq[:, 0] - pq[:, 1]
+    # [0, diam] and diam^2 is finite, so no product overflows.
+    pq = xy[:-1] * xy[1:, ::-1]
+    crs = pq[:, 0] - pq[:, 1]
     bad = (length <= tol) | (crs <= tol * diam)
     if bad.item(i := int(bad.argmax())):
         if length.item(i) <= tol:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, NotMonotone, ParamOutOfRange
+from .errors import NotMonotone, ParamOutOfRange
 from .geometry import Classification, MomentProfile, _gl_nodes, classify
 from . import reeb
 
@@ -75,14 +75,10 @@ def ruelle_quadrature(p: MomentProfile, n: int = GL_ORDER) -> float:
         pt, dv = p.curve_samples(n)
         speed = np.hypot(dv[..., 0], dv[..., 1])
         nu1, nu2 = dv[..., 1] / speed, -dv[..., 0] / speed
-        denom = nu1 * pt[..., 0] + nu2 * pt[..., 1]
-        bad = ~(denom > p.tol)
-        if bad.any():
-            i = int(bad.any(axis=1).argmax())
-            j = int(bad[i].argmax())
-            raise DegenerateDenominator(
-                f"nu.w = {float(denom[i, j])} on segment {int(p.tagged[i])}"
-            )
+        denom = reeb.nu_dot_w(
+            p, (pt[..., 0], pt[..., 1]), (nu1, nu2),
+            lambda k, value: f"nu.w = {value} on segment {int(p.tagged[k[0]])}",
+        )
         crs = pt[..., 0] * dv[..., 1] - pt[..., 1] * dv[..., 0]
         total += (weights * ((nu1 + nu2) / denom) * crs).sum()
     return float(total)

@@ -11,8 +11,9 @@ m*w1 + n*w2.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .geometry import (
     MomentProfile,
     NormalCone,
     Point,
+    _read_only,
     dot,
     normal_cone,
     ray_hit,
@@ -47,13 +49,25 @@ class OrbitDatum:
         return (self.action, rank, self.mn[0], self.mn[1], self.location_index)
 
 
-def _nu_dot_p(p: MomentProfile, point: Point, normal: Point) -> float:
-    """nu . p, the denominator of the Reeb flow over ``point``; raises
-    DegenerateDenominator unless it exceeds the profile's tolerance."""
-    denom = normal[0] * point[0] + normal[1] * point[1]
-    if denom <= p.tol:
-        raise DegenerateDenominator(f"nu.p = {denom} at {point}")
+def nu_dot_w(
+    p: MomentProfile, w, nu, message: Callable[[tuple, float], str]
+) -> np.ndarray:
+    """nu . w, the denominator of the Reeb flow, for points w = (w1, w2)
+    and normals nu = (nu1, nu2) given as pairs of floats or of matching
+    arrays.  Raises DegenerateDenominator(message(index, value)) at the
+    first entry, in C order, that does not exceed the profile's
+    tolerance (a nan included)."""
+    denom = np.asarray(nu[0] * w[0] + nu[1] * w[1])
+    bad = ~(denom > p.tol)
+    if bad.any():
+        k = np.unravel_index(bad.argmax(), bad.shape)
+        raise DegenerateDenominator(message(k, float(denom[k])))
     return denom
+
+
+def _nu_dot_p(p: MomentProfile, point: Point, normal: Point) -> float:
+    """``nu_dot_w`` at one point."""
+    return float(nu_dot_w(p, point, normal, lambda _, denom: f"nu.p = {denom} at {point}"))
 
 
 def reeb_angular_velocities(p: MomentProfile, point: Point, normal: Point) -> Point:
@@ -107,37 +121,85 @@ def _is_corner(p: MomentProfile, vertex_index: int) -> bool:
     return abs(p.normal_turns[vertex_index - 1]) > COLLINEAR_TURN
 
 
+class VertexOrbits(Sequence):
+    """The primitive closed orbits at one vertex as read-only columns
+    ``m``, ``n`` and ``action``, sorted by action, then by (m, n): the
+    order of ``OrbitDatum.sort_key`` within one vertex.  An ``OrbitDatum``
+    is made only when one is read, by index, slice (a list) or
+    iteration, so the about 2/eps orbits of a strain tip cost three
+    arrays until they are read."""
+
+    __slots__ = ("m", "n", "action", "base_point", "vertex_index")
+
+    def __init__(
+        self, m: np.ndarray, n: np.ndarray, action: np.ndarray, base_point: Point, vertex_index: int
+    ):
+        self.m, self.n, self.action = (_read_only(c) for c in (m, n, action))
+        self.base_point = base_point
+        self.vertex_index = vertex_index
+
+    def __len__(self) -> int:
+        return len(self.action)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        k = range(len(self))[i]
+        mn = (int(self.m[k]), int(self.n[k]))
+        return OrbitDatum(mn, self.base_point, float(self.action[k]), "vertex", self.vertex_index)
+
+    def __iter__(self):
+        v, vi = self.base_point, self.vertex_index
+        for mn, action in zip(zip(self.m.tolist(), self.n.tolist()), self.action.tolist()):
+            yield OrbitDatum(mn, v, action, "vertex", vi)
+
+    def __eq__(self, other):
+        if isinstance(other, VertexOrbits):
+            return (
+                (self.vertex_index, self.base_point) == (other.vertex_index, other.base_point)
+                and np.array_equal(self.m, other.m)
+                and np.array_equal(self.n, other.n)
+                and np.array_equal(self.action, other.action)
+            )
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"VertexOrbits({len(self)} orbits at vertex {self.vertex_index} {self.base_point})"
+
+
 def orbits_at_vertex(
     p: MomentProfile, vertex_index: int, action_cutoff: float
-) -> list[OrbitDatum]:
+) -> VertexOrbits:
     """All primitive closed orbits at a vertex with action <= cutoff,
     sorted by action, then lexicographically by (m, n).
 
     Covers interior vertices; at a collinear vertex the cone degenerates
-    to the incident segment's normal ray.  The cone's lattice points come
-    from ``lattice.enumerate_in_cone``, which scans only the lattice lines
-    along the shorter side of the cone's bounding box, so time and memory
-    grow with the number of orbits returned rather than with the box's
-    area.  At a strain tip that number is about 2/eps: ``strain`` still
-    lists every tip orbit as a witness (reporting the minimal one plus a
-    count is a planned API change).
+    to the incident segment's normal ray, with 0 or 1 orbit.  The cone's
+    lattice points come from ``lattice.enumerate_in_cone``, which scans
+    only the lattice lines along the shorter side of the cone's bounding
+    box, so time and memory grow with the number of orbits returned
+    rather than with the box's area.  They stay columns
+    (``VertexOrbits``): at a strain tip, where there are about 2/eps of
+    them, ``[0]`` is the minimal orbit and ``len`` the count, and no
+    other orbit object is made unless it is read.
     """
     cone = normal_cone(p, vertex_index)
     v = cone.vertex
-    if not _is_corner(p, vertex_index):
-        mn = p.primitive_normal(vertex_index - 1)
-        if mn is None:
-            return []
-        action = mn[0] * v[0] + mn[1] * v[1]
-        if action > action_cutoff * (1 + 1e-12):
-            return []
-        return [OrbitDatum(mn, v, action, "vertex", vertex_index)]
-    m, n, action = enumerate_in_cone(cone, action_cutoff)
-    order = np.lexsort((n, m, action))
-    return [
-        OrbitDatum((mi, ni), v, a, "vertex", vertex_index)
-        for mi, ni, a in zip(m[order].tolist(), n[order].tolist(), action[order].tolist())
-    ]
+    m = n = np.zeros(0, dtype=np.int64)
+    action = np.zeros(0)
+    if _is_corner(p, vertex_index):
+        m, n, action = enumerate_in_cone(cone, action_cutoff)
+        order = np.lexsort((n, m, action))
+        m, n, action = m[order], n[order], action[order]
+    elif (mn := p.primitive_normal(vertex_index - 1)) is not None:
+        a = mn[0] * v[0] + mn[1] * v[1]
+        if not a > action_cutoff * (1 + 1e-12):
+            m, n, action = np.array([mn[0]]), np.array([mn[1]]), np.array([a])
+    return VertexOrbits(m, n, action, v, vertex_index)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +431,7 @@ def shear_monodromy_check(
     )
 
 
-def orbit_csv_rows(orbits: list[OrbitDatum]) -> list[str]:
+def orbit_csv_rows(orbits: Sequence[OrbitDatum]) -> list[str]:
     """CSV rows (with header) for an orbit list, 17 significant digits."""
     rows = ["m,n,w1,w2,action,location_kind,location_index"]
     for o in orbits:

@@ -12,6 +12,7 @@ expected failure count is updated with the fix.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,7 @@ class SurgeryOutcome:
     profile: MomentProfile
     volume_delta: float
     volume_delta_bound: float
-    new_orbit_witnesses: list
+    new_orbit_witnesses: Sequence[reeb.OrbitDatum]
     preserved_flags: Classification
     spec: object
 
@@ -249,8 +250,11 @@ def strain(p: MomentProfile, eps: float) -> SurgeryOutcome:
     edge must be shallower than k so the result stays (strictly) monotone.
 
     The witnesses are every orbit at the tip with action <= 2*T_min of the
-    input, about 2/eps of them.  The input's T_min and area are computed
-    once per profile (``input_t_min`` and ``invariants.area``'s cache).
+    input, about 2/eps of them, as the columns of a ``reeb.VertexOrbits``:
+    ``[0]`` is the minimal tip orbit and ``len`` the count, and an orbit
+    object is made only for an orbit that is read.  The input's T_min and
+    area are computed once per profile (``input_t_min`` and
+    ``invariants.area``'s cache).
     """
     if not eps > 0:
         raise ParamOutOfRange(f"eps must be positive; got {eps}")

@@ -5,7 +5,8 @@
 functions below are verbatim copies of the per-vertex versions they
 replaced; ``MomentProfile`` here is the construction those copies ran
 (each coordinate through ``float``, then the copied ``_validate``), ending
-in the library's profile on the checked vertices.  The library must give
+in the library's profile on the checked vertices, with one check added
+since (``_overflow_checked``).  The library must give
 the same vertices, tags, area and Ruelle quadrature bit for bit, and raise
 the same exception class with the same message.  The values a profile
 seeds on construction (``xy``, ``diameter``, ``tol``, the per-segment
@@ -57,8 +58,20 @@ ON_AXIS = [0.0] * 6 + [1e-12, -1e-12, 1e-6]
 def MomentProfile(vertices, tags=(), family="custom", params=()):
     """The construction the copies ran: float() on every coordinate, then
     the copied ``_validate``; the result becomes a library profile."""
-    verts = _validate(tuple((float(x), float(y)) for x, y in vertices))
+    verts = _overflow_checked(tuple((float(x), float(y)) for x, y in vertices))
     return geometry.MomentProfile(verts, tuple(tags), family, params)
+
+
+def _overflow_checked(vertices: tuple[Point, ...]) -> tuple[Point, ...]:
+    """The copied ``_validate`` behind the check added since: finite
+    coordinates whose squared diameter overflows raise ParamOutOfRange.
+    The copy let their cross products overflow to inf, and inf - inf to
+    nan, which passed the star-shape test."""
+    if len(vertices) >= 2 and all(math.isfinite(c) for v in vertices for c in v):
+        diam = max(max(abs(x), abs(y)) for x, y in vertices)
+        if math.isinf(diam * diam):
+            raise ParamOutOfRange("coordinates too large: squared diameter overflows")
+    return _validate(vertices)
 
 
 def _validate(vertices: tuple[Point, ...]) -> tuple[Point, ...]:
@@ -310,7 +323,7 @@ def assert_validates_same(vertices):
     """``geometry._validate`` and the copy agree on ``vertices``: the same
     snapped pairs and the diameter max |coordinate|, or the same error;
     and so do the library's and the copied construction."""
-    want = outcome(_validate, tuple((float(x), float(y)) for x, y in vertices))
+    want = outcome(_overflow_checked, tuple((float(x), float(y)) for x, y in vertices))
     got = outcome(geometry._validate, vertices)
     if isinstance(want, tuple) and isinstance(want[0], type):
         assert got == want
@@ -485,10 +498,10 @@ class TestValidate:
         # Cross product positive but at most diam tol: reentrant.
         ([(2, 0), (2, 2), (2 - 5e-10, 2 + 5e-10 + 1e-12), (1, 3), (0, 3)], SelfIntersection, "short and flat"),
         ([(1, 0), (1, 1), (2, 2 + 1e-10), (0, 3)], NotStarShaped, "reentrant, not short"),
-        # Coordinate products overflow to inf and nan, quietly; beyond
-        # that, diam tol overflows too and no segment passes.
-        ([(1e156, 0), (1e156, 1e156), (1e156, 1e156), (0, 1e156)], SelfIntersection, "nan cross, short"),
-        ([(1e300, 0), (1e300, 1e300), (0, 1e300)], NotStarShaped, "diam tol overflows"),
+        # Coordinate products would overflow to inf and nan; beyond that,
+        # diam tol would overflow too.  Both are out of range first.
+        ([(1e156, 0), (1e156, 1e156), (1e156, 1e156), (0, 1e156)], ParamOutOfRange, "nan cross, short"),
+        ([(1e300, 0), (1e300, 1e300), (0, 1e300)], ParamOutOfRange, "diam tol overflows"),
         # Products of coordinates underflow, and diam tol with them.
         ([(1e-160, 0), (1e-160, 1e-160), (0, 1e-160)], None, "underflow, valid"),
         ([(1e-160, 0), (1e-160, 1e-160), (1e-160, 1e-160), (0, 1e-160)], SelfIntersection, "underflow, short"),
@@ -516,12 +529,27 @@ class TestValidate:
         else:
             assert got[0] is error
 
-    def test_overflowing_products_are_quiet(self):
-        # The profile is valid; its area overflows, so it is not compared.
-        pts = ((1e156, 0.0), (1e156, 1e156), (0.0, 1e156))
-        xy, diam, *_ = geometry._validate(pts)
-        assert tuple(map(tuple, xy.tolist())) == _validate(pts) and diam == 1e156
-        assert_seeded(geometry.MomentProfile(pts))
+    @pytest.mark.parametrize(
+        "build, below",
+        [
+            (lambda s: geometry.from_vertices([(s, 0), (s, s), (0, s)]), None),
+            # Its second segment lies on a ray from the origin.
+            (lambda s: geometry.from_vertices([(s, 0), (s, s), (2 * s, 2 * s), (0, 3 * s)]), NotStarShaped),
+            (lambda s: geometry.ball(s, 4), None),
+        ],
+        ids=["triangle", "not star-shaped", "ball"],
+    )
+    def test_overflowing_squared_diameter_is_out_of_range(self, build, below):
+        for s in (1e156, 1e160, 1e300):
+            with pytest.raises(ParamOutOfRange, match="squared diameter overflows"):
+                build(s)
+        # Just below the overflow each is decided as at scale 1.
+        for s in (1.0, 1e153):
+            if below is None:
+                assert_seeded(build(s))
+            else:
+                with pytest.raises(below):
+                    build(s)
 
     def test_short_case_is_not_reentrant(self):
         p, q = (2, 2), (2 - 1.3e-9, 2 + 1.3e-9)

@@ -51,6 +51,11 @@ class TestRotationDensity:
         a = 1.7
         assert rotation_density(ball(a), (a, 0), (1.0, 0.0)) == pytest.approx(1 / a)
 
+    def test_nan_denominator_is_degenerate(self):
+        # The same check as the Ruelle quadrature's: nan is not above tol.
+        with pytest.raises(DegenerateDenominator, match=r"nu.p = nan at \(0.5, nan\)"):
+            rotation_density(ball(1), (0.5, math.nan), (1 / SQ2, 1 / SQ2))
+
 
 class TestSegmentOrbits:
     def test_ball_hypotenuse(self):

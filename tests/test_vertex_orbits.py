@@ -1,0 +1,144 @@
+"""``reeb.orbits_at_vertex`` keeps a vertex's orbits as sorted columns.
+
+The reference below is the list it returned before: every orbit of the
+cone made up front as an ``OrbitDatum`` from ``enumerate_in_cone`` and
+sorted by ``OrbitDatum.sort_key``.  The columns must read back as that
+list in every way a sequence is read, and ``strain`` must make no orbit
+object for a tip orbit that nobody reads.
+"""
+
+import math
+import random
+from dataclasses import astuple
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from toricsys import ball, ellipsoid, polydisk, reeb, surgery
+from toricsys.experiments import random_star_profile
+from toricsys.geometry import normal_cone
+from toricsys.lattice import enumerate_in_cone
+from toricsys.reeb import OrbitDatum, VertexOrbits, orbits_at_vertex, orbits_below
+
+
+def eager_orbits_at_vertex(p, vi, cutoff):
+    """The orbit list as ``orbits_at_vertex`` built it before the columns."""
+    cone = normal_cone(p, vi)
+    v = cone.vertex
+    if not reeb._is_corner(p, vi):
+        mn = p.primitive_normal(vi - 1)
+        if mn is None:
+            return []
+        action = mn[0] * v[0] + mn[1] * v[1]
+        if action > cutoff * (1 + 1e-12):
+            return []
+        return [OrbitDatum(mn, v, action, "vertex", vi)]
+    m, n, action = enumerate_in_cone(cone, cutoff)
+    orbits = [
+        OrbitDatum((mi, ni), v, a, "vertex", vi)
+        for mi, ni, a in zip(m.tolist(), n.tolist(), action.tolist())
+    ]
+    return sorted(orbits, key=OrbitDatum.sort_key)
+
+
+def eager_orbits_below(p, cutoff):
+    orbits = [o for o in reeb._base_candidates(p) if o.action <= cutoff]
+    for vi in range(1, len(p.vertices) - 1):
+        orbits.extend(eager_orbits_at_vertex(p, vi, cutoff))
+    return sorted(orbits, key=OrbitDatum.sort_key)
+
+
+def assert_reads_as(got, want):
+    assert isinstance(got, VertexOrbits)
+    assert list(got) == want
+    assert len(got) == len(want) and bool(got) == bool(want)
+    assert got == want and want == got and not got != want
+    for i in (0, -1, len(want) // 2, -len(want)):
+        if want:
+            assert got[i] == want[i]
+    for i in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            got[i]
+    for s in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -2), slice(2, 1)):
+        assert got[s] == want[s]
+    assert list(reversed(got)) == want[::-1]
+    for column in (got.m, got.n, got.action):
+        assert not column.flags.writeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9), st.floats(0.3, 3))
+def test_random_star_vertices_read_as_the_eager_list(seed, scale):
+    p = random_star_profile(random.Random(seed))
+    cutoff = scale * min(p.a_intercept, p.b_intercept)
+    for vi in range(1, len(p.vertices) - 1):
+        assert_reads_as(orbits_at_vertex(p, vi, cutoff), eager_orbits_at_vertex(p, vi, cutoff))
+    assert orbits_below(p, cutoff) == eager_orbits_below(p, cutoff)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([1e-1, 1e-2, 1e-3]), st.floats(0.25, 1))
+def test_strain_tips_read_as_the_eager_list(eps, share):
+    p, _ = surgery.flatten_near_intercept(ball(2, 16), 0.4)
+    out = surgery.strain(p, eps).profile
+    cutoff = share * 2 * surgery.input_t_min(p)
+    assert_reads_as(orbits_at_vertex(out, 1, cutoff), eager_orbits_at_vertex(out, 1, cutoff))
+    assert orbits_below(out, cutoff) == eager_orbits_below(out, cutoff)
+
+
+@pytest.mark.parametrize(
+    "p, vi, cutoff",
+    [
+        (ellipsoid(1, 1, 4), 2, 2.0),  # collinear: one orbit
+        (ellipsoid(1, 1, 4), 2, 0.5),  # collinear, above the cutoff
+        (ellipsoid(1, math.pi, 4), 2, 10.0),  # collinear, normal not rational
+        (polydisk(1, 2), 1, 0.5),  # corner, empty
+        (polydisk(1, 2), 1, 10.0),
+    ],
+)
+def test_collinear_and_empty_vertices(p, vi, cutoff):
+    assert_reads_as(orbits_at_vertex(p, vi, cutoff), eager_orbits_at_vertex(p, vi, cutoff))
+
+
+def test_equality_between_columns():
+    p = polydisk(1, 2)
+    got = orbits_at_vertex(p, 1, 10)
+    assert got == orbits_at_vertex(p, 1, 10)
+    assert got != orbits_at_vertex(p, 1, 9)
+    assert got != VertexOrbits(got.m, got.n, got.action, got.base_point, 2)
+    assert got != VertexOrbits(got.m, got.n, got.action, (1.0, 2.5), 1)
+    assert got != got[:1] + got[:1] + got[2:]
+    assert got != 3
+    with pytest.raises(TypeError):
+        hash(got)
+    assert repr(got) == f"VertexOrbits({len(got)} orbits at vertex 1 (1.0, 2.0))"
+
+
+class TestStrainBuildsNoOrbits:
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made = []
+
+        class Counting(OrbitDatum):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(reeb, "OrbitDatum", Counting)
+        return made
+
+    def test_only_the_orbit_read_is_made(self, made):
+        p, _ = surgery.flatten_near_intercept(ball(2, 16), 0.4)
+        # The input's T_min comes with its witness orbit; it is memoised on
+        # the input, so the strain below makes only what it returns.
+        surgery.input_t_min(p)
+        made.clear()
+        out = surgery.strain(p, 1e-4)
+        witnesses = out.new_orbit_witnesses
+        assert made == [] and len(witnesses) == 20001
+        first = witnesses[0]
+        assert len(made) == 1
+        # The counting subclass never equals an OrbitDatum: compare fields.
+        least = min(eager_orbits_at_vertex(out.profile, 1, 2 * surgery.input_t_min(p)),
+                    key=OrbitDatum.sort_key)
+        assert astuple(first) == astuple(least)
