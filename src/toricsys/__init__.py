@@ -33,14 +33,11 @@ from .geometry import (
     ball,
     classify,
     ellipsoid,
-    endpoint_cone,
     fc_domain,
     from_vertices,
     normal_cone,
     polydisk,
     smooth_corners,
-    sqrt_transform,
-    total_turning,
 )
 from .reeb import (
     OrbitDatum,

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from decimal import Decimal
 from functools import cache, cached_property
-from typing import Callable, ClassVar, Optional, Union
+from types import MappingProxyType
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -99,17 +101,36 @@ def _primitive_normal(
     return (m, n)
 
 
+class Tag:
+    """An analytic curve along one segment, ``Arc`` or ``SquaredSegment``,
+    given by one row of floats (``numbers``).  Each type samples and
+    scales columns of many tags' numbers at once (``sample_numbers`` and
+    ``scale_factors``); a single tag does the same on its own row."""
+
+    kind: ClassVar[str]
+    n_numbers: ClassVar[int]
+
+    def sample(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """``sample_numbers`` of this tag's row at the parameters ``t``."""
+        return self.sample_numbers(self.numbers(), t)
+
+    def scaled(self, s: float) -> "Tag":
+        """This curve with the plane scaled by s."""
+        return self.from_numbers([f * x for f, x in zip(self.scale_factors(s), self.numbers())])
+
+
 @dataclass(frozen=True)
-class Arc:
+class Arc(Tag):
     """Circular arc ``center + r (cos a, sin a)``, the angle a running
     linearly in t from a0 to a1 (counterclockwise when a1 > a0); the arcs
-    of ``smooth_corners``."""
+    of ``smooth_corners``.  Its ``numbers`` are cx, cy, r, a0, a1."""
 
     center: Point
     r: float
     a0: float
     a1: float
     kind: ClassVar[str] = "arc"
+    n_numbers: ClassVar[int] = 5
 
     @classmethod
     def from_numbers(cls, numbers) -> "Arc":
@@ -119,28 +140,34 @@ class Arc:
     def numbers(self) -> tuple[float, ...]:
         return (*self.center, self.r, self.a0, self.a1)
 
-    def sample(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """Points and derivatives at the parameters ``t``, stacked on a
-        last axis of length 2; the fields may be arrays that broadcast
-        with ``t``."""
-        (cx, cy), r, da = self.center, self.r, self.a1 - self.a0
-        a = self.a0 + da * t
+    @staticmethod
+    def sample_numbers(numbers, t) -> tuple[np.ndarray, np.ndarray]:
+        """Points and derivatives at the parameters ``t`` of the arc with
+        these ``numbers``, stacked on a last axis of length 2; each number
+        may be an array that broadcasts with ``t``, such as a column of
+        many arcs' numbers."""
+        cx, cy, r, a0, a1 = numbers
+        da = a1 - a0
+        a = a0 + da * t
         cos, sin = r * np.cos(a), r * np.sin(a)
         return np.stack((cx + cos, cy + sin), -1), np.stack((-da * sin, da * cos), -1)
 
-    def scaled(self, s: float) -> "Arc":
-        return Arc((s * self.center[0], s * self.center[1]), s * self.r, self.a0, self.a1)
+    @staticmethod
+    def scale_factors(s: float) -> tuple[float, ...]:
+        """What each number is multiplied by when the plane is scaled by s."""
+        return (s, s, s, 1.0, 1.0)
 
 
 @dataclass(frozen=True)
-class SquaredSegment:
+class SquaredSegment(Tag):
     """The curve w = (mu1^2, mu2^2), mu running linearly in t from mu0 to
     mu1: a straight segment in square-root coordinates, as in both curved
-    pieces of ``fc_domain``."""
+    pieces of ``fc_domain``.  Its ``numbers`` are mu0 and then mu1."""
 
     mu0: Point
     mu1: Point
     kind: ClassVar[str] = "squared"
+    n_numbers: ClassVar[int] = 4
 
     @classmethod
     def from_numbers(cls, numbers) -> "SquaredSegment":
@@ -150,94 +177,140 @@ class SquaredSegment:
     def numbers(self) -> tuple[float, ...]:
         return (*self.mu0, *self.mu1)
 
-    def sample(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """As ``Arc.sample``."""
-        (p0, q0), (p1, q1) = self.mu0, self.mu1
+    @staticmethod
+    def sample_numbers(numbers, t) -> tuple[np.ndarray, np.ndarray]:
+        """As ``Arc.sample_numbers``."""
+        p0, q0, p1, q1 = numbers
         dp, dq = p1 - p0, q1 - q0
         p, q = p0 + dp * t, q0 + dq * t
         return np.stack((p * p, q * q), -1), np.stack((2 * p * dp, 2 * q * dq), -1)
 
-    def scaled(self, s: float) -> "SquaredSegment":
-        return SquaredSegment.from_numbers([math.sqrt(s) * x for x in self.numbers()])
+    @staticmethod
+    def scale_factors(s: float) -> tuple[float, ...]:
+        """As ``Arc.scale_factors``."""
+        return (math.sqrt(s),) * 4
 
 
-Tag = Union[Arc, SquaredSegment]
 # Tag types by the name profile files give them.
 TAG_KINDS: dict[str, type] = {cls.kind: cls for cls in (Arc, SquaredSegment)}
+# Per tag type, the indices of its segments and one row of numbers each.
+TagColumns = Mapping[type, tuple[np.ndarray, np.ndarray]]
+_NO_COLUMNS: TagColumns = MappingProxyType({})
 
 
-class _ColumnTags(tuple):
-    """A family builder's tags, handed to ``MomentProfile`` together with
-    their ``_stacked_tags`` built from the same arrays, so that the profile
-    need not rebuild the columns from each tag's ``numbers()``."""
-
-    def __new__(cls, tags, stacked: list):
-        self = super().__new__(cls, tags)
-        self.stacked = stacked
-        return self
-
-
-@dataclass(frozen=True)
 class MomentProfile:
     """Closure of the positive-quadrant boundary arc, (a,0) -> (0,b).
 
+    ``MomentProfile(vertices, tags=(), family="custom", params=())``.
     Valid by construction: the vertices are read once into an (n + 1, 2)
     float array and checked by ``_validate`` in one numpy pass (finite
     coordinates, axis endpoints, star shape, no zero-length segment), axis
-    endpoints within tolerance are snapped onto the axes, and a non-empty
-    ``tags`` must hold one entry per segment, each tag's curve starting and
-    ending at its segment's vertices.  The checked array is kept as the
-    read-only ``xy``, with the ``diameter`` (largest coordinate) and ``tol``
-    the checks used and the segment measures they compared, read-only:
-    ``directions`` (end minus start), their ``lengths`` and the
-    ``cross_products`` x0 y1 - y0 x1 of the segments' ends.  ``vertices``
-    is rebuilt from ``xy`` as float pairs.
+    endpoints within tolerance are snapped onto the axes, and the tags must
+    lie on their segments: each tag's curve starts and ends at its
+    segment's vertices.  ``tags`` is empty for a profile without tags, one
+    entry per segment (a tag or None), or already columns: a dict laid out
+    as ``tag_columns``.  The family builders, ``scaled``, the surgeries and
+    ``profile_io.loads`` write columns.
+
+    The profile stores arrays, all read-only: the checked vertices ``xy``,
+    with the ``diameter`` (largest coordinate) and ``tol`` the checks used
+    and the segment measures they compared: ``directions`` (end minus
+    start), their ``lengths`` and the ``cross_products`` x0 y1 - y0 x1 of
+    the segments' ends; and ``tag_columns``, which maps each tag type to
+    the indices of its segments (increasing) and its tags' ``numbers``, one
+    row per segment.  ``tagged`` lists every tagged segment.  The tuples
+    ``vertices`` (float pairs) and ``tags`` (one entry per segment, or
+    empty when built without tags) are made from the arrays on first read
+    and cached; ``tag(i)`` makes one tag, and ``vertex(i)`` and
+    ``segment(i)`` read one vertex or segment.  Equality, hashing and
+    pickling go by the arrays, family and params.
 
     Derived geometry is computed on first use and then cached on the
-    instance: the read-only arrays ``normals`` (per segment) and
-    ``tagged`` (indices of tagged segments, set on construction when there
-    are no tags); ``normal_turns`` at the interior vertices; the primitive
-    integer normal of each segment (``primitive_normal``, memoised per
-    segment, so that a caller that needs only a few segments, like
-    ``reeb.t_min``, pays only for those; ``primitive_normals`` lists all of
-    them); the tag samples at the Gauss-Legendre nodes of each order
-    (``curve_samples``); and the whole-profile results their owners store
-    with ``memo``: ``classify`` and ``invariants.area``.
-    Every cache assumes the instance never changes, so a profile must not
-    be mutated (not even through ``object.__setattr__``); build a new one
+    instance: the read-only array ``normals`` (per segment);
+    ``normal_turns`` at the interior vertices; the primitive integer normal
+    of each segment (``primitive_normal``, memoised per segment, so that a
+    caller that needs only a few segments, like ``reeb.t_min``, pays only
+    for those; ``primitive_normals`` lists all of them); the tag samples at
+    the Gauss-Legendre nodes of each order (``curve_samples``); and the
+    whole-profile results their owners store with ``memo``: ``classify``
+    and ``invariants.area``.  Every cache assumes the instance never
+    changes, so a profile refuses attribute assignment; build a new one
     instead.
     """
 
-    vertices: tuple[Point, ...]
-    tags: tuple[Optional[Tag], ...] = ()
-    family: str = "custom"
-    params: tuple[tuple[str, float], ...] = ()
-    # Set on construction from ``_validate``.
-    xy: np.ndarray = field(init=False, repr=False, compare=False)
-    diameter: float = field(init=False, repr=False, compare=False)
-    tol: float = field(init=False, repr=False, compare=False)
-    directions: np.ndarray = field(init=False, repr=False, compare=False)
-    lengths: np.ndarray = field(init=False, repr=False, compare=False)
-    cross_products: np.ndarray = field(init=False, repr=False, compare=False)
+    xy: np.ndarray
+    diameter: float
+    tol: float
+    directions: np.ndarray
+    lengths: np.ndarray
+    cross_products: np.ndarray
+    family: str
+    params: tuple[tuple[str, float], ...]
+    # A profile built with a tag list, even one of None only, reads its
+    # tags back as that list; one built without reads ().  These class
+    # values are those of a profile without tags.
+    _listed: bool = False
+    tag_columns: TagColumns = _NO_COLUMNS
+    tagged: np.ndarray = _UNTAGGED
 
-    def __post_init__(self):
-        xy, diameter, *measures = _validate(self.vertices)
-        # Frozen: the fields are set in the instance dict directly.
-        self.__dict__.update(
+    def __init__(self, vertices, tags=(), family: str = "custom", params=()):
+        xy, diameter, *measures = _validate(vertices)
+        # Frozen: the attributes are set in the instance dict directly.
+        d = self.__dict__
+        d.update(
             zip(("directions", "lengths", "cross_products"), measures),
-            vertices=tuple(zip(*xy.T.tolist())), xy=xy, diameter=diameter, tol=TOL_REL * diameter,
+            xy=xy, diameter=diameter, tol=TOL_REL * diameter, family=family, params=params,
         )
-        if isinstance(self.tags, _ColumnTags):
-            self.__dict__.update(_stacked_tags=self.tags.stacked, tags=tuple(self.tags))
-        if not self.tags:
-            self.__dict__["tagged"] = _UNTAGGED
+        if isinstance(tags, dict):
+            columns = tags
+        elif tags:
+            columns = _columns_of(tags, len(xy) - 1)
+        else:
             return
-        if len(self.tags) != len(xy) - 1:
-            raise ParamOutOfRange(
-                f"{len(self.tags)} tags for a profile with {len(xy) - 1} segments"
-            )
-        if len(self.tagged):
+        columns, tagged = _checked_columns(columns, len(xy) - 1)
+        d.update(_listed=True, tag_columns=columns, tagged=tagged)
+        if len(tagged):
             self._check_tag_ends()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Pickled as the constructor's arguments: the stored arrays.
+        tags = dict(self.tag_columns) if self._listed else ()
+        return type(self), (self.xy, tags, self.family, self.params)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(vertices={self.vertices!r}, tags={self.tags!r}, "
+            f"family={self.family!r}, params={self.params!r})"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        theirs = other.tag_columns
+        return (
+            (self.family, self.params, self._listed) == (other.family, other.params, other._listed)
+            and np.array_equal(self.xy, other.xy)
+            and self.tag_columns.keys() == theirs.keys()
+            and all(
+                np.array_equal(segs, theirs[cls][0]) and np.array_equal(nums, theirs[cls][1])
+                for cls, (segs, nums) in self.tag_columns.items()
+            )
+        )
+
+    def __hash__(self) -> int:
+        # Equal arrays may differ in the sign of a zero (-0.0 == 0.0):
+        # adding 0.0 makes every zero positive before the bytes are hashed.
+        columns = tuple(
+            (cls, segs.tobytes(), (nums + 0.0).tobytes())
+            for cls, (segs, nums) in self.tag_columns.items()
+        )
+        return hash((self.family, self.params, self._listed, (self.xy + 0.0).tobytes(), columns))
 
     def _check_tag_ends(self) -> None:
         """Every tag's curve must start and end at its segment's vertices,
@@ -251,22 +324,62 @@ class MomentProfile:
             k = int(off.argmax())
             i = int(idx[k])
             (s0, s1), (e0, e1) = ends[k].tolist()
+            v0, v1 = self.segment(i)
             raise ParamOutOfRange(
                 f"tag of segment {i} runs from {(s0, s1)} to {(e0, e1)}, not from "
-                f"vertex {i} at {self.vertices[i]} to vertex {i + 1} at {self.vertices[i + 1]}"
+                f"vertex {i} at {v0} to vertex {i + 1} at {v1}"
             )
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        """The vertices as float pairs, made from ``xy`` on first read."""
+        return tuple(zip(*self.xy.T.tolist()))
+
+    @cached_property
+    def tags(self) -> tuple[Optional[Tag], ...]:
+        """Each segment's tag or None, made from ``tag_columns`` on first
+        read; empty for a profile built without tags."""
+        if not self._listed:
+            return ()
+        tags: list[Optional[Tag]] = [None] * self.n_segments
+        for cls, (segs, nums) in self.tag_columns.items():
+            for i, row in zip(segs.tolist(), nums.tolist()):
+                tags[i] = cls.from_numbers(row)
+        return tuple(tags)
+
+    def tag(self, i: int) -> Optional[Tag]:
+        """``tags[i]``, making only that tag."""
+        if not self._listed:
+            return None
+        i = range(self.n_segments)[i]
+        for cls, (segs, nums) in self.tag_columns.items():
+            k = int(segs.searchsorted(i))
+            if k < len(segs) and segs[k] == i:
+                return cls.from_numbers(nums[k].tolist())
+        return None
+
+    def tag_columns_from(self, j: int, at: int):
+        """The tags of segments j, j + 1, ... as columns renumbered to start
+        at segment ``at``, for a new path that keeps those segments from
+        ``at`` on and has no tag before; () for a profile without tags."""
+        if not self._listed:
+            return ()
+        return {
+            cls: (segs[segs >= j] + (at - j), nums[segs >= j])
+            for cls, (segs, nums) in self.tag_columns.items()
+        }
 
     @property
     def a_intercept(self) -> float:
-        return self.vertices[0][0]
+        return self.xy.item(0, 0)
 
     @property
     def b_intercept(self) -> float:
-        return self.vertices[-1][1]
+        return self.xy.item(-1, 1)
 
     @property
     def n_segments(self) -> int:
-        return len(self.vertices) - 1
+        return len(self.xy) - 1
 
     @cached_property
     def normals(self) -> np.ndarray:
@@ -311,12 +424,6 @@ class MomentProfile:
         return memo[i]
 
     @cached_property
-    def tagged(self) -> np.ndarray:
-        """Indices of the segments that carry an analytic tag."""
-        idx = [i for i, t in enumerate(self.tags) if t is not None]
-        return _read_only(np.array(idx, dtype=np.intp))
-
-    @cached_property
     def _memo(self) -> dict[str, object]:
         return {}
 
@@ -329,27 +436,15 @@ class MomentProfile:
             memo[key] = compute()
         return memo[key]
 
-    @cached_property
-    def _stacked_tags(self) -> list[tuple[np.ndarray, Tag]]:
-        """Per tag type: the positions of its tags in ``tagged``, and one
-        instance of the type whose fields are columns holding those tags'
-        fields."""
-        tags = [self.tags[i] for i in self.tagged.tolist()]
-        out = []
-        for cls in set(map(type, tags)):
-            rows = [k for k, tag in enumerate(tags) if type(tag) is cls]
-            columns = np.array([tags[k].numbers() for k in rows]).T[..., None]
-            out.append((np.array(rows, dtype=np.intp), cls.from_numbers(columns)))
-        return out
-
     def sample_curves(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Points and derivatives of the tagged segments (in the order of
         ``tagged``) at the parameters ``t``, as two (k, len(t), 2) arrays;
-        each tag type is sampled in one numpy call (``_stacked_tags``)."""
+        each tag type is sampled in one numpy call on its columns."""
         pts = np.empty((len(self.tagged), len(t), 2))
         ders = np.empty_like(pts)
-        for rows, stacked in self._stacked_tags:
-            pts[rows], ders[rows] = stacked.sample(t)
+        for cls, (segs, nums) in self.tag_columns.items():
+            rows = self.tagged.searchsorted(segs)
+            pts[rows], ders[rows] = cls.sample_numbers(nums.T[..., None], t)
         return pts, ders
 
     def curve_samples(self, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -360,8 +455,12 @@ class MomentProfile:
             lambda: tuple(map(_read_only, self.sample_curves(_gl_nodes(order)[0]))),
         )
 
+    def vertex(self, i: int) -> Point:
+        """Vertex i as a float pair (a row of ``xy``)."""
+        return self.xy.item(i, 0), self.xy.item(i, 1)
+
     def segment(self, i: int) -> tuple[Point, Point]:
-        return self.vertices[i], self.vertices[i + 1]
+        return self.vertex(i), self.vertex(i + 1)
 
     def segment_direction(self, i: int) -> Point:
         """Segment i's vector, end minus start (a row of ``directions``)."""
@@ -371,20 +470,17 @@ class MomentProfile:
         """Unit outward normal of segment i (a row of ``normals``)."""
         return tuple(self.normals[i].tolist())
 
-    def tag(self, i: int) -> Optional[Tag]:
-        return self.tags[i] if self.tags else None
-
     def scaled(self, s: float) -> "MomentProfile":
         """All vertex coordinates (and tag curves) multiplied by s > 0."""
         if s <= 0:
             raise ParamOutOfRange("scale factor must be positive")
-        tags = tuple(t and t.scaled(s) for t in self.tags)
         with _quiet():
             xy = s * self.xy
-            if len(self.tagged):
-                stacked = [(rows, st.scaled(s)) for rows, st in self._stacked_tags]
-                tags = _ColumnTags(tags, stacked)
-        return MomentProfile(xy, tags, family="custom")
+            tags = {
+                cls: (segs, nums * cls.scale_factors(s))
+                for cls, (segs, nums) in self.tag_columns.items()
+            }
+        return MomentProfile(xy, tags if self._listed else (), family="custom")
 
 
 def _quiet(needed: bool = True):
@@ -392,6 +488,65 @@ def _quiet(needed: bool = True):
     without a warning, as Python float arithmetic does; a no-op unless
     ``needed``, since entering ``np.errstate`` costs about 2 µs."""
     return np.errstate(over="ignore", invalid="ignore") if needed else nullcontext()
+
+
+def _columns_of(tags, n: int) -> dict:
+    """``tag_columns`` of a tag list with one entry per segment."""
+    if len(tags) != n:
+        raise ParamOutOfRange(f"{len(tags)} tags for a profile with {n} segments")
+    rows: dict[type, tuple[list, list]] = {}
+    for i, tag in enumerate(tags):
+        if tag is None:
+            continue
+        if not isinstance(tag, Tag):
+            raise ParamOutOfRange(
+                f"tag of segment {i} is a {type(tag).__name__}, not an Arc, a SquaredSegment or None"
+            )
+        segs, nums = rows.setdefault(type(tag), ([], []))
+        segs.append(i)
+        nums.append(tag.numbers())
+    return rows
+
+
+def _checked_columns(columns: dict, n: int) -> tuple[TagColumns, np.ndarray]:
+    """Tag columns copied into read-only arrays, keyed by tag type in the
+    order of their ``kind`` names, without empty types, and the sorted
+    indices of all the tagged segments; raises ParamOutOfRange unless every
+    key is a tag type with one row of its numbers per segment, and the
+    segments of a type increase and lie in range, with no segment in two
+    types."""
+    out = {}
+    for cls in sorted(columns, key=lambda c: getattr(c, "kind", "")):
+        if not (isinstance(cls, type) and issubclass(cls, Tag) and cls is not Tag):
+            raise ParamOutOfRange(f"tag columns keyed by {cls!r}, not a tag type")
+        segs, nums = columns[cls]
+        try:
+            segs, nums = np.array(segs), np.array(nums, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParamOutOfRange(f"{cls.kind} tags must be numbers: {exc}") from None
+        if segs.size and segs.dtype.kind not in "iu":
+            raise ParamOutOfRange(f"{cls.kind} tag segments must be integers; got {segs.tolist()}")
+        segs = segs.astype(np.intp, copy=False)
+        if segs.ndim != 1 or nums.shape != (len(segs), cls.n_numbers):
+            raise ParamOutOfRange(
+                f"{cls.kind} tag columns of shapes {segs.shape} and {nums.shape}; "
+                f"need (k,) segments and (k, {cls.n_numbers}) numbers"
+            )
+        if len(segs) and not (0 <= segs[0] and segs[-1] < n and (segs[1:] > segs[:-1]).all()):
+            raise ParamOutOfRange(
+                f"{cls.kind} tag segments must increase within 0..{n - 1}; got {segs.tolist()}"
+            )
+        if len(segs):
+            out[cls] = (_read_only(segs), _read_only(nums))
+    if len(out) < 2:
+        tagged = next(iter(out.values()))[0] if out else _UNTAGGED
+    else:
+        tagged = np.sort(np.concatenate([segs for segs, _ in out.values()]))
+        if not (tagged[1:] > tagged[:-1]).all():
+            i = tagged[1:][tagged[1:] == tagged[:-1]][0]
+            raise ParamOutOfRange(f"segment {i} carries two tags")
+        _read_only(tagged)
+    return MappingProxyType(out), tagged
 
 
 def _validate(vertices) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray]:
@@ -463,8 +618,9 @@ def _validate(vertices) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.n
 
 
 def from_vertices(points) -> MomentProfile:
-    """Build and validate a polygonal profile from (w1, w2) pairs."""
-    return MomentProfile(tuple(points))
+    """Build and validate a polygonal profile from (w1, w2) pairs, or an
+    (n + 1, 2) array of them."""
+    return MomentProfile(points if isinstance(points, np.ndarray) else tuple(points))
 
 
 def ellipsoid(a: float, b: float, n: int = 1) -> MomentProfile:
@@ -530,17 +686,14 @@ def fc_domain(b: float, c: float, n: int = 8) -> MomentProfile:
     # Start and end of each tagged segment, piece 3's then piece 1's.
     mu0 = np.concatenate([mu[:-1] for mu in mus])
     mu1 = np.concatenate([mu[1:] for mu in mus])
-    tags: list[Optional[Tag]] = list(
-        map(SquaredSegment, zip(*mu0.T.tolist()), zip(*mu1.T.tolist()))
-    )
+    segs = np.arange(2 * n)
     starts = mu0 * mu0
     pieces = [starts[:n], starts[n:], [(0.0, b)]]
     if not w_break2 - w_break1 <= 1e-12 * max(1.0, b):
         pieces.insert(1, [(w_break2, c - w_break2)])
-        tags.insert(n, None)  # straight piece w2 = c - w1
-    stacked = [(np.arange(2 * n), SquaredSegment.from_numbers(np.hstack((mu0, mu1)).T[..., None]))]
+        segs[n:] += 1  # after the untagged straight piece w2 = c - w1
     return MomentProfile(
-        np.concatenate(pieces), _ColumnTags(tags, stacked),
+        np.concatenate(pieces), {SquaredSegment: (segs, np.hstack((mu0, mu1)))},
         family="fc", params=(("b", b), ("c", c), ("n", n)),
     )
 
@@ -568,7 +721,7 @@ def ray_hit(p: MomentProfile, u: Point) -> tuple[float, float, int]:
     """Where the ray t*u (t > 0) from the origin crosses the profile
     polyline: the ray parameter t, the parameter s in [0, 1] along the
     crossed segment, and that segment's index (the first in path order)."""
-    for i, (a, d) in enumerate(zip(p.vertices, p.directions.tolist())):
+    for i, (a, d) in enumerate(zip(p.xy.tolist(), p.directions.tolist())):
         denom = cross(u, d)
         if abs(denom) < 1e-300:
             continue
@@ -614,35 +767,12 @@ class NormalCone:
 
 def normal_cone(p: MomentProfile, vertex_index: int) -> NormalCone:
     """Normal cone at interior vertex ``vertex_index`` (1..n-1)."""
-    if not (1 <= vertex_index <= len(p.vertices) - 2):
+    if not (1 <= vertex_index <= p.n_segments - 1):
         raise IndexError("normal_cone is defined at interior vertices")
     nu_in = p.segment_normal(vertex_index - 1)
     nu_out = p.segment_normal(vertex_index)
     turn = p.normal_turns[vertex_index - 1]
-    v = p.vertices[vertex_index]
-    if turn >= 0:
-        return NormalCone(v, nu_in, nu_out, turn, convex=True)
-    return NormalCone(v, nu_out, nu_in, -turn, convex=False)
-
-
-def endpoint_cone(p: MomentProfile, which: str) -> NormalCone:
-    """Normal cone at an axis intercept, bounded by the axis normal.
-
-    The closed boundary of the region continues along the axes; the
-    outward normal of the w1-axis piece is (0, -1) and of the w2-axis
-    piece is (-1, 0).
-    """
-    if which == "a":
-        nu_in = (0.0, -1.0)
-        nu_out = p.segment_normal(0)
-        v = p.vertices[0]
-    elif which == "b":
-        nu_in = p.segment_normal(p.n_segments - 1)
-        nu_out = (-1.0, 0.0)
-        v = p.vertices[-1]
-    else:
-        raise ValueError("which must be 'a' or 'b'")
-    turn = math.atan2(cross(nu_in, nu_out), dot(nu_in, nu_out))
+    v = p.vertex(vertex_index)
     if turn >= 0:
         return NormalCone(v, nu_in, nu_out, turn, convex=True)
     return NormalCone(v, nu_out, nu_in, -turn, convex=False)
@@ -700,20 +830,8 @@ def _convex_4d(p: MomentProfile, monotone: bool, witnesses: dict) -> bool:
     return True
 
 
-def sqrt_transform(p: MomentProfile) -> list[Point]:
-    """Pointwise square root of the vertex list."""
-    return [(math.sqrt(x), math.sqrt(y)) for x, y in p.vertices]
-
-
 # ---------------------------------------------------------------------------
 # Corner rounding
-
-
-def total_turning(p: MomentProfile) -> float:
-    """Total turning of the outward normal along the profile: the sum of
-    ``normal_turns``, the signed exterior angles at interior vertices
-    (an arc's turning is already in the turns between its chords)."""
-    return sum(p.normal_turns)
 
 
 def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentProfile:
@@ -743,10 +861,10 @@ def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentPr
         stay = (turns <= COLLINEAR_TURN) | (r * turns <= m * p.tol)
     rounded = (np.flatnonzero(~stay) + 1).tolist()
     if not rounded:
-        return MomentProfile(p.xy, (None,) * p.n_segments, family="custom")
+        return MomentProfile(p.xy, {}, family="custom")
     t1s, centers, ang0s, corner_turns = [], [], [], []
     for i in rounded:
-        (x, y), turn = p.vertices[i], p.normal_turns[i - 1]
+        (x, y), turn = p.vertex(i), p.normal_turns[i - 1]
         d1x, d1y = p.directions[i - 1].tolist()
         l1, l2 = p.lengths[i - 1 : i + 1].tolist()
         u1 = (d1x / l1, d1y / l1)
@@ -784,16 +902,11 @@ def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentPr
 
     # Corner j's t1 replaces vertex rounded[j] after j earlier corners grew
     # by m vertices each; its m arcs are the segments that follow.
+    segs = (np.array(rounded) + m * np.arange(k))[:, None] + np.arange(m)
     a0, a1 = angles[:, :-1].ravel(), angles[:, 1:].ravel()
-    arc_centers = [c for c in centers for _ in range(m)]
-    arcs = list(map(Arc, arc_centers, [r] * len(a0), a0.tolist(), a1.tolist()))
-    tags: list[Optional[Tag]] = [None] * (len(verts) - 1)
-    for j, i in enumerate(rounded):
-        tags[i + j * m : i + (j + 1) * m] = arcs[j * m : (j + 1) * m]
-    columns = np.array([cx.repeat(m), cy.repeat(m), np.full(len(a0), r), a0, a1])
-    stacked = [(np.arange(len(arcs)), Arc.from_numbers(columns[..., None]))]
+    numbers = np.column_stack((cx.repeat(m), cy.repeat(m), np.full(len(a0), r), a0, a1))
 
     try:
-        return MomentProfile(verts, _ColumnTags(tags, stacked), family="custom")
+        return MomentProfile(verts, {Arc: (segs.ravel(), numbers)}, family="custom")
     except NotStarShaped as exc:
         raise SmoothingBreaksStarShape(str(exc)) from exc

@@ -240,7 +240,7 @@ def orbits_below(p: MomentProfile, cutoff: float) -> list[OrbitDatum]:
     if not math.isfinite(cutoff):
         raise ParamOutOfRange(f"action cutoff must be finite; got {cutoff}")
     orbits = [o for o in _base_candidates(p) if o.action <= cutoff]
-    for vi in range(1, len(p.vertices) - 1):
+    for vi in range(1, p.n_segments):
         orbits.extend(orbits_at_vertex(p, vi, cutoff))
     orbits.sort(key=OrbitDatum.sort_key)
     return orbits
@@ -286,7 +286,7 @@ def t_min(
     candidates = _base_candidates(p)
     ceiling = min(o.action for o in candidates)
     cones = [
-        (vi, normal_cone(p, vi)) for vi in range(1, len(p.vertices) - 1) if _is_corner(p, vi)
+        (vi, normal_cone(p, vi)) for vi in range(1, p.n_segments) if _is_corner(p, vi)
     ]
     for vi, cone in cones:
         got = _cone_candidates_oracle(cone, ceiling, n_oracle)
@@ -351,7 +351,7 @@ def _t_min_fast(p: MomentProfile) -> tuple[float, OrbitDatum]:
     if rank == 0:
         base = (a, 0.0) if i == 0 else (0.0, b)
     else:
-        base = p.vertices[i]
+        base = p.vertex(i)
     return action, OrbitDatum((m1, m2), base, action, LOCATION_KINDS[rank], i)
 
 

@@ -171,7 +171,7 @@ def strangulate(
     exit_ = tuple(p.xy[i1] + hi[i1] * p.directions[i1])
 
     tol = p.tol
-    verts: list[Point] = list(p.vertices[: i0 + 1])
+    verts: list = p.xy[: i0 + 1].tolist()
 
     def push(pt: Point):
         if verts and math.hypot(pt[0] - verts[-1][0], pt[1] - verts[-1][1]) <= tol:
@@ -182,11 +182,11 @@ def strangulate(
     push(apex)
     apex_index = len(verts) - 1
     push(exit_)
-    for v in p.vertices[i1 + 1 :]:
+    for v in p.xy[i1 + 1 :].tolist():
         push(v)
 
     try:
-        out = MomentProfile(tuple(verts))
+        out = MomentProfile(verts)
     except NotStarShaped as exc:
         raise ClippingBreaksStarShape(str(exc)) from exc
 
@@ -220,24 +220,24 @@ def flatten_near_intercept(p: MomentProfile, radius: float) -> tuple[MomentProfi
     if not radius >= 0:
         raise RadiusTooLarge(f"radius must be nonnegative; got {radius}")
     a = p.a_intercept
+    xs = p.xy[:, 0].tolist()
     j = None
-    for idx in range(1, len(p.vertices)):
-        if p.vertices[idx][0] <= a - radius:
+    for idx in range(1, len(xs)):
+        if xs[idx] <= a - radius:
             j = idx
             break
-        if idx < len(p.vertices) - 1 and p.vertices[idx + 1][0] > p.vertices[idx][0]:
+        if idx < len(xs) - 1 and xs[idx + 1] > xs[idx]:
             break  # w1 stopped decreasing before clearing the window
     if j is None:
         raise RadiusTooLarge(f"no path vertex with w1 <= {a - radius}")
-    target = p.vertices[j]
+    target = p.vertex(j)
     if abs(target[0] - a) <= p.tol:
         raise RadiusTooLarge("flattening window has zero width in w1")
     k = (target[1] - 0.0) / (target[0] - a)
     if j == 1 and p.tag(0) is None:
         return p, k
-    verts = (p.vertices[0],) + p.vertices[j:]
-    tags = ((None,) + p.tags[j:]) if p.tags else ()
-    return MomentProfile(verts, tags), k
+    verts = np.concatenate((p.xy[:1], p.xy[j:]))
+    return MomentProfile(verts, p.tag_columns_from(j, 1)), k
 
 
 def strain(p: MomentProfile, eps: float) -> SurgeryOutcome:
@@ -261,7 +261,7 @@ def strain(p: MomentProfile, eps: float) -> SurgeryOutcome:
     if p.tag(0) is not None:
         raise NotFlattened("first segment carries an analytic tag")
     a = p.a_intercept
-    v1 = p.vertices[1]
+    v1 = p.vertex(1)
     d = (v1[0] - a, v1[1])
     if abs(d[0]) <= p.tol:
         raise NotFlattened("first segment is vertical; slope is not finite")
@@ -280,14 +280,12 @@ def strain(p: MomentProfile, eps: float) -> SurgeryOutcome:
         )
 
     tip = (w_star, eps)
-    rest, tags = p.vertices[1:], (None,) + p.tags[1:]
+    rest, at = p.xy[1:], 2
     if math.hypot(tip[0] - v1[0], tip[1] - v1[1]) <= p.tol:
         # The tip coincides with the old first vertex: the segment out of
         # the tip is the old second segment and keeps its tag.
-        rest = rest[1:]
-    else:
-        tags = (None,) + tags
-    out = MomentProfile(((spike, 0.0), tip, *rest), tags if p.tags else ())
+        rest, at = rest[1:], 1
+    out = MomentProfile(np.concatenate(([(spike, 0.0), tip], rest)), p.tag_columns_from(1, at))
 
     tmin_in = input_t_min(p)
     witnesses = reeb.orbits_at_vertex(out, 1, action_cutoff=2 * tmin_in)

@@ -40,10 +40,18 @@ from toricsys.cli import EXIT_INVALID, EXIT_PIPE, main
         ("tmin ball:2 --method oracle --oracle-n 0", "oracle cutoff must be at least 1; got 0"),
         ("tmin ball:2 --method oracle --oracle-n -1", "oracle cutoff must be at least 1; got -1"),
         ("tmin ball:2 --oracle-n 5", "--oracle-n is read only with --method oracle"),
+        ("invariants {tagged_twice}", "two tag lines for segment 1"),
     ],
 )
-def test_invalid_input_is_a_typed_error(argv, says, capsys):
-    assert main(argv.split()) == EXIT_INVALID
+def test_invalid_input_is_a_typed_error(argv, says, tmp_path, capsys):
+    # A rounded polydisk's file whose segment 1 has two tag lines and
+    # segment 2 none.
+    tagged_twice = tmp_path / "tagged_twice.txt"
+    tag_1 = "tag 1 arc 0.8 0.8 0.2 0 0.7853981633974483\n"
+    tagged_twice.write_text(
+        tag_1 + tag_1 + "vertices:\n1 0\n1 0.8\n0.9414213562373096 0.9414213562373095\n0.8 1\n0 1\n"
+    )
+    assert main(argv.format(tagged_twice=tagged_twice).split()) == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: ParamOutOfRange: {says}\n"

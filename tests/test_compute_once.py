@@ -242,11 +242,11 @@ class TestComputeOnce:
         calls = []
         for cls in (Arc, SquaredSegment):
 
-            def counted(self, t, real=cls.sample):
-                calls.append((type(self), len(t)))
-                return real(self, t)
+            def counted(numbers, t, cls=cls, real=cls.sample_numbers):
+                calls.append((cls, len(t)))
+                return real(numbers, t)
 
-            monkeypatch.setattr(cls, "sample", counted)
+            monkeypatch.setattr(cls, "sample_numbers", staticmethod(counted))
         p = fc_domain(2, 0.7, 8)
         q = smooth_corners(polydisk(1, 2), 0.2, 4)
         # Construction samples each tag's two ends (``_check_tag_ends``).

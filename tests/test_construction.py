@@ -10,8 +10,8 @@ since (``_overflow_checked``).  The library must give
 the same vertices, tags, area and Ruelle quadrature bit for bit, and raise
 the same exception class with the same message.  The values a profile
 seeds on construction (``xy``, ``diameter``, ``tol``, the per-segment
-``directions``, ``lengths`` and ``cross_products``, and the stacked tag
-columns) must equal those recomputed from its vertices and tags, and its
+``directions``, ``lengths`` and ``cross_products``, and the tag columns)
+must equal those recomputed from its vertices and tags, and its
 ``normals`` those of ``parent_normals``, the computation they replaced.
 """
 
@@ -264,20 +264,16 @@ def outcome(build, *args):
         return type(exc), str(exc)
 
 
-def stacked_by_type(stacked):
-    """``_stacked_tags`` as {type: (rows, field columns)}."""
-    return {type(tags): (rows, tags.numbers()) for rows, tags in stacked}
-
-
-def recomputed_stacked(p):
-    """The stacked tag columns rebuilt from ``p.tags`` one tag at a time."""
-    tags = [p.tags[i] for i in p.tagged.tolist()]
-    out = []
-    for cls in set(map(type, tags)):
-        rows = [k for k, tag in enumerate(tags) if type(tag) is cls]
-        columns = np.array([tags[k].numbers() for k in rows]).T[..., None]
-        out.append((np.array(rows, dtype=np.intp), cls.from_numbers(columns)))
-    return out
+def recomputed_columns(p):
+    """``tag_columns`` rebuilt from ``p.tags`` one tag at a time, as
+    {type: (segment indices, numbers)}."""
+    out = {}
+    for i, tag in enumerate(p.tags):
+        if tag is not None:
+            segs, rows = out.setdefault(type(tag), ([], []))
+            segs.append(i)
+            rows.append(tag.numbers())
+    return {cls: (np.array(segs, dtype=np.intp), np.array(rows)) for cls, (segs, rows) in out.items()}
 
 
 def assert_seeded(p):
@@ -296,12 +292,12 @@ def assert_seeded(p):
     assert np.array_equal(p.normals, parent_normals(d))
     assert p.tagged.tolist() == [i for i, t in enumerate(p.tags) if t is not None]
     assert p.tagged.dtype == np.intp and not p.tagged.flags.writeable
-    got, want = stacked_by_type(p._stacked_tags), stacked_by_type(recomputed_stacked(p))
+    got, want = p.tag_columns, recomputed_columns(p)
     assert got.keys() == want.keys()
-    for cls, (rows, columns) in want.items():
-        assert np.array_equal(got[cls][0], rows)
-        assert len(got[cls][1]) == len(columns)
-        assert all(map(np.array_equal, got[cls][1], columns))
+    for cls, (segs, numbers) in want.items():
+        assert got[cls][0].dtype == np.intp and np.array_equal(got[cls][0], segs)
+        assert got[cls][1].dtype == float and np.array_equal(got[cls][1], numbers)
+        assert not (got[cls][0].flags.writeable or got[cls][1].flags.writeable)
 
 
 def assert_same(new, ref):
@@ -421,6 +417,14 @@ class TestScaled:
     def test_scaled_twice_keeps_stacked_columns(self):
         for p in self.profiles():
             assert_same(p.scaled(3).scaled(0.5), scaled(scaled(p, 3), 0.5))
+
+
+class TestTagList:
+    @pytest.mark.parametrize("entry, name", [("x", "str"), (5, "int"), ((1, 2), "tuple")])
+    def test_non_tag_entry_is_out_of_range(self, entry, name):
+        p = geometry.smooth_corners(geometry.polydisk(1, 1), 0.2, 2)
+        with pytest.raises(ParamOutOfRange, match=f"^tag of segment 0 is a {name}, not an Arc"):
+            geometry.MomentProfile(p.vertices, (entry,) + p.tags[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,12 @@ from toricsys import (
     ball,
     classify,
     ellipsoid,
-    endpoint_cone,
     fc_domain,
     from_vertices,
     normal_cone,
     polydisk,
     smooth_corners,
     SquaredSegment,
-    sqrt_transform,
-    total_turning,
 )
 from toricsys.invariants import area
 
@@ -144,20 +141,8 @@ class TestNormalCones:
         cone = normal_cone(ellipsoid(1, 1, 4), 2)
         assert cone.width < 1e-12
 
-    def test_endpoint_cones(self):
-        p = ball(1)
-        ca = endpoint_cone(p, "a")
-        cb = endpoint_cone(p, "b")
-        assert ca.convex and cb.convex
-        assert ca.width == pytest.approx(3 * math.pi / 4)
-        assert cb.width == pytest.approx(3 * math.pi / 4)
-
 
 class TestSqrtTransform:
-    def test_examples(self):
-        assert sqrt_transform(from_vertices([(1, 0), (0, 1)])) == [(1, 0), (0, 1)]
-        assert sqrt_transform(from_vertices([(4, 0), (0, 9)])) == [(2, 0), (0, 3)]
-
     def test_midpoint_value(self):
         mu = math.sqrt(0.5)
         assert mu == pytest.approx(0.7071, abs=1e-4)
@@ -197,7 +182,7 @@ class TestSmoothCorners:
     def test_total_turning_preserved(self):
         p = from_vertices([(2, 0), (1.8, 0.5), (1.2, 1.4), (0.3, 1.9), (0, 2)])
         sm = smooth_corners(p, 0.05)
-        assert total_turning(sm) == pytest.approx(total_turning(p), abs=1e-9)
+        assert sum(sm.normal_turns) == pytest.approx(sum(p.normal_turns), abs=1e-9)
 
     def test_corner_test_is_scale_free(self):
         # The corners turn by less than 1 rad; at s = 1e9 a length
