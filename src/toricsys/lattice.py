@@ -12,9 +12,13 @@ searches over those vectors:
   directions in one step, so it costs O(log coefficient) Python steps
   instead of one per unit of each coefficient;
 * ``enumerate_in_cone``: every vector with action below a cutoff (and
-  optionally max norm below a bound), found line by line across the
-  cone's bounding box, in memory proportional to the output; the orbit
-  lists and the brute-force T_min oracle both use it.
+  optionally max norm below a bound) in each cone of a batch, the cones
+  given as the rows of one array (``cone_columns``), found line by line
+  across each cone's bounding box, the lines and points of all cones in
+  one numpy pass and in memory proportional to the output.  The orbit
+  list of a vertex passes a batch of one; the brute-force T_min oracle
+  passes every corner cone of a profile at once, cut at the least
+  positive action of a small vector in them (``least_small_action``).
 
 The descent serves fast T_min and strangulation's witness (the apex
 cone's least action); the enumerator is the oracle's independent
@@ -24,12 +28,13 @@ reference and shares no search with it.
 from __future__ import annotations
 
 import math
+import sys
 from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateDenominator
+from .errors import DegenerateDenominator, ParamOutOfRange
 from .geometry import NormalCone
 
 # Relative tolerance for cone membership of integer directions.
@@ -66,8 +71,14 @@ def in_cone_mask(cone: NormalCone, m: np.ndarray, n: np.ndarray) -> np.ndarray:
     exact integer m*m + n*n, the correctly rounded hypotenuse, which is what
     ``math.hypot`` returns (CPython 3.10 and later round it correctly
     almost always; ``np.hypot`` is often one unit off)."""
-    tol = CONE_TOL * np.sqrt(m * m + n * n)
     (sx, sy), (ex, ey) = cone.start, cone.end
+    return _in_cone(sx, sy, ex, ey, m, n)
+
+
+def _in_cone(sx, sy, ex, ey, m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``in_cone_mask``'s predicate, for boundary components given as
+    floats or as arrays that broadcast against m and n."""
+    tol = CONE_TOL * np.sqrt(m * m + n * n)
     return (sx * n - sy * m >= -tol) & (m * ey - n * ex >= -tol)
 
 
@@ -279,66 +290,162 @@ def min_in_cone(
 # Enumeration below a cutoff
 
 
-def enumerate_in_cone(
-    cone: NormalCone, cutoff: float, n_max: Optional[int] = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every primitive (m, n) in the closed cone with action
-    m*v1 + n*v2 <= cutoff (up to a relative 1e-12), and with max norm
-    max(|m|, |n|) <= n_max unless n_max is None, as arrays m, n and
-    action, in no particular order.
+def cone_columns(cones) -> np.ndarray:
+    """A sequence of NormalCones as the (k, 3, 2) float array of rows
+    (start, end, vertex) that ``enumerate_in_cone`` takes."""
+    return np.array([(c.start, c.end, c.vertex) for c in cones], dtype=float).reshape(-1, 3, 2)
 
-    The candidates lie in the bounding box of the triangle spanned by the
-    origin and the two boundary rays cut at the cutoff (one unit of margin
-    on each side), clipped to [-n_max, n_max]^2.  Only the lattice lines
-    along the box's shorter side are scanned; on each, the two cone
-    half-planes and the cutoff bound the other coordinate to an interval,
-    widened by one unit, and the membership predicate then decides in
-    numpy.  Memory is proportional to the output plus the number of lines.
-    """
-    v0, v1 = cone.vertex
-    corners = [(0.0, 0.0)]
-    for r in (cone.start, cone.end):
-        fr = r[0] * v0 + r[1] * v1
-        if fr <= 0:
-            raise DegenerateDenominator("cone boundary has nonpositive action")
-        corners.append((r[0] * cutoff / fr, r[1] * cutoff / fr))
-    box = [
-        (math.floor(min(c[i] for c in corners)) - 1, math.ceil(max(c[i] for c in corners)) + 1)
-        for i in (0, 1)
-    ]
-    if n_max is not None:
-        box = [(max(lo, -n_max), min(hi, n_max)) for lo, hi in box]
+
+# The primitive vectors of max norm <= 1 and <= 2, as (m, n) columns.
+_SMALL_VECTORS = {
+    r: np.array(
+        [(m, n) for m in range(-r, r + 1) for n in range(-r, r + 1) if math.gcd(m, n) == 1]
+    ).T
+    for r in (1, 2)
+}
+
+
+def least_small_action(cones: np.ndarray, max_norm: int) -> float:
+    """The least positive action m*v1 + n*v2 of a primitive vector of max
+    norm <= max_norm (1 or 2) that ``in_cone_mask``'s predicate puts in
+    one of the cones (``cone_columns`` rows), or inf: one broadcast over
+    the cones and at most 16 vectors.  Such a vector lies in its cone's
+    box at every cutoff from its action up, so ``enumerate_in_cone``
+    lists it there when n_max >= max_norm."""
+    m, n = _SMALL_VECTORS[max_norm]
+    (sx, sy), (ex, ey), (v0, v1) = cones.transpose(1, 2, 0)[..., None]
+    action = m * v0 + n * v1
+    inside = _in_cone(sx, sy, ex, ey, m, n) & (action > 0)
+    return float(action[inside].min(initial=math.inf))
+
+
+def _too_many(cutoff: float, count, what: str) -> ParamOutOfRange:
+    count = float(count) if count <= sys.float_info.max else math.inf
+    return ParamOutOfRange(f"action cutoff {cutoff} asks for {count:.6g} {what}, too many to list")
+
+
+def _arange(count: int, cutoff: float, what: str) -> np.ndarray:
+    """np.arange(count) for the count of lines or points that a cutoff
+    asks for, or ParamOutOfRange when that array cannot be made."""
+    try:
+        return np.arange(count)
+    except (OverflowError, ValueError, MemoryError):
+        raise _too_many(cutoff, count, what) from None
+
+
+def _scan_plan(start, end, vertex, cutoff: float, n_max: Optional[int]) -> tuple:
+    """One cone's scan in Python floats, as (s_lo, n_lines, scan, row).
+    The cone's lattice lines are s = s_lo, ..., s_lo + n_lines - 1 in its
+    scan coordinate, n when ``scan`` is 1 and m otherwise.  ``row`` bounds
+    the other coordinate i on each line: [i_lo, -i_hi], then the a_s, a_i
+    and b of six half-planes a_s*s + a_i*i >= b, six numbers each.  Slots
+    0-2 hold the half-planes with a_i > 0 and slots 3-5 those with
+    a_i < 0, there with a_i negated, so that ceil((b - a_s*s)/a_i) - 1
+    bounds i from below in the first three slots and -i from below in the
+    last three.  A slot that no half-plane fills bounds nothing
+    (a_s = 0, a_i = 1, b = -inf)."""
+    v0, v1 = vertex
+    (sx, sy), (ex, ey) = start, end
+    f_start, f_end = sx * v0 + sy * v1, ex * v0 + ey * v1
+    if f_start <= 0 or f_end <= 0:
+        raise DegenerateDenominator("cone boundary has nonpositive action")
+    # The bounding box of the origin and the two boundary rays cut at the
+    # cutoff, one unit out, per coordinate, and the half-planes
+    # a_m*m + a_n*n >= b that every solution satisfies: the two cone sides
+    # with their tolerance bounded over the box, and the cutoff.  A box
+    # beyond the float range has too many lines to list.
     limit = cutoff * (1 + 1e-12)
-    # Half-planes a_m*m + a_n*n >= b that every solution satisfies: the two
-    # cone sides with their tolerance bounded over the box, and the cutoff.
-    slack = 2 * CONE_TOL * (max(map(abs, box[0])) + max(map(abs, box[1])))
-    (sx, sy), (ex, ey) = cone.start, cone.end
+    try:
+        box = [
+            (math.floor(min(0.0, cs, ce)) - 1, math.ceil(max(0.0, cs, ce)) + 1)
+            for cs, ce in (
+                (sx * cutoff / f_start, ex * cutoff / f_end),
+                (sy * cutoff / f_start, ey * cutoff / f_end),
+            )
+        ]
+        if n_max is not None:
+            box = [(max(lo, -n_max), min(hi, n_max)) for lo, hi in box]
+        slack = 2 * CONE_TOL * (max(map(abs, box[0])) + max(map(abs, box[1])))
+    except OverflowError:
+        raise _too_many(cutoff, math.inf, "lattice lines") from None
     planes = ((-sy, sx, -slack), (ey, -ex, -slack), (-v0, -v1, -limit))
 
     scan = 0 if box[0][1] - box[0][0] <= box[1][1] - box[1][0] else 1
     (s_lo, s_hi), (i_lo, i_hi) = box[scan], box[1 - scan]
-    s = np.arange(s_lo, s_hi + 1)
-    lo = np.full(s.shape, float(i_lo))
-    hi = np.full(s.shape, float(i_hi))
     s_max = max(abs(s_lo), abs(s_hi))
+    row = [i_lo, -i_hi] + [0.0] * 6 + [1.0] * 6 + [-math.inf] * 6
+    slot = [2, 5]
     for plane in planes:
         a_s, a_i, b = plane[scan], plane[1 - scan], plane[2]
         # A nearly parallel line bounds the scan coordinate, not the
         # other one; skipping it only widens the intervals.
         if abs(a_i) <= 1e-12 * (abs(b) + abs(a_s) * s_max):
             continue
-        bound = (b - a_s * s) / a_i
-        if a_i > 0:
-            lo = np.maximum(lo, np.ceil(bound) - 1)
-        else:
-            hi = np.minimum(hi, np.floor(bound) + 1)
-    lo = np.minimum(lo, i_hi + 1)
-    counts = np.maximum(hi - lo + 1, 0).astype(np.int64)
-    first = lo.astype(np.int64)
-    starts = np.cumsum(counts) - counts
-    inner = np.repeat(first - starts, counts) + np.arange(int(counts.sum()))
+        upper = a_i < 0
+        j = slot[upper]
+        slot[upper] += 1
+        row[j], row[j + 6], row[j + 12] = a_s, -a_i if upper else a_i, b
+    return s_lo, s_hi - s_lo + 1, scan, row
+
+
+def enumerate_in_cone(
+    cones: np.ndarray, cutoff: float, n_max: Optional[int] = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every primitive (m, n) in each closed cone of a batch with action
+    m*v1 + n*v2 <= cutoff (up to a relative 1e-12), and with max norm
+    max(|m|, |n|) <= n_max unless n_max is None, as arrays cone (the
+    cone's row), m, n and action.  The rows of a cone are contiguous and
+    in cone order; within a cone their order is unspecified.
+
+    ``cones`` is a (k, 3, 2) float array whose row j holds cone j's start
+    and end rays (counterclockwise) and its vertex (``cone_columns``).
+    Each cone's candidates lie in the bounding box of the triangle
+    spanned by the origin and its two boundary rays cut at the cutoff
+    (one unit of margin on each side), clipped to [-n_max, n_max]^2, and
+    only the lattice lines along the box's shorter side are scanned.  On
+    each line the two cone half-planes and the cutoff bound the other
+    coordinate to an interval, widened by one unit, and the membership
+    predicate then decides.  Each cone's box and half-planes are a few
+    float operations (``_scan_plan``); the lines and points of the whole
+    batch are then bounded, listed and tested in one numpy pass, with
+    each cone's own floats.  Memory is proportional to the output plus the
+    number of lines.  A cutoff that asks for more lines or points than
+    can be allocated raises ParamOutOfRange.
+    """
+    plans = [_scan_plan(*cone, cutoff, n_max) for cone in cones.tolist()]
+    k = len(plans)
+    n_lines = [plan[1] for plan in plans]
+    line = _arange(sum(n_lines), cutoff, "lattice lines")
+    per_cone = np.array([plan[3] for plan in plans], dtype=float).reshape(k, 20)
+    if k == 1:
+        # A single cone's plan broadcasts over its lines.
+        per_line, s = per_cone, line + plans[0][0]
+    else:
+        n_lines = np.array(n_lines, dtype=np.int64)
+        per_line = np.repeat(per_cone, n_lines, axis=0)
+        s_lo = np.array([plan[0] for plan in plans], dtype=np.int64)
+        s = line + np.repeat(s_lo - (np.cumsum(n_lines) - n_lines), n_lines)
+    # Per line: the greatest lower bound on the other coordinate, and the
+    # least upper bound negated, from the box and the half-planes.
+    box, a_s, a_i, b = per_line[:, :2], per_line[:, 2:8], per_line[:, 8:14], per_line[:, 14:]
+    ends = np.ceil((b - a_s * s[:, None]) / a_i) - 1
+    ends = np.maximum(ends.reshape(-1, 2, 3).max(axis=2), box)
+    first = np.minimum(ends[:, 0], 1 - box[:, 1])
+    counts = np.maximum(1 - ends[:, 1] - first, 0)
+    inner = _arange(int(counts.sum()), cutoff, "lattice points")
+    counts = counts.astype(np.int64)
+    inner += np.repeat(first.astype(np.int64) - (np.cumsum(counts) - counts), counts)
     outer = np.repeat(s, counts)
-    m, n = (outer, inner) if scan == 0 else (inner, outer)
+    if k == 1:
+        m, n = (inner, outer) if plans[0][2] else (outer, inner)
+        (sx, sy), (ex, ey), (v0, v1) = cones[0].tolist()
+    else:
+        cone = np.repeat(np.repeat(np.arange(k), n_lines), counts)
+        swap = np.array([plan[2] for plan in plans], dtype=bool)[cone]
+        m, n = np.where(swap, inner, outer), np.where(swap, outer, inner)
+        sx, sy, ex, ey, v0, v1 = cones.reshape(k, 6)[cone].T
     action = m * v0 + n * v1
-    keep = (np.gcd(m, n) == 1) & in_cone_mask(cone, m, n) & (action <= limit)
-    return m[keep], n[keep], action[keep]
+    keep = (np.gcd(m, n) == 1) & _in_cone(sx, sy, ex, ey, m, n) & (action <= cutoff * (1 + 1e-12))
+    m, n, action = m[keep], n[keep], action[keep]
+    cone = np.zeros(len(m), dtype=np.intp) if k == 1 else cone[keep]
+    return cone, m, n, action

@@ -21,14 +21,19 @@ from .errors import DegenerateDenominator, OracleCutoffInsufficient, ParamOutOfR
 from .geometry import (
     COLLINEAR_TURN,
     MomentProfile,
-    NormalCone,
     Point,
     _read_only,
     dot,
     normal_cone,
     ray_hit,
 )
-from .lattice import clear_of_axes, enumerate_in_cone, min_in_cone
+from .lattice import (
+    clear_of_axes,
+    cone_columns,
+    enumerate_in_cone,
+    least_small_action,
+    min_in_cone,
+)
 
 # Where an orbit lives, in tie-break order.
 LOCATION_KINDS = ("axis", "segment", "vertex")
@@ -179,10 +184,10 @@ def orbits_at_vertex(
 
     Covers interior vertices; at a collinear vertex the cone degenerates
     to the incident segment's normal ray, with 0 or 1 orbit.  The cone's
-    lattice points come from ``lattice.enumerate_in_cone``, which scans
-    only the lattice lines along the shorter side of the cone's bounding
-    box, so time and memory grow with the number of orbits returned
-    rather than with the box's area.  They stay columns
+    lattice points come from ``lattice.enumerate_in_cone`` as a batch of
+    one cone, which scans only the lattice lines along the shorter side
+    of the cone's bounding box, so time and memory grow with the number
+    of orbits returned rather than with the box's area.  They stay columns
     (``VertexOrbits``): at a strain tip, where there are about 2/eps of
     them, ``[0]`` is the minimal orbit and ``len`` the count, and no
     other orbit object is made unless it is read.
@@ -192,7 +197,7 @@ def orbits_at_vertex(
     m = n = np.zeros(0, dtype=np.int64)
     action = np.zeros(0)
     if _is_corner(p, vertex_index):
-        m, n, action = enumerate_in_cone(cone, action_cutoff)
+        _, m, n, action = enumerate_in_cone(cone_columns([cone]), action_cutoff)
         order = np.lexsort((n, m, action))
         m, n, action = m[order], n[order], action[order]
     elif (mn := p.primitive_normal(vertex_index - 1)) is not None:
@@ -204,20 +209,6 @@ def orbits_at_vertex(
 
 # ---------------------------------------------------------------------------
 # Minimal action: lattice descent (fast) and brute force (oracle)
-
-
-def _cone_candidates_oracle(
-    cone: NormalCone, cutoff: float, n_max: int
-) -> Optional[tuple[float, tuple[int, int]]]:
-    """The least action in the cone over primitive vectors with max norm
-    <= n_max and action <= cutoff, and the least (m, n) taking it, or None
-    when there is no such vector: brute force by ``enumerate_in_cone``."""
-    m, n, action = enumerate_in_cone(cone, cutoff, n_max)
-    if not action.size:
-        return None
-    amin = action.min()
-    ties = action == amin
-    return float(amin), min(zip(m[ties].tolist(), n[ties].tolist()))
 
 
 def _base_candidates(p: MomentProfile) -> list[OrbitDatum]:
@@ -270,12 +261,18 @@ def t_min(
 
     ``oracle`` brute-forces all primitive integer vectors with max-norm
     <= n_oracle over every corner's cone and raises
-    OracleCutoffInsufficient when larger vectors could still win.  T_min
-    is at most the least axis or segment action, so each cone lists only
-    the vectors with action up to it, by ``lattice.enumerate_in_cone``
-    with its box clipped to the max-norm bound, and keeps the least
-    action, then the least (m, n).  It shares no search with
-    ``min_in_cone``, the descent it checks.
+    OracleCutoffInsufficient when larger vectors could still win.  The
+    corner cones go to ``lattice.enumerate_in_cone`` as one batch, with
+    the box clipped to the max-norm bound and the action cut at
+    min(ceiling, seed).  The ceiling is the least axis or segment
+    action, which T_min cannot exceed.  The seed is the least positive
+    action of a vector of max norm <= min(2, n_oracle) that the
+    membership predicate puts in a corner cone
+    (``lattice.least_small_action``): the enumerator lists that vector
+    at the ceiling, so the least listed action is at most the seed and
+    the cut drops only vectors that cannot win.  One lexsort then picks
+    the least action, then the least (m, n), then the least vertex.  The
+    oracle shares no search with ``min_in_cone``, the descent it checks.
     """
     if method == "fast":
         return _t_min_fast(p)
@@ -285,29 +282,39 @@ def t_min(
         raise ParamOutOfRange(f"oracle cutoff must be at least 1; got {n_oracle}")
     candidates = _base_candidates(p)
     ceiling = min(o.action for o in candidates)
-    cones = [
-        (vi, normal_cone(p, vi)) for vi in range(1, p.n_segments) if _is_corner(p, vi)
-    ]
-    for vi, cone in cones:
-        got = _cone_candidates_oracle(cone, ceiling, n_oracle)
-        if got is not None:
-            action, mn = got
-            candidates.append(OrbitDatum(mn, cone.vertex, action, "vertex", vi))
+    vi, cones = _corner_cones(p)
+    cutoff = min(ceiling, least_small_action(cones, min(2, n_oracle)))
+    cone, m, n, action = enumerate_in_cone(cones, cutoff, n_oracle)
+    if action.size:
+        # The least (action, m, n) and then vertex over every cone.
+        k = np.lexsort((cone, n, m, action))[0]
+        j = int(vi[cone[k]])
+        mn = (int(m[k]), int(n[k]))
+        candidates.append(OrbitDatum(mn, p.vertex(j), float(action[k]), "vertex", j))
     best = min(o.action for o in candidates)
     # Vectors beyond the cutoff have euclidean norm > n_oracle; over a
     # cone arc shorter than pi the unit-direction action is minimized
     # at one of the boundary rays.
-    uncovered = math.inf
-    for _, cone in cones:
-        v = cone.vertex
-        unit_min = min(dot(cone.start, v), dot(cone.end, v))
-        uncovered = min(uncovered, (n_oracle + 1) * unit_min)
+    ray_action = cones[:, :2] * cones[:, 2:]
+    unit_min = float((ray_action[..., 0] + ray_action[..., 1]).min(initial=math.inf))
+    uncovered = (n_oracle + 1) * unit_min
     if uncovered < best * (1 + 1e-9):
         raise OracleCutoffInsufficient(
             f"best action {best} not certified: cutoff-{n_oracle} bound is {uncovered}"
         )
     winner = min(candidates, key=OrbitDatum.sort_key)
     return winner.action, winner
+
+
+def _corner_cones(p: MomentProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the corner vertices (``_is_corner``) and their normal
+    cones as ``lattice.cone_columns`` rows, with the floats that
+    ``normal_cone`` gives one vertex at a time."""
+    turns = np.array(p.normal_turns)
+    vi = np.flatnonzero(np.abs(turns) > COLLINEAR_TURN) + 1
+    convex = turns[vi - 1] >= 0
+    start, end = np.where(convex, vi - 1, vi), np.where(convex, vi, vi - 1)
+    return vi, np.stack((p.normals[start], p.normals[end], p.xy[vi]), axis=1)
 
 
 def _candidate_bounds(p: MomentProfile) -> np.ndarray:

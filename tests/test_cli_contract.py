@@ -32,6 +32,10 @@ from toricsys.cli import EXIT_INVALID, EXIT_PIPE, main
         ("sweep --op strain --profile ball:2 --eps-grid abc",
          "--eps-grid takes comma-separated numbers; got 'abc'"),
         ("orbits ball:2 --cutoff nan", "action cutoff must be finite; got nan"),
+        ("orbits polydisk:1,1 --cutoff 1e15",
+         "action cutoff 1000000000000000.0 asks for 1e+15 lattice lines, too many to list"),
+        ("orbits polydisk:1,1 --cutoff 1e300",
+         "action cutoff 1e+300 asks for 1e+300 lattice lines, too many to list"),
         ("fc-scan --b nan", "fc_domain requires b >= 1; got b = nan"),
         ("fc-scan --b -1", "fc_domain requires b >= 1; got b = -1.0"),
         ("fc-scan --b inf", "fc_domain requires a finite b; got b = inf"),

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -143,9 +144,14 @@ class TestNormalCones:
 
 
 class TestSqrtTransform:
+    """``SquaredSegment`` is a straight segment in mu = sqrt(w)
+    coordinates, squared back into the moment plane."""
+
     def test_midpoint_value(self):
-        mu = math.sqrt(0.5)
-        assert mu == pytest.approx(0.7071, abs=1e-4)
+        # mu = (1/2, 1/2) halfway from (1, 0) to (0, 1), so w = (1/4, 1/4).
+        point, velocity = SquaredSegment((1.0, 0.0), (0.0, 1.0)).sample(0.5)
+        assert point.tolist() == [0.25, 0.25]
+        assert velocity.tolist() == [-1.0, 1.0]
 
     @given(
         st.lists(
@@ -153,15 +159,17 @@ class TestSqrtTransform:
                 st.floats(0.1, 10, allow_nan=False),
                 st.floats(0.1, 10, allow_nan=False),
             ),
-            min_size=1,
+            min_size=2,
             max_size=6,
         )
     )
     def test_square_inverts(self, pts):
-        back = [(x * x, y * y) for x, y in [(math.sqrt(a), math.sqrt(b)) for a, b in pts]]
-        for (a, b), (x, y) in zip(pts, back):
-            assert a == pytest.approx(x, rel=1e-12)
-            assert b == pytest.approx(y, rel=1e-12)
+        """The ends of each piece are its squared mu endpoints."""
+        for mu0, mu1 in zip(pts, pts[1:]):
+            ends, _ = SquaredSegment(mu0, mu1).sample(np.array([0.0, 1.0]))
+            assert ends[0].tolist() == [mu0[0] * mu0[0], mu0[1] * mu0[1]]
+            for got, mu in zip(ends[1].tolist(), mu1):
+                assert got == pytest.approx(mu * mu, rel=1e-12)
 
 
 class TestSmoothCorners:

@@ -13,6 +13,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricsys import (
     ball,
@@ -26,12 +27,13 @@ from toricsys import (
     strangulate,
     t_min,
 )
-from toricsys.errors import DegenerateDenominator, RadiusTooLarge
+from toricsys.errors import DegenerateDenominator, ParamOutOfRange, RadiusTooLarge
 from toricsys.experiments import random_monotone_profile, random_star_profile
-from toricsys.geometry import NormalCone, cross
+from toricsys.geometry import NormalCone, cross, dot
 from toricsys import lattice
 from toricsys.lattice import (
     CONE_TOL,
+    cone_columns,
     enumerate_in_cone,
     in_cone,
     in_cone_mask,
@@ -247,7 +249,7 @@ def test_descent_and_enumeration_match_on_strain_tips(eps):
     _assert_descent_matches(out)
     cone = normal_cone(out, 1)
     cutoff = 2 * t_min(flatten_near_intercept(ball(2, 16), 0.1)[0])[0]
-    m, n, action = enumerate_in_cone(cone, cutoff)
+    _, m, n, action = enumerate_in_cone(cone_columns([cone]), cutoff)
     got = sorted(zip(m.tolist(), n.tolist(), action.tolist()))
     assert got == sorted(_old_enumerate_cone(cone, cutoff))
     assert len(got) == round(2 / eps) + 1
@@ -292,7 +294,7 @@ def test_enumeration_matches_bounding_box(seed):
         cutoff = rng.uniform(0.5, 4) * min(p.a_intercept, p.b_intercept)
         want = sorted(_old_enumerate_cone(cone, cutoff))
         for n_max in (None, 1, 7, 200):
-            m, n, action = enumerate_in_cone(cone, cutoff, n_max)
+            _, m, n, action = enumerate_in_cone(cone_columns([cone]), cutoff, n_max)
             got = sorted(zip(m.tolist(), n.tolist(), action.tolist()))
             assert got == [t for t in want if n_max is None or max(map(abs, t[:2])) <= n_max]
 
@@ -300,8 +302,85 @@ def test_enumeration_matches_bounding_box(seed):
 def test_enumeration_rejects_nonpositive_boundary_action():
     cone = normal_cone(polydisk(1, 2), 1)
     flat = type(cone)((0.0, 0.0), cone.start, cone.end, cone.width, cone.convex)
-    with pytest.raises(DegenerateDenominator):
-        enumerate_in_cone(flat, 1.0)
+    for batch in ([flat], [cone, flat]):
+        with pytest.raises(DegenerateDenominator):
+            enumerate_in_cone(cone_columns(batch), 1.0)
+
+
+def _per_cone(cones, cutoff, n_max):
+    """Each cone's list from its own batch of one, as sorted tuples."""
+    out = []
+    for cone in cones:
+        _, m, n, action = enumerate_in_cone(cone_columns([cone]), cutoff, n_max)
+        out.append(sorted(zip(m.tolist(), n.tolist(), action.tolist())))
+    return out
+
+
+def _random_cone(rng):
+    """A vertex cone of a random star or monotone profile, or a cone of
+    random width (down to needles) whose vertex has positive action on
+    both boundary rays, at any angle."""
+    if rng.random() < 0.5:
+        p = (random_star_profile if rng.random() < 0.5 else random_monotone_profile)(rng)
+        cones = _vertex_cones(p)
+        if cones:
+            return rng.choice(cones)
+    a = rng.uniform(-math.pi, math.pi)
+    width = min(10 ** rng.uniform(-10, 0.5), math.pi - 1e-6)
+    b = a + width / 2 + rng.uniform(-0.9, 0.9) * (math.pi - width) / 2
+    r = 10 ** rng.uniform(-1, 0.5)
+    return NormalCone(
+        (r * math.cos(b), r * math.sin(b)),
+        (math.cos(a), math.sin(a)),
+        (math.cos(a + width), math.sin(a + width)),
+        width,
+        True,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.integers(0, 8),
+    st.floats(0.05, 6),
+    st.sampled_from((None, 1, 2, 7, 200)),
+)
+def test_batch_lists_what_each_cone_lists(seed, k, scale, n_max):
+    """One batch over k cones (k = 0 included) lists, cone by cone, what
+    each cone's batch of one lists, with the cone rows contiguous and in
+    order."""
+    rng = random.Random(seed)
+    cones = [_random_cone(rng) for _ in range(k)]
+    unit = min((min(dot(c.start, c.vertex), dot(c.end, c.vertex)) for c in cones), default=1)
+    cutoff = 4 * scale * unit
+    cone, m, n, action = enumerate_in_cone(cone_columns(cones), cutoff, n_max)
+    assert cone.dtype.kind == m.dtype.kind == n.dtype.kind == "i"
+    assert action.dtype == float
+    assert len(cone) == len(m) == len(n) == len(action)
+    assert (np.diff(cone) >= 0).all()
+    got = [
+        sorted(zip(m[cone == j].tolist(), n[cone == j].tolist(), action[cone == j].tolist()))
+        for j in range(k)
+    ]
+    assert got == _per_cone(cones, cutoff, n_max)
+
+
+def test_empty_batch_lists_nothing():
+    assert cone_columns([]).shape == (0, 3, 2)
+    for n_max in (None, 3):
+        cone, m, n, action = enumerate_in_cone(cone_columns([]), 1.0, n_max)
+        assert [len(c) for c in (cone, m, n, action)] == [0, 0, 0, 0]
+
+
+def test_points_beyond_memory_are_out_of_range():
+    """A cone a hair wide along the m axis: about 100 lines of n, each
+    with about 1e15 points of m below the cutoff.  The lines are listed;
+    the points cannot be."""
+    d = 1e-13
+    needle = NormalCone((1.0, 0.5), (1.0, 0.0), (math.cos(d), math.sin(d)), d, True)
+    with pytest.raises(ParamOutOfRange, match=r"^action cutoff 1000000000000000.0 asks for "
+                       r"[0-9.e+]+ lattice points, too many to list$"):
+        enumerate_in_cone(cone_columns([needle]), 1e15)
 
 
 def test_each_apex_cone_takes_few_steps():
@@ -336,7 +415,7 @@ def test_witness_matches_loop(seed):
     # The least (action, m, n) of every primitive vector in the apex cone
     # up to the witness's action, listed by the enumerator.
     cone = normal_cone(out.profile, witness.location_index)
-    m, n, action = enumerate_in_cone(cone, witness.action)
+    _, m, n, action = enumerate_in_cone(cone_columns([cone]), witness.action)
     assert min(zip(action.tolist(), m.tolist(), n.tolist())) == (witness.action, *witness.mn)
     if ray == math.pi / 4:
         # (1, 1) lies in the apex cone, with action 2 * eps.

@@ -4,12 +4,13 @@
 copies (renamed only) of the oracle's per-cone step when it ran
 ``in_cone_mask`` over every primitive vector of max norm <= n_max, and
 ``_old_t_min_oracle`` is a verbatim copy of ``t_min``'s oracle branch
-around it.  The oracle now lists each cone's vectors with
-``lattice.enumerate_in_cone``, clipped to that max norm and cut at an
-action cutoff.  On every cone below it must return the old minimum when
-that minimum lies within the cutoff and None otherwise, compared with
-``==``; ``t_min``'s oracle must return the same ``(action, OrbitDatum)``
-and raise ``OracleCutoffInsufficient`` with the same message.
+around it.  The oracle now lists the vectors of all corner cones in one
+``lattice.enumerate_in_cone`` batch, clipped to that max norm and cut at an
+action cutoff.  On every cone below, one cone's list must give the old
+minimum when that minimum lies within the cutoff and None otherwise,
+compared with ``==``; ``t_min``'s oracle must return the same
+``(action, OrbitDatum)`` and raise ``OracleCutoffInsufficient`` with the
+same message.
 """
 
 import math
@@ -20,11 +21,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricsys import ball, flatten_near_intercept, from_vertices, strain, strangulate, t_min
-from toricsys import reeb
 from toricsys.errors import OracleCutoffInsufficient
 from toricsys.experiments import random_monotone_profile, random_star_profile
 from toricsys.geometry import NormalCone, dot, normal_cone
-from toricsys.lattice import in_cone_mask
+from toricsys.lattice import cone_columns, enumerate_in_cone, in_cone_mask
 from toricsys.reeb import OrbitDatum, _base_candidates
 
 
@@ -91,6 +91,19 @@ def _old_t_min_oracle(p, n_oracle=200):
 # ---------------------------------------------------------------------------
 # Cones built directly
 
+
+def _cone_candidates(cone, cutoff, n_max):
+    """The oracle's view of one cone: the least action over the primitive
+    vectors that ``enumerate_in_cone`` lists in it (max norm <= n_max,
+    action <= cutoff), and the least (m, n) taking it, or None."""
+    _, m, n, action = enumerate_in_cone(cone_columns([cone]), cutoff, n_max)
+    if not action.size:
+        return None
+    amin = action.min()
+    ties = action == amin
+    return float(amin), min(zip(m[ties].tolist(), n[ties].tolist()))
+
+
 N_MAX = (1, 2, 7, 200)
 
 
@@ -124,7 +137,7 @@ def _same(cone, n_max):
         cutoffs += [old[0], old[0] - abs(old[0]) / 2]
     for cutoff in cutoffs:
         want = old if old is not None and old[0] <= cutoff * (1 + 1e-12) else None
-        assert reeb._cone_candidates_oracle(cone, cutoff, n_max) == want, (cone, cutoff)
+        assert _cone_candidates(cone, cutoff, n_max) == want, (cone, cutoff)
 
 
 @settings(max_examples=120, deadline=None)
@@ -218,7 +231,7 @@ def test_ties_go_to_the_least_vector(lo, hi, ties, n_max):
     cone = NormalCone((1.0, 1.0), _unit(lo), _unit(hi), hi - lo, True)
     _same(cone, n_max)
     want = min(t for t in ties if max(map(abs, t)) <= n_max)
-    assert reeb._cone_candidates_oracle(cone, 1.0, n_max) == (1.0, want)
+    assert _cone_candidates(cone, 1.0, n_max) == (1.0, want)
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +252,29 @@ def _same_t_min(p, n_oracle=200):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**9), st.sampled_from((7, 200)))
+@given(st.integers(0, 10**9), st.sampled_from(N_MAX))
 def test_t_min_on_star_profiles(seed, n_oracle):
     _same_t_min(random_star_profile(random.Random(seed)), n_oracle)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**9), st.sampled_from((7, 200)))
+@given(st.integers(0, 10**9), st.sampled_from(N_MAX))
 def test_t_min_on_monotone_profiles(seed, n_oracle):
     _same_t_min(random_monotone_profile(random.Random(seed)), n_oracle)
+
+
+def test_seed_keeps_to_the_max_norm():
+    """The oracle cuts each cone's list at the least action of a small
+    vector that it lists itself.  At n_oracle = 1 that vector must have
+    max norm 1: on this profile a vector of max norm 2 has action 0.2839,
+    and a cut there would hide the least listed action, 0.3059, and leave
+    the least axis or segment action, 1.786."""
+    p = random_star_profile(random.Random(15))
+    got = _same_t_min(p, 1)
+    assert got == (
+        OracleCutoffInsufficient,
+        "best action 0.3059038073503017 not certified: cutoff-1 bound is 0.05285890010511741",
+    )
 
 
 @pytest.mark.parametrize("eps", (1e-1, 10**-1.5, 1e-2, 1e-3))
@@ -290,3 +317,18 @@ def test_far_opposite_vectors_of_a_needle_cone_are_not_listed(vertices):
     assert _old_t_min_oracle(p)[0] < 0
     assert t_min(p, method="oracle") == t_min(p)
     assert t_min(p)[1].mn == (0, 1)
+
+
+def test_needle_cone_does_not_cut_the_other_cones():
+    """A vertex 1e-10 off the diagonal side of a strangulated ball has a
+    needle cone around (1, 1) whose membership tolerance also admits
+    (-1, -1), of action -2.  Both the old table and the enumerator list
+    (-1, -1), a unit from the origin, so the oracle's outcome differs from
+    fast t_min's ((-4, 5) at 0.0999...); this pins it.  The cut that the
+    oracle takes from small vectors must come from positive actions only:
+    a cut at -2 would list nothing, not even (-1, -1), and leave the
+    (0, 1) axis orbit of action 2."""
+    vertices = list(strangulate(ball(2), 0.1).profile.vertices)
+    p = from_vertices(vertices[:1] + [(1.5 + 1e-10, 0.5 + 1e-10)] + vertices[1:])
+    action, witness = _same_t_min(p)
+    assert (action, witness.mn, witness.location_index) == (-2.0000000002, (-1, -1), 1)

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricsys import ball, ellipsoid, polydisk, reeb, surgery
+from toricsys.errors import ParamOutOfRange
 from toricsys.experiments import random_star_profile
 from toricsys.geometry import normal_cone
-from toricsys.lattice import enumerate_in_cone
+from toricsys.lattice import cone_columns, enumerate_in_cone
 from toricsys.reeb import OrbitDatum, VertexOrbits, orbits_at_vertex, orbits_below
 
 
@@ -33,7 +34,7 @@ def eager_orbits_at_vertex(p, vi, cutoff):
         if action > cutoff * (1 + 1e-12):
             return []
         return [OrbitDatum(mn, v, action, "vertex", vi)]
-    m, n, action = enumerate_in_cone(cone, cutoff)
+    _, m, n, action = enumerate_in_cone(cone_columns([cone]), cutoff)
     orbits = [
         OrbitDatum((mi, ni), v, a, "vertex", vi)
         for mi, ni, a in zip(m.tolist(), n.tolist(), action.tolist())
@@ -98,6 +99,19 @@ def test_strain_tips_read_as_the_eager_list(eps, share):
 )
 def test_collinear_and_empty_vertices(p, vi, cutoff):
     assert_reads_as(orbits_at_vertex(p, vi, cutoff), eager_orbits_at_vertex(p, vi, cutoff))
+
+
+@pytest.mark.parametrize(
+    "cutoff, count",
+    [(1e15, "1e+15"), (1e300, "1e+300"), (1e308, "inf")],
+)
+def test_cutoff_beyond_memory_is_out_of_range(cutoff, count):
+    """polydisk(1, 1)'s corner cone is the first quadrant: at cutoff c its
+    box has about c lines, which cannot be listed (nor, at 1e308, counted
+    as a float)."""
+    with pytest.raises(ParamOutOfRange) as exc:
+        orbits_below(polydisk(1, 1), cutoff)
+    assert str(exc.value) == f"action cutoff {cutoff} asks for {count} lattice lines, too many to list"
 
 
 def test_equality_between_columns():
