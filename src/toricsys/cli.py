@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 from .errors import ParamOutOfRange, ToricError
-from .geometry import FAMILIES, MomentProfile, classify, fc_c_min
+from .geometry import FAMILIES, FLAGS, MomentProfile, classify, fc_c_min
 from . import experiments, invariants, profile_io, reeb, surgery
 
 EXIT_OK = 0
@@ -98,7 +98,7 @@ OUT = _flag("--out", help="write the output profile here")
 @command("classify", PROFILE)
 def _classify(args, p) -> int:
     c = classify(p)
-    for name in ("star_shaped", "monotone", "strictly_monotone", "convex_4d"):
+    for name in FLAGS:
         print(f"{name} = {getattr(c, name)}")
     if c.witnesses:
         print(f"witnesses = {c.witnesses}")
@@ -203,14 +203,12 @@ def _sweep(args, p) -> int:
 @command("bounds", _flag("--corpus", type=int, default=100), _flag("--seed", type=int, default=0))
 def _bounds(args, p) -> int:
     summary = experiments.run_corpus_bounds(args.seed, args.corpus)
-    for key in (
-        "n", "seed", "monotone_min_product", "monotone_max_product",
-        "convex_min_product", "convex_max_product",
-    ):
-        print(f"{key} = {summary[key]}")
-    for v in summary["violations"]:
+    violations = summary.pop("violations")
+    for key, value in summary.items():
+        print(f"{key} = {value}")
+    for v in violations:
         print(f"violation = {v}")
-    return EXIT_FINDING if summary["violations"] else EXIT_OK
+    return EXIT_FINDING if violations else EXIT_OK
 
 
 @command("fc-scan", _flag("--b", type=float, required=True),
@@ -226,12 +224,10 @@ def _fc_scan(args, p) -> int:
     else:
         grid = [lo + (1 - 1e-6 - lo) * i / (n - 1) for i in range(n)]
     summary = experiments.run_fc_scan(args.b, grid)
-    print("c,vol_quad,vol_closed,c_gr,ratio")
+    columns = ("c", "vol_quad", "vol_closed", "c_gr", "ratio")
+    print(",".join(columns))
     for r in summary["records"]:
-        print(
-            f"{r['c']:.17g},{r['vol_quad']:.17g},{r['vol_closed']:.17g},"
-            f"{r['c_gr']:.17g},{r['ratio']:.17g}"
-        )
+        print(",".join(f"{r[key]:.17g}" for key in columns))
     print(f"argmax_c = {summary['argmax_c']:.17g}")
     print(f"max_ratio = {summary['max_ratio']:.17g}")
     mismatch = any(r["vol_abs_err"] > 1e-8 for r in summary["records"])

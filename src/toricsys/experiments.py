@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,22 +19,6 @@ from .geometry import MomentProfile, classify, fc_c_min, fc_domain, from_vertice
 from . import invariants, surgery
 
 CSV_SCHEMA_LINE = "#schema=1"
-
-SWEEP_FIELDS = (
-    "eps",
-    "area",
-    "ruelle",
-    "t_min",
-    "sys",
-    "ru",
-    "product",
-    "bound_value",
-    "bound_holds",
-    "vol_delta",
-    "vol_delta_bound",
-    "error",
-)
-
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -62,6 +46,10 @@ class SweepRecord:
             else:
                 vals.append(str(v).replace(",", ";"))
         return ",".join(vals)
+
+
+# The sweep CSV's columns: the record's fields, in order.
+SWEEP_FIELDS = tuple(f.name for f in fields(SweepRecord))
 
 
 @dataclass
@@ -206,7 +194,8 @@ def run_corpus_bounds(seed: int, n: int) -> dict:
     """Evaluate the criterion product over seeded random corpora.
 
     Monotone corpus: product should stay >= 1/2.  Convex corpus: product
-    should stay <= 3.  Violations are reported as findings, not raised.
+    should stay <= 3.  Violations are reported as findings, not raised,
+    under the last key; ``toricsys bounds`` prints the others in order.
     """
     rng = random.Random(seed)
     if n < 1:

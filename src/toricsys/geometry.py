@@ -16,7 +16,7 @@ import math
 import operator
 from collections.abc import Mapping
 from contextlib import nullcontext
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from decimal import Decimal
 from functools import cache, cached_property
 from types import MappingProxyType
@@ -207,10 +207,12 @@ class MomentProfile:
     coordinates, axis endpoints, star shape, no zero-length segment), axis
     endpoints within tolerance are snapped onto the axes, and the tags must
     lie on their segments: each tag's curve starts and ends at its
-    segment's vertices.  ``tags`` is empty for a profile without tags, one
-    entry per segment (a tag or None), or already columns: a dict laid out
-    as ``tag_columns``.  The family builders, ``scaled``, the surgeries and
-    ``profile_io.loads`` write columns.
+    segment's vertices.  ``tags`` is empty, one entry per segment (a tag or
+    None), or already columns: a dict laid out as ``tag_columns``.  The
+    family builders, ``scaled``, the surgeries and ``profile_io.loads``
+    write columns.  A profile is its vertices, tagged segments, family and
+    params, however it was built: a tag list of None only or an empty dict
+    builds the untagged profile.
 
     The profile stores arrays, all read-only: the checked vertices ``xy``,
     with the ``diameter`` (largest coordinate) and ``tol`` the checks used
@@ -220,7 +222,7 @@ class MomentProfile:
     the indices of its segments (increasing) and its tags' ``numbers``, one
     row per segment.  ``tagged`` lists every tagged segment.  The tuples
     ``vertices`` (float pairs) and ``tags`` (one entry per segment, or
-    empty when built without tags) are made from the arrays on first read
+    empty when no segment is tagged) are made from the arrays on first read
     and cached; ``tag(i)`` makes one tag, and ``vertex(i)`` and
     ``segment(i)`` read one vertex or segment.  Equality, hashing and
     pickling go by the arrays, family and params.
@@ -246,10 +248,7 @@ class MomentProfile:
     cross_products: np.ndarray
     family: str
     params: tuple[tuple[str, float], ...]
-    # A profile built with a tag list, even one of None only, reads its
-    # tags back as that list; one built without reads ().  These class
-    # values are those of a profile without tags.
-    _listed: bool = False
+    # The class values are those of a profile without tags.
     tag_columns: TagColumns = _NO_COLUMNS
     tagged: np.ndarray = _UNTAGGED
 
@@ -261,15 +260,14 @@ class MomentProfile:
             zip(("directions", "lengths", "cross_products"), measures),
             xy=xy, diameter=diameter, tol=TOL_REL * diameter, family=family, params=params,
         )
-        if isinstance(tags, dict):
-            columns = tags
-        elif tags:
-            columns = _columns_of(tags, len(xy) - 1)
-        else:
+        if not tags:
             return
-        columns, tagged = _checked_columns(columns, len(xy) - 1)
-        d.update(_listed=True, tag_columns=columns, tagged=tagged)
+        n = len(xy) - 1
+        if not isinstance(tags, dict):
+            tags = _columns_of(tags, n)
+        columns, tagged = _checked_columns(tags, n)
         if len(tagged):
+            d.update(tag_columns=columns, tagged=tagged)
             self._check_tag_ends()
 
     def __setattr__(self, name, value):
@@ -280,8 +278,7 @@ class MomentProfile:
 
     def __reduce__(self):
         # Pickled as the constructor's arguments: the stored arrays.
-        tags = dict(self.tag_columns) if self._listed else ()
-        return type(self), (self.xy, tags, self.family, self.params)
+        return type(self), (self.xy, dict(self.tag_columns), self.family, self.params)
 
     def __repr__(self) -> str:
         return (
@@ -294,7 +291,7 @@ class MomentProfile:
             return NotImplemented
         theirs = other.tag_columns
         return (
-            (self.family, self.params, self._listed) == (other.family, other.params, other._listed)
+            (self.family, self.params) == (other.family, other.params)
             and np.array_equal(self.xy, other.xy)
             and self.tag_columns.keys() == theirs.keys()
             and all(
@@ -310,7 +307,7 @@ class MomentProfile:
             (cls, segs.tobytes(), (nums + 0.0).tobytes())
             for cls, (segs, nums) in self.tag_columns.items()
         )
-        return hash((self.family, self.params, self._listed, (self.xy + 0.0).tobytes(), columns))
+        return hash((self.family, self.params, (self.xy + 0.0).tobytes(), columns))
 
     def _check_tag_ends(self) -> None:
         """Every tag's curve must start and end at its segment's vertices,
@@ -338,19 +335,15 @@ class MomentProfile:
     @cached_property
     def tags(self) -> tuple[Optional[Tag], ...]:
         """Each segment's tag or None, made from ``tag_columns`` on first
-        read; empty for a profile built without tags."""
-        if not self._listed:
-            return ()
+        read; empty when no segment is tagged."""
         tags: list[Optional[Tag]] = [None] * self.n_segments
         for cls, (segs, nums) in self.tag_columns.items():
             for i, row in zip(segs.tolist(), nums.tolist()):
                 tags[i] = cls.from_numbers(row)
-        return tuple(tags)
+        return tuple(tags) if len(self.tagged) else ()
 
     def tag(self, i: int) -> Optional[Tag]:
-        """``tags[i]``, making only that tag."""
-        if not self._listed:
-            return None
+        """Segment i's tag or None, making only that tag."""
         i = range(self.n_segments)[i]
         for cls, (segs, nums) in self.tag_columns.items():
             k = int(segs.searchsorted(i))
@@ -359,11 +352,10 @@ class MomentProfile:
         return None
 
     def tag_columns_from(self, j: int, at: int):
-        """The tags of segments j, j + 1, ... as columns renumbered to start
-        at segment ``at``, for a new path that keeps those segments from
-        ``at`` on and has no tag before; () for a profile without tags."""
-        if not self._listed:
-            return ()
+        """The tags of segments j, j + 1, ... as a dict laid out as
+        ``tag_columns``, renumbered to start at segment ``at``, for a new
+        path that keeps those segments from ``at`` on and has no tag
+        before; a type none of them carries keeps an empty column."""
         return {
             cls: (segs[segs >= j] + (at - j), nums[segs >= j])
             for cls, (segs, nums) in self.tag_columns.items()
@@ -480,7 +472,7 @@ class MomentProfile:
                 cls: (segs, nums * cls.scale_factors(s))
                 for cls, (segs, nums) in self.tag_columns.items()
             }
-        return MomentProfile(xy, tags if self._listed else (), family="custom")
+        return MomentProfile(xy, tags, family="custom")
 
 
 def _quiet(needed: bool = True):
@@ -747,6 +739,10 @@ class Classification:
     witnesses: dict = field(default_factory=dict)
 
 
+# The names of the Classification flags, in field order.
+FLAGS = tuple(f.name for f in fields(Classification) if f.name != "witnesses")
+
+
 @dataclass(frozen=True)
 class NormalCone:
     """Angular interval of admissible outward normals at a vertex.
@@ -861,7 +857,7 @@ def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentPr
         stay = (turns <= COLLINEAR_TURN) | (r * turns <= m * p.tol)
     rounded = (np.flatnonzero(~stay) + 1).tolist()
     if not rounded:
-        return MomentProfile(p.xy, {}, family="custom")
+        return MomentProfile(p.xy, family="custom")
     t1s, centers, ang0s, corner_turns = [], [], [], []
     for i in rounded:
         (x, y), turn = p.vertex(i), p.normal_turns[i - 1]

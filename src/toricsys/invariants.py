@@ -10,12 +10,12 @@ is ru * sqrt(sys) = Ru * T_min / contact_volume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import NotMonotone, ParamOutOfRange
-from .geometry import Classification, MomentProfile, _gl_nodes, classify
+from .geometry import FLAGS, Classification, MomentProfile, _gl_nodes, classify
 from . import reeb
 
 GL_ORDER = 8
@@ -97,31 +97,13 @@ class InvariantReport:
     classification: Classification
 
     def flags_string(self) -> str:
-        c = self.classification
-        on = [
-            name
-            for name, val in (
-                ("star_shaped", c.star_shaped),
-                ("monotone", c.monotone),
-                ("strictly_monotone", c.strictly_monotone),
-                ("convex_4d", c.convex_4d),
-            )
-            if val
-        ]
-        return ";".join(on)
+        """The names of the classification's true flags, joined by ';'."""
+        return ";".join(name for name in FLAGS if getattr(self.classification, name))
 
 
-REPORT_FIELDS = (
-    "area",
-    "contact_volume",
-    "ruelle",
-    "ruelle_quadrature",
-    "t_min",
-    "sys",
-    "ru",
-    "product",
-    "flags",
-)
+# The report's columns: its numbers in field order, then the classification
+# written as ``flags``.
+REPORT_FIELDS = (*(f.name for f in fields(InvariantReport)[:-1]), "flags")
 
 
 def report(p: MomentProfile) -> InvariantReport:
@@ -144,14 +126,13 @@ def report(p: MomentProfile) -> InvariantReport:
     )
 
 
+def _report_values(r: InvariantReport) -> list[str]:
+    """The text of each of ``REPORT_FIELDS``."""
+    return [f"{getattr(r, name):.17g}" for name in REPORT_FIELDS[:-1]] + [r.flags_string()]
+
+
 def report_to_text(r: InvariantReport) -> str:
-    lines = []
-    for name in REPORT_FIELDS:
-        if name == "flags":
-            lines.append(f"flags = {r.flags_string()}")
-        else:
-            lines.append(f"{name} = {getattr(r, name):.17g}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{name} = {v}\n" for name, v in zip(REPORT_FIELDS, _report_values(r)))
 
 
 def report_csv_header() -> str:
@@ -159,9 +140,7 @@ def report_csv_header() -> str:
 
 
 def report_to_csv_row(r: InvariantReport) -> str:
-    vals = [f"{getattr(r, name):.17g}" for name in REPORT_FIELDS[:-1]]
-    vals.append(r.flags_string())
-    return ",".join(vals)
+    return ",".join(_report_values(r))
 
 
 def gromov_width_monotone(p: MomentProfile) -> float:

@@ -326,10 +326,11 @@ def _too_many(cutoff: float, count, what: str) -> ParamOutOfRange:
 
 def _arange(count: int, cutoff: float, what: str) -> np.ndarray:
     """np.arange(count) for the count of lines or points that a cutoff
-    asks for, or ParamOutOfRange when that array cannot be made."""
+    asks for, or ParamOutOfRange when that count is beyond numpy's
+    sizes."""
     try:
         return np.arange(count)
-    except (OverflowError, ValueError, MemoryError):
+    except (OverflowError, ValueError):
         raise _too_many(cutoff, count, what) from None
 
 
@@ -415,37 +416,44 @@ def enumerate_in_cone(
     plans = [_scan_plan(*cone, cutoff, n_max) for cone in cones.tolist()]
     k = len(plans)
     n_lines = [plan[1] for plan in plans]
-    line = _arange(sum(n_lines), cutoff, "lattice lines")
-    per_cone = np.array([plan[3] for plan in plans], dtype=float).reshape(k, 20)
-    if k == 1:
-        # A single cone's plan broadcasts over its lines.
-        per_line, s = per_cone, line + plans[0][0]
-    else:
-        n_lines = np.array(n_lines, dtype=np.int64)
-        per_line = np.repeat(per_cone, n_lines, axis=0)
-        s_lo = np.array([plan[0] for plan in plans], dtype=np.int64)
-        s = line + np.repeat(s_lo - (np.cumsum(n_lines) - n_lines), n_lines)
-    # Per line: the greatest lower bound on the other coordinate, and the
-    # least upper bound negated, from the box and the half-planes.
-    box, a_s, a_i, b = per_line[:, :2], per_line[:, 2:8], per_line[:, 8:14], per_line[:, 14:]
-    ends = np.ceil((b - a_s * s[:, None]) / a_i) - 1
-    ends = np.maximum(ends.reshape(-1, 2, 3).max(axis=2), box)
-    first = np.minimum(ends[:, 0], 1 - box[:, 1])
-    counts = np.maximum(1 - ends[:, 1] - first, 0)
-    inner = _arange(int(counts.sum()), cutoff, "lattice points")
-    counts = counts.astype(np.int64)
-    inner += np.repeat(first.astype(np.int64) - (np.cumsum(counts) - counts), counts)
-    outer = np.repeat(s, counts)
-    if k == 1:
-        m, n = (inner, outer) if plans[0][2] else (outer, inner)
-        (sx, sy), (ex, ey), (v0, v1) = cones[0].tolist()
-    else:
-        cone = np.repeat(np.repeat(np.arange(k), n_lines), counts)
-        swap = np.array([plan[2] for plan in plans], dtype=bool)[cone]
-        m, n = np.where(swap, inner, outer), np.where(swap, outer, inner)
-        sx, sy, ex, ey, v0, v1 = cones.reshape(k, 6)[cone].T
-    action = m * v0 + n * v1
-    keep = (np.gcd(m, n) == 1) & _in_cone(sx, sy, ex, ey, m, n) & (action <= cutoff * (1 + 1e-12))
-    m, n, action = m[keep], n[keep], action[keep]
-    cone = np.zeros(len(m), dtype=np.intp) if k == 1 else cone[keep]
+    # Every array of the pass has one entry per line or per point.
+    count, what = sum(n_lines), "lattice lines"
+    try:
+        line = _arange(count, cutoff, what)
+        per_cone = np.array([plan[3] for plan in plans], dtype=float).reshape(k, 20)
+        if k == 1:
+            # A single cone's plan broadcasts over its lines.
+            per_line, s = per_cone, line + plans[0][0]
+        else:
+            n_lines = np.array(n_lines, dtype=np.int64)
+            per_line = np.repeat(per_cone, n_lines, axis=0)
+            s_lo = np.array([plan[0] for plan in plans], dtype=np.int64)
+            s = line + np.repeat(s_lo - (np.cumsum(n_lines) - n_lines), n_lines)
+        # Per line: the greatest lower bound on the other coordinate, and
+        # the least upper bound negated, from the box and the half-planes.
+        box, a_s, a_i, b = per_line[:, :2], per_line[:, 2:8], per_line[:, 8:14], per_line[:, 14:]
+        ends = np.ceil((b - a_s * s[:, None]) / a_i) - 1
+        ends = np.maximum(ends.reshape(-1, 2, 3).max(axis=2), box)
+        first = np.minimum(ends[:, 0], 1 - box[:, 1])
+        counts = np.maximum(1 - ends[:, 1] - first, 0)
+        count, what = int(counts.sum()), "lattice points"
+        inner = _arange(count, cutoff, what)
+        counts = counts.astype(np.int64)
+        inner += np.repeat(first.astype(np.int64) - (np.cumsum(counts) - counts), counts)
+        outer = np.repeat(s, counts)
+        if k == 1:
+            m, n = (inner, outer) if plans[0][2] else (outer, inner)
+            (sx, sy), (ex, ey), (v0, v1) = cones[0].tolist()
+        else:
+            cone = np.repeat(np.repeat(np.arange(k), n_lines), counts)
+            swap = np.array([plan[2] for plan in plans], dtype=bool)[cone]
+            m, n = np.where(swap, inner, outer), np.where(swap, outer, inner)
+            sx, sy, ex, ey, v0, v1 = cones.reshape(k, 6)[cone].T
+        action = m * v0 + n * v1
+        keep = (np.gcd(m, n) == 1) & _in_cone(sx, sy, ex, ey, m, n)
+        keep &= action <= cutoff * (1 + 1e-12)
+        m, n, action = m[keep], n[keep], action[keep]
+        cone = np.zeros(len(m), dtype=np.intp) if k == 1 else cone[keep]
+    except MemoryError:
+        raise _too_many(cutoff, count, what) from None
     return cone, m, n, action

@@ -98,7 +98,7 @@ def loads(text: str) -> MomentProfile:
         segs, rows = columns.setdefault(cls, ([], []))
         segs.append(i)
         rows.append(numbers)
-    return MomentProfile(vertices, columns or (), family=family, params=tuple(params.items()))
+    return MomentProfile(vertices, columns, family=family, params=tuple(params.items()))
 
 
 def load(path) -> MomentProfile:

@@ -39,7 +39,8 @@ from toricsys.lattice import (
     in_cone_mask,
     min_in_cone,
 )
-from toricsys.reeb import _base_candidates
+from toricsys.cli import main
+from toricsys.reeb import _base_candidates, orbits_below
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +382,23 @@ def test_points_beyond_memory_are_out_of_range():
     with pytest.raises(ParamOutOfRange, match=r"^action cutoff 1000000000000000.0 asks for "
                        r"[0-9.e+]+ lattice points, too many to list$"):
         enumerate_in_cone(cone_columns([needle]), 1e15)
+
+
+def _no_memory(*args):
+    raise MemoryError
+
+
+def test_a_failed_allocation_in_the_listing_pass_is_out_of_range(monkeypatch, capsys):
+    """Any array of the listing pass that cannot be made is a typed error,
+    for a caller and for the CLI.  The failure is simulated: the membership
+    test, which runs on the point arrays, raises MemoryError."""
+    monkeypatch.setattr(lattice, "_in_cone", _no_memory)
+    with pytest.raises(ParamOutOfRange, match=r"^action cutoff 5.0 asks for [0-9.e+]+ lattice "
+                       r"points, too many to list$"):
+        orbits_below(polydisk(1, 1), 5.0)
+    assert main(["orbits", "polydisk:1,1", "--cutoff", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "lattice points, too many to list" in captured.err
 
 
 def test_each_apex_cone_takes_few_steps():

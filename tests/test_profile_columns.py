@@ -5,7 +5,9 @@ indices and numbers (``tag_columns``).  The tuples ``vertices`` and
 ``tags`` are made from them on first read, so a family builder followed by
 ``classify``, ``report``, ``scaled`` and ``dumps`` makes no ``Arc`` or
 ``SquaredSegment``.  A profile rebuilt from the tuples it reads back must
-be the same profile in every way it is read, and so must a pickled copy.
+be the same profile in every way it is read, and so must a pickled copy
+and a saved and loaded one: a profile is its arrays, family and params,
+whichever path built it.
 """
 
 import math
@@ -80,6 +82,8 @@ def rebuilt_reads_the_same(p):
     assert [q.tag(i) for i in range(q.n_segments)] == list(p.tags or [None] * p.n_segments)
     assert outcome(report, q) == outcome(report, p)
     assert pickle.loads(pickle.dumps(p)) == p
+    loaded = profile_io.loads(profile_io.dumps(p))
+    assert loaded == p and hash(loaded) == hash(p)
 
 
 def outcome(f, *args):
@@ -125,11 +129,28 @@ def test_rebuilt_profile_reads_the_same(seed):
 
 
 def test_tag_list_of_none_reads_back():
-    p = polydisk(1, 2)
+    p = MomentProfile(polydisk(1, 2).vertices)
     listed = MomentProfile(p.vertices, (None, None))
-    assert listed.tags == (None, None) and p.tags == ()
-    assert listed != p and listed.tag(1) is None
+    assert listed.tags == () and p.tags == ()
+    assert listed == p and hash(listed) == hash(p) and listed.tag(1) is None
     rebuilt_reads_the_same(listed)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: MomentProfile(v, (None,) * (len(v) - 1)),
+        lambda v: MomentProfile(v, {}),
+        lambda v: smooth_corners(ball(1), 0.1),
+    ],
+    ids=["tag list of None", "empty columns", "nothing rounded"],
+)
+def test_every_untagged_build_is_the_untagged_profile(build):
+    v = ball(1).vertices
+    p = build(v)
+    untagged = MomentProfile(v)
+    assert p == untagged and hash(p) == hash(untagged) and p.tags == ()
+    rebuilt_reads_the_same(p)
 
 
 def test_hash_ignores_the_sign_of_zero():
