@@ -47,20 +47,17 @@ from .reeb import (
     orbits_at_vertex,
     orbits_below,
     reeb_angular_velocities,
-    rotation_density,
     shear_monodromy_check,
     t_min,
 )
 from .invariants import (
     InvariantReport,
     area,
-    contact_volume,
     gromov_width_monotone,
     report,
     ruelle_closed_form,
     ruelle_quadrature,
     vol_fc,
-    vol_gr_bound_check,
 )
 from .surgery import (
     StrainSpec,

@@ -105,18 +105,10 @@ class Tag:
     """An analytic curve along one segment, ``Arc`` or ``SquaredSegment``,
     given by one row of floats (``numbers``).  Each type samples and
     scales columns of many tags' numbers at once (``sample_numbers`` and
-    ``scale_factors``); a single tag does the same on its own row."""
+    ``scale_factors``)."""
 
     kind: ClassVar[str]
     n_numbers: ClassVar[int]
-
-    def sample(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """``sample_numbers`` of this tag's row at the parameters ``t``."""
-        return self.sample_numbers(self.numbers(), t)
-
-    def scaled(self, s: float) -> "Tag":
-        """This curve with the plane scaled by s."""
-        return self.from_numbers([f * x for f, x in zip(self.scale_factors(s), self.numbers())])
 
 
 @dataclass(frozen=True)
@@ -453,10 +445,6 @@ class MomentProfile:
 
     def segment(self, i: int) -> tuple[Point, Point]:
         return self.vertex(i), self.vertex(i + 1)
-
-    def segment_direction(self, i: int) -> Point:
-        """Segment i's vector, end minus start (a row of ``directions``)."""
-        return tuple(self.directions[i].tolist())
 
     def segment_normal(self, i: int) -> Point:
         """Unit outward normal of segment i (a row of ``normals``)."""

@@ -29,22 +29,19 @@ def _straight(p: MomentProfile) -> np.ndarray:
 
 def area(p: MomentProfile) -> float:
     """Area between the profile and the axes: shoelace on straight
-    segments (their ``cross_products``), Gauss-Legendre on the tagged
-    curves; computed once per profile (``MomentProfile.memo``)."""
+    segments (their ``cross_products``, summed by ``math.fsum`` so that
+    their order does not matter), Gauss-Legendre on the tagged curves;
+    computed once per profile (``MomentProfile.memo``)."""
     return p.memo("area", lambda: _area(p))
 
 
 def _area(p: MomentProfile) -> float:
-    total = p.cross_products[_straight(p)].sum()
+    total = math.fsum(p.cross_products[_straight(p)].tolist())
     if p.tagged.size:
         _, weights = _gl_nodes(GL_ORDER)
         pt, dv = p.curve_samples(GL_ORDER)
         total += (weights * (pt[..., 0] * dv[..., 1] - pt[..., 1] * dv[..., 0])).sum()
     return float(0.5 * total)
-
-
-def contact_volume(p: MomentProfile) -> float:
-    return 2 * area(p)
 
 
 def ruelle_closed_form(p: MomentProfile) -> float:
@@ -152,18 +149,6 @@ def gromov_width_monotone(p: MomentProfile) -> float:
         raise NotMonotone(f"witness segment {cls.witnesses.get('monotone')}")
     pts, _ = p.sample_curves(np.arange(1, 64) / 64)
     return float(np.concatenate((p.xy, pts.reshape(-1, 2))).sum(axis=1).min())
-
-
-def vol_gr_bound_check(p: MomentProfile) -> tuple[float, float, bool]:
-    """Volume vs (larger intercept) * (Gromov width): (lhs, rhs, holds).
-
-    Intercepts are swapped when needed so the larger one is used; the
-    reflection w1 <-> w2 leaves both sides unchanged otherwise.
-    """
-    vol = area(p)
-    b = max(p.a_intercept, p.b_intercept)
-    rhs = b * gromov_width_monotone(p)
-    return vol, rhs, vol <= rhs + 1e-9 * max(1.0, rhs)
 
 
 def vol_fc(b: float, c: float) -> float:

@@ -4,7 +4,7 @@ The normal cone at a vertex v is the arc of outward normals from
 ``cone.start`` counterclockwise to ``cone.end`` (shorter than pi).  The
 closed Reeb orbits at v are the primitive integer vectors (m, n) in it,
 with action f(m, n) = m*v1 + n*v2.  This module owns the membership
-predicate (``in_cone`` and its array form ``in_cone_mask``) and the two
+predicate (``in_cone`` and its array form ``_in_cone``) and the two
 searches over those vectors:
 
 * ``min_in_cone``: the vectors of least action, by a Stern-Brocot
@@ -66,18 +66,13 @@ def in_cone(cone: NormalCone, d) -> bool:
     return sx * d[1] - sy * d[0] >= -tol and d[0] * ey - d[1] * ex >= -tol
 
 
-def in_cone_mask(cone: NormalCone, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """``in_cone`` over integer arrays.  The norm is the square root of the
-    exact integer m*m + n*n, the correctly rounded hypotenuse, which is what
-    ``math.hypot`` returns (CPython 3.10 and later round it correctly
-    almost always; ``np.hypot`` is often one unit off)."""
-    (sx, sy), (ex, ey) = cone.start, cone.end
-    return _in_cone(sx, sy, ex, ey, m, n)
-
-
 def _in_cone(sx, sy, ex, ey, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """``in_cone_mask``'s predicate, for boundary components given as
-    floats or as arrays that broadcast against m and n."""
+    """``in_cone`` over integer arrays m and n, for boundary components
+    given as floats or as arrays that broadcast against them.  The norm is
+    the square root of the exact integer m*m + n*n, the correctly rounded
+    hypotenuse, which is what ``math.hypot`` returns (CPython 3.10 and
+    later round it correctly almost always; ``np.hypot`` is often one unit
+    off)."""
     tol = CONE_TOL * np.sqrt(m * m + n * n)
     return (sx * n - sy * m >= -tol) & (m * ey - n * ex >= -tol)
 
@@ -307,9 +302,9 @@ _SMALL_VECTORS = {
 
 def least_small_action(cones: np.ndarray, max_norm: int) -> float:
     """The least positive action m*v1 + n*v2 of a primitive vector of max
-    norm <= max_norm (1 or 2) that ``in_cone_mask``'s predicate puts in
-    one of the cones (``cone_columns`` rows), or inf: one broadcast over
-    the cones and at most 16 vectors.  Such a vector lies in its cone's
+    norm <= max_norm (1 or 2) that ``_in_cone`` puts in one of the cones
+    (``cone_columns`` rows), or inf: one broadcast over the cones and at
+    most 16 vectors.  Such a vector lies in its cone's
     box at every cutoff from its action up, so ``enumerate_in_cone``
     lists it there when n_max >= max_norm."""
     m, n = _SMALL_VECTORS[max_norm]

@@ -70,20 +70,10 @@ def nu_dot_w(
     return denom
 
 
-def _nu_dot_p(p: MomentProfile, point: Point, normal: Point) -> float:
-    """``nu_dot_w`` at one point."""
-    return float(nu_dot_w(p, point, normal, lambda _, denom: f"nu.p = {denom} at {point}"))
-
-
 def reeb_angular_velocities(p: MomentProfile, point: Point, normal: Point) -> Point:
     """Angular velocities (Theta1, Theta2) of the Reeb flow over ``point``."""
-    denom = _nu_dot_p(p, point, normal)
+    denom = float(nu_dot_w(p, point, normal, lambda _, value: f"nu.p = {value} at {point}"))
     return (2 * math.pi * normal[0] / denom, 2 * math.pi * normal[1] / denom)
-
-
-def rotation_density(p: MomentProfile, point: Point, normal: Point) -> float:
-    """Asymptotic rotation density (nu1 + nu2)/(nu1 w1 + nu2 w2)."""
-    return (normal[0] + normal[1]) / _nu_dot_p(p, point, normal)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +188,10 @@ def orbits_at_vertex(
     action = np.zeros(0)
     if _is_corner(p, vertex_index):
         _, m, n, action = enumerate_in_cone(cone_columns([cone]), action_cutoff)
+        # An action is a period, > 0; ``in_cone`` admits a needle's opposite.
+        keep = action > 0
+        if not keep.all():
+            m, n, action = m[keep], n[keep], action[keep]
         order = np.lexsort((n, m, action))
         m, n, action = m[order], n[order], action[order]
     elif (mn := p.primitive_normal(vertex_index - 1)) is not None:
@@ -270,9 +264,10 @@ def t_min(
     membership predicate puts in a corner cone
     (``lattice.least_small_action``): the enumerator lists that vector
     at the ceiling, so the least listed action is at most the seed and
-    the cut drops only vectors that cannot win.  One lexsort then picks
-    the least action, then the least (m, n), then the least vertex.  The
-    oracle shares no search with ``min_in_cone``, the descent it checks.
+    the cut drops only vectors that cannot win.  Listed rows of action
+    <= 0 are dropped, and one lexsort then picks the least action, then
+    the least (m, n), then the least vertex.  The oracle shares no search
+    with ``min_in_cone``, the descent it checks.
     """
     if method == "fast":
         return _t_min_fast(p)
@@ -285,6 +280,9 @@ def t_min(
     vi, cones = _corner_cones(p)
     cutoff = min(ceiling, least_small_action(cones, min(2, n_oracle)))
     cone, m, n, action = enumerate_in_cone(cones, cutoff, n_oracle)
+    keep = action > 0  # as in ``orbits_at_vertex``
+    if not keep.all():
+        cone, m, n, action = cone[keep], m[keep], n[keep], action[keep]
     if action.size:
         # The least (action, m, n) and then vertex over every cone.
         k = np.lexsort((cone, n, m, action))[0]
@@ -400,14 +398,6 @@ def shear_monodromy_check(
     theta = reeb_angular_velocities(p, base, nu)
     e1 = (-nu[1], nu[0])
 
-    def decompose_theta(dth: Point) -> tuple[float, float]:
-        # dth = beta * (-w2, w1) + gamma * (Theta1, Theta2)
-        w1, w2 = base
-        det = -w2 * theta[1] - w1 * theta[0]
-        beta = (dth[0] * theta[1] - dth[1] * theta[0]) / det
-        gamma = (-w2 * dth[1] - w1 * dth[0]) / det
-        return beta, gamma
-
     # Column 1: perturb along e1, project back to the boundary radially.
     pert = (base[0] + h * e1[0], base[1] + h * e1[1])
     moved, seg_m = project_radial(p, pert)
@@ -416,8 +406,10 @@ def shear_monodromy_check(
     dw = (moved[0] - base[0], moved[1] - base[1])
     m11 = dot(dw, e1) / h
     dth = ((theta_m[0] - theta[0]) * T, (theta_m[1] - theta[1]) * T)
-    m21, _ = decompose_theta(dth)
-    m21 /= h
+    # dth = beta * (-w2, w1) + gamma * (Theta1, Theta2); m21 is beta / h.
+    w1, w2 = base
+    det = -w2 * theta[1] - w1 * theta[0]
+    m21 = (dth[0] * theta[1] - dth[1] * theta[0]) / det / h
 
     # Column 2: perturb the angles along e2; w is untouched so the flow
     # displacement is exactly the initial displacement.

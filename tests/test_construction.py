@@ -6,7 +6,10 @@ functions below are verbatim copies of the per-vertex versions they
 replaced; ``MomentProfile`` here is the construction those copies ran
 (each coordinate through ``float``, then the copied ``_validate``), ending
 in the library's profile on the checked vertices, with one check added
-since (``_overflow_checked``).  The library must give
+since (``_overflow_checked``).  Two calls of since-removed one-row
+helpers are spelled out as what they returned: ``segment_direction(i)``
+as the row ``directions[i]``, and ``Tag.scaled(s)`` as ``from_numbers``
+of the tag's numbers times ``scale_factors(s)``.  The library must give
 the same vertices, tags, area and Ruelle quadrature bit for bit, and raise
 the same exception class with the same message.  The values a profile
 seeds on construction (``xy``, ``diameter``, ``tol``, the per-segment
@@ -189,7 +192,7 @@ def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentPr
         raise ParamOutOfRange("smooth_corners expects a purely polygonal profile")
 
     seg_len = [
-        math.hypot(*(p.segment_direction(i))) for i in range(p.n_segments)
+        math.hypot(*(p.directions[i].tolist())) for i in range(p.n_segments)
     ]
     verts: list[Point] = [p.vertices[0]]
     tags: list[Optional[Tag]] = []
@@ -203,7 +206,7 @@ def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentPr
             tags.append(None)
             verts.append(v)
             continue
-        d1 = p.segment_direction(i - 1)
+        d1 = tuple(p.directions[i - 1].tolist())
         l1, l2 = seg_len[i - 1], seg_len[i]
         u1 = (d1[0] / l1, d1[1] / l1)
         tangent = r * math.tan(turn / 2)
@@ -239,7 +242,10 @@ def scaled(self, s: float) -> "MomentProfile":
     if s <= 0:
         raise ParamOutOfRange("scale factor must be positive")
     verts = tuple((s * x, s * y) for x, y in self.vertices)
-    tags = tuple(t and t.scaled(s) for t in self.tags)
+    tags = tuple(
+        t and t.from_numbers([f * x for f, x in zip(t.scale_factors(s), t.numbers())])
+        for t in self.tags
+    )
     return MomentProfile(verts, tags, family="custom")
 
 def parent_normals(d: np.ndarray) -> np.ndarray:

@@ -149,7 +149,8 @@ class TestSqrtTransform:
 
     def test_midpoint_value(self):
         # mu = (1/2, 1/2) halfway from (1, 0) to (0, 1), so w = (1/4, 1/4).
-        point, velocity = SquaredSegment((1.0, 0.0), (0.0, 1.0)).sample(0.5)
+        tag = SquaredSegment((1.0, 0.0), (0.0, 1.0))
+        point, velocity = tag.sample_numbers(tag.numbers(), 0.5)
         assert point.tolist() == [0.25, 0.25]
         assert velocity.tolist() == [-1.0, 1.0]
 
@@ -166,7 +167,8 @@ class TestSqrtTransform:
     def test_square_inverts(self, pts):
         """The ends of each piece are its squared mu endpoints."""
         for mu0, mu1 in zip(pts, pts[1:]):
-            ends, _ = SquaredSegment(mu0, mu1).sample(np.array([0.0, 1.0]))
+            tag = SquaredSegment(mu0, mu1)
+            ends, _ = tag.sample_numbers(tag.numbers(), np.array([0.0, 1.0]))
             assert ends[0].tolist() == [mu0[0] * mu0[0], mu0[1] * mu0[1]]
             for got, mu in zip(ends[1].tolist(), mu1):
                 assert got == pytest.approx(mu * mu, rel=1e-12)

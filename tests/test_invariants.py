@@ -17,7 +17,6 @@ from toricsys import (
     ruelle_quadrature,
     smooth_corners,
     vol_fc,
-    vol_gr_bound_check,
 )
 from toricsys.invariants import (
     area,
@@ -124,20 +123,6 @@ class TestGromovWidth:
             p = random_monotone_profile(rng)
             action, _ = t_min(p)
             assert action == pytest.approx(gromov_width_monotone(p), abs=1e-9)
-
-
-class TestVolGrBound:
-    def test_polydisk_equality(self):
-        lhs, rhs, ok = vol_gr_bound_check(polydisk(1, 2))
-        assert ok and lhs == pytest.approx(rhs)
-
-    def test_ellipsoid(self):
-        lhs, rhs, ok = vol_gr_bound_check(ellipsoid(1, 4, 1))
-        assert ok and lhs == pytest.approx(2) and rhs == pytest.approx(4)
-
-    def test_ball(self):
-        lhs, rhs, ok = vol_gr_bound_check(ball(1))
-        assert ok and lhs == pytest.approx(0.5) and rhs == pytest.approx(1)
 
 
 class TestCriterion:

@@ -36,7 +36,6 @@ from toricsys.lattice import (
     cone_columns,
     enumerate_in_cone,
     in_cone,
-    in_cone_mask,
     min_in_cone,
 )
 from toricsys.cli import main
@@ -453,5 +452,5 @@ def test_mask_is_the_scalar_predicate(seed):
             n.append(np.rint(t * r[1]).astype(np.int64) + rng.integers(-1, 2, t.size))
         m, n = np.concatenate(m), np.concatenate(n)
         want = [in_cone(cone, (a, b)) for a, b in zip(m.tolist(), n.tolist())]
-        assert in_cone_mask(cone, m, n).tolist() == want
+        assert lattice._in_cone(*cone.start, *cone.end, m, n).tolist() == want
         assert want == [_old_in_cone(cone, (a, b)) for a, b in zip(m.tolist(), n.tolist())]

@@ -5,19 +5,24 @@ the profile's path, reversed with its coordinates swapped, bounds the
 same region reflected.  Every invariant and every flag must be unchanged,
 the values up to rounding (4 ulps, relative).
 
-Ru = a + b and T_min keep that bound.  The area does not always: its
+Ru = a + b and T_min keep that bound.  The area is kept exactly: its
 shoelace sum adds the same per-segment terms in the opposite order, and
-numpy's pairwise sum of 20 to 40 terms can round the two orders more than
-4 ulps apart (CHANGES.md, FOUND), and sys, ru and the product inherit the
-difference.  Those relations are expected failures until the area is
-summed independently of the order.
+``math.fsum`` rounds the exact sum once, whatever the order.  (numpy's
+pairwise sum of 20 to 40 terms rounded the two orders up to about 5 ulps
+apart, and sys, ru and the product inherited the difference.)
+
+Scaling the plane by s multiplies the area by s^2 and leaves sys, ru, the
+product and the flags unchanged.  For s a power of 4 every scaled number
+is exact, the square-root factor of ``SquaredSegment`` tags included, so
+the area and ru must come out exactly and sys and the product within 4
+ulps.  (At s = 2 the factor sqrt(2) rounds, and the area of ``fc_domain``
+profiles is then often not exact.)
 """
 
 import math
 import random
 import sys
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricsys.experiments import (
@@ -25,11 +30,20 @@ from toricsys.experiments import (
     random_monotone_profile,
     random_star_profile,
 )
-from toricsys.geometry import FLAGS, ball, classify, ellipsoid, from_vertices, polydisk
-from toricsys.invariants import report
+from toricsys.geometry import (
+    FLAGS,
+    ball,
+    classify,
+    ellipsoid,
+    fc_c_min,
+    fc_domain,
+    from_vertices,
+    polydisk,
+    smooth_corners,
+)
+from toricsys.invariants import area, report
 
 ULPS = 4 * sys.float_info.epsilon
-AREA_ORDERED = "the area's pairwise sum depends on the segment order (CHANGES.md, FOUND)"
 
 
 def polygons(rng: random.Random):
@@ -43,6 +57,18 @@ def polygons(rng: random.Random):
         polydisk(b, a),
         ball(c, rng.randint(1, 8)),
     ]
+
+
+def curved(rng: random.Random):
+    """One ``fc_domain`` profile and one ``smooth_corners`` polydisk."""
+    b, x, y = rng.uniform(1, 4), rng.uniform(0.3, 4), rng.uniform(0.3, 4)
+    c = rng.uniform(fc_c_min(b), 0.95)
+    r = rng.uniform(0.01, 0.45) * min(x, y)
+    return [fc_domain(b, c, rng.randint(2, 64)), smooth_corners(polydisk(x, y), r, rng.randint(1, 8))]
+
+
+def flags(p):
+    return [getattr(classify(p), name) for name in FLAGS]
 
 
 def assert_reflection_keeps(p, values):
@@ -61,19 +87,37 @@ def assert_reflection_keeps(p, values):
 def test_reflection_keeps_flags_ruelle_and_t_min(seed):
     for p in polygons(random.Random(seed)):
         q = assert_reflection_keeps(p, ("ruelle", "t_min"))
-        flags = [getattr(classify(p), name) for name in FLAGS]
-        assert flags == [getattr(classify(q), name) for name in FLAGS], p.vertices
+        assert flags(p) == flags(q), p.vertices
 
 
-@pytest.mark.xfail(reason=AREA_ORDERED, strict=False)
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**9))
 def test_reflection_keeps_area_sys_ru_and_product(seed):
     for p in polygons(random.Random(seed)):
-        assert_reflection_keeps(p, ("area", "sys", "ru", "product"))
+        q = assert_reflection_keeps(p, ("sys", "ru", "product"))
+        assert area(q) == area(p), p.vertices
 
 
-@pytest.mark.xfail(reason=AREA_ORDERED, strict=True)
 def test_smallest_known_reflection_failure():
-    # The product moves by 4.15 ulps, the area by 3.95.
-    assert_reflection_keeps(ellipsoid(1.6483614359376526, 3.6892079764136274, 23), ("product",))
+    # Under numpy's pairwise sum the product moved by 4.15 ulps, the area
+    # by 3.95.
+    p = ellipsoid(1.6483614359376526, 3.6892079764136274, 23)
+    q = assert_reflection_keeps(p, ("product",))
+    assert area(q) == area(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_scaling_by_powers_of_4(seed):
+    rng = random.Random(seed)
+    for p in polygons(rng) + curved(rng):
+        r = report(p)
+        for s in (0.25, 4, 16):
+            q = p.scaled(s)
+            rs = report(q)
+            assert rs.area == s * s * r.area, (s, p.vertices)
+            assert rs.ru == r.ru, (s, p.vertices)
+            assert flags(q) == flags(p), (s, p.vertices)
+            for name in ("sys", "product"):
+                a, b = getattr(rs, name), getattr(r, name)
+                assert math.isclose(a, b, rel_tol=ULPS, abs_tol=0), (name, s, a, b, p.vertices)

@@ -1,8 +1,10 @@
 """The brute-force T_min oracle against the full-table scan it replaced.
 
 ``_old_primitive_vectors`` and ``_old_cone_candidates_oracle`` are verbatim
-copies (renamed only) of the oracle's per-cone step when it ran
-``in_cone_mask`` over every primitive vector of max norm <= n_max, and
+copies (renamed only, and the membership call ported from the removed
+array wrapper ``in_cone_mask`` to ``lattice._in_cone``) of the oracle's
+per-cone step when it ran that predicate over every primitive vector of
+max norm <= n_max, and
 ``_old_t_min_oracle`` is a verbatim copy of ``t_min``'s oracle branch
 around it.  The oracle now lists the vectors of all corner cones in one
 ``lattice.enumerate_in_cone`` batch, clipped to that max norm and cut at an
@@ -20,11 +22,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricsys import ball, flatten_near_intercept, from_vertices, strain, strangulate, t_min
+from toricsys import (
+    ball,
+    flatten_near_intercept,
+    from_vertices,
+    orbits_at_vertex,
+    orbits_below,
+    strain,
+    strangulate,
+    t_min,
+)
 from toricsys.errors import OracleCutoffInsufficient
 from toricsys.experiments import random_monotone_profile, random_star_profile
 from toricsys.geometry import NormalCone, dot, normal_cone
-from toricsys.lattice import cone_columns, enumerate_in_cone, in_cone_mask
+from toricsys.lattice import _in_cone, cone_columns, enumerate_in_cone
 from toricsys.reeb import OrbitDatum, _base_candidates
 
 
@@ -47,7 +58,7 @@ def _old_primitive_vectors(n_max: int) -> tuple[np.ndarray, np.ndarray]:
 def _old_cone_candidates_oracle(cone, n_max):
     """Exact per-cone minimum over primitive vectors with max norm <= n_max."""
     mm, nn = _old_primitive_vectors(n_max)
-    member = in_cone_mask(cone, mm, nn)
+    member = _in_cone(*cone.start, *cone.end, mm, nn)
     if not member.any():
         return None
     v = cone.vertex
@@ -323,12 +334,29 @@ def test_needle_cone_does_not_cut_the_other_cones():
     """A vertex 1e-10 off the diagonal side of a strangulated ball has a
     needle cone around (1, 1) whose membership tolerance also admits
     (-1, -1), of action -2.  Both the old table and the enumerator list
-    (-1, -1), a unit from the origin, so the oracle's outcome differs from
-    fast t_min's ((-4, 5) at 0.0999...); this pins it.  The cut that the
-    oracle takes from small vectors must come from positive actions only:
-    a cut at -2 would list nothing, not even (-1, -1), and leave the
-    (0, 1) axis orbit of action 2."""
+    (-1, -1), a unit from the origin, and the old oracle returned it; an
+    action is a period, so the oracle now drops it and agrees with fast
+    t_min: (-4, 5) at 0.0999....  The cut that the oracle takes from small
+    vectors must come from positive actions only: a cut at -2 would list
+    nothing, not even (-1, -1), and leave the (0, 1) axis orbit of
+    action 2."""
     vertices = list(strangulate(ball(2), 0.1).profile.vertices)
     p = from_vertices(vertices[:1] + [(1.5 + 1e-10, 0.5 + 1e-10)] + vertices[1:])
-    action, witness = _same_t_min(p)
-    assert (action, witness.mn, witness.location_index) == (-2.0000000002, (-1, -1), 1)
+    assert _old_t_min_oracle(p)[0] < 0
+    action, witness = t_min(p, method="oracle")
+    assert (action, witness) == t_min(p)
+    assert (action, witness.mn, witness.location_index) == (0.09999999999910081, (-4, 5), 2)
+
+
+def test_needle_cone_at_the_diagonal_lists_no_nonpositive_action():
+    """The vertex (0.5, 0.5 + 1e-10) between the two unit intercepts turns
+    the normal by 2e-10, so ``in_cone`` admits (-1, -1) opposite its
+    cone, of action -1.0000000001, and the old oracle returned it as
+    T_min.  Neither the oracle nor the orbit list keeps an action <= 0:
+    both give the axis orbits of action 1, as fast t_min does."""
+    p = from_vertices([(1, 0), (0.5, 0.5000000001), (0, 1)])
+    assert _old_t_min_oracle(p)[0] < 0
+    assert t_min(p, method="oracle") == t_min(p)
+    assert t_min(p)[0] == 1
+    assert [o.mn for o in orbits_below(p, 1)] == [(0, 1), (1, 0)]
+    assert [o.mn for o in orbits_at_vertex(p, 1, 2)] == [(1, 1)]

@@ -14,7 +14,6 @@ from toricsys import (
     orbits_at_vertex,
     polydisk,
     reeb_angular_velocities,
-    rotation_density,
     shear_monodromy_check,
     smooth_corners,
     t_min,
@@ -39,22 +38,10 @@ class TestAngularVelocities:
         with pytest.raises(DegenerateDenominator):
             reeb_angular_velocities(ball(1), (0.5, 0.5), (1 / SQ2, -1 / SQ2))
 
-
-class TestRotationDensity:
-    def test_ball_diagonal(self):
-        assert rotation_density(ball(1), (0.5, 0.5), (1 / SQ2, 1 / SQ2)) == pytest.approx(2)
-
-    def test_polydisk_edge(self):
-        assert rotation_density(polydisk(1, 2), (1, 1), (1.0, 0.0)) == pytest.approx(1)
-
-    def test_axis_limit(self):
-        a = 1.7
-        assert rotation_density(ball(a), (a, 0), (1.0, 0.0)) == pytest.approx(1 / a)
-
     def test_nan_denominator_is_degenerate(self):
         # The same check as the Ruelle quadrature's: nan is not above tol.
         with pytest.raises(DegenerateDenominator, match=r"nu.p = nan at \(0.5, nan\)"):
-            rotation_density(ball(1), (0.5, math.nan), (1 / SQ2, 1 / SQ2))
+            reeb_angular_velocities(ball(1), (0.5, math.nan), (1 / SQ2, 1 / SQ2))
 
 
 class TestSegmentOrbits:
@@ -79,7 +66,7 @@ class TestSegmentOrbits:
     def test_orbit_orthogonal_to_segment(self):
         for prof, i in [(ball(1), 0), (polydisk(1, 2), 1), (ellipsoid(1, 4, 1), 0)]:
             o = closed_orbit_on_segment(prof, i)
-            d = prof.segment_direction(i)
+            d = prof.directions[i]
             assert abs(o.mn[0] * d[0] + o.mn[1] * d[1]) < 1e-12
 
 
