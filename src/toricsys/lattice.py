@@ -7,10 +7,11 @@ with action f(m, n) = m*v1 + n*v2.  This module owns the membership
 predicate (``in_cone`` and its array form ``_in_cone``) and the two
 searches over those vectors:
 
-* ``min_in_cone``: the vectors of least action, by a Stern-Brocot
-  descent that takes each continued-fraction run of the cone's boundary
-  directions in one step, so it costs O(log coefficient) Python steps
-  instead of one per unit of each coefficient;
+* ``min_in_cone``: the least (action, (m, n)) in the cone, by a
+  Stern-Brocot descent that takes each continued-fraction run of the
+  cone's boundary directions in one step, so it costs O(log coefficient)
+  Python steps instead of one per unit of each coefficient, and that
+  keeps one winner, picking it in numpy within a run;
 * ``enumerate_in_cone``: every vector with action below a cutoff (and
   optionally max norm below a bound) in each cone of a batch, the cones
   given as the rows of one array (``cone_columns``), found line by line
@@ -21,8 +22,9 @@ searches over those vectors:
   positive action of a small vector in them (``least_small_action``).
 
 The descent serves fast T_min and strangulation's witness (the apex
-cone's least action); the enumerator is the oracle's independent
-reference and shares no search with it.
+cone's least action, searched only when the witness is read); the
+enumerator is the oracle's independent reference and shares no search
+with it.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def clear_of_axes(normals: np.ndarray) -> np.ndarray:
     above 2 * CONE_TOL?  A cone bounded by two such normals holds no axis
     vector and meets only the first quadrant arc, up to ``in_cone``'s
     tolerance, so ``min_in_cone``'s first step pops ((1, 0), (0, 1)) and
-    returns ([], 1) exactly when v1 + v2 (the same float sum) exceeds the
+    returns (None, 1) exactly when v1 + v2 (the same float sum) exceeds the
     incumbent: v1 + v2 is a lower bound on the cone's least action."""
     return np.minimum(normals[:, 0], normals[:, 1]) > 2 * CONE_TOL
 
@@ -93,17 +95,17 @@ def clear_of_axes(normals: np.ndarray) -> np.ndarray:
 
 def min_in_cone(
     cone: NormalCone, incumbent: float
-) -> tuple[list[tuple[float, Vector]], int]:
-    """Vectors (action, (m, n)) of least action in the cone, if that action
-    is <= incumbent, and the number of descent steps taken.
+) -> tuple[Optional[tuple[float, Vector]], int]:
+    """The least (action, (m, n)) in the cone with action <= incumbent, or
+    None if there is none, and the number of descent steps taken.
 
     Stern-Brocot descent from the quadrant arcs, depth first, right child
     first, pruning a subtree (L, R) when f(L), f(R) > 0 and f(L) + f(R)
     exceeds the best action so far: every vector a*L + b*R inside it has
     action >= f(L) + f(R).  Ties with the incumbent are never pruned, so
-    every vector of least action that the descent reaches is returned,
-    and the caller's (action, m, n) tie-break matches the brute-force
-    oracle.
+    every vector of least action that the descent reaches is compared,
+    and the (action, m, n) tie-break matches the brute-force oracle.
+    Only the winner so far is kept, no list of the tied vectors.
 
     Within a continued-fraction run, consecutive nodes (X + k*F, F) (or
     (F, X + k*F)) share the endpoint F and repeat the same decisions.  Such
@@ -111,8 +113,9 @@ def min_in_cone(
     node, located from the boundary crossings and confirmed (or found by
     galloping and bisection) with the same predicates; a run of in-cone
     vectors toward a boundary where f(F) <= 0 also jumps, and the actions
-    of the vectors it skips are evaluated in one numpy pass.  The result
-    is the one that taking every node in turn would give.
+    of the vectors it skips are evaluated in one numpy pass, which also
+    picks the run's least (m, n) of least action.  The result is the one
+    that taking every node in turn would give.
     """
     v0, v1 = cone.vertex
     (sx, sy), (ex, ey) = cone.start, cone.end
@@ -133,15 +136,17 @@ def min_in_cone(
             L[0] * sy - L[1] * sx >= -tol_s and sx * R[1] - sy * R[0] >= -tol_s
         ) or (L[0] * ey - L[1] * ex >= -tol_e and ex * R[1] - ey * R[0] >= -tol_e)
 
+    # The least (action, (m, n)) considered so far; its action is best.
     best = incumbent
-    found: list[tuple[float, Vector]] = []
+    winner: Optional[tuple[float, Vector]] = None
 
     def consider(d: Vector) -> None:
-        nonlocal best
+        nonlocal best, winner
         a = f(d)
         if a <= best:
             best = a
-            found.append((a, d))
+            if winner is None or (a, d) < winner:
+                winner = (a, d)
 
     def out_run_node(X, F, in_f: bool, right: bool, k: int) -> bool:
         """Does node k of the run (X + kF with F) keep the outside pattern:
@@ -261,24 +266,23 @@ def min_in_cone(
                     pruned = (a > 0) & (b > 0) & (a + b > (running[-1] if toward_r else running))
                     pruned[0] |= toward_r
                     if pruned.all():
-                        # What ``consider`` would record for each vector,
-                        # less those above the best action after the run,
-                        # which the final filter drops anyway.
-                        new = (fx[2:] <= running[:-1]) & (fx[2:] <= running[-1])
-                        found.extend(
-                            (a, (m, n))
-                            for a, m, n in zip(
-                                fx[2:][new].tolist(), xs[2:][new].tolist(), ys[2:][new].tolist()
-                            )
-                        )
+                        # The vectors tied at the best action after the
+                        # run, the only ones ``consider`` could make the
+                        # winner, and the least (m, n) of them.
                         best = float(running[-1])
+                        tied = np.flatnonzero(fx[2:] == best) + 2
+                        if tied.size:
+                            j = tied[np.lexsort((ys[tied], xs[tied]))[0]]
+                            got = (best, (int(xs[j]), int(ys[j])))
+                            if winner is None or got < winner:
+                                winner = got
                         XK = (int(xs[K]), int(ys[K]))
                         if toward_r:
                             stack[-1] = (XK, R, True, in_r)
                         else:
                             stack.pop()
                             stack[-1] = (L, XK, in_l, True)
-    return [(a, d) for a, d in found if a <= best], steps
+    return winner, steps
 
 
 # ---------------------------------------------------------------------------

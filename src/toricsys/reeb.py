@@ -251,7 +251,10 @@ def t_min(
     computes its primitive normal (``MomentProfile.primitive_normal``); a
     visited cone is searched by ``lattice.min_in_cone``, a Stern-Brocot
     descent with pruning that takes each continued-fraction run in one
-    step.  The result does not depend on the visiting order.
+    step and returns the cone's one least (action, m, n) at or below the
+    incumbent.  The result does not depend on the visiting order.  A
+    strangulated profile's apex cone is searched here and nowhere else
+    unless its surgery witness is read (``surgery.strangulate``).
 
     ``oracle`` brute-forces all primitive integer vectors with max-norm
     <= n_oracle over every corner's cone and raises
@@ -347,7 +350,9 @@ def _t_min_fast(p: MomentProfile) -> tuple[float, OrbitDatum]:
                 best = min(best, (action, 1, m1, m2, k))
         elif _is_corner(p, k - n + 1):
             vi = k - n + 1
-            for action, (m1, m2) in min_in_cone(normal_cone(p, vi), best[0])[0]:
+            got, _ = min_in_cone(normal_cone(p, vi), best[0])
+            if got is not None:
+                action, (m1, m2) = got
                 best = min(best, (action, 2, m1, m2, vi))
 
     action, rank, m1, m2, i = best

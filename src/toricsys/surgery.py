@@ -11,9 +11,11 @@ expected failure count is updated with the fix.
 
 from __future__ import annotations
 
+import copy
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -58,12 +60,20 @@ class StrainSpec:
 
 @dataclass(frozen=True)
 class SurgeryOutcome:
+    """A surgery's output profile and certificates.  ``find_witnesses``
+    returns the new orbits; ``new_orbit_witnesses`` calls it once, on
+    first read, so a witness nobody reads costs no search."""
+
     profile: MomentProfile
     volume_delta: float
     volume_delta_bound: float
-    new_orbit_witnesses: Sequence[reeb.OrbitDatum]
+    find_witnesses: Callable[[], Sequence[reeb.OrbitDatum]] = field(compare=False, repr=False)
     preserved_flags: Classification
     spec: object
+
+    @cached_property
+    def new_orbit_witnesses(self) -> Sequence[reeb.OrbitDatum]:
+        return self.find_witnesses()
 
 
 def input_t_min(p: MomentProfile) -> float:
@@ -128,6 +138,17 @@ def _sector_intervals(
     return lo, hi, ~(lo >= hi - 1e-15)
 
 
+def _apex_witnesses(out: MomentProfile, apex_index: int) -> list[reeb.OrbitDatum]:
+    """The witness of a strangulation: the least (action, m, n) in the
+    output's apex normal cone, as a one-orbit list."""
+    cone = normal_cone(out, apex_index)
+    got, _ = min_in_cone(cone, math.inf)
+    if got is None:
+        return []
+    action, mn = got
+    return [reeb.OrbitDatum(mn, cone.vertex, action, "vertex", apex_index)]
+
+
 def strangulate(
     p: MomentProfile, eps: float, ray_angle: float = math.pi / 4
 ) -> SurgeryOutcome:
@@ -141,7 +162,11 @@ def strangulate(
     Intercepts are untouched, so the closed-form Ruelle invariant is
     preserved; the apex vertex carries a new short orbit, the witness:
     the least-action apex orbit (``lattice.min_in_cone``, least (m, n) on
-    ties), <= 2*eps on the diagonal since (1, 1) lies in the cone.
+    ties), <= 2*eps on the diagonal since (1, 1) lies in the cone.  The
+    witness is searched when ``new_orbit_witnesses`` is first read, not
+    here: ``reeb.t_min`` of the output searches the same cone, and a
+    sweep reads only that.  The descent never raises, so deferring it
+    moves no error.
     """
     if not eps > 0:
         raise ParamOutOfRange(f"eps must be positive; got {eps}")
@@ -190,19 +215,11 @@ def strangulate(
     except NotStarShaped as exc:
         raise ClippingBreaksStarShape(str(exc)) from exc
 
-    # Witness orbit: the least (action, m, n) in the apex normal cone.
-    cone = normal_cone(out, apex_index)
-    found, _ = min_in_cone(cone, math.inf)
-    witnesses = []
-    if found:
-        action, mn = min(found)
-        witnesses.append(reeb.OrbitDatum(mn, cone.vertex, action, "vertex", apex_index))
-
     return SurgeryOutcome(
         profile=out,
         volume_delta=invariants.area(p) - invariants.area(out),
         volume_delta_bound=8 * w_star * w_star * theta,
-        new_orbit_witnesses=witnesses,
+        find_witnesses=partial(_apex_witnesses, out, apex_index),
         preserved_flags=classify(out),
         spec=StrangulationSpec(eps=eps, ray_angle=ray_angle, theta=theta, w_star=w_star),
     )
@@ -293,7 +310,7 @@ def strain(p: MomentProfile, eps: float) -> SurgeryOutcome:
         profile=out,
         volume_delta=invariants.area(out) - invariants.area(p),
         volume_delta_bound=math.sqrt(eps) / 2,
-        new_orbit_witnesses=witnesses,
+        find_witnesses=partial(copy.copy, witnesses),
         preserved_flags=classify(out),
         spec=StrainSpec(eps=eps, k=k, w_star_eps=w_star, spike_intercept=spike),
     )

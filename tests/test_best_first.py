@@ -43,7 +43,9 @@ def _old_t_min_fast(p):
     ]
 
     for vi, cone in cones:
-        for action, mn in min_in_cone(cone, best)[0]:
+        got, _ = min_in_cone(cone, best)
+        if got is not None:
+            action, mn = got
             candidates.append(OrbitDatum(mn, cone.vertex, action, "vertex", vi))
             best = min(best, action)
 
@@ -111,7 +113,7 @@ def _assert_bounds_hold(p) -> int:
         elif abs(p.normal_turns[k - n]) > 1e-12:
             # Just below the bound, the descent prunes the cone at once.
             cone = normal_cone(p, k - n + 1)
-            assert min_in_cone(cone, math.nextafter(bound, 0)) == ([], 1), k
+            assert min_in_cone(cone, math.nextafter(bound, 0)) == (None, 1), k
     return checked
 
 

@@ -1,4 +1,5 @@
-"""Per-profile derived geometry and the vectorised quadratures.
+"""Per-profile derived geometry, the vectorised quadratures, and what
+is computed once or only when read.
 
 The scalar functions below are the plain per-node loops that `area`,
 `ruelle_quadrature` and `MomentProfile.primitive_normal` replace, with
@@ -8,6 +9,7 @@ exactly for the integer normals.
 """
 
 import math
+import pickle
 import random
 from collections import Counter
 from decimal import Decimal
@@ -31,7 +33,7 @@ from toricsys import (
     report,
     smooth_corners,
 )
-from toricsys import geometry, invariants, reeb
+from toricsys import geometry, invariants, lattice, reeb, surgery
 from toricsys.cli import resolve_profile
 from toricsys.experiments import (
     RunConfig,
@@ -347,6 +349,73 @@ class TestWholeProfileCaches:
         report(p)
         report(p)
         assert calls == [p, p]
+
+
+# ---------------------------------------------------------------------------
+# Lattice searches: the strangulation witness only when read
+
+
+def _count_searches(monkeypatch):
+    """Per lattice search, the cones it is called on: every package
+    module's binding of ``min_in_cone`` and ``enumerate_in_cone`` is
+    wrapped."""
+    seen = {"min_in_cone": [], "enumerate_in_cone": []}
+    for name, calls in seen.items():
+        real = getattr(lattice, name)
+
+        def counted(cone, *args, real=real, calls=calls):
+            calls.append(cone)
+            return real(cone, *args)
+
+        for module in (lattice, reeb, surgery):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+class TestLazyWitness:
+    @pytest.mark.parametrize("ray", [0.3, math.pi / 4, 1.2])
+    def test_strangulate_searches_no_cone(self, monkeypatch, ray):
+        seen = _count_searches(monkeypatch)
+        out = strangulate(ball(2), 1e-3, ray)
+        assert seen == {"min_in_cone": [], "enumerate_in_cone": []}
+        assert out.profile.n_segments > 0
+
+    def test_witness_read_twice_searches_once(self, monkeypatch):
+        out = strangulate(ball(2), 1e-3)
+        seen = _count_searches(monkeypatch)
+        first = out.new_orbit_witnesses
+        assert first is out.new_orbit_witnesses
+        assert len(seen["min_in_cone"]) == 1 and seen["enumerate_in_cone"] == []
+        [w] = first
+        assert w.base_point == out.profile.vertex(w.location_index)
+
+    def test_sweep_point_searches_as_t_min_alone(self, monkeypatch):
+        seen = _count_searches(monkeypatch)
+        (record,) = run_sweep(RunConfig(profile=ball(2), op="strangulate", eps_grid=(1e-3,)))
+        assert record.error == ""
+        in_sweep = len(seen["min_in_cone"])
+        out = strangulate(ball(2), 1e-3)
+        seen["min_in_cone"].clear()
+        reeb.t_min(out.profile)
+        assert in_sweep == len(seen["min_in_cone"]) >= 1
+        assert seen["enumerate_in_cone"] == []
+
+    def test_strain_lists_its_tip_at_call_time(self, monkeypatch):
+        p, _ = flatten_near_intercept(ball(2, 16), 0.1)
+        seen = _count_searches(monkeypatch)
+        out = strain(p, 1e-3)
+        assert len(seen["enumerate_in_cone"]) == 1
+        listed = len(seen["min_in_cone"]), len(seen["enumerate_in_cone"])
+        assert len(out.new_orbit_witnesses) == round(2 / 1e-3) + 1
+        assert (len(seen["min_in_cone"]), len(seen["enumerate_in_cone"])) == listed
+
+    def test_outcomes_pickle_with_their_witnesses(self):
+        p, _ = flatten_near_intercept(ball(2, 16), 0.1)
+        for out in (strangulate(ball(2), 1e-3), strain(p, 1e-3)):
+            back = pickle.loads(pickle.dumps(out))
+            assert back.new_orbit_witnesses == out.new_orbit_witnesses
+            assert len(back.new_orbit_witnesses) >= 1
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

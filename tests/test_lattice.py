@@ -2,10 +2,11 @@
 
 The functions prefixed ``_old`` are verbatim copies (renamed only) of the
 unit-step Stern-Brocot descent and the bounding-box enumerator that
-``toricsys.lattice`` replaces.  On every cone below the kernel must give
-identical candidate lists (same actions, vectors and order) and the same
-orbit sets.  Strangulation's witness, the least (action, m, n) of the
-descent over the apex cone, is checked against the enumerator.
+``toricsys.lattice`` replaces.  On every cone below the descent must
+return the least (action, (m, n)) of the reference's candidate list, or
+None when that list is empty, and the enumerator the same orbit sets.
+Strangulation's witness, the least (action, m, n) of the descent over
+the apex cone, is checked against the enumerator.
 """
 
 import math
@@ -168,16 +169,22 @@ def _vertex_cones(p):
     ]
 
 
+def _least(found):
+    """What ``min_in_cone`` returns for a candidate list of the unit-step
+    descent: its least (action, (m, n)), or None when it is empty."""
+    return min(found, default=None)
+
+
 def _assert_descent_matches(p):
     """Run both descents over the profile's cones as ``t_min`` does, the
-    incumbent falling with each cone's candidates."""
+    incumbent falling with each cone's winner."""
     best = min(o.action for o in _base_candidates(p))
     for cone in _vertex_cones(p):
         want = _old_min_in_cone_fast(cone, best)
         got, _ = min_in_cone(cone, best)
-        assert got == want, cone
-        for action, _ in got:
-            best = min(best, action)
+        assert got == _least(want), cone
+        if got is not None:
+            best = min(best, got[0])
 
 
 def _strained(eps):
@@ -283,7 +290,34 @@ def test_descent_matches_on_near_rational_cones(seed):
         cone = _near_rational_cone(rng)
         incumbent = rng.choice([math.inf, rng.uniform(0.1, 10) * math.hypot(*cone.vertex)])
         got, _ = min_in_cone(cone, incumbent)
-        assert got == _old_min_in_cone_fast(cone, incumbent), cone
+        assert got == _least(_old_min_in_cone_fast(cone, incumbent)), cone
+
+
+def _apex_cone(rng, diagonal):
+    """The apex cone of a strangulated ball, on the diagonal ray or off it."""
+    eps = 10 ** rng.uniform(-3.5, -1)
+    ray = math.pi / 4 if diagonal else rng.uniform(0.2, math.pi / 2 - 0.2)
+    u = (math.cos(ray), math.sin(ray))
+    apex = (eps * (u[0] / max(u)), eps * (u[1] / max(u)))
+    p = strangulate(ball(rng.uniform(1, 3)), eps, ray).profile
+    return normal_cone(p, p.vertices.index(apex))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["near-rational", "diagonal apex", "off-diagonal apex"]),
+    st.booleans(),
+)
+def test_winner_is_the_least_reference_candidate(seed, kind, finite):
+    rng = random.Random(seed)
+    if kind == "near-rational":
+        cone = _near_rational_cone(rng)
+    else:
+        cone = _apex_cone(rng, kind == "diagonal apex")
+    incumbent = rng.uniform(0.1, 10) * math.hypot(*cone.vertex) if finite else math.inf
+    got, _ = min_in_cone(cone, incumbent)
+    assert got == _least(_old_min_in_cone_fast(cone, incumbent)), cone
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -409,8 +443,8 @@ def test_each_apex_cone_takes_few_steps():
     for cone in cones:
         got, steps = min_in_cone(cone, best)
         assert steps <= 100
-        for action, _ in got:
-            best = min(best, action)
+        if got is not None:
+            best = min(best, got[0])
     action, witness = t_min(p)
     assert (action, witness.mn) == (9.999999999987796e-05, (-4950, 4951))
 

@@ -4,10 +4,12 @@
 ``_old_strangulate`` are verbatim copies (renamed only) of the
 strangulation that found the half-angle theta by a 60-step bisection of
 ``sector_ok``, less ``_old_strangulate``'s witness lines (its witness
-search is gone from the library).  ``strangulate`` now computes theta in closed form.  On
-every input below both must give theta within 1e-15 (the bisection's own
-interval and rounding of the angles) and raise the same exception class
-whenever either raises.
+search is gone from the library), and with its empty witness list passed
+as the ``find_witnesses`` callable that ``SurgeryOutcome`` now takes.
+``strangulate`` now computes theta in closed form.  On every input below
+both must give theta within 1e-15 (the bisection's own interval and
+rounding of the angles) and raise the same exception class whenever
+either raises.
 """
 
 import math
@@ -172,7 +174,7 @@ def _old_strangulate(
         profile=out,
         volume_delta=vol_in - vol_out,
         volume_delta_bound=8 * w_star * w_star * theta,
-        new_orbit_witnesses=[],
+        find_witnesses=list,
         preserved_flags=classify(out),
         spec=StrangulationSpec(eps=eps, ray_angle=ray_angle, theta=theta, w_star=w_star),
     )
