@@ -28,14 +28,12 @@ from .geometry import (
     Arc,
     Classification,
     MomentProfile,
-    NormalCone,
     SquaredSegment,
     ball,
     classify,
     ellipsoid,
     fc_domain,
     from_vertices,
-    normal_cone,
     polydisk,
     smooth_corners,
 )

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``arange``, which raises one."""
+
+from typing import Callable
+
+import numpy as np
 
 
 class ToricError(Exception):
@@ -78,3 +82,12 @@ class ValidityConditionFails(ToricError):
 class NotFlattened(ToricError):
     """Strain requires a straight initial run; call flatten_near_intercept
     first."""
+
+
+def arange(count: int, error: Callable[[], ToricError]) -> np.ndarray:
+    """np.arange(count), or ``error()`` raised when the count is beyond
+    numpy's sizes or its memory (petabytes fail at allocation, untouched)."""
+    try:
+        return np.arange(count)
+    except (OverflowError, ValueError, MemoryError):
+        raise error() from None

@@ -32,6 +32,7 @@ from .errors import (
     RayMissesBoundary,
     SelfIntersection,
     SmoothingBreaksStarShape,
+    arange,
 )
 
 Point = tuple[float, float]
@@ -221,10 +222,11 @@ class MomentProfile:
 
     Derived geometry is computed on first use and then cached on the
     instance: the read-only array ``normals`` (per segment);
-    ``normal_turns`` at the interior vertices; the primitive integer normal
-    of each segment (``primitive_normal``, memoised per segment, so that a
-    caller that needs only a few segments, like ``reeb.t_min``, pays only
-    for those; ``primitive_normals`` lists all of them); the tag samples at
+    ``normal_turns`` and the cone table ``vertex_cones`` at the interior
+    vertices; the primitive integer normal of each segment
+    (``primitive_normal``, memoised per segment, so that a caller that
+    needs only a few segments, like ``reeb.t_min``, pays only for those;
+    ``primitive_normals`` lists all of them); the tag samples at
     the Gauss-Legendre nodes of each order (``curve_samples``); and the
     whole-profile results their owners store with ``memo``: ``classify``
     and ``invariants.area``.  Every cache assumes the instance never
@@ -384,6 +386,21 @@ class MomentProfile:
         c = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
         d = a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
         return tuple(map(math.atan2, c.tolist(), d.tolist()))
+
+    @cached_property
+    def vertex_cones(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(cones, corner)``.  Row i - 1 of the (n - 1, 3, 2)
+        array ``cones`` is the normal cone (start, end, vertex) of interior
+        vertex i: outward normals from start counterclockwise to end, the
+        incoming and outgoing segment normals, swapped where the normal
+        turns backwards (``normal_turns`` < 0, a reflex vertex).
+        ``corner`` marks turns beyond ``COLLINEAR_TURN``; the other
+        vertices are collinear, with no cone to search."""
+        turns = np.fromiter(self.normal_turns, float)
+        a, b = self.normals[:-1], self.normals[1:]
+        swap = (turns < 0)[:, None]
+        cones = np.concatenate((np.where(swap, b, a), np.where(swap, a, b), self.xy[1:-1]), axis=1)
+        return _read_only(cones.reshape(-1, 3, 2)), _read_only(np.abs(turns) > COLLINEAR_TURN)
 
     @cached_property
     def primitive_normals(self) -> tuple[Optional[tuple[int, int]], ...]:
@@ -609,7 +626,7 @@ def ellipsoid(a: float, b: float, n: int = 1) -> MomentProfile:
         raise ParamOutOfRange("ellipsoid requires a, b > 0")
     if n < 1:
         raise ParamOutOfRange("ellipsoid requires n >= 1")
-    t = np.arange(operator.index(n) + 1) / n
+    t = arange(operator.index(n) + 1, lambda: _too_fine("ellipsoid", n)) / n
     verts = np.empty((len(t), 2))
     with _quiet(math.isinf(a) or math.isinf(b)):
         verts[:, 0], verts[:, 1] = a * (1 - t), b * t
@@ -632,7 +649,8 @@ def ball(c: float, n: int = 1) -> MomentProfile:
 def fc_c_min(b: float) -> float:
     """The least c of the extremal family with parameter 1 <= b < inf: b/(1+b)."""
     if not 1 <= b < math.inf:
-        need = "a finite b" if b >= 1 else "b >= 1"
+        # nan is neither below 1 nor at or above it, and fails both bounds.
+        need = "a finite b" if b >= 1 else "b >= 1" if b < 1 else "a finite b >= 1"
         raise ParamOutOfRange(f"fc_domain requires {need}; got b = {b}")
     return b / (1 + b)
 
@@ -659,7 +677,7 @@ def fc_domain(b: float, c: float, n: int = 8) -> MomentProfile:
     # Path runs from (1, 0) toward (0, b): traverse piece 3 with mu1
     # decreasing from 1 to c, then the straight piece, then piece 1 with
     # mu1 decreasing from sqrt(w_break1) to 0.
-    i = np.arange(operator.index(n) + 1)
+    i = arange(operator.index(n) + 1, lambda: _too_fine("fc_domain", n))
     m3 = 1 - (1 - c) * i / n
     m1 = math.sqrt(w_break1) * (1 - i / n)
     mus = [np.column_stack((m3, s3 * (1 - m3))), np.column_stack((m1, sb - s1 * m1))]
@@ -676,6 +694,10 @@ def fc_domain(b: float, c: float, n: int = 8) -> MomentProfile:
         np.concatenate(pieces), {SquaredSegment: (segs, np.hstack((mu0, mu1)))},
         family="fc", params=(("b", b), ("c", c), ("n", n)),
     )
+
+
+def _too_fine(family: str, n: int) -> ParamOutOfRange:
+    return ParamOutOfRange(f"{family} subdivision n = {n} is too large to allocate")
 
 
 def _whole(n: float) -> int:
@@ -729,37 +751,6 @@ class Classification:
 
 # The names of the Classification flags, in field order.
 FLAGS = tuple(f.name for f in fields(Classification) if f.name != "witnesses")
-
-
-@dataclass(frozen=True)
-class NormalCone:
-    """Angular interval of admissible outward normals at a vertex.
-
-    ``start`` -> ``end`` counterclockwise, width in [0, pi).  At a convex
-    corner this runs from the incoming to the outgoing segment normal; at a
-    reflex corner the smoothed boundary sweeps the normals backwards, so
-    the interval runs from the outgoing to the incoming normal.  ``convex``
-    records which case holds; a degenerate (collinear) vertex has width 0.
-    """
-
-    vertex: Point
-    start: Point
-    end: Point
-    width: float
-    convex: bool
-
-
-def normal_cone(p: MomentProfile, vertex_index: int) -> NormalCone:
-    """Normal cone at interior vertex ``vertex_index`` (1..n-1)."""
-    if not (1 <= vertex_index <= p.n_segments - 1):
-        raise IndexError("normal_cone is defined at interior vertices")
-    nu_in = p.segment_normal(vertex_index - 1)
-    nu_out = p.segment_normal(vertex_index)
-    turn = p.normal_turns[vertex_index - 1]
-    v = p.vertex(vertex_index)
-    if turn >= 0:
-        return NormalCone(v, nu_in, nu_out, turn, convex=True)
-    return NormalCone(v, nu_out, nu_in, -turn, convex=False)
 
 
 def classify(p: MomentProfile) -> Classification:

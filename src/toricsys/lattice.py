@@ -1,11 +1,11 @@
 """Primitive integer vectors in a vertex normal cone.
 
-The normal cone at a vertex v is the arc of outward normals from
-``cone.start`` counterclockwise to ``cone.end`` (shorter than pi).  The
-closed Reeb orbits at v are the primitive integer vectors (m, n) in it,
-with action f(m, n) = m*v1 + n*v2.  This module owns the membership
-predicate (``in_cone`` and its array form ``_in_cone``) and the two
-searches over those vectors:
+The normal cone at a vertex v is the arc of outward normals from start
+counterclockwise to end (shorter than pi), a row (start, end, vertex) of
+``MomentProfile.vertex_cones``.  The closed Reeb orbits at v are the
+primitive integer vectors (m, n) in it, with action f(m, n) = m*v1 +
+n*v2.  This module owns the membership predicate (``in_cone`` and its
+array form ``_in_cone``) and the two searches over those vectors:
 
 * ``min_in_cone``: the least (action, (m, n)) in the cone, by a
   Stern-Brocot descent that takes each continued-fraction run of the
@@ -14,7 +14,7 @@ searches over those vectors:
   keeps one winner, picking it in numpy within a run;
 * ``enumerate_in_cone``: every vector with action below a cutoff (and
   optionally max norm below a bound) in each cone of a batch, the cones
-  given as the rows of one array (``cone_columns``), found line by line
+  given as the rows of one (k, 3, 2) array, found line by line
   across each cone's bounding box, the lines and points of all cones in
   one numpy pass and in memory proportional to the output.  The orbit
   list of a vertex passes a batch of one; the brute-force T_min oracle
@@ -36,8 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateDenominator, ParamOutOfRange
-from .geometry import NormalCone
+from .errors import DegenerateDenominator, ParamOutOfRange, arange
 
 # Relative tolerance for cone membership of integer directions.
 CONE_TOL = 1e-9
@@ -61,10 +60,11 @@ _MAX_BULK_RUN = 1 << 16
 Vector = tuple[int, int]
 
 
-def in_cone(cone: NormalCone, d) -> bool:
-    """Is the direction d in the closed cone, up to CONE_TOL * |d|?"""
+def in_cone(cone, d) -> bool:
+    """Is the direction d in the closed cone (start, end, vertex), up to
+    CONE_TOL * |d|?"""
     tol = CONE_TOL * math.hypot(d[0], d[1])
-    (sx, sy), (ex, ey) = cone.start, cone.end
+    (sx, sy), (ex, ey), _ = cone
     return sx * d[1] - sy * d[0] >= -tol and d[0] * ey - d[1] * ex >= -tol
 
 
@@ -93,11 +93,10 @@ def clear_of_axes(normals: np.ndarray) -> np.ndarray:
 # Minimal action
 
 
-def min_in_cone(
-    cone: NormalCone, incumbent: float
-) -> tuple[Optional[tuple[float, Vector]], int]:
-    """The least (action, (m, n)) in the cone with action <= incumbent, or
-    None if there is none, and the number of descent steps taken.
+def min_in_cone(cone, incumbent: float) -> tuple[Optional[tuple[float, Vector]], int]:
+    """The least (action, (m, n)) in the cone (start, end, vertex), given
+    as Python floats, with action <= incumbent, or None if there is none,
+    and the number of descent steps taken.
 
     Stern-Brocot descent from the quadrant arcs, depth first, right child
     first, pruning a subtree (L, R) when f(L), f(R) > 0 and f(L) + f(R)
@@ -117,8 +116,7 @@ def min_in_cone(
     picks the run's least (m, n) of least action.  The result is the one
     that taking every node in turn would give.
     """
-    v0, v1 = cone.vertex
-    (sx, sy), (ex, ey) = cone.start, cone.end
+    (sx, sy), (ex, ey), (v0, v1) = cone
     tol_s = CONE_TOL * math.hypot(sx, sy)
     tol_e = CONE_TOL * math.hypot(ex, ey)
 
@@ -170,7 +168,7 @@ def min_in_cone(
         applies, where f(X + kF) + f(F) first exceeds the best action;
         ``ok`` confirms it, or galloping and bisection find the end."""
         limits = []
-        for c in (cone.start, cone.end):
+        for c in cone[:2]:
             g0, g1 = c[0] * X[1] - c[1] * X[0], c[0] * F[1] - c[1] * F[0]
             if g0 * g1 < 0:
                 limits.append(-g0 / g1 - 1)
@@ -289,12 +287,6 @@ def min_in_cone(
 # Enumeration below a cutoff
 
 
-def cone_columns(cones) -> np.ndarray:
-    """A sequence of NormalCones as the (k, 3, 2) float array of rows
-    (start, end, vertex) that ``enumerate_in_cone`` takes."""
-    return np.array([(c.start, c.end, c.vertex) for c in cones], dtype=float).reshape(-1, 3, 2)
-
-
 # The primitive vectors of max norm <= 1 and <= 2, as (m, n) columns.
 _SMALL_VECTORS = {
     r: np.array(
@@ -307,10 +299,10 @@ _SMALL_VECTORS = {
 def least_small_action(cones: np.ndarray, max_norm: int) -> float:
     """The least positive action m*v1 + n*v2 of a primitive vector of max
     norm <= max_norm (1 or 2) that ``_in_cone`` puts in one of the cones
-    (``cone_columns`` rows), or inf: one broadcast over the cones and at
-    most 16 vectors.  Such a vector lies in its cone's
-    box at every cutoff from its action up, so ``enumerate_in_cone``
-    lists it there when n_max >= max_norm."""
+    (rows (start, end, vertex) of a (k, 3, 2) array), or inf: one
+    broadcast over the cones and at most 16 vectors.  Such a vector lies
+    in its cone's box at every cutoff from its action up, so
+    ``enumerate_in_cone`` lists it there when n_max >= max_norm."""
     m, n = _SMALL_VECTORS[max_norm]
     (sx, sy), (ex, ey), (v0, v1) = cones.transpose(1, 2, 0)[..., None]
     action = m * v0 + n * v1
@@ -321,16 +313,6 @@ def least_small_action(cones: np.ndarray, max_norm: int) -> float:
 def _too_many(cutoff: float, count, what: str) -> ParamOutOfRange:
     count = float(count) if count <= sys.float_info.max else math.inf
     return ParamOutOfRange(f"action cutoff {cutoff} asks for {count:.6g} {what}, too many to list")
-
-
-def _arange(count: int, cutoff: float, what: str) -> np.ndarray:
-    """np.arange(count) for the count of lines or points that a cutoff
-    asks for, or ParamOutOfRange when that count is beyond numpy's
-    sizes."""
-    try:
-        return np.arange(count)
-    except (OverflowError, ValueError):
-        raise _too_many(cutoff, count, what) from None
 
 
 def _scan_plan(start, end, vertex, cutoff: float, n_max: Optional[int]) -> tuple:
@@ -397,8 +379,8 @@ def enumerate_in_cone(
     cone's row), m, n and action.  The rows of a cone are contiguous and
     in cone order; within a cone their order is unspecified.
 
-    ``cones`` is a (k, 3, 2) float array whose row j holds cone j's start
-    and end rays (counterclockwise) and its vertex (``cone_columns``).
+    ``cones`` is a (k, 3, 2) float array of rows (start, end, vertex), as
+    in ``MomentProfile.vertex_cones``, start to end counterclockwise.
     Each cone's candidates lie in the bounding box of the triangle
     spanned by the origin and its two boundary rays cut at the cutoff
     (one unit of margin on each side), clipped to [-n_max, n_max]^2, and
@@ -418,7 +400,7 @@ def enumerate_in_cone(
     # Every array of the pass has one entry per line or per point.
     count, what = sum(n_lines), "lattice lines"
     try:
-        line = _arange(count, cutoff, what)
+        line = arange(count, partial(_too_many, cutoff, count, what))
         per_cone = np.array([plan[3] for plan in plans], dtype=float).reshape(k, 20)
         if k == 1:
             # A single cone's plan broadcasts over its lines.
@@ -436,7 +418,7 @@ def enumerate_in_cone(
         first = np.minimum(ends[:, 0], 1 - box[:, 1])
         counts = np.maximum(1 - ends[:, 1] - first, 0)
         count, what = int(counts.sum()), "lattice points"
-        inner = _arange(count, cutoff, what)
+        inner = arange(count, partial(_too_many, cutoff, count, what))
         counts = counts.astype(np.int64)
         inner += np.repeat(first.astype(np.int64) - (np.cumsum(counts) - counts), counts)
         outer = np.repeat(s, counts)

@@ -18,22 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateDenominator, OracleCutoffInsufficient, ParamOutOfRange, StepTooLarge
-from .geometry import (
-    COLLINEAR_TURN,
-    MomentProfile,
-    Point,
-    _read_only,
-    dot,
-    normal_cone,
-    ray_hit,
-)
-from .lattice import (
-    clear_of_axes,
-    cone_columns,
-    enumerate_in_cone,
-    least_small_action,
-    min_in_cone,
-)
+from .geometry import MomentProfile, Point, _read_only, dot, ray_hit
+from .lattice import clear_of_axes, enumerate_in_cone, least_small_action, min_in_cone
 
 # Where an orbit lives, in tie-break order.
 LOCATION_KINDS = ("axis", "segment", "vertex")
@@ -109,13 +95,6 @@ def _segment_orbit(
 # Vertex cones
 
 
-def _is_corner(p: MomentProfile, vertex_index: int) -> bool:
-    """Does the outward normal turn by more than ``COLLINEAR_TURN`` at the
-    interior vertex?  Every other vertex counts as collinear: its one
-    normal is that of its incoming segment, and it has no cone to search."""
-    return abs(p.normal_turns[vertex_index - 1]) > COLLINEAR_TURN
-
-
 class VertexOrbits(Sequence):
     """The primitive closed orbits at one vertex as read-only columns
     ``m``, ``n`` and ``action``, sorted by action, then by (m, n): the
@@ -172,22 +151,25 @@ def orbits_at_vertex(
     """All primitive closed orbits at a vertex with action <= cutoff,
     sorted by action, then lexicographically by (m, n).
 
-    Covers interior vertices; at a collinear vertex the cone degenerates
-    to the incident segment's normal ray, with 0 or 1 orbit.  The cone's
-    lattice points come from ``lattice.enumerate_in_cone`` as a batch of
-    one cone, which scans only the lattice lines along the shorter side
+    Covers interior vertices (IndexError elsewhere); at a collinear one
+    (no ``MomentProfile.vertex_cones`` corner) the cone degenerates to the
+    incident segment's normal ray, with 0 or 1 orbit.  The cone's lattice
+    points come from ``lattice.enumerate_in_cone`` as a batch of its one
+    table row, which scans only the lattice lines along the shorter side
     of the cone's bounding box, so time and memory grow with the number
     of orbits returned rather than with the box's area.  They stay columns
     (``VertexOrbits``): at a strain tip, where there are about 2/eps of
     them, ``[0]`` is the minimal orbit and ``len`` the count, and no
     other orbit object is made unless it is read.
     """
-    cone = normal_cone(p, vertex_index)
-    v = cone.vertex
+    if not 1 <= vertex_index < p.n_segments:
+        raise IndexError("orbits_at_vertex is defined at interior vertices")
+    cones, corner = p.vertex_cones
+    v = p.vertex(vertex_index)
     m = n = np.zeros(0, dtype=np.int64)
     action = np.zeros(0)
-    if _is_corner(p, vertex_index):
-        _, m, n, action = enumerate_in_cone(cone_columns([cone]), action_cutoff)
+    if corner[vertex_index - 1]:
+        _, m, n, action = enumerate_in_cone(cones[[vertex_index - 1]], action_cutoff)
         # An action is a period, > 0; ``in_cone`` admits a needle's opposite.
         keep = action > 0
         if not keep.all():
@@ -249,15 +231,16 @@ def t_min(
     ``min_in_cone`` prunes it by in its first step.  Every other segment
     or cone is bounded by -inf and always visited.  A visited segment
     computes its primitive normal (``MomentProfile.primitive_normal``); a
-    visited cone is searched by ``lattice.min_in_cone``, a Stern-Brocot
-    descent with pruning that takes each continued-fraction run in one
-    step and returns the cone's one least (action, m, n) at or below the
-    incumbent.  The result does not depend on the visiting order.  A
+    visited corner's row of the profile's cone table (``vertex_cones``,
+    built on the first visit) is searched by ``lattice.min_in_cone``, a
+    Stern-Brocot descent with pruning that takes each continued-fraction
+    run in one step and returns the cone's one least (action, m, n) at or
+    below the incumbent.  The result does not depend on the visiting order.  A
     strangulated profile's apex cone is searched here and nowhere else
     unless its surgery witness is read (``surgery.strangulate``).
 
     ``oracle`` brute-forces all primitive integer vectors with max-norm
-    <= n_oracle over every corner's cone and raises
+    <= n_oracle over the table's corner cones and raises
     OracleCutoffInsufficient when larger vectors could still win.  The
     corner cones go to ``lattice.enumerate_in_cone`` as one batch, with
     the box clipped to the max-norm bound and the action cut at
@@ -280,7 +263,8 @@ def t_min(
         raise ParamOutOfRange(f"oracle cutoff must be at least 1; got {n_oracle}")
     candidates = _base_candidates(p)
     ceiling = min(o.action for o in candidates)
-    vi, cones = _corner_cones(p)
+    cones, corner = p.vertex_cones
+    vi, cones = np.flatnonzero(corner) + 1, cones[corner]
     cutoff = min(ceiling, least_small_action(cones, min(2, n_oracle)))
     cone, m, n, action = enumerate_in_cone(cones, cutoff, n_oracle)
     keep = action > 0  # as in ``orbits_at_vertex``
@@ -305,17 +289,6 @@ def t_min(
         )
     winner = min(candidates, key=OrbitDatum.sort_key)
     return winner.action, winner
-
-
-def _corner_cones(p: MomentProfile) -> tuple[np.ndarray, np.ndarray]:
-    """The indices of the corner vertices (``_is_corner``) and their normal
-    cones as ``lattice.cone_columns`` rows, with the floats that
-    ``normal_cone`` gives one vertex at a time."""
-    turns = np.array(p.normal_turns)
-    vi = np.flatnonzero(np.abs(turns) > COLLINEAR_TURN) + 1
-    convex = turns[vi - 1] >= 0
-    start, end = np.where(convex, vi - 1, vi), np.where(convex, vi, vi - 1)
-    return vi, np.stack((p.normals[start], p.normals[end], p.xy[vi]), axis=1)
 
 
 def _candidate_bounds(p: MomentProfile) -> np.ndarray:
@@ -348,12 +321,13 @@ def _t_min_fast(p: MomentProfile) -> tuple[float, OrbitDatum]:
             if got is not None:
                 action, (m1, m2), _ = got
                 best = min(best, (action, 1, m1, m2, k))
-        elif _is_corner(p, k - n + 1):
-            vi = k - n + 1
-            got, _ = min_in_cone(normal_cone(p, vi), best[0])
+            continue
+        cones, corner = p.vertex_cones
+        if corner[k - n]:
+            got, _ = min_in_cone(cones[k - n].tolist(), best[0])
             if got is not None:
                 action, (m1, m2) = got
-                best = min(best, (action, 2, m1, m2, vi))
+                best = min(best, (action, 2, m1, m2, k - n + 1))
 
     action, rank, m1, m2, i = best
     if rank == 1:

@@ -35,7 +35,6 @@ from .geometry import (
     MomentProfile,
     Point,
     classify,
-    normal_cone,
     ray_hit,
 )
 from .lattice import min_in_cone
@@ -141,12 +140,12 @@ def _sector_intervals(
 def _apex_witnesses(out: MomentProfile, apex_index: int) -> list[reeb.OrbitDatum]:
     """The witness of a strangulation: the least (action, m, n) in the
     output's apex normal cone, as a one-orbit list."""
-    cone = normal_cone(out, apex_index)
-    got, _ = min_in_cone(cone, math.inf)
+    cones, _ = out.vertex_cones
+    got, _ = min_in_cone(cones[apex_index - 1].tolist(), math.inf)
     if got is None:
         return []
     action, mn = got
-    return [reeb.OrbitDatum(mn, cone.vertex, action, "vertex", apex_index)]
+    return [reeb.OrbitDatum(mn, out.vertex(apex_index), action, "vertex", apex_index)]
 
 
 def strangulate(

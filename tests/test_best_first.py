@@ -1,8 +1,9 @@
 """The best-first ``t_min`` against the per-cone loop it replaced.
 
 ``_old_t_min_fast`` is a verbatim copy (renamed only, with the oracle
-branch dropped) of the fast path that evaluated every segment orbit and
-searched every vertex cone in path order.  The best-first pass must give
+branch dropped, and the removed ``NormalCone`` dataclass ported to cone
+rows (start, end, vertex)) of the fast path that evaluated every
+segment orbit and searched every vertex cone in path order.  The best-first pass must give
 the same ``(action, OrbitDatum)``, compared with ``==``.  The bounds it
 skips candidates by must be lower bounds, and it must skip most of them.
 """
@@ -19,7 +20,6 @@ from toricsys import (
     ellipsoid,
     fc_domain,
     flatten_near_intercept,
-    normal_cone,
     polydisk,
     smooth_corners,
     strain,
@@ -36,8 +36,9 @@ def _old_t_min_fast(p):
     candidates = list(_base_candidates(p))
     best = min(o.action for o in candidates)
 
+    rows, _ = p.vertex_cones
     cones = [
-        (vi, normal_cone(p, vi))
+        (vi, tuple(map(tuple, rows[vi - 1].tolist())))
         for vi, turn in enumerate(p.normal_turns, start=1)
         if abs(turn) > 1e-12
     ]
@@ -46,7 +47,7 @@ def _old_t_min_fast(p):
         got, _ = min_in_cone(cone, best)
         if got is not None:
             action, mn = got
-            candidates.append(OrbitDatum(mn, cone.vertex, action, "vertex", vi))
+            candidates.append(OrbitDatum(mn, cone[2], action, "vertex", vi))
             best = min(best, action)
 
     winner = min(candidates, key=OrbitDatum.sort_key)
@@ -112,7 +113,8 @@ def _assert_bounds_hold(p) -> int:
             assert orbit is None or bound <= orbit.action, k
         elif abs(p.normal_turns[k - n]) > 1e-12:
             # Just below the bound, the descent prunes the cone at once.
-            cone = normal_cone(p, k - n + 1)
+            assert p.vertex_cones[1][k - n]
+            cone = p.vertex_cones[0][k - n].tolist()
             assert min_in_cone(cone, math.nextafter(bound, 0)) == (None, 1), k
     return checked
 

@@ -19,6 +19,14 @@ from toricsys.cli import EXIT_INVALID, EXIT_PIPE, main
         ("strain ball:2 --flatten 0.1 --eps nan", "eps must be positive; got nan"),
         ("invariants ellipsoid:1,2,1.5", "n must be a whole number; got 1.5"),
         ("invariants ball:2,0.5", "n must be a whole number; got 0.5"),
+        # Subdivisions of 8 PB or beyond numpy's sizes: the request fails at
+        # allocation and touches no memory.
+        ("invariants ellipsoid:1,1,1e15",
+         "ellipsoid subdivision n = 1000000000000000 is too large to allocate"),
+        ("invariants ball:2,1e20",
+         "ellipsoid subdivision n = 100000000000000000000 is too large to allocate"),
+        ("invariants fc:2,0.7,1e15",
+         "fc_domain subdivision n = 1000000000000000 is too large to allocate"),
         ("bounds --corpus 0", "corpus size must be at least 1; got 0"),
         ("bounds --corpus -3", "corpus size must be at least 1; got -3"),
         ("invariants ball:abc", "ball takes numbers; got 'abc'"),
@@ -36,7 +44,7 @@ from toricsys.cli import EXIT_INVALID, EXIT_PIPE, main
          "action cutoff 1000000000000000.0 asks for 1e+15 lattice lines, too many to list"),
         ("orbits polydisk:1,1 --cutoff 1e300",
          "action cutoff 1e+300 asks for 1e+300 lattice lines, too many to list"),
-        ("fc-scan --b nan", "fc_domain requires b >= 1; got b = nan"),
+        ("fc-scan --b nan", "fc_domain requires a finite b >= 1; got b = nan"),
         ("fc-scan --b -1", "fc_domain requires b >= 1; got b = -1.0"),
         ("fc-scan --b inf", "fc_domain requires a finite b; got b = inf"),
         ("verify-ruelle ball:2 --n 1", "need at least 2 quadrature points per segment; got 1"),

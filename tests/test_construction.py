@@ -362,6 +362,24 @@ class TestFamilies:
             for b in (0.5, 2, 3.7):
                 assert_same(outcome(geometry.ellipsoid, a, b, n), outcome(ellipsoid, a, b, n))
 
+    @pytest.mark.parametrize(
+        "build, family",
+        [
+            (lambda n: geometry.ellipsoid(1, 1, n), "ellipsoid"),
+            (lambda n: geometry.ball(2, n), "ellipsoid"),
+            (lambda n: geometry.fc_domain(2, 0.7, n), "fc_domain"),
+        ],
+        ids=["ellipsoid", "ball", "fc"],
+    )
+    @pytest.mark.parametrize("n", [10**15, 10**20])
+    def test_subdivision_too_large_to_allocate(self, build, family, n):
+        # 8 PB fails at allocation and touches no memory; 10**20 is beyond
+        # numpy's sizes.
+        with pytest.raises(
+            ParamOutOfRange, match=f"^{family} subdivision n = {n} is too large to allocate$"
+        ):
+            build(n)
+
     def test_ellipsoid_bad_parameters(self):
         for args in [(0, 1, 2), (1, -1, 2), (1, 1, 0), (math.inf, 1, 2), (math.nan, 1, 2)]:
             assert_same(outcome(geometry.ellipsoid, *args), outcome(ellipsoid, *args))

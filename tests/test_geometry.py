@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,11 +18,12 @@ from toricsys import (
     ellipsoid,
     fc_domain,
     from_vertices,
-    normal_cone,
     polydisk,
     smooth_corners,
     SquaredSegment,
 )
+from toricsys.experiments import random_monotone_profile, random_star_profile
+from toricsys.geometry import COLLINEAR_TURN
 from toricsys.invariants import area
 
 
@@ -130,17 +132,68 @@ class TestClassify:
         assert c.witnesses["monotone"] == 0
 
 
+def _with_midpoints(p, rng):
+    """p with some segments split at their midpoints, and the indices of
+    the new vertices: collinear ones."""
+    out, mids = [], []
+    for a, b in zip(p.vertices, p.vertices[1:]):
+        out.append(a)
+        if rng.random() < 0.5:
+            mids.append(len(out))
+            out.append(((a[0] + b[0]) / 2, (a[1] + b[1]) / 2))
+    return from_vertices(out + [p.vertices[-1]]), mids
+
+
 class TestNormalCones:
     def test_polydisk_corner_cone(self):
-        cone = normal_cone(polydisk(1, 2), 1)
-        assert cone.convex
-        assert cone.start == pytest.approx((1.0, 0.0))
-        assert cone.end == pytest.approx((0.0, 1.0))
-        assert cone.width == pytest.approx(math.pi / 2)
+        p = polydisk(1, 2)
+        cones, corner = p.vertex_cones
+        assert p.normal_turns[0] >= 0  # convex
+        start, end, vertex = cones[0].tolist()
+        assert start == pytest.approx((1.0, 0.0))
+        assert end == pytest.approx((0.0, 1.0))
+        assert vertex == [1.0, 2.0]
+        assert p.normal_turns[0] == pytest.approx(math.pi / 2)
+        assert corner.tolist() == [True]
 
     def test_collinear_vertex_degenerate(self):
-        cone = normal_cone(ellipsoid(1, 1, 4), 2)
-        assert cone.width < 1e-12
+        p = ellipsoid(1, 1, 4)
+        assert abs(p.normal_turns[1]) < 1e-12
+        assert not p.vertex_cones[1][1]
+
+    def test_table_is_read_only_and_cached(self):
+        p = polydisk(1, 2)
+        cones, corner = p.vertex_cones
+        assert p.vertex_cones[0] is cones
+        assert not cones.flags.writeable and not corner.flags.writeable
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**9), st.sampled_from(["star", "monotone", "ellipsoid"]))
+    def test_rows_are_the_segment_normals(self, seed, kind):
+        """Row i - 1 is (incoming normal, outgoing normal, vertex i) bit for
+        bit, the two normals swapped where the turn is negative; a corner
+        is a turn beyond COLLINEAR_TURN, so the midpoints of split
+        segments are not corners."""
+        rng = random.Random(seed)
+        if kind == "ellipsoid":
+            p = ellipsoid(rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.randint(1, 40))
+        else:
+            p = (random_star_profile if kind == "star" else random_monotone_profile)(rng)
+        p, mids = _with_midpoints(p, rng)
+        cones, corner = p.vertex_cones
+        n = p.n_segments
+        assert cones.shape == (n - 1, 3, 2) and cones.dtype == float
+        assert corner.shape == (n - 1,) and corner.dtype == bool
+        nu = p.normals
+        for i, turn in enumerate(p.normal_turns):
+            start, end = (nu[i], nu[i + 1]) if turn >= 0 else (nu[i + 1], nu[i])
+            assert cones[i, 0].tobytes() == start.tobytes()
+            assert cones[i, 1].tobytes() == end.tobytes()
+            assert cones[i, 2].tobytes() == p.xy[i + 1].tobytes()
+            assert corner[i] == (abs(turn) > COLLINEAR_TURN)
+        if kind == "ellipsoid":
+            assert not corner.any()
+        assert not corner[[i - 1 for i in mids]].any()
 
 
 class TestSqrtTransform:

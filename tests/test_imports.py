@@ -61,3 +61,30 @@ def test_checker_flags_an_unused_name():
 def test_allowlisted_names_are_still_imported():
     for module, name in ALLOWED:
         assert name in unused_imports((SRC / f"{module}.py").read_text())
+
+
+def imported_parts(source: str) -> set[str]:
+    """Every dotted part of every module a source imports from, and every
+    name it imports."""
+    parts = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            parts.update((node.module or "").split("."))
+            parts.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts.update(alias.name.split("."))
+    return parts
+
+
+def test_lattice_imports_nothing_from_geometry():
+    # The cone searches take plain (start, end, vertex) rows; the profile
+    # owns the cone table (``MomentProfile.vertex_cones``).
+    assert "geometry" not in imported_parts((SRC / "lattice.py").read_text())
+
+
+@pytest.mark.parametrize(
+    "src", ["from .geometry import x", "from . import geometry", "import toricsys.geometry"]
+)
+def test_import_parts_see_every_spelling(src):
+    assert "geometry" in imported_parts(src)

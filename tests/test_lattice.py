@@ -1,8 +1,9 @@
 """The lattice-cone kernel against the searches it replaced.
 
-The functions prefixed ``_old`` are verbatim copies (renamed only) of the
-unit-step Stern-Brocot descent and the bounding-box enumerator that
-``toricsys.lattice`` replaces.  On every cone below the descent must
+The functions prefixed ``_old`` are verbatim copies (renamed only, and
+ported from the removed ``NormalCone`` dataclass to cone rows (start,
+end, vertex)) of the unit-step Stern-Brocot descent and the bounding-box
+enumerator that ``toricsys.lattice`` replaces.  On every cone below the descent must
 return the least (action, (m, n)) of the reference's candidate list, or
 None when that list is empty, and the enumerator the same orbit sets.
 Strangulation's witness, the least (action, m, n) of the descent over
@@ -21,7 +22,6 @@ from toricsys import (
     ellipsoid,
     fc_domain,
     flatten_near_intercept,
-    normal_cone,
     polydisk,
     smooth_corners,
     strain,
@@ -30,15 +30,9 @@ from toricsys import (
 )
 from toricsys.errors import DegenerateDenominator, ParamOutOfRange, RadiusTooLarge
 from toricsys.experiments import random_monotone_profile, random_star_profile
-from toricsys.geometry import NormalCone, cross, dot
+from toricsys.geometry import cross, dot
 from toricsys import lattice
-from toricsys.lattice import (
-    CONE_TOL,
-    cone_columns,
-    enumerate_in_cone,
-    in_cone,
-    min_in_cone,
-)
+from toricsys.lattice import CONE_TOL, enumerate_in_cone, in_cone, min_in_cone
 from toricsys.cli import main
 from toricsys.reeb import _base_candidates, orbits_below
 
@@ -48,16 +42,17 @@ from toricsys.reeb import _base_candidates, orbits_below
 
 
 def _old_in_cone(cone, d):
+    start, end, _ = cone
     norm = math.hypot(d[0], d[1])
     tol = CONE_TOL * norm
-    return cross(cone.start, d) >= -tol and cross(d, cone.end) >= -tol
+    return cross(start, d) >= -tol and cross(d, end) >= -tol
 
 
 def _old_enumerate_cone(cone, cutoff):
     """Integer primitive (m, n) in the closed cone with m*w1 + n*w2 <= cutoff."""
-    v = cone.vertex
+    start, end, v = cone
     corners = [(0.0, 0.0)]
-    for r in (cone.start, cone.end):
+    for r in (start, end):
         f = r[0] * v[0] + r[1] * v[1]
         if f <= 0:
             raise DegenerateDenominator("cone boundary has nonpositive action")
@@ -93,13 +88,14 @@ def _old_arcs_intersect(L, R, cone) -> bool:
     """
     if _old_in_cone(cone, L) or _old_in_cone(cone, R):
         return True
+    start, end, _ = cone
 
     def in_lr(d):
         norm = math.hypot(d[0], d[1])
         tol = CONE_TOL * norm
         return cross(L, d) >= -tol and cross(d, R) >= -tol
 
-    return in_lr(cone.start) or in_lr(cone.end)
+    return in_lr(start) or in_lr(end)
 
 
 def _old_min_in_cone_fast(cone, incumbent):
@@ -111,7 +107,7 @@ def _old_min_in_cone_fast(cone, incumbent):
     ties with the incumbent are never pruned, so tie-breaking matches the
     brute-force oracle.
     """
-    v = cone.vertex
+    _, _, v = cone
 
     def f(d):
         return d[0] * v[0] + d[1] * v[1]
@@ -161,12 +157,16 @@ def _old_min_in_cone_fast(cone, incumbent):
 
 
 def _vertex_cones(p):
-    """The cones ``t_min`` searches, in its order."""
-    return [
-        normal_cone(p, vi)
-        for vi, turn in enumerate(p.normal_turns, start=1)
-        if abs(turn) > 1e-12
-    ]
+    """The cones ``t_min`` searches, in its order, as rows (start, end,
+    vertex) of pairs."""
+    cones, corner = p.vertex_cones
+    return [tuple(map(tuple, cone)) for cone in cones[corner].tolist()]
+
+
+def _batch(cones):
+    """A list of cone rows as the (k, 3, 2) array ``enumerate_in_cone``
+    takes."""
+    return np.array(cones, dtype=float).reshape(-1, 3, 2)
 
 
 def _least(found):
@@ -254,9 +254,10 @@ def test_descent_matches_on_other_apex_cones(build, eps, ray):
 def test_descent_and_enumeration_match_on_strain_tips(eps):
     out = _strained(eps)
     _assert_descent_matches(out)
-    cone = normal_cone(out, 1)
+    cone = _vertex_cones(out)[0]
+    assert out.vertex_cones[1][0]  # the tip, vertex 1, is a corner
     cutoff = 2 * t_min(flatten_near_intercept(ball(2, 16), 0.1)[0])[0]
-    _, m, n, action = enumerate_in_cone(cone_columns([cone]), cutoff)
+    _, m, n, action = enumerate_in_cone(_batch([cone]), cutoff)
     got = sorted(zip(m.tolist(), n.tolist(), action.tolist()))
     assert got == sorted(_old_enumerate_cone(cone, cutoff))
     assert len(got) == round(2 / eps) + 1
@@ -274,12 +275,10 @@ def _near_rational_cone(rng):
     margin = 10 ** rng.uniform(-6, -1) * (hi - lo)
     b = rng.choice([lo + margin, hi - margin, rng.uniform(lo, hi)])
     r = 10 ** rng.uniform(-4, 1)
-    return NormalCone(
-        (r * math.cos(b), r * math.sin(b)),
+    return (
         (math.cos(a0), math.sin(a0)),
         (math.cos(a0 + width), math.sin(a0 + width)),
-        width,
-        True,
+        (r * math.cos(b), r * math.sin(b)),
     )
 
 
@@ -288,7 +287,7 @@ def test_descent_matches_on_near_rational_cones(seed):
     rng = random.Random(seed)
     for _ in range(25):
         cone = _near_rational_cone(rng)
-        incumbent = rng.choice([math.inf, rng.uniform(0.1, 10) * math.hypot(*cone.vertex)])
+        incumbent = rng.choice([math.inf, rng.uniform(0.1, 10) * math.hypot(*cone[2])])
         got, _ = min_in_cone(cone, incumbent)
         assert got == _least(_old_min_in_cone_fast(cone, incumbent)), cone
 
@@ -300,7 +299,7 @@ def _apex_cone(rng, diagonal):
     u = (math.cos(ray), math.sin(ray))
     apex = (eps * (u[0] / max(u)), eps * (u[1] / max(u)))
     p = strangulate(ball(rng.uniform(1, 3)), eps, ray).profile
-    return normal_cone(p, p.vertices.index(apex))
+    return tuple(map(tuple, p.vertex_cones[0][p.vertices.index(apex) - 1].tolist()))
 
 
 @settings(max_examples=100, deadline=None)
@@ -315,7 +314,7 @@ def test_winner_is_the_least_reference_candidate(seed, kind, finite):
         cone = _near_rational_cone(rng)
     else:
         cone = _apex_cone(rng, kind == "diagonal apex")
-    incumbent = rng.uniform(0.1, 10) * math.hypot(*cone.vertex) if finite else math.inf
+    incumbent = rng.uniform(0.1, 10) * math.hypot(*cone[2]) if finite else math.inf
     got, _ = min_in_cone(cone, incumbent)
     assert got == _least(_old_min_in_cone_fast(cone, incumbent)), cone
 
@@ -328,24 +327,24 @@ def test_enumeration_matches_bounding_box(seed):
         cutoff = rng.uniform(0.5, 4) * min(p.a_intercept, p.b_intercept)
         want = sorted(_old_enumerate_cone(cone, cutoff))
         for n_max in (None, 1, 7, 200):
-            _, m, n, action = enumerate_in_cone(cone_columns([cone]), cutoff, n_max)
+            _, m, n, action = enumerate_in_cone(_batch([cone]), cutoff, n_max)
             got = sorted(zip(m.tolist(), n.tolist(), action.tolist()))
             assert got == [t for t in want if n_max is None or max(map(abs, t[:2])) <= n_max]
 
 
 def test_enumeration_rejects_nonpositive_boundary_action():
-    cone = normal_cone(polydisk(1, 2), 1)
-    flat = type(cone)((0.0, 0.0), cone.start, cone.end, cone.width, cone.convex)
+    [cone] = _vertex_cones(polydisk(1, 2))
+    flat = (cone[0], cone[1], (0.0, 0.0))
     for batch in ([flat], [cone, flat]):
         with pytest.raises(DegenerateDenominator):
-            enumerate_in_cone(cone_columns(batch), 1.0)
+            enumerate_in_cone(_batch(batch), 1.0)
 
 
 def _per_cone(cones, cutoff, n_max):
     """Each cone's list from its own batch of one, as sorted tuples."""
     out = []
     for cone in cones:
-        _, m, n, action = enumerate_in_cone(cone_columns([cone]), cutoff, n_max)
+        _, m, n, action = enumerate_in_cone(_batch([cone]), cutoff, n_max)
         out.append(sorted(zip(m.tolist(), n.tolist(), action.tolist())))
     return out
 
@@ -363,12 +362,10 @@ def _random_cone(rng):
     width = min(10 ** rng.uniform(-10, 0.5), math.pi - 1e-6)
     b = a + width / 2 + rng.uniform(-0.9, 0.9) * (math.pi - width) / 2
     r = 10 ** rng.uniform(-1, 0.5)
-    return NormalCone(
-        (r * math.cos(b), r * math.sin(b)),
+    return (
         (math.cos(a), math.sin(a)),
         (math.cos(a + width), math.sin(a + width)),
-        width,
-        True,
+        (r * math.cos(b), r * math.sin(b)),
     )
 
 
@@ -385,9 +382,9 @@ def test_batch_lists_what_each_cone_lists(seed, k, scale, n_max):
     order."""
     rng = random.Random(seed)
     cones = [_random_cone(rng) for _ in range(k)]
-    unit = min((min(dot(c.start, c.vertex), dot(c.end, c.vertex)) for c in cones), default=1)
+    unit = min((min(dot(s, v), dot(e, v)) for s, e, v in cones), default=1)
     cutoff = 4 * scale * unit
-    cone, m, n, action = enumerate_in_cone(cone_columns(cones), cutoff, n_max)
+    cone, m, n, action = enumerate_in_cone(_batch(cones), cutoff, n_max)
     assert cone.dtype.kind == m.dtype.kind == n.dtype.kind == "i"
     assert action.dtype == float
     assert len(cone) == len(m) == len(n) == len(action)
@@ -400,9 +397,11 @@ def test_batch_lists_what_each_cone_lists(seed, k, scale, n_max):
 
 
 def test_empty_batch_lists_nothing():
-    assert cone_columns([]).shape == (0, 3, 2)
+    # A profile without corners has an empty corner batch.
+    cones, corner = ellipsoid(1, 2, 4).vertex_cones
+    assert cones[corner].shape == (0, 3, 2)
     for n_max in (None, 3):
-        cone, m, n, action = enumerate_in_cone(cone_columns([]), 1.0, n_max)
+        cone, m, n, action = enumerate_in_cone(cones[corner], 1.0, n_max)
         assert [len(c) for c in (cone, m, n, action)] == [0, 0, 0, 0]
 
 
@@ -411,10 +410,10 @@ def test_points_beyond_memory_are_out_of_range():
     with about 1e15 points of m below the cutoff.  The lines are listed;
     the points cannot be."""
     d = 1e-13
-    needle = NormalCone((1.0, 0.5), (1.0, 0.0), (math.cos(d), math.sin(d)), d, True)
+    needle = ((1.0, 0.0), (math.cos(d), math.sin(d)), (1.0, 0.5))
     with pytest.raises(ParamOutOfRange, match=r"^action cutoff 1000000000000000.0 asks for "
                        r"[0-9.e+]+ lattice points, too many to list$"):
-        enumerate_in_cone(cone_columns([needle]), 1e15)
+        enumerate_in_cone(_batch([needle]), 1e15)
 
 
 def _no_memory(*args):
@@ -465,8 +464,10 @@ def test_witness_matches_loop(seed):
     assert witness.base_point == out.profile.vertices[witness.location_index] == apex
     # The least (action, m, n) of every primitive vector in the apex cone
     # up to the witness's action, listed by the enumerator.
-    cone = normal_cone(out.profile, witness.location_index)
-    _, m, n, action = enumerate_in_cone(cone_columns([cone]), witness.action)
+    i = witness.location_index
+    cones, corner = out.profile.vertex_cones
+    assert corner[i - 1]
+    _, m, n, action = enumerate_in_cone(cones[i - 1 : i], witness.action)
     assert min(zip(action.tolist(), m.tolist(), n.tolist())) == (witness.action, *witness.mn)
     if ray == math.pi / 4:
         # (1, 1) lies in the apex cone, with action 2 * eps.
@@ -481,10 +482,10 @@ def test_mask_is_the_scalar_predicate(seed):
         t = rng.uniform(1, 10**6, 500)
         m = [rng.integers(-10**6, 10**6, 1000)]
         n = [rng.integers(-10**6, 10**6, 1000)]
-        for r in (cone.start, cone.end):
+        for r in cone[:2]:
             m.append(np.rint(t * r[0]).astype(np.int64) + rng.integers(-1, 2, t.size))
             n.append(np.rint(t * r[1]).astype(np.int64) + rng.integers(-1, 2, t.size))
         m, n = np.concatenate(m), np.concatenate(n)
         want = [in_cone(cone, (a, b)) for a, b in zip(m.tolist(), n.tolist())]
-        assert lattice._in_cone(*cone.start, *cone.end, m, n).tolist() == want
+        assert lattice._in_cone(*cone[0], *cone[1], m, n).tolist() == want
         assert want == [_old_in_cone(cone, (a, b)) for a, b in zip(m.tolist(), n.tolist())]

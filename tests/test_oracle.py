@@ -1,8 +1,9 @@
 """The brute-force T_min oracle against the full-table scan it replaced.
 
 ``_old_primitive_vectors`` and ``_old_cone_candidates_oracle`` are verbatim
-copies (renamed only, and the membership call ported from the removed
-array wrapper ``in_cone_mask`` to ``lattice._in_cone``) of the oracle's
+copies (renamed only, the membership call ported from the removed
+array wrapper ``in_cone_mask`` to ``lattice._in_cone``, and the removed
+``NormalCone`` dataclass to cone rows (start, end, vertex)) of the oracle's
 per-cone step when it ran that predicate over every primitive vector of
 max norm <= n_max, and
 ``_old_t_min_oracle`` is a verbatim copy of ``t_min``'s oracle branch
@@ -34,8 +35,8 @@ from toricsys import (
 )
 from toricsys.errors import OracleCutoffInsufficient
 from toricsys.experiments import random_monotone_profile, random_star_profile
-from toricsys.geometry import NormalCone, dot, normal_cone
-from toricsys.lattice import _in_cone, cone_columns, enumerate_in_cone
+from toricsys.geometry import dot
+from toricsys.lattice import _in_cone, enumerate_in_cone
 from toricsys.reeb import OrbitDatum, _base_candidates
 
 
@@ -58,10 +59,10 @@ def _old_primitive_vectors(n_max: int) -> tuple[np.ndarray, np.ndarray]:
 def _old_cone_candidates_oracle(cone, n_max):
     """Exact per-cone minimum over primitive vectors with max norm <= n_max."""
     mm, nn = _old_primitive_vectors(n_max)
-    member = _in_cone(*cone.start, *cone.end, mm, nn)
+    start, end, v = cone
+    member = _in_cone(*start, *end, mm, nn)
     if not member.any():
         return None
-    v = cone.vertex
     actions = mm[member] * v[0] + nn[member] * v[1]
     amin = actions.min()
     ties = np.flatnonzero(actions == amin)
@@ -71,25 +72,26 @@ def _old_cone_candidates_oracle(cone, n_max):
 
 def _old_t_min_oracle(p, n_oracle=200):
     candidates = _base_candidates(p)
+    rows, corner = p.vertex_cones
     cones = [
-        (vi, normal_cone(p, vi))
+        (vi, tuple(map(tuple, rows[vi - 1].tolist())))
         for vi, turn in enumerate(p.normal_turns, start=1)
         if abs(turn) > 1e-12
     ]
+    assert [vi for vi, _ in cones] == (np.flatnonzero(corner) + 1).tolist()
     for vi, cone in cones:
         got = _old_cone_candidates_oracle(cone, n_oracle)
         if got is None:
             continue
         action, mn = got
-        candidates.append(OrbitDatum(mn, cone.vertex, action, "vertex", vi))
+        candidates.append(OrbitDatum(mn, cone[2], action, "vertex", vi))
     best = min(o.action for o in candidates)
     # Vectors beyond the cutoff have euclidean norm > n_oracle; over a
     # cone arc shorter than pi the unit-direction action is minimized
     # at one of the boundary rays.
     uncovered = math.inf
-    for _, cone in cones:
-        v = cone.vertex
-        unit_min = min(dot(cone.start, v), dot(cone.end, v))
+    for _, (start, end, v) in cones:
+        unit_min = min(dot(start, v), dot(end, v))
         uncovered = min(uncovered, (n_oracle + 1) * unit_min)
     if uncovered < best * (1 + 1e-9):
         raise OracleCutoffInsufficient(
@@ -107,7 +109,7 @@ def _cone_candidates(cone, cutoff, n_max):
     """The oracle's view of one cone: the least action over the primitive
     vectors that ``enumerate_in_cone`` lists in it (max norm <= n_max,
     action <= cutoff), and the least (m, n) taking it, or None."""
-    _, m, n, action = enumerate_in_cone(cone_columns([cone]), cutoff, n_max)
+    _, m, n, action = enumerate_in_cone(np.array([cone], dtype=float), cutoff, n_max)
     if not action.size:
         return None
     amin = action.min()
@@ -132,15 +134,15 @@ def _vertex(start_angle, width, t, r=1.0):
 
 def _cone(start_angle, width, t, r=1.0):
     vertex = _vertex(start_angle, width, t, r)
-    return NormalCone(vertex, _unit(start_angle), _unit(start_angle + width), width, True)
+    return (_unit(start_angle), _unit(start_angle + width), vertex)
 
 
 def _same(cone, n_max):
     """The oracle's per-cone step at four cutoffs: half the cone's least
     unit-direction action, one above every action in the max-norm box,
     the old minimum itself, and one below it, where the result is None."""
-    v = cone.vertex
-    unit_min = min(dot(cone.start, v), dot(cone.end, v))
+    start, end, v = cone
+    unit_min = min(dot(start, v), dot(end, v))
     assert unit_min > 0
     old = _old_cone_candidates_oracle(cone, n_max)
     cutoffs = [unit_min / 2, 2 * n_max * (abs(v[0]) + abs(v[1]))]
@@ -187,8 +189,8 @@ def test_cones_starting_or_ending_on_an_axis(axis, n_max):
     a = math.atan2(axis[1], axis[0])
     for width in WIDTHS[::2]:
         for t, r in ((0.0, 1.5), (0.8, 0.4), (-0.8, 0.9)):
-            starts = NormalCone(_vertex(a, width, t, r), axis, _unit(a + width), width, True)
-            ends = NormalCone(_vertex(a - width, width, t, r), _unit(a - width), axis, width, True)
+            starts = (axis, _unit(a + width), _vertex(a, width, t, r))
+            ends = (_unit(a - width), axis, _vertex(a - width, width, t, r))
             _same(starts, n_max)
             _same(ends, n_max)
 
@@ -212,15 +214,9 @@ def test_boundaries_through_lattice_directions(mn, n_max):
     for nudge in (0.0, 5e-10, -5e-10, 2e-9, -2e-9, 1e-7, -1e-7):
         for width in (1e-6, 0.01, 1.0, 3.0):
             edge = a + nudge
-            starts = NormalCone(
-                _vertex(edge, width, 0.8), _unit(edge), _unit(edge + width), width, True
-            )
-            ends = NormalCone(
-                _vertex(edge - width, width, -0.8), _unit(edge - width), _unit(edge), width, True
-            )
-            exact = NormalCone(
-                _vertex(a, width, 0.5), _direction(*mn), _unit(a + width), width, True
-            )
+            starts = (_unit(edge), _unit(edge + width), _vertex(edge, width, 0.8))
+            ends = (_unit(edge - width), _unit(edge), _vertex(edge - width, width, -0.8))
+            exact = (_direction(*mn), _unit(a + width), _vertex(a, width, 0.5))
             for cone in (starts, ends, exact):
                 _same(cone, n_max)
 
@@ -239,7 +235,7 @@ def test_ties_go_to_the_least_vector(lo, hi, ties, n_max):
     """At vertex (1, 1) every vector with m + n = 1 in the cone has action
     exactly 1: (1, 0) and (0, 1), and (2, -1) and (-1, 2) in the wider
     cones.  The least (m, n) among those within the max norm wins."""
-    cone = NormalCone((1.0, 1.0), _unit(lo), _unit(hi), hi - lo, True)
+    cone = (_unit(lo), _unit(hi), (1.0, 1.0))
     _same(cone, n_max)
     want = min(t for t in ties if max(map(abs, t)) <= n_max)
     assert _cone_candidates(cone, 1.0, n_max) == (1.0, want)

@@ -18,7 +18,7 @@ from toricsys import (
     smooth_corners,
     t_min,
 )
-from toricsys import lattice, reeb, surgery
+from toricsys import lattice, surgery
 from toricsys.experiments import random_star_profile
 
 SQ2 = math.sqrt(2)
@@ -195,6 +195,7 @@ def test_enumerated_orbits_well_formed(seed):
         for o in orbits_at_vertex(p, vi, cutoff):
             assert math.gcd(abs(o.mn[0]), abs(o.mn[1])) == 1
             assert o.action > 0
-            cone = reeb.normal_cone(p, vi)
-            if cone.width > 1e-12:
-                assert lattice.in_cone(cone, o.mn)
+            cones, corner = p.vertex_cones
+            if abs(p.normal_turns[vi - 1]) > 1e-12:
+                assert corner[vi - 1]
+                assert lattice.in_cone(cones[vi - 1], o.mn)

@@ -17,7 +17,6 @@ from toricsys import (
     fc_domain,
     flatten_near_intercept,
     from_vertices,
-    normal_cone,
     polydisk,
     strain,
     strangulate,
@@ -51,7 +50,7 @@ class TestStrangulate:
         [w] = out.new_orbit_witnesses
         assert (w.location_kind, w.base_point) == ("vertex", (0.1, 0.09999999999999999))
         assert w.base_point == out.profile.vertices[w.location_index]
-        cone = normal_cone(out.profile, w.location_index)
+        cone = tuple(map(tuple, out.profile.vertex_cones[0][w.location_index - 1].tolist()))
         assert in_cone(cone, (1, 1))
         assert w.action <= 0.2 * (1 + 1e-12)
         assert w.mn == (-4, 5)
@@ -119,7 +118,7 @@ class TestStrangulate:
                     try:
                         spec = strangulate(p, eps, ray).spec
                     except ClippingBreaksStarShape:
-                        continue  # rejected by the star-shape tolerance (ROADMAP item 1)
+                        continue  # rejected by the star-shape tolerance (ROADMAP item 2)
                     hit, apex = spec.w_star * d_norm, eps * d_norm
                     box = eps * (1 + 1e-12)
                     slack = 1e-14 * abs(hit).max()

@@ -17,16 +17,15 @@ from hypothesis import given, settings, strategies as st
 from toricsys import ball, ellipsoid, polydisk, reeb, surgery
 from toricsys.errors import ParamOutOfRange
 from toricsys.experiments import random_star_profile
-from toricsys.geometry import normal_cone
-from toricsys.lattice import cone_columns, enumerate_in_cone
+from toricsys.lattice import enumerate_in_cone
 from toricsys.reeb import OrbitDatum, VertexOrbits, orbits_at_vertex, orbits_below
 
 
 def eager_orbits_at_vertex(p, vi, cutoff):
     """The orbit list as ``orbits_at_vertex`` built it before the columns."""
-    cone = normal_cone(p, vi)
-    v = cone.vertex
-    if not reeb._is_corner(p, vi):
+    cones, corner = p.vertex_cones
+    v = p.vertex(vi)
+    if not corner[vi - 1]:
         mn = p.primitive_normal(vi - 1)
         if mn is None:
             return []
@@ -34,7 +33,7 @@ def eager_orbits_at_vertex(p, vi, cutoff):
         if action > cutoff * (1 + 1e-12):
             return []
         return [OrbitDatum(mn, v, action, "vertex", vi)]
-    _, m, n, action = enumerate_in_cone(cone_columns([cone]), cutoff)
+    _, m, n, action = enumerate_in_cone(cones[vi - 1 : vi], cutoff)
     orbits = [
         OrbitDatum((mi, ni), v, a, "vertex", vi)
         for mi, ni, a in zip(m.tolist(), n.tolist(), action.tolist())
@@ -99,6 +98,13 @@ def test_strain_tips_read_as_the_eager_list(eps, share):
 )
 def test_collinear_and_empty_vertices(p, vi, cutoff):
     assert_reads_as(orbits_at_vertex(p, vi, cutoff), eager_orbits_at_vertex(p, vi, cutoff))
+
+
+@pytest.mark.parametrize("vi", [0, 4, -1, 5])
+def test_only_interior_vertices_have_orbits(vi):
+    # ellipsoid(1, 1, 4) has interior vertices 1..3.
+    with pytest.raises(IndexError, match="interior vertices"):
+        orbits_at_vertex(ellipsoid(1, 1, 4), vi, 2.0)
 
 
 @pytest.mark.parametrize(
