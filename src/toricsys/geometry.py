@@ -8,6 +8,18 @@ instead of the chord; all geometric predicates run on the polyline.
 
 Coordinates are moment-map coordinates w_i = pi |z_i|^2, so plane area of
 the region under the profile equals the 4D symplectic volume.
+
+The per-profile rule.  Most profiles are small, so the Python-level cost
+of each numpy call, not its arithmetic, sets the time of a profile's
+construction, classification and report.  Code on that path writes the
+direct array expression instead of numpy's Python-level helpers, with the
+same bits: ``a[1:] - a[:-1]`` for ``np.diff``, a preallocated output or
+``np.concatenate`` for ``np.stack``, ``np.column_stack`` and
+``np.hstack``, and ``.nonzero()[0]`` and ``.argsort()`` for
+``np.flatnonzero`` and ``np.argsort``.  It searches a mask with argmax,
+the first True, read with ``.item``, rather than testing it with
+``any()``.  And a profile without tags does no tag work: no mask of its
+straight segments and no curve samples.
 """
 
 from __future__ import annotations
@@ -143,7 +155,7 @@ class Arc(Tag):
         da = a1 - a0
         a = a0 + da * t
         cos, sin = r * np.cos(a), r * np.sin(a)
-        return np.stack((cx + cos, cy + sin), -1), np.stack((-da * sin, da * cos), -1)
+        return _pairs(cx + cos, cy + sin), _pairs(-da * sin, da * cos)
 
     @staticmethod
     def scale_factors(s: float) -> tuple[float, ...]:
@@ -176,12 +188,22 @@ class SquaredSegment(Tag):
         p0, q0, p1, q1 = numbers
         dp, dq = p1 - p0, q1 - q0
         p, q = p0 + dp * t, q0 + dq * t
-        return np.stack((p * p, q * q), -1), np.stack((2 * p * dp, 2 * q * dq), -1)
+        return _pairs(p * p, q * q), _pairs(2 * p * dp, 2 * q * dq)
 
     @staticmethod
     def scale_factors(s: float) -> tuple[float, ...]:
         """As ``Arc.scale_factors``."""
         return (math.sqrt(s),) * 4
+
+
+def _pairs(x, y) -> np.ndarray:
+    """``np.stack((x, y), -1)`` for x and y of one shape, scalars
+    included, written into one preallocated float array."""
+    x = np.asarray(x)
+    out = np.empty((*x.shape, 2))
+    out[..., 0] = x
+    out[..., 1] = y
+    return out
 
 
 # Tag types by the name profile files give them.
@@ -311,8 +333,7 @@ class MomentProfile:
         idx, xy = self.tagged, self.xy
         gap = np.maximum(np.abs(ends[:, 0] - xy[idx]), np.abs(ends[:, 1] - xy[idx + 1]))
         off = ~(gap.max(axis=1) <= self.tol)
-        if off.any():
-            k = int(off.argmax())
+        if off.item(k := int(off.argmax())):
             i = int(idx[k])
             (s0, s1), (e0, e1) = ends[k].tolist()
             v0, v1 = self.segment(i)
@@ -375,8 +396,7 @@ class MomentProfile:
         increasing), so the outward normal of direction (d1, d2) is
         (d2, -d1) divided by its length.
         """
-        d = self.directions
-        return _read_only(np.column_stack((d[:, 1], -d[:, 0])) / self.lengths[:, None])
+        return _read_only(self.directions[:, ::-1] * (1.0, -1.0) / self.lengths[:, None])
 
     @cached_property
     def normal_turns(self) -> tuple[float, ...]:
@@ -570,7 +590,8 @@ def _validate(vertices) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.n
     if len(xy) < 2:
         raise AxisViolation("a profile needs at least two vertices")
     # Masks are searched with argmax, the first True (and the first nan of
-    # a float array), which numpy runs without the overhead of any()/max().
+    # a float array), which numpy runs without the overhead of any()/max():
+    # the per-profile rule of the module docstring.
     size = np.abs(xy)
     diam = size.item(size.argmax())
     if not diam < math.inf:
@@ -598,7 +619,7 @@ def _validate(vertices) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.n
 
     # math.hypot, not np.hypot: the two differ in the last bit for some
     # inputs, and cone and flag decisions compare the normals built on it.
-    d = np.diff(xy, axis=0)
+    d = xy[1:] - xy[:-1]
     length = np.array(list(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist())))
     # cross(p, q) equals (nu . p)|q - p| on the segment; positivity is
     # simultaneously the strictly-increasing-polar-angle condition and
@@ -626,11 +647,15 @@ def ellipsoid(a: float, b: float, n: int = 1) -> MomentProfile:
         raise ParamOutOfRange("ellipsoid requires a, b > 0")
     if n < 1:
         raise ParamOutOfRange("ellipsoid requires n >= 1")
-    t = arange(operator.index(n) + 1, lambda: _too_fine("ellipsoid", n)) / n
-    verts = np.empty((len(t), 2))
-    with _quiet(math.isinf(a) or math.isinf(b)):
-        verts[:, 0], verts[:, 1] = a * (1 - t), b * t
-    return MomentProfile(verts, family="ellipsoid", params=(("a", a), ("b", b), ("n", n)))
+    # Every allocation, the profile's included, fails as the index array's.
+    try:
+        t = arange(operator.index(n) + 1, lambda: _too_fine("ellipsoid", n)) / n
+        verts = np.empty((len(t), 2))
+        with _quiet(math.isinf(a) or math.isinf(b)):
+            verts[:, 0], verts[:, 1] = a * (1 - t), b * t
+        return MomentProfile(verts, family="ellipsoid", params=(("a", a), ("b", b), ("n", n)))
+    except MemoryError:
+        raise _too_fine("ellipsoid", n) from None
 
 
 def polydisk(a: float, b: float) -> MomentProfile:
@@ -676,24 +701,29 @@ def fc_domain(b: float, c: float, n: int = 8) -> MomentProfile:
 
     # Path runs from (1, 0) toward (0, b): traverse piece 3 with mu1
     # decreasing from 1 to c, then the straight piece, then piece 1 with
-    # mu1 decreasing from sqrt(w_break1) to 0.
-    i = arange(operator.index(n) + 1, lambda: _too_fine("fc_domain", n))
-    m3 = 1 - (1 - c) * i / n
-    m1 = math.sqrt(w_break1) * (1 - i / n)
-    mus = [np.column_stack((m3, s3 * (1 - m3))), np.column_stack((m1, sb - s1 * m1))]
-    # Start and end of each tagged segment, piece 3's then piece 1's.
-    mu0 = np.concatenate([mu[:-1] for mu in mus])
-    mu1 = np.concatenate([mu[1:] for mu in mus])
-    segs = np.arange(2 * n)
-    starts = mu0 * mu0
-    pieces = [starts[:n], starts[n:], [(0.0, b)]]
-    if not w_break2 - w_break1 <= 1e-12 * max(1.0, b):
-        pieces.insert(1, [(w_break2, c - w_break2)])
-        segs[n:] += 1  # after the untagged straight piece w2 = c - w1
-    return MomentProfile(
-        np.concatenate(pieces), {SquaredSegment: (segs, np.hstack((mu0, mu1)))},
-        family="fc", params=(("b", b), ("c", c), ("n", n)),
-    )
+    # mu1 decreasing from sqrt(w_break1) to 0.  Every allocation, the
+    # profile's included, fails as the index array's.
+    try:
+        i = arange(operator.index(n) + 1, lambda: _too_fine("fc_domain", n))
+        mus = np.empty((2, len(i), 2))
+        mus[0, :, 0] = m3 = 1 - (1 - c) * i / n
+        mus[0, :, 1] = s3 * (1 - m3)
+        mus[1, :, 0] = m1 = math.sqrt(w_break1) * (1 - i / n)
+        mus[1, :, 1] = sb - s1 * m1
+        # Start and end of each tagged segment, piece 3's then piece 1's.
+        mu0, mu1 = mus[:, :-1].reshape(-1, 2), mus[:, 1:].reshape(-1, 2)
+        segs = np.arange(2 * n)
+        starts = mu0 * mu0
+        pieces = [starts[:n], starts[n:], [(0.0, b)]]
+        if not w_break2 - w_break1 <= 1e-12 * max(1.0, b):
+            pieces.insert(1, [(w_break2, c - w_break2)])
+            segs[n:] += 1  # after the untagged straight piece w2 = c - w1
+        return MomentProfile(
+            np.concatenate(pieces), {SquaredSegment: (segs, np.concatenate((mu0, mu1), axis=1))},
+            family="fc", params=(("b", b), ("c", c), ("n", n)),
+        )
+    except MemoryError:
+        raise _too_fine("fc_domain", n) from None
 
 
 def _too_fine(family: str, n: int) -> ParamOutOfRange:
@@ -761,15 +791,16 @@ def classify(p: MomentProfile) -> Classification:
 
 def _classify(p: MomentProfile) -> Classification:
     witnesses: dict = {}
-    nu = p.normals
-    decreasing = (nu < -TOL_REL).any(axis=1)
-    flat = (nu <= TOL_REL).any(axis=1)
-    monotone = not decreasing.any()
+    # A segment decreases where a normal component is below -TOL_REL and
+    # is flat where one is at most TOL_REL: both read the lesser component.
+    low = p.normals.min(axis=1)
+    decreasing, flat = low < -TOL_REL, low <= TOL_REL
+    monotone = not decreasing.item(i := int(decreasing.argmax()))
     if not monotone:
-        witnesses["monotone"] = int(decreasing.argmax())
-    strictly = not flat.any()
+        witnesses["monotone"] = i
+    strictly = not flat.item(i := int(flat.argmax()))
     if not strictly:
-        witnesses["strictly_monotone"] = int(flat.argmax())
+        witnesses["strictly_monotone"] = i
     strictly = strictly and monotone
 
     convex = _convex_4d(p, monotone, witnesses)
@@ -796,11 +827,11 @@ def _convex_4d(p: MomentProfile, monotone: bool, witnesses: dict) -> bool:
         return False
     mu = np.sqrt(p.xy[::-1])
     tol = TOL_REL * (mu[:, 0] + mu[:, 1]).max()
-    step = np.diff(mu, axis=0)
+    step = mu[1:] - mu[:-1]
     turn = step[:-1, 0] * step[1:, 1] - step[:-1, 1] * step[1:, 0]
     ccw = turn > tol
-    if ccw.any():
-        witnesses["convex_4d"] = p.n_segments - 2 - int(ccw.argmax())
+    if len(ccw) and ccw.item(k := int(ccw.argmax())):
+        witnesses["convex_4d"] = p.n_segments - 2 - k
         return False
     return True
 
@@ -834,7 +865,7 @@ def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentPr
     # chords longer than the zero-length tolerance of _validate, stay.
     with _quiet():
         stay = (turns <= COLLINEAR_TURN) | (r * turns <= m * p.tol)
-    rounded = (np.flatnonzero(~stay) + 1).tolist()
+    rounded = ((~stay).nonzero()[0] + 1).tolist()
     if not rounded:
         return MomentProfile(p.xy, family="custom")
     t1s, centers, ang0s, corner_turns = [], [], [], []
@@ -862,10 +893,10 @@ def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentPr
     # points; the normal rotates CCW by `turn` across it, and angles[j, s]
     # is where the s-th arc of corner j starts.
     k = len(rounded)
-    angles = np.reshape(ang0s, (k, 1)) + np.reshape(corner_turns, (k, 1)) * np.arange(m + 1) / m
-    cx, cy = np.reshape(centers, (k, 2, 1)).transpose(1, 0, 2)
+    angles = np.array(ang0s)[:, None] + np.array(corner_turns)[:, None] * np.arange(m + 1) / m
+    cx, cy = np.array(centers).T[..., None]
     blocks = np.empty((k, m + 1, 2))
-    blocks[:, 0] = np.reshape(t1s, (k, 2))
+    blocks[:, 0] = t1s
     blocks[:, 1:, 0] = cx + r * np.cos(angles[:, 1:])
     blocks[:, 1:, 1] = cy + r * np.sin(angles[:, 1:])
     pieces, start = [], 0
@@ -878,8 +909,9 @@ def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentPr
     # Corner j's t1 replaces vertex rounded[j] after j earlier corners grew
     # by m vertices each; its m arcs are the segments that follow.
     segs = (np.array(rounded) + m * np.arange(k))[:, None] + np.arange(m)
-    a0, a1 = angles[:, :-1].ravel(), angles[:, 1:].ravel()
-    numbers = np.column_stack((cx.repeat(m), cy.repeat(m), np.full(len(a0), r), a0, a1))
+    numbers = np.empty((k * m, 5))
+    numbers[:, 0], numbers[:, 1], numbers[:, 2] = cx.repeat(m), cy.repeat(m), r
+    numbers[:, 3], numbers[:, 4] = angles[:, :-1].ravel(), angles[:, 1:].ravel()
 
     try:
         return MomentProfile(verts, {Arc: (segs.ravel(), numbers)}, family="custom")

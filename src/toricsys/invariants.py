@@ -21,10 +21,14 @@ from . import reeb
 GL_ORDER = 8
 
 
-def _straight(p: MomentProfile) -> np.ndarray:
+def _straight(p: MomentProfile, column: np.ndarray) -> np.ndarray:
+    """The rows of a per-segment array on the untagged segments: all of
+    them, unmasked, on a profile without tags."""
+    if not len(p.tagged):
+        return column
     straight = np.ones(p.n_segments, dtype=bool)
     straight[p.tagged] = False
-    return straight
+    return column[straight]
 
 
 def area(p: MomentProfile) -> float:
@@ -36,7 +40,7 @@ def area(p: MomentProfile) -> float:
 
 
 def _area(p: MomentProfile) -> float:
-    total = math.fsum(p.cross_products[_straight(p)].tolist())
+    total = math.fsum(_straight(p, p.cross_products).tolist())
     if p.tagged.size:
         _, weights = _gl_nodes(GL_ORDER)
         pt, dv = p.curve_samples(GL_ORDER)
@@ -65,7 +69,7 @@ def ruelle_quadrature(p: MomentProfile, n: int = GL_ORDER) -> float:
         raise ParamOutOfRange(f"need at least 2 quadrature points per segment; got {n}")
     if n > 100:
         raise ParamOutOfRange(f"at most 100 quadrature points per segment; got {n}")
-    d = p.directions[_straight(p)]
+    d = _straight(p, p.directions)
     total = (d[:, 1] - d[:, 0]).sum()
     if p.tagged.size:
         _, weights = _gl_nodes(n)
@@ -147,8 +151,11 @@ def gromov_width_monotone(p: MomentProfile) -> float:
     cls = classify(p)
     if not cls.monotone:
         raise NotMonotone(f"witness segment {cls.witnesses.get('monotone')}")
-    pts, _ = p.sample_curves(np.arange(1, 64) / 64)
-    return float(np.concatenate((p.xy, pts.reshape(-1, 2))).sum(axis=1).min())
+    xy = p.xy
+    if len(p.tagged):
+        pts, _ = p.sample_curves(np.arange(1, 64) / 64)
+        xy = np.concatenate((xy, pts.reshape(-1, 2)))
+    return float(xy.sum(axis=1).min())
 
 
 def vol_fc(b: float, c: float) -> float:

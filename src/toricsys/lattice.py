@@ -268,7 +268,7 @@ def min_in_cone(cone, incumbent: float) -> tuple[Optional[tuple[float, Vector]],
                         # run, the only ones ``consider`` could make the
                         # winner, and the least (m, n) of them.
                         best = float(running[-1])
-                        tied = np.flatnonzero(fx[2:] == best) + 2
+                        tied = (fx[2:] == best).nonzero()[0] + 2
                         if tied.size:
                             j = tied[np.lexsort((ys[tied], xs[tied]))[0]]
                             got = (best, (int(xs[j]), int(ys[j])))

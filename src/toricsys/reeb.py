@@ -50,8 +50,8 @@ def nu_dot_w(
     tolerance (a nan included)."""
     denom = np.asarray(nu[0] * w[0] + nu[1] * w[1])
     bad = ~(denom > p.tol)
-    if bad.any():
-        k = np.unravel_index(bad.argmax(), bad.shape)
+    if bad.item(k := int(bad.argmax())):
+        k = np.unravel_index(k, bad.shape)
         raise DegenerateDenominator(message(k, float(denom[k])))
     return denom
 
@@ -264,7 +264,7 @@ def t_min(
     candidates = _base_candidates(p)
     ceiling = min(o.action for o in candidates)
     cones, corner = p.vertex_cones
-    vi, cones = np.flatnonzero(corner) + 1, cones[corner]
+    vi, cones = corner.nonzero()[0] + 1, cones[corner]
     cutoff = min(ceiling, least_small_action(cones, min(2, n_oracle)))
     cone, m, n, action = enumerate_in_cone(cones, cutoff, n_oracle)
     keep = action > 0  # as in ``orbits_at_vertex``
@@ -311,8 +311,8 @@ def _t_min_fast(p: MomentProfile) -> tuple[float, OrbitDatum]:
     n = p.n_segments
     bounds = _candidate_bounds(p)
     # The incumbent only falls: nothing bounded above it now is visited.
-    live = np.flatnonzero(bounds <= best[0])
-    live = live[np.argsort(bounds[live], kind="stable")]
+    live = (bounds <= best[0]).nonzero()[0]
+    live = live[bounds[live].argsort(kind="stable")]
     for bound, k in zip(bounds[live].tolist(), live.tolist()):
         if bound > best[0]:
             break

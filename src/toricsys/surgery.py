@@ -34,6 +34,7 @@ from .geometry import (
     Classification,
     MomentProfile,
     Point,
+    _pairs,
     classify,
     ray_hit,
 )
@@ -108,7 +109,8 @@ def _clear_angle(p: MomentProfile, apex: Point, u: Point, hit: Point, box: float
     piece outside the box crosses it."""
     a, d = p.xy[:-1], p.directions
     rel = a - hit
-    s_in, s_out = _clip(np.hstack((-d, d)), np.hstack((rel + box, box - rel)))
+    step = np.concatenate((-d, d), axis=1)
+    s_in, s_out = _clip(step, np.concatenate((rel + box, box - rel), axis=1))
     missed = s_in > s_out
     s_in[missed] = s_out[missed] = 1.0  # a missed segment is all one piece
     ends = np.concatenate([a, a + s_in[:, None] * d, a + s_out[:, None] * d, p.xy[1:]])
@@ -131,7 +133,7 @@ def _sector_intervals(
     # Inside is cross(right, x - apex) >= 0 and cross(left, x - apex) <= 0:
     # f >= 0 for both columns of f.  Along a segment f0 + s * (f1 - f0) >= 0
     # is the plane (f0 - f1) * s <= f0.
-    f = np.column_stack((right[0] * y - right[1] * x, left[1] * x - left[0] * y))
+    f = _pairs(right[0] * y - right[1] * x, left[1] * x - left[0] * y)
     f0, f1 = f[:-1], f[1:]
     lo, hi = _clip(f0 - f1, f0)
     return lo, hi, ~(lo >= hi - 1e-15)
@@ -187,7 +189,7 @@ def strangulate(
         raise EpsTooLarge("no positive sector half-angle keeps the cut local")
 
     lo, hi, inside = _sector_intervals(p, apex, u, theta)
-    inside = np.flatnonzero(inside)
+    inside = inside.nonzero()[0]
     if not len(inside):
         raise EpsTooLarge("sector does not reach the boundary")
     i0, i1 = inside[0], inside[-1]

@@ -140,6 +140,31 @@ def test_grid_and_grid_n_are_exclusive(argv, capsys):
     assert "--grid-n: not allowed with argument --grid" in captured.err
 
 
+def _cap_address_space():
+    import resource
+
+    cap = 800_000 * 1024  # ``ulimit -v 800000``
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+@pytest.mark.parametrize(
+    "spec, family, n",
+    [("ellipsoid:1,1,3e7", "ellipsoid", 30000000), ("fc:2,0.7,1e7", "fc_domain", 10000000)],
+)
+def test_builder_out_of_memory_is_a_typed_error(spec, family, n):
+    # The index array fits under the cap; a later array or the profile's
+    # own does not.
+    env = {**os.environ, "PYTHONPATH": str(Path(toricsys.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricsys.cli", "invariants", spec],
+        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space, timeout=120,
+    )
+    assert proc.returncode == EXIT_INVALID, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: ParamOutOfRange: {family} subdivision n = {n} is too large to allocate\n"
+
+
 @pytest.mark.parametrize(
     "argv, lines",
     [
