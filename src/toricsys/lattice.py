@@ -4,14 +4,18 @@ The normal cone at a vertex v is the arc of outward normals from start
 counterclockwise to end (shorter than pi), a row (start, end, vertex) of
 ``MomentProfile.vertex_cones``.  The closed Reeb orbits at v are the
 primitive integer vectors (m, n) in it, with action f(m, n) = m*v1 +
-n*v2.  This module owns the membership predicate (``in_cone`` and its
-array form ``_in_cone``) and the two searches over those vectors:
+n*v2.  This module owns the membership test (within CONE_TOL * |(m, n)|
+of both boundary rays: ``_in_cone`` over arrays, written out on floats
+in the descent) and the two searches over those vectors:
 
 * ``min_in_cone``: the least (action, (m, n)) in the cone, by a
   Stern-Brocot descent that takes each continued-fraction run of the
   cone's boundary directions in one step, so it costs O(log coefficient)
   Python steps instead of one per unit of each coefficient, and that
-  keeps one winner, picking it in numpy within a run;
+  keeps one winner, picking it in numpy within a run.  It is one loop
+  over integer pairs: its membership, arc and action tests are inline
+  float expressions, and a run's end is found by one plain helper,
+  ``_run_end``;
 * ``enumerate_in_cone``: every vector with action below a cutoff (and
   optionally max norm below a bound) in each cone of a batch, the cones
   given as the rows of one (k, 3, 2) array, found line by line
@@ -41,14 +45,9 @@ from .errors import DegenerateDenominator, ParamOutOfRange, arange
 # Relative tolerance for cone membership of integer directions.
 CONE_TOL = 1e-9
 
-# The quadrant arcs the descent starts from (those meeting the cone), taken
-# as a stack takes them: the last one first.
-_QUADRANTS = (
-    ((1, 0), (0, 1)),
-    ((0, 1), (-1, 0)),
-    ((-1, 0), (0, -1)),
-    ((0, -1), (1, 0)),
-)
+# The axis vectors counterclockwise; each with the next bounds a quadrant
+# arc, where the descent starts.
+_AXES = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 # An in-cone run shorter than _MIN_BULK_RUN is stepped through one node at
 # a time: below it the numpy pass costs more than the Python steps it
@@ -60,21 +59,16 @@ _MAX_BULK_RUN = 1 << 16
 Vector = tuple[int, int]
 
 
-def in_cone(cone, d) -> bool:
-    """Is the direction d in the closed cone (start, end, vertex), up to
-    CONE_TOL * |d|?"""
-    tol = CONE_TOL * math.hypot(d[0], d[1])
-    (sx, sy), (ex, ey), _ = cone
-    return sx * d[1] - sy * d[0] >= -tol and d[0] * ey - d[1] * ex >= -tol
-
-
 def _in_cone(sx, sy, ex, ey, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """``in_cone`` over integer arrays m and n, for boundary components
-    given as floats or as arrays that broadcast against them.  The norm is
-    the square root of the exact integer m*m + n*n, the correctly rounded
+    """Is each integer direction (m, n) in the closed cone from (sx, sy)
+    counterclockwise to (ex, ey), up to CONE_TOL * |(m, n)|?  Over
+    integer arrays m and n, for boundary components given as floats or as
+    arrays that broadcast against them; ``min_in_cone`` writes out the
+    same test, operand for operand, on Python floats.  The norm is the
+    square root of the exact integer m*m + n*n, the correctly rounded
     hypotenuse, which is what ``math.hypot`` returns (CPython 3.10 and
-    later round it correctly almost always; ``np.hypot`` is often one unit
-    off)."""
+    later round it correctly almost always; ``np.hypot`` is often one
+    unit off)."""
     tol = CONE_TOL * np.sqrt(m * m + n * n)
     return (sx * n - sy * m >= -tol) & (m * ey - n * ex >= -tol)
 
@@ -82,7 +76,7 @@ def _in_cone(sx, sy, ex, ey, m: np.ndarray, n: np.ndarray) -> np.ndarray:
 def clear_of_axes(normals: np.ndarray) -> np.ndarray:
     """Per row of an (k, 2) array of unit normals: are both components
     above 2 * CONE_TOL?  A cone bounded by two such normals holds no axis
-    vector and meets only the first quadrant arc, up to ``in_cone``'s
+    vector and meets only the first quadrant arc, up to the membership
     tolerance, so ``min_in_cone``'s first step pops ((1, 0), (0, 1)) and
     returns (None, 1) exactly when v1 + v2 (the same float sum) exceeds the
     incumbent: v1 + v2 is a lower bound on the cone's least action."""
@@ -106,149 +100,134 @@ def min_in_cone(cone, incumbent: float) -> tuple[Optional[tuple[float, Vector]],
     and the (action, m, n) tie-break matches the brute-force oracle.
     Only the winner so far is kept, no list of the tied vectors.
 
+    The descent is one loop over integer pairs.  Its tests are written
+    out on local floats: membership of d (both cross products with the
+    boundary rays at least -CONE_TOL * |d|), whether an arc meets the
+    cone, and the action f.  A stack entry is a flat tuple (lx, ly, rx,
+    ry, in_l, in_r): an arc's two ends and whether each is in the cone.
+
     Within a continued-fraction run, consecutive nodes (X + k*F, F) (or
     (F, X + k*F)) share the endpoint F and repeat the same decisions.  Such
-    a run is taken in one step: a run outside the cone jumps to its last
-    node, located from the boundary crossings and confirmed (or found by
-    galloping and bisection) with the same predicates; a run of in-cone
-    vectors toward a boundary where f(F) <= 0 also jumps, and the actions
-    of the vectors it skips are evaluated in one numpy pass, which also
-    picks the run's least (m, n) of least action.  The result is the one
-    that taking every node in turn would give.
+    a run is taken in one step, its end found by ``_run_end``: a run
+    outside the cone jumps to its last node; a run of in-cone vectors
+    toward a boundary where f(F) <= 0 also jumps, and the actions of the
+    vectors it skips are evaluated in one numpy pass, which also picks
+    the run's least (m, n) of least action.  The result is the one that
+    taking every node in turn would give.
     """
     (sx, sy), (ex, ey), (v0, v1) = cone
     tol_s = CONE_TOL * math.hypot(sx, sy)
     tol_e = CONE_TOL * math.hypot(ex, ey)
-
-    def f(d) -> float:
-        return d[0] * v0 + d[1] * v1
-
-    inside = partial(in_cone, cone)
-
-    def meets(L, R, in_l: bool, in_r: bool) -> bool:
-        """Does the arc L -> R (shorter than pi) meet the cone arc?  Then
-        one of the two arcs holds an endpoint of the other."""
-        if in_l or in_r:
-            return True
-        return (
-            L[0] * sy - L[1] * sx >= -tol_s and sx * R[1] - sy * R[0] >= -tol_s
-        ) or (L[0] * ey - L[1] * ex >= -tol_e and ex * R[1] - ey * R[0] >= -tol_e)
-
     # The least (action, (m, n)) considered so far; its action is best.
     best = incumbent
     winner: Optional[tuple[float, Vector]] = None
-
-    def consider(d: Vector) -> None:
-        nonlocal best, winner
-        a = f(d)
-        if a <= best:
-            best = a
-            if winner is None or (a, d) < winner:
-                winner = (a, d)
-
-    def out_run_node(X, F, in_f: bool, right: bool, k: int) -> bool:
-        """Does node k of the run (X + kF with F) keep the outside pattern:
-        not pruned, and only the child toward F meets the cone?"""
-        Xk = (X[0] + k * F[0], X[1] + k * F[1])
-        Xn = (Xk[0] + F[0], Xk[1] + F[1])
-        fX, fF = f(Xk), f(F)
-        if fX > 0 and fF > 0 and fX + fF > best:
-            return False
-        in_n = inside(Xn)
-        if right:
-            side, cont = meets(Xk, Xn, False, in_n), meets(Xn, F, in_n, in_f)
-        else:
-            side, cont = meets(Xn, Xk, in_n, False), meets(F, Xn, in_f, in_n)
-        return cont and not side
-
-    def run_end(X, F, ok, prune: bool) -> int:
-        """First node k >= 1 of the run X + kF at which ``ok`` fails (node
-        0 passed it), or 1 when the run is too short to jump.  The guess is
-        where X + (k+1)F crosses a boundary ray's line or, when pruning
-        applies, where f(X + kF) + f(F) first exceeds the best action;
-        ``ok`` confirms it, or galloping and bisection find the end."""
-        limits = []
-        for c in cone[:2]:
-            g0, g1 = c[0] * X[1] - c[1] * X[0], c[0] * F[1] - c[1] * F[0]
-            if g0 * g1 < 0:
-                limits.append(-g0 / g1 - 1)
-        fF = f(F)
-        if prune and fF > 0:
-            limits.append((best - f(X) - fF) / fF)
-        limit = min(limits, default=math.inf)
-        if limit < 1:
-            return 1
-        if limit < 2**53:
-            guess = math.floor(limit) + 1
-            if ok(guess - 1) and not ok(guess):
-                return guess
-        if not ok(1):
-            return 1
-        lo, hi = 1, 2
-        while ok(hi):
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        return hi
-
-    axis = {d: inside(d) for d in ((1, 0), (0, 1), (-1, 0), (0, -1))}
-    roots = [(L, R) for L, R in _QUADRANTS if meets(L, R, axis[L], axis[R])]
-    seen: set[Vector] = set()
     steps = 0
-    for L, R in reversed(roots):
-        in_l, in_r = axis[L], axis[R]
-        for d, ind in ((L, in_l), (R, in_r)):
-            if ind and d not in seen:
-                seen.add(d)
-                consider(d)
-        # Stack entries carry the endpoints' membership.  A mediant is
-        # considered as soon as a child holding it is pushed: that child
-        # is popped next, which is when a descent that considers both
-        # endpoints of every popped node would first see it.
-        stack = [(L, R, in_l, in_r)]
+    axis = []
+    for m, n in _AXES:
+        tol = CONE_TOL * math.hypot(m, n)
+        axis.append(sx * n - sy * m >= -tol and m * ey - n * ex >= -tol)
+    # Two arcs shorter than pi meet when one holds an endpoint of the
+    # other; the quadrant arcs that meet the cone are descended from, the
+    # last one first.
+    for i in (3, 2, 1, 0):
+        (lx, ly), (rx, ry) = _AXES[i], _AXES[i - 3]
+        in_l, in_r = axis[i], axis[i - 3]
+        if not (
+            in_l
+            or in_r
+            or (lx * sy - ly * sx >= -tol_s and sx * ry - sy * rx >= -tol_s)
+            or (lx * ey - ly * ex >= -tol_e and ex * ry - ey * rx >= -tol_e)
+        ):
+            continue
+        # An axis vector ending two such arcs is considered twice, and the
+        # second time changes nothing.
+        for m, n, inside in ((lx, ly, in_l), (rx, ry, in_r)):
+            if inside:
+                a = m * v0 + n * v1
+                if a <= best:
+                    best = a
+                    if winner is None or (a, (m, n)) < winner:
+                        winner = (a, (m, n))
+        # A mediant is considered as soon as a child holding it is pushed:
+        # that child is popped next, which is when a descent that considers
+        # both endpoints of every popped node would first see it.
+        stack = [(lx, ly, rx, ry, in_l, in_r)]
         while stack:
             steps += 1
-            L, R, in_l, in_r = stack.pop()
-            fL, fR = f(L), f(R)
-            if fL > 0 and fR > 0 and fL + fR > best:
+            lx, ly, rx, ry, in_l, in_r = stack.pop()
+            fl, fr = lx * v0 + ly * v1, rx * v0 + ry * v1
+            if fl > 0 and fr > 0 and fl + fr > best:
                 continue
-            M = (L[0] + R[0], L[1] + R[1])
-            in_m = inside(M)
-            left = meets(L, M, in_l, in_m)
-            right = meets(M, R, in_m, in_r)
+            mx, my = lx + rx, ly + ry
+            tol = CONE_TOL * math.hypot(mx, my)
+            cross_s, cross_e = sx * my - sy * mx, mx * ey - my * ex
+            in_m = cross_s >= -tol and cross_e >= -tol
+            left = (
+                in_l
+                or in_m
+                or (lx * sy - ly * sx >= -tol_s and cross_s >= -tol_s)
+                or (lx * ey - ly * ex >= -tol_e and ex * my - ey * mx >= -tol_e)
+            )
+            right = (
+                in_m
+                or in_r
+                or (mx * sy - my * sx >= -tol_s and sx * ry - sy * rx >= -tol_s)
+                or (cross_e >= -tol_e and ex * ry - ey * rx >= -tol_e)
+            )
             if left:
-                stack.append((L, M, in_l, in_m))
+                stack.append((lx, ly, mx, my, in_l, in_m))
             if right:
-                stack.append((M, R, in_m, in_r))
+                stack.append((mx, my, rx, ry, in_m, in_r))
             if in_m:
-                consider(M)
+                a = mx * v0 + my * v1
+                if a <= best:
+                    best = a
+                    if winner is None or (a, (mx, my)) < winner:
+                        winner = (a, (mx, my))
 
+            # A continued-fraction run X + kF toward F starts here.  In an
+            # outside run only the child toward F meets the cone and
+            # nothing is considered.  An in-cone run goes toward an
+            # endpoint F outside the cone with f(F) <= 0, so no node of it
+            # is pruned: node k considers its mediant X + (k+1)F and
+            # pushes both children while that mediant is in the cone.
             if left != right:
-                # Outside run: X + kF toward F, only the child toward F
-                # meets the cone and nothing is considered.
-                X, F, in_f = (L, R, in_r) if right else (R, L, in_l)
-                K = run_end(X, F, lambda k: out_run_node(X, F, in_f, right, k), True)
+                outside, toward_r = True, right
+            elif in_m and ((not in_r and fr <= 0) or (not in_l and fl <= 0)):
+                outside, toward_r = False, not in_r and fr <= 0
+            else:
+                continue
+            if toward_r:
+                x0, x1, f0, f1, fx0, ff, in_f = lx, ly, rx, ry, fl, fr, in_r
+            else:
+                x0, x1, f0, f1, fx0, ff, in_f = rx, ry, lx, ly, fr, fl, in_l
+            # The run's last node is guessed where X + (k+1)F crosses a
+            # boundary ray's line or, in an outside run, where
+            # f(X + kF) + f(F) first exceeds the best action.
+            limit = math.inf
+            g0, g1 = sx * x1 - sy * x0, sx * f1 - sy * f0
+            if g0 * g1 < 0:
+                limit = -g0 / g1 - 1
+            g0, g1 = ex * x1 - ey * x0, ex * f1 - ey * f0
+            if g0 * g1 < 0 and -g0 / g1 - 1 < limit:
+                limit = -g0 / g1 - 1
+            if outside and ff > 0 and (best - fx0 - ff) / ff < limit:
+                limit = (best - fx0 - ff) / ff
+            if limit < 1:
+                continue  # the run ends at node 1: nothing to jump
+            K = _run_end(cone, tol_s, tol_e, best, x0, x1, f0, f1, limit, outside, toward_r, in_f)
+            if outside:
                 if K > 1:
-                    XK = (X[0] + K * F[0], X[1] + K * F[1])
-                    stack[-1] = (XK, F, False, in_f) if right else (F, XK, in_f, False)
-            elif in_m and ((not in_r and fR <= 0) or (not in_l and fL <= 0)):
-                # In-cone run toward an endpoint F outside the cone with
-                # f(F) <= 0, so no node of it is pruned: node k considers
-                # its mediant X + (k+1)F and pushes both children while that
-                # mediant is in the cone.
-                toward_r = not in_r and fR <= 0
-                X, F = (L, R) if toward_r else (R, L)
-                K = run_end(
-                    X, F, lambda k: inside((X[0] + (k + 1) * F[0], X[1] + (k + 1) * F[1])), False
-                )
+                    xk, yk = x0 + K * f0, x1 + K * f1
+                    if toward_r:
+                        stack[-1] = (xk, yk, f0, f1, False, in_f)
+                    else:
+                        stack[-1] = (f0, f1, xk, yk, in_f, False)
+            else:
                 K = min(K, _MAX_BULK_RUN)
                 if K >= _MIN_BULK_RUN:
                     k = np.arange(K + 1)
-                    xs, ys = X[0] + k * F[0], X[1] + k * F[1]
+                    xs, ys = x0 + k * f0, x1 + k * f1
                     fx = xs * v0 + ys * v1
                     # The best action before and after considering each of
                     # X + 2F, ..., X + KF in turn.
@@ -265,8 +244,8 @@ def min_in_cone(cone, incumbent: float) -> tuple[Optional[tuple[float, Vector]],
                     pruned[0] |= toward_r
                     if pruned.all():
                         # The vectors tied at the best action after the
-                        # run, the only ones ``consider`` could make the
-                        # winner, and the least (m, n) of them.
+                        # run, the only ones a node-by-node descent could
+                        # make the winner, and the least (m, n) of them.
                         best = float(running[-1])
                         tied = (fx[2:] == best).nonzero()[0] + 2
                         if tied.size:
@@ -274,13 +253,87 @@ def min_in_cone(cone, incumbent: float) -> tuple[Optional[tuple[float, Vector]],
                             got = (best, (int(xs[j]), int(ys[j])))
                             if winner is None or got < winner:
                                 winner = got
-                        XK = (int(xs[K]), int(ys[K]))
+                        xk, yk = int(xs[K]), int(ys[K])
                         if toward_r:
-                            stack[-1] = (XK, R, True, in_r)
+                            stack[-1] = (xk, yk, rx, ry, True, in_r)
                         else:
                             stack.pop()
-                            stack[-1] = (L, XK, in_l, True)
+                            stack[-1] = (lx, ly, xk, yk, in_l, True)
     return winner, steps
+
+
+def _run_end(cone, tol_s, tol_e, best, x0, x1, f0, f1, limit, outside, right, in_f) -> int:
+    """The first node k >= 1 of a run (X + k*F, F) of ``min_in_cone``'s
+    descent, X = (x0, x1) and F = (f0, f1), that breaks the run's pattern
+    (node 0 keeps it).  The guess ``limit`` >= 1 names it: the end is node
+    floor(limit) + 1 when that node breaks the pattern and the one before
+    keeps it, and galloping and bisection find it otherwise.
+
+    A node of an outside run keeps the pattern when it is not pruned at
+    ``best`` and, of its two children, only the one toward F meets the
+    cone: F is the node's right end when ``right``, and ``in_f`` says
+    whether F is in the cone.  A node of an in-cone run keeps it while
+    its mediant X + (k+1)*F is in the cone.  Each probe writes out the
+    tests of ``min_in_cone``'s loop.
+    """
+    (sx, sy), (ex, ey), (v0, v1) = cone
+    ff = f0 * v0 + f1 * v1
+    # The stage of the search: 0 probes the node before the guess, 1 the
+    # guess, 2 node 1, 3 gallops (lo keeps the pattern, hi is probed)
+    # and 4 bisects between lo, which keeps it, and hi, which breaks it.
+    if limit < 2**53:
+        guess = math.floor(limit) + 1
+        k, stage = guess - 1, 0
+    else:
+        k, stage = 1, 2
+    lo = hi = 1
+    while True:
+        # Does node k keep the pattern?
+        nx, ny = x0 + (k + 1) * f0, x1 + (k + 1) * f1
+        tol = CONE_TOL * math.hypot(nx, ny)
+        keeps = sx * ny - sy * nx >= -tol and nx * ey - ny * ex >= -tol
+        if outside:
+            kx, ky = nx - f0, ny - f1
+            fk = kx * v0 + ky * v1
+            if keeps or (fk > 0 and ff > 0 and fk + ff > best):
+                keeps = False
+            else:
+                # The child away from F is the arc p -> q, the one toward
+                # F the arc r -> t.
+                if right:
+                    p0, p1, q0, q1, r0, r1, t0, t1 = kx, ky, nx, ny, nx, ny, f0, f1
+                else:
+                    p0, p1, q0, q1, r0, r1, t0, t1 = nx, ny, kx, ky, f0, f1, nx, ny
+                keeps = (
+                    in_f
+                    or (r0 * sy - r1 * sx >= -tol_s and sx * t1 - sy * t0 >= -tol_s)
+                    or (r0 * ey - r1 * ex >= -tol_e and ex * t1 - ey * t0 >= -tol_e)
+                ) and not (
+                    (p0 * sy - p1 * sx >= -tol_s and sx * q1 - sy * q0 >= -tol_s)
+                    or (p0 * ey - p1 * ex >= -tol_e and ex * q1 - ey * q0 >= -tol_e)
+                )
+        if stage == 0:
+            k, stage = (guess, 1) if keeps else (1, 2)
+        elif stage == 1:
+            if not keeps:
+                return guess
+            k, stage = 1, 2
+        elif stage == 2:
+            if not keeps:
+                return 1
+            lo, hi, k, stage = 1, 2, 2, 3
+        elif stage == 3 and keeps:
+            lo, hi = hi, 2 * hi
+            k = hi
+        else:
+            if keeps:
+                lo = k
+            else:
+                hi = k
+            stage = 4
+            if hi - lo <= 1:
+                return hi
+            k = (lo + hi) // 2
 
 
 # ---------------------------------------------------------------------------

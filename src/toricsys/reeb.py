@@ -170,7 +170,8 @@ def orbits_at_vertex(
     action = np.zeros(0)
     if corner[vertex_index - 1]:
         _, m, n, action = enumerate_in_cone(cones[[vertex_index - 1]], action_cutoff)
-        # An action is a period, > 0; ``in_cone`` admits a needle's opposite.
+        # An action is a period, > 0; the membership tolerance admits a
+        # needle's opposite.
         keep = action > 0
         if not keep.all():
             m, n, action = m[keep], n[keep], action[keep]
@@ -254,11 +255,13 @@ def t_min(
     <= 0 are dropped, and one lexsort then picks the least action, then
     the least (m, n), then the least vertex.  The oracle shares no search
     with ``min_in_cone``, the descent it checks.
+
+    Any other ``method`` raises ParamOutOfRange.
     """
     if method == "fast":
         return _t_min_fast(p)
     if method != "oracle":
-        raise ValueError("method must be 'fast' or 'oracle'")
+        raise ParamOutOfRange(f"t_min method must be 'fast' or 'oracle'; got {method!r}")
     if n_oracle < 1:
         raise ParamOutOfRange(f"oracle cutoff must be at least 1; got {n_oracle}")
     candidates = _base_candidates(p)

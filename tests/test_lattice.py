@@ -12,6 +12,7 @@ the apex cone, is checked against the enumerator.
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from toricsys.errors import DegenerateDenominator, ParamOutOfRange, RadiusTooLar
 from toricsys.experiments import random_monotone_profile, random_star_profile
 from toricsys.geometry import cross, dot
 from toricsys import lattice
-from toricsys.lattice import CONE_TOL, enumerate_in_cone, in_cone, min_in_cone
+from toricsys.lattice import CONE_TOL, enumerate_in_cone, min_in_cone
 from toricsys.cli import main
 from toricsys.reeb import _base_candidates, orbits_below
 
@@ -448,6 +449,36 @@ def test_each_apex_cone_takes_few_steps():
     assert (action, witness.mn) == (9.999999999987796e-05, (-4950, 4951))
 
 
+def test_descent_makes_few_python_calls():
+    """The descent is one loop: the membership, arc and action tests are
+    written out, so Python-level calls (counted by ``sys.setprofile``:
+    ``min_in_cone`` itself, a run's ``_run_end`` and numpy's Python-level
+    helpers in a bulk pass) number at most two per step over the corner
+    cones of strangulated balls.  A descent that calls a helper per
+    membership or arc test makes about ten per step on these cones."""
+    rows = []
+    for ray in (math.pi / 4, 0.3, 1.2):
+        for eps in (1e-1, 1e-2, 1e-3, 1e-4):
+            cones, corner = strangulate(ball(2), eps, ray).profile.vertex_cones
+            rows += cones[corner].tolist()
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    steps = 0
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        for row in rows:
+            steps += min_in_cone(row, math.inf)[1]
+    finally:
+        sys.setprofile(previous)
+    assert calls.count("min_in_cone") == len(rows)
+    assert len(calls) <= 2 * steps
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_witness_matches_loop(seed):
     rng = random.Random(seed)
@@ -486,6 +517,5 @@ def test_mask_is_the_scalar_predicate(seed):
             m.append(np.rint(t * r[0]).astype(np.int64) + rng.integers(-1, 2, t.size))
             n.append(np.rint(t * r[1]).astype(np.int64) + rng.integers(-1, 2, t.size))
         m, n = np.concatenate(m), np.concatenate(n)
-        want = [in_cone(cone, (a, b)) for a, b in zip(m.tolist(), n.tolist())]
+        want = [_old_in_cone(cone, (a, b)) for a, b in zip(m.tolist(), n.tolist())]
         assert lattice._in_cone(*cone[0], *cone[1], m, n).tolist() == want
-        assert want == [_old_in_cone(cone, (a, b)) for a, b in zip(m.tolist(), n.tolist())]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from toricsys import (
     DegenerateDenominator,
     OracleCutoffInsufficient,
+    ParamOutOfRange,
     ball,
     closed_orbit_on_segment,
     ellipsoid,
@@ -145,7 +146,9 @@ class TestTmin:
             t_min(out.profile, "oracle", n_oracle=1)
 
     def test_bad_method(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ParamOutOfRange, match="^t_min method must be 'fast' or 'oracle'; got 'guess'$"
+        ):
             t_min(ball(1), "guess")
 
 
@@ -198,4 +201,5 @@ def test_enumerated_orbits_well_formed(seed):
             cones, corner = p.vertex_cones
             if abs(p.normal_turns[vi - 1]) > 1e-12:
                 assert corner[vi - 1]
-                assert lattice.in_cone(cones[vi - 1], o.mn)
+                (sx, sy), (ex, ey), _ = cones[vi - 1].tolist()
+                assert lattice._in_cone(sx, sy, ex, ey, *o.mn)

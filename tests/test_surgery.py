@@ -23,7 +23,7 @@ from toricsys import (
     t_min,
 )
 from toricsys.invariants import area, ruelle_closed_form
-from toricsys.lattice import in_cone, min_in_cone
+from toricsys.lattice import _in_cone, min_in_cone
 from toricsys.surgery import _clip, _sector_intervals
 
 from test_lattice import _old_min_in_cone_fast
@@ -51,7 +51,7 @@ class TestStrangulate:
         assert (w.location_kind, w.base_point) == ("vertex", (0.1, 0.09999999999999999))
         assert w.base_point == out.profile.vertices[w.location_index]
         cone = tuple(map(tuple, out.profile.vertex_cones[0][w.location_index - 1].tolist()))
-        assert in_cone(cone, (1, 1))
+        assert _in_cone(*cone[0], *cone[1], 1, 1)
         assert w.action <= 0.2 * (1 + 1e-12)
         assert w.mn == (-4, 5)
         assert w.action == pytest.approx(0.1, rel=1e-12)
