@@ -22,8 +22,9 @@ in the descent) and the two searches over those vectors:
   across each cone's bounding box, the lines and points of all cones in
   one numpy pass and in memory proportional to the output.  The orbit
   list of a vertex passes a batch of one; the brute-force T_min oracle
-  passes every corner cone of a profile at once, cut at the least
-  positive action of a small vector in them (``least_small_action``).
+  lists the vectors of max norm <= 2 in every corner cone itself
+  (``small_in_cones``) and passes, as one batch, only the corner cones
+  that can hold a larger vector below its cutoff.
 
 The descent serves fast T_min and strangulation's witness (the apex
 cone's least action, searched only when the witness is read); the
@@ -349,18 +350,20 @@ _SMALL_VECTORS = {
 }
 
 
-def least_small_action(cones: np.ndarray, max_norm: int) -> float:
-    """The least positive action m*v1 + n*v2 of a primitive vector of max
-    norm <= max_norm (1 or 2) that ``_in_cone`` puts in one of the cones
-    (rows (start, end, vertex) of a (k, 3, 2) array), or inf: one
-    broadcast over the cones and at most 16 vectors.  Such a vector lies
-    in its cone's box at every cutoff from its action up, so
-    ``enumerate_in_cone`` lists it there when n_max >= max_norm."""
+def small_in_cones(cones: np.ndarray, max_norm: int) -> tuple:
+    """Every primitive vector of max norm <= max_norm (1 or 2) that
+    ``_in_cone`` puts in one of the cones (rows (start, end, vertex) of a
+    (k, 3, 2) array) with positive action m*v1 + n*v2, as arrays cone
+    (the cone's row), m, n and action, in the layout of
+    ``enumerate_in_cone``: one broadcast over the cones and at most 16
+    vectors.  Such a vector lies in its cone's box at every cutoff from
+    its action up, so ``enumerate_in_cone`` lists it there, with the same
+    action, when n_max >= max_norm."""
     m, n = _SMALL_VECTORS[max_norm]
     (sx, sy), (ex, ey), (v0, v1) = cones.transpose(1, 2, 0)[..., None]
     action = m * v0 + n * v1
-    inside = _in_cone(sx, sy, ex, ey, m, n) & (action > 0)
-    return float(action[inside].min(initial=math.inf))
+    cone, j = (_in_cone(sx, sy, ex, ey, m, n) & (action > 0)).nonzero()
+    return cone, m[j], n[j], action[cone, j]
 
 
 def _too_many(cutoff: float, count, what: str) -> ParamOutOfRange:

@@ -11,6 +11,7 @@ m*w1 + n*w2.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateDenominator, OracleCutoffInsufficient, ParamOutOfRange, StepTooLarge
 from .geometry import MomentProfile, Point, _read_only, dot, ray_hit
-from .lattice import clear_of_axes, enumerate_in_cone, least_small_action, min_in_cone
+from .lattice import clear_of_axes, enumerate_in_cone, min_in_cone, small_in_cones
 
 # Where an orbit lives, in tie-break order.
 LOCATION_KINDS = ("axis", "segment", "vertex")
@@ -160,8 +161,11 @@ def orbits_at_vertex(
     of orbits returned rather than with the box's area.  They stay columns
     (``VertexOrbits``): at a strain tip, where there are about 2/eps of
     them, ``[0]`` is the minimal orbit and ``len`` the count, and no
-    other orbit object is made unless it is read.
+    other orbit object is made unless it is read.  The cutoff must be
+    finite.
     """
+    if not math.isfinite(action_cutoff):
+        raise ParamOutOfRange(f"action cutoff must be finite; got {action_cutoff}")
     if not 1 <= vertex_index < p.n_segments:
         raise IndexError("orbits_at_vertex is defined at interior vertices")
     cones, corner = p.vertex_cones
@@ -241,20 +245,24 @@ def t_min(
     unless its surgery witness is read (``surgery.strangulate``).
 
     ``oracle`` brute-forces all primitive integer vectors with max-norm
-    <= n_oracle over the table's corner cones and raises
-    OracleCutoffInsufficient when larger vectors could still win.  The
-    corner cones go to ``lattice.enumerate_in_cone`` as one batch, with
-    the box clipped to the max-norm bound and the action cut at
-    min(ceiling, seed).  The ceiling is the least axis or segment
-    action, which T_min cannot exceed.  The seed is the least positive
-    action of a vector of max norm <= min(2, n_oracle) that the
-    membership predicate puts in a corner cone
-    (``lattice.least_small_action``): the enumerator lists that vector
-    at the ceiling, so the least listed action is at most the seed and
-    the cut drops only vectors that cannot win.  Listed rows of action
-    <= 0 are dropped, and one lexsort then picks the least action, then
-    the least (m, n), then the least vertex.  The oracle shares no search
-    with ``min_in_cone``, the descent it checks.
+    <= n_oracle (an integer >= 1) over the table's corner cones and raises
+    OracleCutoffInsufficient when larger vectors could still win.  It
+    lists the vectors of max norm <= r = min(2, n_oracle) in every corner
+    cone itself, in one broadcast (``lattice.small_in_cones``), and cuts
+    actions at min(ceiling, seed).  The ceiling is the least axis or
+    segment action, which T_min cannot exceed; the seed is the least
+    action of that listing, so the cut drops only vectors that cannot
+    win, and a listed small vector above it loses to the seed or the
+    ceiling.  A vector beyond the listing has norm >= r + 1, so its action is
+    at least (r + 1) times the least unit-normal action u at its cone's
+    vertex, less a slack for the membership tolerance and rounding: a
+    cone where that exceeds the cut holds no such vector below it.  Only
+    the other corner cones go to ``lattice.enumerate_in_cone``, as one
+    batch with the box clipped to the max-norm bound, and none when no
+    cone qualifies.  Listed rows of action <= 0 are dropped, and one
+    lexsort of both listings then picks the least action, then the least
+    (m, n), then the least vertex.  The oracle shares no search with
+    ``min_in_cone``, the descent it checks.
 
     Any other ``method`` raises ParamOutOfRange.
     """
@@ -262,17 +270,41 @@ def t_min(
         return _t_min_fast(p)
     if method != "oracle":
         raise ParamOutOfRange(f"t_min method must be 'fast' or 'oracle'; got {method!r}")
+    try:
+        n_oracle = operator.index(n_oracle)
+    except TypeError:
+        raise ParamOutOfRange(f"oracle cutoff must be an integer; got {n_oracle!r}") from None
     if n_oracle < 1:
         raise ParamOutOfRange(f"oracle cutoff must be at least 1; got {n_oracle}")
     candidates = _base_candidates(p)
     ceiling = min(o.action for o in candidates)
     cones, corner = p.vertex_cones
     vi, cones = corner.nonzero()[0] + 1, cones[corner]
-    cutoff = min(ceiling, least_small_action(cones, min(2, n_oracle)))
-    cone, m, n, action = enumerate_in_cone(cones, cutoff, n_oracle)
-    keep = action > 0  # as in ``orbits_at_vertex``
-    if not keep.all():
-        cone, m, n, action = cone[keep], m[keep], n[keep], action[keep]
+    r = min(2, n_oracle)
+    cone, m, n, action = small_in_cones(cones, r)
+    cutoff = min(ceiling, float(action.min(initial=math.inf)))
+    # The least unit-normal action u of each cone: over a cone arc shorter
+    # than pi the unit-direction action is minimized at a boundary ray.
+    ray_action = cones[:, :2] * cones[:, 2:]
+    unit = ray_action[..., 0] + ray_action[..., 1]
+    unit = np.minimum(unit[:, 0], unit[:, 1])
+    # A vector d that ``_in_cone`` admits lies within an angle of about
+    # CONE_TOL (1e-9) of its cone's arc, or, in a needle cone narrower
+    # than that, of the opposite arc, where its action is negative when
+    # u > 0.  Near the arc, d.v >= |d| (u - 1e-9 |v|), and rounding in the
+    # cross products, in u and in m*v1 + n*v2 costs under 1e-15 |d| (v1 +
+    # v2) more; |v| <= v1 + v2 at an interior vertex.  So the listed
+    # action of d, of norm >= r + 1, is at least (r + 1)(u - slack) with
+    # slack = 4e-9 (v1 + v2), and where (r + 1)(u - slack)(1 - 1e-9)
+    # exceeds the cutoff it is beyond the enumerator's cutoff * (1 + 1e-12).
+    slack = 4e-9 * (cones[:, 2, 0] + cones[:, 2, 1])
+    deep = ((r + 1) * (unit - slack) * (1 - 1e-9) <= cutoff).nonzero()[0]
+    if deep.size:
+        c, dm, dn, da = enumerate_in_cone(cones[deep], cutoff, n_oracle)
+        keep = da > 0  # as in ``orbits_at_vertex``
+        cone = np.concatenate((cone, deep[c[keep]]))
+        m, n = np.concatenate((m, dm[keep])), np.concatenate((n, dn[keep]))
+        action = np.concatenate((action, da[keep]))
     if action.size:
         # The least (action, m, n) and then vertex over every cone.
         k = np.lexsort((cone, n, m, action))[0]
@@ -280,12 +312,8 @@ def t_min(
         mn = (int(m[k]), int(n[k]))
         candidates.append(OrbitDatum(mn, p.vertex(j), float(action[k]), "vertex", j))
     best = min(o.action for o in candidates)
-    # Vectors beyond the cutoff have euclidean norm > n_oracle; over a
-    # cone arc shorter than pi the unit-direction action is minimized
-    # at one of the boundary rays.
-    ray_action = cones[:, :2] * cones[:, 2:]
-    unit_min = float((ray_action[..., 0] + ray_action[..., 1]).min(initial=math.inf))
-    uncovered = (n_oracle + 1) * unit_min
+    # Vectors beyond the max norm have euclidean norm > n_oracle.
+    uncovered = (n_oracle + 1) * float(unit.min(initial=math.inf))
     if uncovered < best * (1 + 1e-9):
         raise OracleCutoffInsufficient(
             f"best action {best} not certified: cutoff-{n_oracle} bound is {uncovered}"

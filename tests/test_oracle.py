@@ -14,6 +14,14 @@ minimum when that minimum lies within the cutoff and None otherwise,
 compared with ``==``; ``t_min``'s oracle must return the same
 ``(action, OrbitDatum)`` and raise ``OracleCutoffInsufficient`` with the
 same message.
+
+``_all_cones_t_min_oracle`` is a verbatim copy of ``t_min``'s oracle
+branch when it passed every corner cone to the enumerator, cut at the
+least positive action of a small vector (``_old_least_small_action``,
+verbatim too).  The oracle now lists the small vectors itself and
+enumerates only the cones that can hold a larger vector below its cut;
+it must return the same ``(action, OrbitDatum)``, or raise the same
+exception with the same message, and the cones it skips are counted.
 """
 
 import math
@@ -25,15 +33,19 @@ from hypothesis import given, settings, strategies as st
 
 from toricsys import (
     ball,
+    ellipsoid,
     flatten_near_intercept,
     from_vertices,
     orbits_at_vertex,
     orbits_below,
+    polydisk,
+    reeb,
+    smooth_corners,
     strain,
     strangulate,
     t_min,
 )
-from toricsys.errors import OracleCutoffInsufficient
+from toricsys.errors import OracleCutoffInsufficient, ToricError
 from toricsys.experiments import random_monotone_profile, random_star_profile
 from toricsys.geometry import dot
 from toricsys.lattice import _in_cone, enumerate_in_cone
@@ -356,3 +368,163 @@ def test_needle_cone_at_the_diagonal_lists_no_nonpositive_action():
     assert t_min(p)[0] == 1
     assert [o.mn for o in orbits_below(p, 1)] == [(0, 1), (1, 0)]
     assert [o.mn for o in orbits_at_vertex(p, 1, 2)] == [(1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# The oracle that enumerated every corner cone, verbatim
+
+_OLD_SMALL_VECTORS = {
+    r: np.array(
+        [(m, n) for m in range(-r, r + 1) for n in range(-r, r + 1) if math.gcd(m, n) == 1]
+    ).T
+    for r in (1, 2)
+}
+
+
+def _old_least_small_action(cones: np.ndarray, max_norm: int) -> float:
+    m, n = _OLD_SMALL_VECTORS[max_norm]
+    (sx, sy), (ex, ey), (v0, v1) = cones.transpose(1, 2, 0)[..., None]
+    action = m * v0 + n * v1
+    inside = _in_cone(sx, sy, ex, ey, m, n) & (action > 0)
+    return float(action[inside].min(initial=math.inf))
+
+
+def _all_cones_t_min_oracle(p, n_oracle=200):
+    candidates = _base_candidates(p)
+    ceiling = min(o.action for o in candidates)
+    cones, corner = p.vertex_cones
+    vi, cones = corner.nonzero()[0] + 1, cones[corner]
+    cutoff = min(ceiling, _old_least_small_action(cones, min(2, n_oracle)))
+    cone, m, n, action = enumerate_in_cone(cones, cutoff, n_oracle)
+    keep = action > 0  # as in ``orbits_at_vertex``
+    if not keep.all():
+        cone, m, n, action = cone[keep], m[keep], n[keep], action[keep]
+    if action.size:
+        # The least (action, m, n) and then vertex over every cone.
+        k = np.lexsort((cone, n, m, action))[0]
+        j = int(vi[cone[k]])
+        mn = (int(m[k]), int(n[k]))
+        candidates.append(OrbitDatum(mn, p.vertex(j), float(action[k]), "vertex", j))
+    best = min(o.action for o in candidates)
+    # Vectors beyond the cutoff have euclidean norm > n_oracle; over a
+    # cone arc shorter than pi the unit-direction action is minimized
+    # at one of the boundary rays.
+    ray_action = cones[:, :2] * cones[:, 2:]
+    unit_min = float((ray_action[..., 0] + ray_action[..., 1]).min(initial=math.inf))
+    uncovered = (n_oracle + 1) * unit_min
+    if uncovered < best * (1 + 1e-9):
+        raise OracleCutoffInsufficient(
+            f"best action {best} not certified: cutoff-{n_oracle} bound is {uncovered}"
+        )
+    winner = min(candidates, key=OrbitDatum.sort_key)
+    return winner.action, winner
+
+
+# ---------------------------------------------------------------------------
+# Only the cones that can hold a vector beyond the small-vector listing
+
+N_ORACLE = (1, 2, 3, 7, 200)
+
+
+def _result(oracle, p, n_oracle):
+    try:
+        return oracle(p, n_oracle)
+    except ToricError as exc:
+        return type(exc), str(exc)
+
+
+def _same_as_all_cones(p, n_oracle):
+    got = _result(lambda p, n: t_min(p, method="oracle", n_oracle=n), p, n_oracle)
+    assert got == _result(_all_cones_t_min_oracle, p, n_oracle)
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.booleans(), st.sampled_from(N_ORACLE))
+def test_pruned_oracle_on_random_profiles(seed, star, n_oracle):
+    make = random_star_profile if star else random_monotone_profile
+    _same_as_all_cones(make(random.Random(seed)), n_oracle)
+
+
+DOMAINS = (
+    ball(2),
+    ball(2, 16),
+    ellipsoid(1, 2.6),
+    ellipsoid(1.3, 1.6, 4),
+    ellipsoid(1, 2, 16),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(DOMAINS),
+    st.floats(1, 1.5),
+    st.floats(0.2, 1.35),
+    st.sampled_from(N_ORACLE),
+)
+def test_pruned_oracle_on_strangulated_domains(domain, log_eps, ray, n_oracle):
+    _same_as_all_cones(strangulate(domain, 10**-log_eps, ray).profile, n_oracle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(DOMAINS),
+    st.sampled_from((0.2, 0.4)),
+    st.floats(1, 1.5),
+    st.sampled_from(N_ORACLE),
+)
+def test_pruned_oracle_on_strained_domains(domain, flatten, log_eps, n_oracle):
+    flat = flatten_near_intercept(domain, flatten)[0]
+    _same_as_all_cones(strain(flat, 10**-log_eps).profile, n_oracle)
+
+
+@pytest.mark.parametrize("n_oracle", (3, 7, 200))
+@pytest.mark.parametrize(
+    "seed, vertex, action",
+    [(50, 5, 0.3122772078282362), (178, 2, 0.5683180213370486)],
+)
+def test_pruned_oracle_keeps_a_cone_where_a_max_norm_3_vector_wins(seed, vertex, action, n_oracle):
+    """On these star profiles (-3, 1), of norm sqrt(10) < 4, beats every
+    listed small vector at 1.20 and 1.06 times the bound 3u of its cone:
+    a prune by 4u would drop that cone and return a larger action."""
+    got = _same_as_all_cones(random_star_profile(random.Random(seed)), n_oracle)
+    assert (got[0], got[1].mn, got[1].location_index) == (action, (-3, 1), vertex)
+
+
+@pytest.mark.parametrize("n_oracle", N_ORACLE)
+def test_pruned_oracle_on_the_needle(n_oracle):
+    """The needle cone's membership tolerance admits (-1, -1), opposite
+    it, of negative action.  The cone's least unit-normal action, about
+    0.71, is more than half the cut 1, so no vector of max norm >= 2 in
+    it acts below the cut: it is pruned, and the axis orbits win."""
+    p = from_vertices([(1, 0), (0.5, 0.5 + 1e-10), (0, 1)])
+    assert _same_as_all_cones(p, n_oracle)[0] == 1
+
+
+def _enumerated(p, monkeypatch):
+    """The sizes of the batches that ``t_min``'s oracle hands to
+    ``enumerate_in_cone``."""
+    batches = []
+
+    def counted(cones, *args):
+        batches.append(len(cones))
+        return enumerate_in_cone(cones, *args)
+
+    monkeypatch.setattr(reeb, "enumerate_in_cone", counted)
+    _same_as_all_cones(p, 200)
+    return batches
+
+
+@pytest.mark.parametrize(
+    "p, batches",
+    [
+        (ball(2), []),  # no corner at all
+        (polydisk(1, 2), []),  # the cut is the (1, 0) axis action 1 < 3 * 1
+        (smooth_corners(polydisk(1, 2), 0.2), []),  # 17 corners, all pruned
+        (strangulate(ball(2), 0.1).profile, [3]),  # the notch: u is about eps
+        (strain(flatten_near_intercept(ball(2, 16), 0.4)[0], 0.05).profile, [1]),
+    ],
+    ids=["ball", "polydisk", "smoothed_polydisk", "strangulated_ball", "strained_ball"],
+)
+def test_only_cones_that_can_beat_the_listing_are_enumerated(p, batches, monkeypatch):
+    assert _enumerated(p, monkeypatch) == batches

@@ -1,6 +1,8 @@
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -144,6 +146,29 @@ class TestTmin:
         out = surgery.strangulate(ball(2), 0.1)
         with pytest.raises(OracleCutoffInsufficient):
             t_min(out.profile, "oracle", n_oracle=1)
+
+    @pytest.mark.parametrize(
+        "n_oracle, message",
+        [
+            (1.5, "oracle cutoff must be an integer; got 1.5"),
+            (math.nan, "oracle cutoff must be an integer; got nan"),
+            (math.inf, "oracle cutoff must be an integer; got inf"),
+            (2.0, "oracle cutoff must be an integer; got 2.0"),
+            ("3", "oracle cutoff must be an integer; got '3'"),
+            (0, "oracle cutoff must be at least 1; got 0"),
+        ],
+    )
+    def test_oracle_cutoff_must_be_a_positive_integer(self, n_oracle, message):
+        """A float n_oracle once reached the small-vector table as a key
+        (KeyError: 1.5), and nan returned an answer certified by a nan
+        bound."""
+        p = surgery.strangulate(ball(2), 0.1).profile
+        with pytest.raises(ParamOutOfRange, match=f"^{re.escape(message)}$"):
+            t_min(p, "oracle", n_oracle=n_oracle)
+
+    def test_oracle_cutoff_takes_integer_types(self):
+        p = surgery.strangulate(ball(2), 0.1).profile
+        assert t_min(p, "oracle", n_oracle=np.int64(7)) == t_min(p, "oracle", n_oracle=7)
 
     def test_bad_method(self):
         with pytest.raises(

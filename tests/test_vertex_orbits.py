@@ -107,6 +107,17 @@ def test_only_interior_vertices_have_orbits(vi):
         orbits_at_vertex(ellipsoid(1, 1, 4), vi, 2.0)
 
 
+@pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("vi", [1, 2])
+def test_cutoff_must_be_finite(vi, cutoff):
+    """As in ``orbits_below``: a nan cutoff reached ``math.floor`` in the
+    enumerator's scan plan and raised an untyped ValueError.  Vertex 2 of
+    this profile is the apex corner, vertex 1 a corner beside it."""
+    out = surgery.strangulate(ball(2), 0.1, 0.3).profile
+    with pytest.raises(ParamOutOfRange, match=f"^action cutoff must be finite; got {cutoff}$"):
+        orbits_at_vertex(out, vi, cutoff)
+
+
 @pytest.mark.parametrize(
     "cutoff, count",
     [(1e15, "1e+15"), (1e300, "1e+300"), (1e308, "inf")],
