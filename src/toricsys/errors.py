@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and ``arange``, which raises one."""
+"""Exception types shared across the package, and ``integer`` and ``arange``,
+which raise one."""
 
+import operator
 from typing import Callable
 
 import numpy as np
@@ -82,6 +84,15 @@ class ValidityConditionFails(ToricError):
 class NotFlattened(ToricError):
     """Strain requires a straight initial run; call flatten_near_intercept
     first."""
+
+
+def integer(value, what: str) -> int:
+    """value as an int, read through ``operator.index`` so that numpy
+    integers pass and floats do not; ParamOutOfRange names it otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParamOutOfRange(f"{what} must be an integer; got {value!r}") from None
 
 
 def arange(count: int, error: Callable[[], ToricError]) -> np.ndarray:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParamOutOfRange, ToricError
+from .errors import ParamOutOfRange, ToricError, integer
 from .geometry import MomentProfile, classify, fc_c_min, fc_domain, from_vertices
 from . import invariants, surgery
 
@@ -198,6 +198,7 @@ def run_corpus_bounds(seed: int, n: int) -> dict:
     under the last key; ``toricsys bounds`` prints the others in order.
     """
     rng = random.Random(seed)
+    n = integer(n, "corpus size")
     if n < 1:
         raise ParamOutOfRange(f"corpus size must be at least 1; got {n}")
     mono = [random_monotone_profile(rng) for _ in range(n)]

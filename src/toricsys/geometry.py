@@ -25,7 +25,6 @@ straight segments and no curve samples.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Mapping
 from contextlib import nullcontext
 from dataclasses import FrozenInstanceError, dataclass, field, fields
@@ -45,6 +44,7 @@ from .errors import (
     SelfIntersection,
     SmoothingBreaksStarShape,
     arange,
+    integer,
 )
 
 Point = tuple[float, float]
@@ -247,13 +247,12 @@ class MomentProfile:
     ``normal_turns`` and the cone table ``vertex_cones`` at the interior
     vertices; the primitive integer normal of each segment
     (``primitive_normal``, memoised per segment, so that a caller that
-    needs only a few segments, like ``reeb.t_min``, pays only for those;
-    ``primitive_normals`` lists all of them); the tag samples at
-    the Gauss-Legendre nodes of each order (``curve_samples``); and the
-    whole-profile results their owners store with ``memo``: ``classify``
-    and ``invariants.area``.  Every cache assumes the instance never
-    changes, so a profile refuses attribute assignment; build a new one
-    instead.
+    needs only a few segments, like ``reeb.t_min``, pays only for those);
+    the tag samples at the Gauss-Legendre nodes of each order
+    (``curve_samples``); and the whole-profile results their owners store
+    with ``memo``: ``classify`` and ``invariants.area``.  Every cache
+    assumes the instance never changes, so a profile refuses attribute
+    assignment; build a new one instead.
     """
 
     xy: np.ndarray
@@ -421,11 +420,6 @@ class MomentProfile:
         swap = (turns < 0)[:, None]
         cones = np.concatenate((np.where(swap, b, a), np.where(swap, a, b), self.xy[1:-1]), axis=1)
         return _read_only(cones.reshape(-1, 3, 2)), _read_only(np.abs(turns) > COLLINEAR_TURN)
-
-    @cached_property
-    def primitive_normals(self) -> tuple[Optional[tuple[int, int]], ...]:
-        """``primitive_normal`` of every segment."""
-        return tuple(map(self.primitive_normal, range(self.n_segments)))
 
     @cached_property
     def _primitive_normals(self) -> dict[int, Optional[tuple[int, int]]]:
@@ -645,11 +639,12 @@ def ellipsoid(a: float, b: float, n: int = 1) -> MomentProfile:
     """Profile of E(a, b): the segment from (a, 0) to (0, b), subdivided."""
     if a <= 0 or b <= 0:
         raise ParamOutOfRange("ellipsoid requires a, b > 0")
+    n = integer(n, "ellipsoid subdivision n")
     if n < 1:
         raise ParamOutOfRange("ellipsoid requires n >= 1")
     # Every allocation, the profile's included, fails as the index array's.
     try:
-        t = arange(operator.index(n) + 1, lambda: _too_fine("ellipsoid", n)) / n
+        t = arange(n + 1, lambda: _too_fine("ellipsoid", n)) / n
         verts = np.empty((len(t), 2))
         with _quiet(math.isinf(a) or math.isinf(b)):
             verts[:, 0], verts[:, 1] = a * (1 - t), b * t
@@ -691,6 +686,7 @@ def fc_domain(b: float, c: float, n: int = 8) -> MomentProfile:
     lo = fc_c_min(b)
     if not (lo - 1e-12 <= c < 1):
         raise ParamOutOfRange(f"fc_domain requires c in [{lo}, 1); got c = {c}")
+    n = integer(n, "fc_domain subdivision n")
     if n < 2:
         raise ParamOutOfRange("fc_domain requires n >= 2")
     w_break1, w_break2 = c * (b - c) / b, c * c
@@ -704,7 +700,7 @@ def fc_domain(b: float, c: float, n: int = 8) -> MomentProfile:
     # mu1 decreasing from sqrt(w_break1) to 0.  Every allocation, the
     # profile's included, fails as the index array's.
     try:
-        i = arange(operator.index(n) + 1, lambda: _too_fine("fc_domain", n))
+        i = arange(n + 1, lambda: _too_fine("fc_domain", n))
         mus = np.empty((2, len(i), 2))
         mus[0, :, 0] = m3 = 1 - (1 - c) * i / n
         mus[0, :, 1] = s3 * (1 - m3)
@@ -852,6 +848,7 @@ def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentPr
     """
     if r < 0:
         raise RadiusTooLarge("radius must be nonnegative")
+    arc_points = integer(arc_points, "arc_points")
     if arc_points < 1:
         raise ParamOutOfRange(f"arc_points must be at least 1; got {arc_points}")
     if r == 0:

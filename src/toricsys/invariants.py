@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NotMonotone, ParamOutOfRange
+from .errors import NotMonotone, ParamOutOfRange, integer
 from .geometry import FLAGS, Classification, MomentProfile, _gl_nodes, classify
 from . import reeb
 
@@ -65,6 +65,7 @@ def ruelle_quadrature(p: MomentProfile, n: int = GL_ORDER) -> float:
     ``ruelle_closed_form``.  On a validated straight segment
     nu . w = cross(a, b) / |b - a| > 0, so nu . w is checked at the tag
     nodes only."""
+    n = integer(n, "quadrature points per segment")
     if n < 2:
         raise ParamOutOfRange(f"need at least 2 quadrature points per segment; got {n}")
     if n > 100:

@@ -11,16 +11,18 @@ m*w1 + n*w2.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateDenominator, OracleCutoffInsufficient, ParamOutOfRange, StepTooLarge
+from .errors import (
+    DegenerateDenominator, OracleCutoffInsufficient, ParamOutOfRange, StepTooLarge, integer,
+)
 from .geometry import MomentProfile, Point, _read_only, dot, ray_hit
-from .lattice import clear_of_axes, enumerate_in_cone, min_in_cone, small_in_cones
+from .lattice import CONE_TOL, clear_of_axes, enumerate_in_cone, min_in_cone, small_in_cones
 
 # Where an orbit lives, in tie-break order.
 LOCATION_KINDS = ("axis", "segment", "vertex")
@@ -73,23 +75,33 @@ def closed_orbit_on_segment(p: MomentProfile, segment_index: int) -> Optional[Or
     The action m*w1 + n*w2 is constant along the segment; the midpoint is
     reported as base point.
     """
-    got = _segment_orbit(p, segment_index)
-    if got is None:
-        return None
-    action, mn, mid = got
-    return OrbitDatum(mn, mid, action, "segment", segment_index)
+    key = _segment_key(p, segment_index)
+    return None if key is None else _orbit(p, key)
 
 
-def _segment_orbit(
-    p: MomentProfile, i: int
-) -> Optional[tuple[float, tuple[int, int], Point]]:
-    """(action, (m, n), midpoint) of segment i's orbit family, or None."""
+def _segment_key(p: MomentProfile, i: int) -> Optional[tuple]:
+    """The sort key of segment i's orbit family, its action taken at the
+    midpoint, or None when the normal is not rational."""
     mn = p.primitive_normal(i)
     if mn is None:
         return None
     (x0, y0), (x1, y1) = p.segment(i)
-    mid = ((x0 + x1) / 2, (y0 + y1) / 2)
-    return mn[0] * mid[0] + mn[1] * mid[1], mn, mid
+    return mn[0] * ((x0 + x1) / 2) + mn[1] * ((y0 + y1) / 2), 1, *mn, i
+
+
+def _orbit(p: MomentProfile, key: tuple) -> OrbitDatum:
+    """The orbit whose ``OrbitDatum.sort_key`` is key: an axis orbit based
+    at (a, 0) or (0, b), a segment's at the segment midpoint, a vertex's
+    at the vertex."""
+    action, rank, m, n, i = key
+    if rank == 0:
+        base = (p.a_intercept, 0.0) if i == 0 else (0.0, p.b_intercept)
+    elif rank == 1:
+        (x0, y0), (x1, y1) = p.segment(i)
+        base = ((x0 + x1) / 2, (y0 + y1) / 2)
+    else:
+        base = p.vertex(i)
+    return OrbitDatum((m, n), base, action, LOCATION_KINDS[rank], i)
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +204,16 @@ def orbits_at_vertex(
 # Minimal action: lattice descent (fast) and brute force (oracle)
 
 
-def _base_candidates(p: MomentProfile) -> list[OrbitDatum]:
-    """Axis-intercept and rational-segment orbits (shared by both methods)."""
-    a, b = p.a_intercept, p.b_intercept
-    out = [
-        OrbitDatum((1, 0), (a, 0.0), a, "axis", 0),
-        OrbitDatum((0, 1), (0.0, b), b, "axis", 1),
-    ]
-    for i, mn in enumerate(p.primitive_normals):
-        if mn is not None:
-            out.append(closed_orbit_on_segment(p, i))
-    return out
+def _axis_keys(p: MomentProfile) -> list[tuple]:
+    """Sort keys of the two axis-intercept orbits."""
+    return [(p.a_intercept, 0, 1, 0, 0), (p.b_intercept, 0, 0, 1, 1)]
+
+
+def _base_keys(p: MomentProfile) -> list[tuple]:
+    """Sort keys of the axis-intercept and rational-segment orbits (shared
+    by both methods)."""
+    segments = (_segment_key(p, i) for i in range(p.n_segments))
+    return _axis_keys(p) + [k for k in segments if k is not None]
 
 
 def orbits_below(p: MomentProfile, cutoff: float) -> list[OrbitDatum]:
@@ -211,18 +222,20 @@ def orbits_below(p: MomentProfile, cutoff: float) -> list[OrbitDatum]:
     sorted by ``OrbitDatum.sort_key``.  The cutoff must be finite."""
     if not math.isfinite(cutoff):
         raise ParamOutOfRange(f"action cutoff must be finite; got {cutoff}")
-    orbits = [o for o in _base_candidates(p) if o.action <= cutoff]
+    keys = [k for k in _base_keys(p) if k[0] <= cutoff]
     for vi in range(1, p.n_segments):
-        orbits.extend(orbits_at_vertex(p, vi, cutoff))
-    orbits.sort(key=OrbitDatum.sort_key)
-    return orbits
+        cols = orbits_at_vertex(p, vi, cutoff)
+        keys += zip(cols.action.tolist(), repeat(2), cols.m.tolist(), cols.n.tolist(), repeat(vi))
+    return [_orbit(p, k) for k in sorted(keys)]
 
 
 def t_min(
     p: MomentProfile, method: str = "fast", n_oracle: int = 200
 ) -> tuple[float, OrbitDatum]:
     """Minimal closed-orbit action and a minimizing orbit, the least by
-    ``OrbitDatum.sort_key``.
+    ``OrbitDatum.sort_key``.  Both methods rank candidates by that key, a
+    tuple (action, rank, m, n, index), and make an ``OrbitDatum`` of the
+    winner's key only (``_orbit``).
 
     ``fast`` is a best-first pass (branch and bound): every segment and
     vertex cone gets a float lower bound on its action, and they are
@@ -261,7 +274,8 @@ def t_min(
     batch with the box clipped to the max-norm bound, and none when no
     cone qualifies.  Listed rows of action <= 0 are dropped, and one
     lexsort of both listings then picks the least action, then the least
-    (m, n), then the least vertex.  The oracle shares no search with
+    (m, n), then the least vertex, whose key joins the axis and segment
+    keys for one ``min``.  The oracle shares no search with
     ``min_in_cone``, the descent it checks.
 
     Any other ``method`` raises ParamOutOfRange.
@@ -270,14 +284,11 @@ def t_min(
         return _t_min_fast(p)
     if method != "oracle":
         raise ParamOutOfRange(f"t_min method must be 'fast' or 'oracle'; got {method!r}")
-    try:
-        n_oracle = operator.index(n_oracle)
-    except TypeError:
-        raise ParamOutOfRange(f"oracle cutoff must be an integer; got {n_oracle!r}") from None
+    n_oracle = integer(n_oracle, "oracle cutoff")
     if n_oracle < 1:
         raise ParamOutOfRange(f"oracle cutoff must be at least 1; got {n_oracle}")
-    candidates = _base_candidates(p)
-    ceiling = min(o.action for o in candidates)
+    keys = _base_keys(p)
+    ceiling = min(keys)[0]
     cones, corner = p.vertex_cones
     vi, cones = corner.nonzero()[0] + 1, cones[corner]
     r = min(2, n_oracle)
@@ -289,16 +300,16 @@ def t_min(
     unit = ray_action[..., 0] + ray_action[..., 1]
     unit = np.minimum(unit[:, 0], unit[:, 1])
     # A vector d that ``_in_cone`` admits lies within an angle of about
-    # CONE_TOL (1e-9) of its cone's arc, or, in a needle cone narrower
-    # than that, of the opposite arc, where its action is negative when
-    # u > 0.  Near the arc, d.v >= |d| (u - 1e-9 |v|), and rounding in the
-    # cross products, in u and in m*v1 + n*v2 costs under 1e-15 |d| (v1 +
-    # v2) more; |v| <= v1 + v2 at an interior vertex.  So the listed
-    # action of d, of norm >= r + 1, is at least (r + 1)(u - slack) with
-    # slack = 4e-9 (v1 + v2), and where (r + 1)(u - slack)(1 - 1e-9)
+    # CONE_TOL of its cone's arc, or, in a needle cone narrower than that,
+    # of the opposite arc, where its action is negative when u > 0.  Near
+    # the arc, d.v >= |d| (u - CONE_TOL |v|), and rounding in the cross
+    # products, in u and in m*v1 + n*v2 costs under 1e-15 |d| (v1 + v2)
+    # more; |v| <= v1 + v2 at an interior vertex.  So the listed action of
+    # d, of norm >= r + 1, is at least (r + 1)(u - slack) with slack =
+    # 4 CONE_TOL (v1 + v2), and where (r + 1)(u - slack)(1 - CONE_TOL)
     # exceeds the cutoff it is beyond the enumerator's cutoff * (1 + 1e-12).
-    slack = 4e-9 * (cones[:, 2, 0] + cones[:, 2, 1])
-    deep = ((r + 1) * (unit - slack) * (1 - 1e-9) <= cutoff).nonzero()[0]
+    slack = 4 * CONE_TOL * (cones[:, 2, 0] + cones[:, 2, 1])
+    deep = ((r + 1) * (unit - slack) * (1 - CONE_TOL) <= cutoff).nonzero()[0]
     if deep.size:
         c, dm, dn, da = enumerate_in_cone(cones[deep], cutoff, n_oracle)
         keep = da > 0  # as in ``orbits_at_vertex``
@@ -308,18 +319,15 @@ def t_min(
     if action.size:
         # The least (action, m, n) and then vertex over every cone.
         k = np.lexsort((cone, n, m, action))[0]
-        j = int(vi[cone[k]])
-        mn = (int(m[k]), int(n[k]))
-        candidates.append(OrbitDatum(mn, p.vertex(j), float(action[k]), "vertex", j))
-    best = min(o.action for o in candidates)
+        keys.append((float(action[k]), 2, int(m[k]), int(n[k]), int(vi[cone[k]])))
+    best = min(keys)
     # Vectors beyond the max norm have euclidean norm > n_oracle.
     uncovered = (n_oracle + 1) * float(unit.min(initial=math.inf))
-    if uncovered < best * (1 + 1e-9):
+    if uncovered < best[0] * (1 + 1e-9):
         raise OracleCutoffInsufficient(
-            f"best action {best} not certified: cutoff-{n_oracle} bound is {uncovered}"
+            f"best action {best[0]} not certified: cutoff-{n_oracle} bound is {uncovered}"
         )
-    winner = min(candidates, key=OrbitDatum.sort_key)
-    return winner.action, winner
+    return best[0], _orbit(p, best)
 
 
 def _candidate_bounds(p: MomentProfile) -> np.ndarray:
@@ -336,9 +344,8 @@ def _candidate_bounds(p: MomentProfile) -> np.ndarray:
 
 def _t_min_fast(p: MomentProfile) -> tuple[float, OrbitDatum]:
     """The best-first pass of ``t_min``; see there."""
-    a, b = p.a_intercept, p.b_intercept
     # The winner so far, as its sort key (action, rank, m, n, index).
-    best = min((a, 0, 1, 0, 0), (b, 0, 0, 1, 1))
+    best = min(_axis_keys(p))
     n = p.n_segments
     bounds = _candidate_bounds(p)
     # The incumbent only falls: nothing bounded above it now is visited.
@@ -348,10 +355,9 @@ def _t_min_fast(p: MomentProfile) -> tuple[float, OrbitDatum]:
         if bound > best[0]:
             break
         if k < n:
-            got = _segment_orbit(p, k)
+            got = _segment_key(p, k)
             if got is not None:
-                action, (m1, m2), _ = got
-                best = min(best, (action, 1, m1, m2, k))
+                best = min(best, got)
             continue
         cones, corner = p.vertex_cones
         if corner[k - n]:
@@ -360,14 +366,7 @@ def _t_min_fast(p: MomentProfile) -> tuple[float, OrbitDatum]:
                 action, (m1, m2) = got
                 best = min(best, (action, 2, m1, m2, k - n + 1))
 
-    action, rank, m1, m2, i = best
-    if rank == 1:
-        return action, closed_orbit_on_segment(p, i)
-    if rank == 0:
-        base = (a, 0.0) if i == 0 else (0.0, b)
-    else:
-        base = p.vertex(i)
-    return action, OrbitDatum((m1, m2), base, action, LOCATION_KINDS[rank], i)
+    return best[0], _orbit(p, best)
 
 
 # ---------------------------------------------------------------------------

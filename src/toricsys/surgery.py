@@ -146,8 +146,8 @@ def _apex_witnesses(out: MomentProfile, apex_index: int) -> list[reeb.OrbitDatum
     got, _ = min_in_cone(cones[apex_index - 1].tolist(), math.inf)
     if got is None:
         return []
-    action, mn = got
-    return [reeb.OrbitDatum(mn, out.vertex(apex_index), action, "vertex", apex_index)]
+    action, (m, n) = got
+    return [reeb._orbit(out, (action, 2, m, n, apex_index))]
 
 
 def strangulate(

@@ -29,11 +29,11 @@ from toricsys import (
 from toricsys import geometry, reeb
 from toricsys.experiments import random_monotone_profile, random_star_profile
 from toricsys.lattice import min_in_cone
-from toricsys.reeb import OrbitDatum, _base_candidates, _candidate_bounds
+from toricsys.reeb import OrbitDatum, _base_keys, _candidate_bounds, _orbit
 
 
 def _old_t_min_fast(p):
-    candidates = list(_base_candidates(p))
+    candidates = [_orbit(p, k) for k in _base_keys(p)]
     best = min(o.action for o in candidates)
 
     rows, _ = p.vertex_cones

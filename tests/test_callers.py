@@ -18,6 +18,7 @@ SRC = ROOT / "src" / "toricsys"
 
 # Names that only tests call, each with the reason it stays.
 ALLOWED = {
+    "closed_orbit_on_segment": "public API, exported by the package: one segment's orbit family",
     "random_star_profile": "the star-shaped corpus that the tests draw from",
     "shear_monodromy_check": "acceptance criterion 8 (tests/test_acceptance.py)",
 }

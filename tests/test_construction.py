@@ -20,6 +20,7 @@ must equal those recomputed from its vertices and tags, and its
 
 import math
 import random
+import re
 from typing import Optional
 
 import numpy as np
@@ -46,7 +47,7 @@ from toricsys.geometry import (
     cross,
     fc_c_min,
 )
-from toricsys.experiments import random_star_profile
+from toricsys.experiments import random_star_profile, run_corpus_bounds
 from toricsys.invariants import area, ruelle_quadrature
 
 NAN, INF = math.nan, math.inf
@@ -379,6 +380,40 @@ class TestFamilies:
             ParamOutOfRange, match=f"^{family} subdivision n = {n} is too large to allocate$"
         ):
             build(n)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: geometry.ellipsoid(1, 2, 2.5), "ellipsoid subdivision n must be an integer; got 2.5"),
+            (lambda: geometry.ball(2, 1.5), "ellipsoid subdivision n must be an integer; got 1.5"),
+            (lambda: geometry.fc_domain(2, 0.7, 8.5), "fc_domain subdivision n must be an integer; got 8.5"),
+            (
+                lambda: geometry.smooth_corners(geometry.polydisk(1, 2), 0.2, 2.5),
+                "arc_points must be an integer; got 2.5",
+            ),
+            (lambda: run_corpus_bounds(0, 2.5), "corpus size must be an integer; got 2.5"),
+            (
+                lambda: ruelle_quadrature(geometry.fc_domain(2, 0.7, 8), 2.5),
+                "quadrature points per segment must be an integer; got 2.5",
+            ),
+        ],
+        ids=["ellipsoid", "ball", "fc", "smooth_corners", "corpus", "quadrature"],
+    )
+    def test_fractional_count_is_a_typed_error(self, call, message):
+        """Each count once reached numpy or range() and raised an untyped
+        TypeError."""
+        with pytest.raises(ParamOutOfRange, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_counts_take_numpy_integers(self):
+        i = np.int64
+        assert_same(geometry.ellipsoid(1, 2, i(3)), geometry.ellipsoid(1, 2, 3))
+        assert_same(geometry.fc_domain(2, 0.7, i(8)), geometry.fc_domain(2, 0.7, 8))
+        p = geometry.polydisk(1, 2)
+        assert_same(geometry.smooth_corners(p, 0.2, i(4)), geometry.smooth_corners(p, 0.2, 4))
+        q = geometry.fc_domain(2, 0.7, 8)
+        assert ruelle_quadrature(q, i(5)) == ruelle_quadrature(q, 5)
+        assert run_corpus_bounds(0, i(2)) == run_corpus_bounds(0, 2)
 
     def test_ellipsoid_bad_parameters(self):
         for args in [(0, 1, 2), (1, -1, 2), (1, 1, 0), (math.inf, 1, 2), (math.nan, 1, 2)]:

@@ -35,7 +35,7 @@ from toricsys.geometry import cross, dot
 from toricsys import lattice
 from toricsys.lattice import CONE_TOL, enumerate_in_cone, min_in_cone
 from toricsys.cli import main
-from toricsys.reeb import _base_candidates, orbits_below
+from toricsys.reeb import _base_keys, orbits_below
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def _least(found):
 def _assert_descent_matches(p):
     """Run both descents over the profile's cones as ``t_min`` does, the
     incumbent falling with each cone's winner."""
-    best = min(o.action for o in _base_candidates(p))
+    best = min(_base_keys(p))[0]
     for cone in _vertex_cones(p):
         want = _old_min_in_cone_fast(cone, best)
         got, _ = min_in_cone(cone, best)
@@ -437,7 +437,7 @@ def test_a_failed_allocation_in_the_listing_pass_is_out_of_range(monkeypatch, ca
 def test_each_apex_cone_takes_few_steps():
     # The unit-step descent took about 10,000 steps on each of these.
     p = strangulate(ball(2), 1e-4).profile
-    best = min(o.action for o in _base_candidates(p))
+    best = min(_base_keys(p))[0]
     cones = _vertex_cones(p)
     assert len(cones) == 3
     for cone in cones:

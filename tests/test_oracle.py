@@ -49,7 +49,7 @@ from toricsys.errors import OracleCutoffInsufficient, ToricError
 from toricsys.experiments import random_monotone_profile, random_star_profile
 from toricsys.geometry import dot
 from toricsys.lattice import _in_cone, enumerate_in_cone
-from toricsys.reeb import OrbitDatum, _base_candidates
+from toricsys.reeb import OrbitDatum, _base_keys, _orbit
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +83,7 @@ def _old_cone_candidates_oracle(cone, n_max):
 
 
 def _old_t_min_oracle(p, n_oracle=200):
-    candidates = _base_candidates(p)
+    candidates = [_orbit(p, k) for k in _base_keys(p)]
     rows, corner = p.vertex_cones
     cones = [
         (vi, tuple(map(tuple, rows[vi - 1].tolist())))
@@ -390,7 +390,7 @@ def _old_least_small_action(cones: np.ndarray, max_norm: int) -> float:
 
 
 def _all_cones_t_min_oracle(p, n_oracle=200):
-    candidates = _base_candidates(p)
+    candidates = [_orbit(p, k) for k in _base_keys(p)]
     ceiling = min(o.action for o in candidates)
     cones, corner = p.vertex_cones
     vi, cones = corner.nonzero()[0] + 1, cones[corner]

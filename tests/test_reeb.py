@@ -13,16 +13,19 @@ from toricsys import (
     ball,
     closed_orbit_on_segment,
     ellipsoid,
+    flatten_near_intercept,
     from_vertices,
     orbits_at_vertex,
+    orbits_below,
     polydisk,
     reeb_angular_velocities,
     shear_monodromy_check,
     smooth_corners,
     t_min,
 )
-from toricsys import lattice, surgery
-from toricsys.experiments import random_star_profile
+from toricsys import lattice, reeb, surgery
+from toricsys.experiments import random_monotone_profile, random_star_profile
+from toricsys.reeb import OrbitDatum
 
 SQ2 = math.sqrt(2)
 
@@ -176,6 +179,16 @@ class TestTmin:
         ):
             t_min(ball(1), "guess")
 
+    @pytest.mark.parametrize("method", ["fast", "oracle"])
+    def test_a_segment_orbit_wins(self, method):
+        """(1, 1) acts 1.5 on segment 1 and at both its ends; the segment
+        ranks before the vertices, and the axis orbits act 2."""
+        p = from_vertices([(2, 0), (1, 0.5), (0.5, 1), (0, 2)])
+        action, w = t_min(p, method)
+        assert action == 1.5
+        assert w == OrbitDatum((1, 1), (0.75, 0.75), 1.5, "segment", 1)
+        assert reeb._orbit(p, w.sort_key()) == w
+
 
 class TestShear:
     def test_ball_unit_lower_triangular(self):
@@ -228,3 +241,47 @@ def test_enumerated_orbits_well_formed(seed):
                 assert corner[vi - 1]
                 (sx, sy), (ex, ey), _ = cones[vi - 1].tolist()
                 assert lattice._in_cone(sx, sy, ex, ey, *o.mn)
+
+
+# ---------------------------------------------------------------------------
+# One constructor: ``reeb._orbit`` rebuilds every orbit from its sort key
+
+
+def _assert_rebuilt(p, witnesses=()):
+    """Every orbit that t_min (fast, and the oracle where it certifies),
+    orbits_below, closed_orbit_on_segment and the surgery witnesses hand
+    out for p is the one ``_orbit`` builds from its sort key."""
+    action, best = t_min(p)
+    orbits = [best, *orbits_below(p, 1.5 * action), *witnesses]
+    try:
+        orbits.append(t_min(p, "oracle")[1])
+    except OracleCutoffInsufficient:
+        pass
+    orbits += [o for i in range(p.n_segments) if (o := closed_orbit_on_segment(p, i))]
+    for o in orbits:
+        assert reeb._orbit(p, o.sort_key()) == o
+
+
+DOMAINS = (ball(2), ball(2, 16), ellipsoid(1, 2.6), ellipsoid(1.3, 1.6, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_orbit_rebuilds_the_orbits_of_random_profiles(seed, star):
+    make = random_star_profile if star else random_monotone_profile
+    _assert_rebuilt(make(random.Random(seed)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(DOMAINS), st.floats(1, 1.5), st.floats(0.2, 1.35))
+def test_orbit_rebuilds_the_orbits_of_strangulated_domains(domain, log_eps, ray):
+    out = surgery.strangulate(domain, 10**-log_eps, ray)
+    assert len(out.new_orbit_witnesses) == 1
+    _assert_rebuilt(out.profile, out.new_orbit_witnesses)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(DOMAINS), st.sampled_from((0.2, 0.4)), st.floats(1, 1.5))
+def test_orbit_rebuilds_the_orbits_of_strained_domains(domain, flatten, log_eps):
+    out = surgery.strain(flatten_near_intercept(domain, flatten)[0], 10**-log_eps)
+    _assert_rebuilt(out.profile, out.new_orbit_witnesses[:5])

@@ -172,7 +172,7 @@ class TestRayHit:
 
 def old_cli_orbits(p, cutoff):
     """The orbit listing as the CLI's ``orbits`` command built it."""
-    orbits = [o for o in reeb._base_candidates(p) if o.action <= cutoff]
+    orbits = [reeb._orbit(p, k) for k in reeb._base_keys(p) if k[0] <= cutoff]
     for vi in range(1, len(p.vertices) - 1):
         orbits.extend(reeb.orbits_at_vertex(p, vi, cutoff))
     orbits.sort(key=reeb.OrbitDatum.sort_key)

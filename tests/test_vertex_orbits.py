@@ -42,7 +42,7 @@ def eager_orbits_at_vertex(p, vi, cutoff):
 
 
 def eager_orbits_below(p, cutoff):
-    orbits = [o for o in reeb._base_candidates(p) if o.action <= cutoff]
+    orbits = [reeb._orbit(p, k) for k in reeb._base_keys(p) if k[0] <= cutoff]
     for vi in range(1, len(p.vertices) - 1):
         orbits.extend(eager_orbits_at_vertex(p, vi, cutoff))
     return sorted(orbits, key=OrbitDatum.sort_key)
