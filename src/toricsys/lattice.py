@@ -46,6 +46,9 @@ from .errors import DegenerateDenominator, ParamOutOfRange, arange
 # Relative tolerance for cone membership of integer directions.
 CONE_TOL = 1e-9
 
+# A listing below a cutoff keeps every action <= cutoff * CUTOFF_SLACK.
+CUTOFF_SLACK = 1 + 1e-12
+
 # The axis vectors counterclockwise; each with the next bounds a quadrant
 # arc, where the descent starts.
 _AXES = ((1, 0), (0, 1), (-1, 0), (0, -1))
@@ -125,8 +128,7 @@ def min_in_cone(cone, incumbent: float) -> tuple[Optional[tuple[float, Vector]],
     steps = 0
     axis = []
     for m, n in _AXES:
-        tol = CONE_TOL * math.hypot(m, n)
-        axis.append(sx * n - sy * m >= -tol and m * ey - n * ex >= -tol)
+        axis.append(sx * n - sy * m >= -CONE_TOL and m * ey - n * ex >= -CONE_TOL)
     # Two arcs shorter than pi meet when one holds an endpoint of the
     # other; the quadrant arcs that meet the cone are descended from, the
     # last one first.
@@ -266,29 +268,31 @@ def min_in_cone(cone, incumbent: float) -> tuple[Optional[tuple[float, Vector]],
 def _run_end(cone, tol_s, tol_e, best, x0, x1, f0, f1, limit, outside, right, in_f) -> int:
     """The first node k >= 1 of a run (X + k*F, F) of ``min_in_cone``'s
     descent, X = (x0, x1) and F = (f0, f1), that breaks the run's pattern
-    (node 0 keeps it).  The guess ``limit`` >= 1 names it: the end is node
-    floor(limit) + 1 when that node breaks the pattern and the one before
-    keeps it, and galloping and bisection find it otherwise.
+    (node 0 keeps it).  One loop probes one node per pass, in two phases:
+
+    * the guess: when ``limit`` (>= 1) is below 2**53, the end is node
+      floor(limit) + 1 if that node breaks the pattern and the one
+      before keeps it;
+    * the search otherwise: a gallop over nodes 1, 2, 4, ... while they
+      keep the pattern, then a bisection between the last node that
+      keeps it and the first that breaks it.
 
     A node of an outside run keeps the pattern when it is not pruned at
     ``best`` and, of its two children, only the one toward F meets the
     cone: F is the node's right end when ``right``, and ``in_f`` says
     whether F is in the cone.  A node of an in-cone run keeps it while
-    its mediant X + (k+1)*F is in the cone.  Each probe writes out the
-    tests of ``min_in_cone``'s loop.
+    its mediant X + (k+1)*F is in the cone.  The probe writes out the
+    tests of ``min_in_cone``'s loop once, inline (as a local function it
+    made a run end about 1.5 times as slow).
     """
     (sx, sy), (ex, ey), (v0, v1) = cone
     ff = f0 * v0 + f1 * v1
-    # The stage of the search: 0 probes the node before the guess, 1 the
-    # guess, 2 node 1, 3 gallops (lo keeps the pattern, hi is probed)
-    # and 4 bisects between lo, which keeps it, and hi, which breaks it.
-    if limit < 2**53:
-        guess = math.floor(limit) + 1
-        k, stage = guess - 1, 0
-    else:
-        k, stage = 1, 2
-    lo = hi = 1
-    while True:
+    # guess is 0 when there is none or once it fails; lo keeps the pattern
+    # and hi breaks it (inf while the gallop has found no such node).
+    guess = math.floor(limit) + 1 if limit < 2**53 else 0
+    k = guess - 1 if guess else 1
+    lo, hi = 0, math.inf
+    while hi - lo > 1:
         # Does node k keep the pattern?
         nx, ny = x0 + (k + 1) * f0, x1 + (k + 1) * f1
         tol = CONE_TOL * math.hypot(nx, ny)
@@ -313,28 +317,20 @@ def _run_end(cone, tol_s, tol_e, best, x0, x1, f0, f1, limit, outside, right, in
                     (p0 * sy - p1 * sx >= -tol_s and sx * q1 - sy * q0 >= -tol_s)
                     or (p0 * ey - p1 * ex >= -tol_e and ex * q1 - ey * q0 >= -tol_e)
                 )
-        if stage == 0:
-            k, stage = (guess, 1) if keeps else (1, 2)
-        elif stage == 1:
-            if not keeps:
+        if guess:
+            if keeps and k < guess:
+                k = guess
+            elif not keeps and k == guess:
                 return guess
-            k, stage = 1, 2
-        elif stage == 2:
-            if not keeps:
-                return 1
-            lo, hi, k, stage = 1, 2, 2, 3
-        elif stage == 3 and keeps:
-            lo, hi = hi, 2 * hi
-            k = hi
-        else:
-            if keeps:
-                lo = k
             else:
-                hi = k
-            stage = 4
-            if hi - lo <= 1:
-                return hi
-            k = (lo + hi) // 2
+                guess, k = 0, 1
+            continue
+        if keeps:
+            lo = k
+        else:
+            hi = k
+        k = 2 * k if hi == math.inf else (lo + hi) // 2
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +372,12 @@ def _scan_plan(start, end, vertex, cutoff: float, n_max: Optional[int]) -> tuple
     The cone's lattice lines are s = s_lo, ..., s_lo + n_lines - 1 in its
     scan coordinate, n when ``scan`` is 1 and m otherwise.  ``row`` bounds
     the other coordinate i on each line: [i_lo, -i_hi], then the a_s, a_i
-    and b of six half-planes a_s*s + a_i*i >= b, six numbers each.  Slots
-    0-2 hold the half-planes with a_i > 0 and slots 3-5 those with
-    a_i < 0, there with a_i negated, so that ceil((b - a_s*s)/a_i) - 1
-    bounds i from below in the first three slots and -i from below in the
-    last three.  A slot that no half-plane fills bounds nothing
-    (a_s = 0, a_i = 1, b = -inf)."""
+    and b of six slots for half-planes a_s*s + a_i*i >= b, six numbers
+    each.  Half-plane j (the start side, the end side, the cutoff) takes
+    slot j when a_i > 0 and slot 3 + j when a_i < 0, and a_i is stored as
+    |a_i|, so that ceil((b - a_s*s)/a_i) - 1 bounds i from below in the
+    first three slots and -i from below in the last three.  A slot that
+    no half-plane fills bounds nothing (a_s = 0, a_i = 1, b = -inf)."""
     v0, v1 = vertex
     (sx, sy), (ex, ey) = start, end
     f_start, f_end = sx * v0 + sy * v1, ex * v0 + ey * v1
@@ -392,7 +388,6 @@ def _scan_plan(start, end, vertex, cutoff: float, n_max: Optional[int]) -> tuple
     # a_m*m + a_n*n >= b that every solution satisfies: the two cone sides
     # with their tolerance bounded over the box, and the cutoff.  A box
     # beyond the float range has too many lines to list.
-    limit = cutoff * (1 + 1e-12)
     try:
         box = [
             (math.floor(min(0.0, cs, ce)) - 1, math.ceil(max(0.0, cs, ce)) + 1)
@@ -406,23 +401,20 @@ def _scan_plan(start, end, vertex, cutoff: float, n_max: Optional[int]) -> tuple
         slack = 2 * CONE_TOL * (max(map(abs, box[0])) + max(map(abs, box[1])))
     except OverflowError:
         raise _too_many(cutoff, math.inf, "lattice lines") from None
-    planes = ((-sy, sx, -slack), (ey, -ex, -slack), (-v0, -v1, -limit))
+    planes = ((-sy, sx, -slack), (ey, -ex, -slack), (-v0, -v1, -cutoff * CUTOFF_SLACK))
 
     scan = 0 if box[0][1] - box[0][0] <= box[1][1] - box[1][0] else 1
     (s_lo, s_hi), (i_lo, i_hi) = box[scan], box[1 - scan]
     s_max = max(abs(s_lo), abs(s_hi))
     row = [i_lo, -i_hi] + [0.0] * 6 + [1.0] * 6 + [-math.inf] * 6
-    slot = [2, 5]
-    for plane in planes:
+    for j, plane in enumerate(planes):
         a_s, a_i, b = plane[scan], plane[1 - scan], plane[2]
         # A nearly parallel line bounds the scan coordinate, not the
         # other one; skipping it only widens the intervals.
         if abs(a_i) <= 1e-12 * (abs(b) + abs(a_s) * s_max):
             continue
-        upper = a_i < 0
-        j = slot[upper]
-        slot[upper] += 1
-        row[j], row[j + 6], row[j + 12] = a_s, -a_i if upper else a_i, b
+        k = j + (5 if a_i < 0 else 2)
+        row[k], row[k + 6], row[k + 12] = a_s, abs(a_i), b
     return s_lo, s_hi - s_lo + 1, scan, row
 
 
@@ -488,7 +480,7 @@ def enumerate_in_cone(
             sx, sy, ex, ey, v0, v1 = cones.reshape(k, 6)[cone].T
         action = m * v0 + n * v1
         keep = (np.gcd(m, n) == 1) & _in_cone(sx, sy, ex, ey, m, n)
-        keep &= action <= cutoff * (1 + 1e-12)
+        keep &= action <= cutoff * CUTOFF_SLACK
         m, n, action = m[keep], n[keep], action[keep]
         cone = np.zeros(len(m), dtype=np.intp) if k == 1 else cone[keep]
     except MemoryError:

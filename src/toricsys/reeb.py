@@ -22,7 +22,9 @@ from .errors import (
     DegenerateDenominator, OracleCutoffInsufficient, ParamOutOfRange, StepTooLarge, integer,
 )
 from .geometry import MomentProfile, Point, _read_only, dot, ray_hit
-from .lattice import CONE_TOL, clear_of_axes, enumerate_in_cone, min_in_cone, small_in_cones
+from .lattice import (
+    CONE_TOL, CUTOFF_SLACK, clear_of_axes, enumerate_in_cone, min_in_cone, small_in_cones,
+)
 
 # Where an orbit lives, in tie-break order.
 LOCATION_KINDS = ("axis", "segment", "vertex")
@@ -75,7 +77,7 @@ def closed_orbit_on_segment(p: MomentProfile, segment_index: int) -> Optional[Or
     The action m*w1 + n*w2 is constant along the segment; the midpoint is
     reported as base point.
     """
-    key = _segment_key(p, segment_index)
+    key = _segment_key(p, integer(segment_index, "segment index"))
     return None if key is None else _orbit(p, key)
 
 
@@ -178,6 +180,7 @@ def orbits_at_vertex(
     """
     if not math.isfinite(action_cutoff):
         raise ParamOutOfRange(f"action cutoff must be finite; got {action_cutoff}")
+    vertex_index = integer(vertex_index, "vertex index")
     if not 1 <= vertex_index < p.n_segments:
         raise IndexError("orbits_at_vertex is defined at interior vertices")
     cones, corner = p.vertex_cones
@@ -195,7 +198,7 @@ def orbits_at_vertex(
         m, n, action = m[order], n[order], action[order]
     elif (mn := p.primitive_normal(vertex_index - 1)) is not None:
         a = mn[0] * v[0] + mn[1] * v[1]
-        if not a > action_cutoff * (1 + 1e-12):
+        if not a > action_cutoff * CUTOFF_SLACK:
             m, n, action = np.array([mn[0]]), np.array([mn[1]]), np.array([a])
     return VertexOrbits(m, n, action, v, vertex_index)
 
@@ -307,7 +310,7 @@ def t_min(
     # more; |v| <= v1 + v2 at an interior vertex.  So the listed action of
     # d, of norm >= r + 1, is at least (r + 1)(u - slack) with slack =
     # 4 CONE_TOL (v1 + v2), and where (r + 1)(u - slack)(1 - CONE_TOL)
-    # exceeds the cutoff it is beyond the enumerator's cutoff * (1 + 1e-12).
+    # exceeds the cutoff it is beyond the enumerator's cutoff * CUTOFF_SLACK.
     slack = 4 * CONE_TOL * (cones[:, 2, 0] + cones[:, 2, 1])
     deep = ((r + 1) * (unit - slack) * (1 - CONE_TOL) <= cutoff).nonzero()[0]
     if deep.size:

@@ -49,6 +49,7 @@ from toricsys.geometry import (
 )
 from toricsys.experiments import random_star_profile, run_corpus_bounds
 from toricsys.invariants import area, ruelle_quadrature
+from toricsys.reeb import closed_orbit_on_segment, orbits_at_vertex
 
 NAN, INF = math.nan, math.inf
 # Coordinates for near-valid vertex lists.
@@ -396,12 +397,23 @@ class TestFamilies:
                 lambda: ruelle_quadrature(geometry.fc_domain(2, 0.7, 8), 2.5),
                 "quadrature points per segment must be an integer; got 2.5",
             ),
+            (
+                lambda: orbits_at_vertex(geometry.polydisk(1, 2), 1.5, 3),
+                "vertex index must be an integer; got 1.5",
+            ),
+            (
+                lambda: closed_orbit_on_segment(geometry.polydisk(1, 2), 0.5),
+                "segment index must be an integer; got 0.5",
+            ),
         ],
-        ids=["ellipsoid", "ball", "fc", "smooth_corners", "corpus", "quadrature"],
+        ids=[
+            "ellipsoid", "ball", "fc", "smooth_corners", "corpus", "quadrature",
+            "vertex_index", "segment_index",
+        ],
     )
     def test_fractional_count_is_a_typed_error(self, call, message):
-        """Each count once reached numpy or range() and raised an untyped
-        TypeError."""
+        """Each count or index once reached numpy or range() and raised an
+        untyped TypeError."""
         with pytest.raises(ParamOutOfRange, match=f"^{re.escape(message)}$"):
             call()
 
@@ -414,6 +426,8 @@ class TestFamilies:
         q = geometry.fc_domain(2, 0.7, 8)
         assert ruelle_quadrature(q, i(5)) == ruelle_quadrature(q, 5)
         assert run_corpus_bounds(0, i(2)) == run_corpus_bounds(0, 2)
+        assert orbits_at_vertex(p, i(1), 3) == orbits_at_vertex(p, 1, 3)
+        assert closed_orbit_on_segment(p, i(1)) == closed_orbit_on_segment(p, 1)
 
     def test_ellipsoid_bad_parameters(self):
         for args in [(0, 1, 2), (1, -1, 2), (1, 1, 0), (math.inf, 1, 2), (math.nan, 1, 2)]:

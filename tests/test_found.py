@@ -1,0 +1,207 @@
+"""The ledger of known defects: one test per defect, on its smallest
+known case.
+
+Each test asserts the correct behaviour, never today's output, and is
+marked ``xfail(strict=True, raises=...)`` with the roadmap item that
+fixes it as its reason.  The named exception is what the defect raises
+today, so a different failure fails the test instead of passing as the
+known one, and a fix that leaves the mark in place fails it too (strict
+xfail turns an unexpected pass into a failure).  A change that fixes a
+defect removes its mark.  ``python -m pytest -rxX tests/test_found.py``
+lists what is known to be broken.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from toricsys import (
+    AxisViolation,
+    ClippingBreaksStarShape,
+    NotStarShaped,
+    OracleCutoffInsufficient,
+    ball,
+    classify,
+    ellipsoid,
+    fc_domain,
+    flatten_near_intercept,
+    from_vertices,
+    orbits_below,
+    polydisk,
+    shear_monodromy_check,
+    smooth_corners,
+    strain,
+    strangulate,
+    t_min,
+)
+from toricsys.experiments import random_convex_monotone_profile
+from toricsys.reeb import LOCATION_KINDS
+
+
+def known(item: str, raises, what: str):
+    return pytest.mark.xfail(strict=True, raises=raises, reason=f"ROADMAP item {item}: {what}")
+
+
+# ---------------------------------------------------------------------------
+# Item 4: tags through every surgery
+
+
+@known("4", AssertionError, "strangulate drops the fc tags, so volume_delta breaks its C0 bound")
+def test_strangulated_fc_volume_is_within_its_bound():
+    out = strangulate(fc_domain(2, 0.7, 16), 1e-4)
+    assert abs(out.volume_delta) <= out.volume_delta_bound
+
+
+# ---------------------------------------------------------------------------
+# Item 2: exact predicates over the profile's rational coordinates
+
+
+@known("2", ClippingBreaksStarShape, "the 1e-9 * diameter star-shape tolerance rejects the notch")
+def test_strangulation_validates_at_eps_1e_5():
+    strangulate(ball(2), 1e-5)
+
+
+@known("2", AxisViolation, "the diameter-relative axis tolerance swallows the strain tip")
+def test_strain_validates_at_eps_1e_6():
+    strain(flatten_near_intercept(ball(2), 0.1)[0], 1e-6)
+
+
+@known("2", AxisViolation, "the diameter-relative axis tolerance rejects a long polydisk")
+def test_long_polydisk_validates():
+    polydisk(1, 1e9)
+
+
+@pytest.mark.parametrize(
+    "b",
+    [
+        pytest.param(b, marks=known("2", error, "fc-scan's last grid point fails validation"))
+        for b, error in ((2, NotStarShaped), (3, NotStarShaped), (4, AxisViolation))
+    ],
+)
+def test_fc_domain_validates_near_c_1(b):
+    fc_domain(b, 1 - 1e-6, 16)
+
+
+@known("2", NotStarShaped, "the first vertex's height falls below the tolerance for large n")
+def test_finely_sampled_fc_domain_validates():
+    fc_domain(2, 0.7, 10_000)
+
+
+@known("2", AssertionError, "primitive_normal is None on thirds, beyond RATIONAL_CAP")
+def test_collinear_ellipsoid_segments_all_carry_the_diagonal_orbit():
+    orbits = orbits_below(ellipsoid(1, 1, 3), 1.5)
+    segments = {o.location_index for o in orbits if o.mn == (1, 1) and o.location_kind == "segment"}
+    assert segments == {0, 1, 2}
+
+
+# ---------------------------------------------------------------------------
+# Item 3: a certified oracle
+
+
+@known("3", OracleCutoffInsufficient, "the cutoff-200 oracle cannot certify a thin notch")
+def test_oracle_certifies_strangulated_ball():
+    action, _ = t_min(strangulate(ball(2), 1e-3).profile, "oracle")
+    assert action > 0
+
+
+# ---------------------------------------------------------------------------
+# Item 1: 4-D convexity on the true boundary
+
+# A monotone polygon with ru * sqrt(sys) = 3.0682 > 3 that classify calls
+# convex.  Every normal turn is negative, so every corner is reflex in
+# the real section: X is not convex.
+PRODUCT_3_068 = [
+    (1.0773927439993425, 0),
+    (0.8057920839543332, 0.043382538824635),
+    (0.2809169402199684, 0.5682662647115556),
+    (0.22811786454930028, 0.6859497783187344),
+    (0.1652655518351399, 0.8630020687746662),
+    (0.0909433534756722, 1.1613361360283363),
+    (0.04162862851818165, 1.4770482793249473),
+    (0.009597576322150784, 1.8631431089979131),
+    (0, 2.2594214047073446),
+]
+
+
+@known("1", AssertionError, "convex_4d checks the sqrt chord chain, not the true boundary")
+def test_polygon_with_product_above_3_is_not_convex():
+    assert not classify(from_vertices(PRODUCT_3_068)).convex_4d
+
+
+@known("1", AssertionError, "collinear subdivision changes the sqrt chord chain")
+def test_collinear_subdivision_keeps_convexity():
+    p = random_convex_monotone_profile(random.Random(7))
+    thirds = [
+        (x0 + k * (x1 - x0) / 3, y0 + k * (y1 - y0) / 3)
+        for (x0, y0), (x1, y1) in zip(p.vertices, p.vertices[1:])
+        for k in range(3)
+    ]
+    finer = from_vertices(thirds + [p.vertices[-1]])
+    assert classify(finer).convex_4d == classify(p).convex_4d
+
+
+# ---------------------------------------------------------------------------
+# Item 9: Reeb dynamics on curves
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        pytest.param(pt, marks=known("9", AssertionError, "the shear check reads the chord normal"))
+        for pt in ((0.93, 0.88), (0.97, 0.8))
+    ],
+)
+def test_shear_on_a_rounded_corner_is_nonzero(point):
+    p = smooth_corners(polydisk(1, 1), 0.2)
+    assert shear_monodromy_check(p, point, 1.0).shear_over_t != 0
+
+
+# ---------------------------------------------------------------------------
+# Item 12: one exact cone search
+
+
+def _cross(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _exact_least_orbit(p, box: int) -> tuple:
+    """The least sort key (action, rank, m, n, index) of every primitive
+    closed orbit with max(|m|, |n|) <= box, the float vertices taken as
+    exact rationals: the two axis orbits, a segment's when (m, n) points
+    along its exact outward normal, and a vertex's when (m, n) lies in
+    the closed arc of outward normals between its two segments' (the
+    shorter way round, so a reflex vertex's too) with positive action."""
+    v = [(Fraction(x), Fraction(y)) for x, y in p.vertices]
+    normals = [(y1 - y0, x0 - x1) for (x0, y0), (x1, y1) in zip(v, v[1:])]
+    keys = [(v[0][0], 0, 1, 0, 0), (v[-1][1], 0, 0, 1, 1)]
+    for m in range(-box, box + 1):
+        for n in range(-box, box + 1):
+            if math.gcd(m, n) != 1:
+                continue
+            for i, nu in enumerate(normals):
+                if _cross(nu, (m, n)) == 0 and nu[0] * m + nu[1] * n > 0:
+                    (x0, y0), (x1, y1) = v[i], v[i + 1]
+                    keys.append((m * (x0 + x1) / 2 + n * (y0 + y1) / 2, 1, m, n, i))
+            for i in range(1, len(v) - 1):
+                start, end = normals[i - 1], normals[i]
+                if _cross(start, end) < 0:
+                    start, end = end, start
+                action = m * v[i][0] + n * v[i][1]
+                if _cross(start, (m, n)) >= 0 and _cross((m, n), end) >= 0 and action > 0:
+                    keys.append((action, 2, m, n, i))
+    return min(keys)
+
+
+@known("12", AssertionError, "the float cone test admits (-4, 5) outside vertex 1's exact cone")
+def test_t_min_is_the_exact_least_orbit():
+    # Below action 0.2 the only candidates are the (-k, k + 1) with
+    # |k| <= 5, at the notch's apex or along its sides, so the box
+    # max(|m|, |n|) <= 8 holds the least orbit.
+    p = strangulate(ball(2), 0.1).profile
+    action, orbit = t_min(p)
+    exact, rank, m, n, i = _exact_least_orbit(p, 8)
+    where = (orbit.mn, orbit.location_kind, orbit.location_index)
+    assert where == ((m, n), LOCATION_KINDS[rank], i)
+    assert math.isclose(action, exact, rel_tol=1e-15)

@@ -264,6 +264,40 @@ def test_descent_and_enumeration_match_on_strain_tips(eps):
     assert len(got) == round(2 / eps) + 1
 
 
+def test_run_end_does_not_depend_on_its_guess(monkeypatch):
+    """The guess only saves probes: ``_run_end`` finds the same run end by
+    galloping and bisection from any other guess, on every run that the
+    descent hands it over the corner cones of strangulated and strained
+    balls and of random star profiles, with and without an incumbent."""
+    profiles = [
+        strangulate(ball(2), eps, ray).profile
+        for ray in (0.3, math.pi / 4, 1.2)
+        for eps in APEX_EPS
+    ]
+    profiles += [_strained(eps) for eps in (1e-2, 1e-3, 1e-4)]
+    profiles += [random_star_profile(random.Random(seed)) for seed in range(200)]
+    runs = []
+    run_end = lattice._run_end
+
+    def record(*args):
+        runs.append(args)
+        return run_end(*args)
+
+    monkeypatch.setattr(lattice, "_run_end", record)
+    for p in profiles:
+        for cone in _vertex_cones(p):
+            for incumbent in (math.inf, min(_base_keys(p))[0]):
+                min_in_cone(cone, incumbent)
+    assert len(runs) > 1000
+    for args in runs:
+        *head, limit, outside, right, in_f = args
+        want = run_end(*args)
+        for other in (
+            1.0, 1.5, 2.0**53, limit + 1, 2 * limit + 3, max(1, limit / 2), max(1, limit - 1)
+        ):
+            assert run_end(*head, other, outside, right, in_f) == want, (args, other)
+
+
 def _near_rational_cone(rng):
     """A cone with one boundary ray within 1e-6..1e-2 rad of a small
     integer direction (long continued-fraction runs), and a vertex whose
