@@ -429,9 +429,12 @@ class MomentProfile:
         """The primitive integer vector parallel to the outward normal of
         segment i, rebuilt from the shortest round-trip decimals of its
         two vertices' coordinates, or None beyond RATIONAL_CAP; computed
-        once per segment, when first asked for."""
+        once per segment, when first asked for.  Defined at segments 0 to
+        n_segments - 1 (IndexError elsewhere, and nothing is memoized)."""
         memo = self._primitive_normals
         if i not in memo:
+            if not 0 <= i < self.n_segments:
+                raise IndexError("primitive_normal is defined at segments 0 to n_segments - 1")
             (x0, y0), (x1, y1) = self.segment(i)
             memo[i] = _primitive_normal(
                 (_decimal_ratio(x0), _decimal_ratio(y0)), (_decimal_ratio(x1), _decimal_ratio(y1))

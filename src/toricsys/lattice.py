@@ -22,9 +22,11 @@ in the descent) and the two searches over those vectors:
   across each cone's bounding box, the lines and points of all cones in
   one numpy pass and in memory proportional to the output.  The orbit
   list of a vertex passes a batch of one; the brute-force T_min oracle
-  lists the vectors of max norm <= 2 in every corner cone itself
-  (``small_in_cones``) and passes, as one batch, only the corner cones
-  that can hold a larger vector below its cutoff.
+  lists the vectors of max norm <= SMALL_MAX_NORM (4) in every corner
+  cone itself (``small_in_cones``) and passes, as one batch, only the
+  corner cones that can hold a larger vector below its cutoff: those of
+  a tiny least unit-normal action, such as strangulation notches and
+  strain tips.
 
 The descent serves fast T_min and strangulation's witness (the apex
 cone's least action, searched only when the witness is read); the
@@ -337,24 +339,31 @@ def _run_end(cone, tol_s, tol_e, best, x0, x1, f0, f1, limit, outside, right, in
 # Enumeration below a cutoff
 
 
-# The primitive vectors of max norm <= 1 and <= 2, as (m, n) columns.
+# The largest max norm that ``small_in_cones`` lists, the T_min oracle's
+# listing radius: its 48 vectors leave to the enumerator only the cones
+# whose least unit-normal action is small beside the oracle's cut.  Of
+# radii 2 to 6, 4 timed fastest on the certify benchmark's profiles.
+SMALL_MAX_NORM = 4
+
+# The primitive vectors of max norm <= r, for r = 1 to SMALL_MAX_NORM (8,
+# 16, 32 and 48 of them), as (m, n) columns.
 _SMALL_VECTORS = {
     r: np.array(
         [(m, n) for m in range(-r, r + 1) for n in range(-r, r + 1) if math.gcd(m, n) == 1]
     ).T
-    for r in (1, 2)
+    for r in range(1, SMALL_MAX_NORM + 1)
 }
 
 
 def small_in_cones(cones: np.ndarray, max_norm: int) -> tuple:
-    """Every primitive vector of max norm <= max_norm (1 or 2) that
-    ``_in_cone`` puts in one of the cones (rows (start, end, vertex) of a
-    (k, 3, 2) array) with positive action m*v1 + n*v2, as arrays cone
-    (the cone's row), m, n and action, in the layout of
-    ``enumerate_in_cone``: one broadcast over the cones and at most 16
-    vectors.  Such a vector lies in its cone's box at every cutoff from
-    its action up, so ``enumerate_in_cone`` lists it there, with the same
-    action, when n_max >= max_norm."""
+    """Every primitive vector of max norm <= max_norm (1 to
+    SMALL_MAX_NORM) that ``_in_cone`` puts in one of the cones (rows
+    (start, end, vertex) of a (k, 3, 2) array) with positive action
+    m*v1 + n*v2, as arrays cone (the cone's row), m, n and action, in the
+    layout of ``enumerate_in_cone``: one broadcast over the cones and at
+    most 48 vectors.  Such a vector lies in its cone's box at every cutoff
+    from its action up, so ``enumerate_in_cone`` lists it there, with the
+    same action, when n_max >= max_norm."""
     m, n = _SMALL_VECTORS[max_norm]
     (sx, sy), (ex, ey), (v0, v1) = cones.transpose(1, 2, 0)[..., None]
     action = m * v0 + n * v1

@@ -23,7 +23,8 @@ from .errors import (
 )
 from .geometry import MomentProfile, Point, _read_only, dot, ray_hit
 from .lattice import (
-    CONE_TOL, CUTOFF_SLACK, clear_of_axes, enumerate_in_cone, min_in_cone, small_in_cones,
+    CONE_TOL, CUTOFF_SLACK, SMALL_MAX_NORM, clear_of_axes, enumerate_in_cone, min_in_cone,
+    small_in_cones,
 )
 
 # Where an orbit lives, in tie-break order.
@@ -75,7 +76,8 @@ def closed_orbit_on_segment(p: MomentProfile, segment_index: int) -> Optional[Or
     """The primitive closed orbit family over a rational-normal segment.
 
     The action m*w1 + n*w2 is constant along the segment; the midpoint is
-    reported as base point.
+    reported as base point.  IndexError for an index outside 0 to
+    n_segments - 1 (``MomentProfile.primitive_normal``).
     """
     key = _segment_key(p, integer(segment_index, "segment index"))
     return None if key is None else _orbit(p, key)
@@ -263,8 +265,9 @@ def t_min(
     ``oracle`` brute-forces all primitive integer vectors with max-norm
     <= n_oracle (an integer >= 1) over the table's corner cones and raises
     OracleCutoffInsufficient when larger vectors could still win.  It
-    lists the vectors of max norm <= r = min(2, n_oracle) in every corner
-    cone itself, in one broadcast (``lattice.small_in_cones``), and cuts
+    lists the vectors of max norm <= r = min(4, n_oracle) (4 is
+    ``lattice.SMALL_MAX_NORM``) in every corner cone itself, in one
+    broadcast of at most 48 vectors (``lattice.small_in_cones``), and cuts
     actions at min(ceiling, seed).  The ceiling is the least axis or
     segment action, which T_min cannot exceed; the seed is the least
     action of that listing, so the cut drops only vectors that cannot
@@ -273,13 +276,14 @@ def t_min(
     at least (r + 1) times the least unit-normal action u at its cone's
     vertex, less a slack for the membership tolerance and rounding: a
     cone where that exceeds the cut holds no such vector below it.  Only
-    the other corner cones go to ``lattice.enumerate_in_cone``, as one
-    batch with the box clipped to the max-norm bound, and none when no
-    cone qualifies.  Listed rows of action <= 0 are dropped, and one
-    lexsort of both listings then picks the least action, then the least
-    (m, n), then the least vertex, whose key joins the axis and segment
-    keys for one ``min``.  The oracle shares no search with
-    ``min_in_cone``, the descent it checks.
+    the other corner cones, those whose u is below about cut / (r + 1)
+    (at r = 4 strangulation notches and strain tips), go to
+    ``lattice.enumerate_in_cone``, as one batch with the box clipped to
+    the max-norm bound, and none when no cone qualifies.  Listed rows of
+    action <= 0 are dropped, and one lexsort of both listings then picks
+    the least action, then the least (m, n), then the least vertex, whose
+    key joins the axis and segment keys for one ``min``.  The oracle
+    shares no search with ``min_in_cone``, the descent it checks.
 
     Any other ``method`` raises ParamOutOfRange.
     """
@@ -294,7 +298,7 @@ def t_min(
     ceiling = min(keys)[0]
     cones, corner = p.vertex_cones
     vi, cones = corner.nonzero()[0] + 1, cones[corner]
-    r = min(2, n_oracle)
+    r = min(SMALL_MAX_NORM, n_oracle)
     cone, m, n, action = small_in_cones(cones, r)
     cutoff = min(ceiling, float(action.min(initial=math.inf)))
     # The least unit-normal action u of each cone: over a cone arc shorter
@@ -311,6 +315,8 @@ def t_min(
     # d, of norm >= r + 1, is at least (r + 1)(u - slack) with slack =
     # 4 CONE_TOL (v1 + v2), and where (r + 1)(u - slack)(1 - CONE_TOL)
     # exceeds the cutoff it is beyond the enumerator's cutoff * CUTOFF_SLACK.
+    # At r = 4 (n_oracle >= 4) that leaves only cones with u below about
+    # cutoff / 5.
     slack = 4 * CONE_TOL * (cones[:, 2, 0] + cones[:, 2, 1])
     deep = ((r + 1) * (unit - slack) * (1 - CONE_TOL) <= cutoff).nonzero()[0]
     if deep.size:

@@ -429,6 +429,23 @@ class TestFamilies:
         assert orbits_at_vertex(p, i(1), 3) == orbits_at_vertex(p, 1, 3)
         assert closed_orbit_on_segment(p, i(1)) == closed_orbit_on_segment(p, 1)
 
+    @pytest.mark.parametrize(
+        "index", [-1, 2, np.int64(-1)], ids=["minus_one", "n_segments", "numpy_minus_one"]
+    )
+    @pytest.mark.parametrize(
+        "call", [closed_orbit_on_segment, geometry.MomentProfile.primitive_normal]
+    )
+    def test_segment_index_out_of_range(self, call, index):
+        """polydisk(1, 2) has segments 0 and 1.  Index -1 once wrapped to
+        the chord from (0, 2) back to (1, 0), an orbit of action -2.0
+        memoized under -1, and index 2 raised numpy's own IndexError."""
+        p = geometry.polydisk(1, 2)
+        assert p.n_segments == 2
+        message = "primitive_normal is defined at segments 0 to n_segments - 1"
+        with pytest.raises(IndexError, match=f"^{message}$"):
+            call(p, index)
+        assert p._primitive_normals == {}
+
     def test_ellipsoid_bad_parameters(self):
         for args in [(0, 1, 2), (1, -1, 2), (1, 1, 0), (math.inf, 1, 2), (math.nan, 1, 2)]:
             assert_same(outcome(geometry.ellipsoid, *args), outcome(ellipsoid, *args))

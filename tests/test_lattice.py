@@ -431,6 +431,42 @@ def test_batch_lists_what_each_cone_lists(seed, k, scale, n_max):
     assert got == _per_cone(cones, cutoff, n_max)
 
 
+def _rows(cone, m, n, action):
+    return set(zip(cone.tolist(), m.tolist(), n.tolist(), action.tolist()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(("star", "monotone", "strangulated")),
+    st.floats(1, 3),
+    st.floats(0.2, 1.35),
+)
+def test_small_vectors_are_what_the_enumerator_lists(seed, kind, log_eps, ray):
+    """The T_min oracle prunes a cone on the promise that its small-vector
+    listing holds every vector of max norm <= r with positive action.  For
+    every r, ``small_in_cones`` lists, row for row, what the enumerator
+    clipped to max norm r lists with positive action at the largest listed
+    action (at a cutoff above every such action when nothing is listed)."""
+    if kind == "strangulated":
+        p = strangulate(ball(2), 10**-log_eps, ray).profile
+    else:
+        make = random_star_profile if kind == "star" else random_monotone_profile
+        p = make(random.Random(seed))
+    cones, corner = p.vertex_cones
+    cones = cones[corner]
+    for r in range(1, lattice.SMALL_MAX_NORM + 1):
+        small = lattice.small_in_cones(cones, r)
+        assert (small[3] > 0).all()
+        if small[3].size:
+            cutoff = float(small[3].max())
+        else:
+            cutoff = r * float(np.abs(cones[:, 2]).sum(axis=1).max(initial=1))
+        cone, m, n, action = enumerate_in_cone(cones, cutoff, r)
+        keep = action > 0
+        assert _rows(*small) == _rows(cone[keep], m[keep], n[keep], action[keep])
+
+
 def test_empty_batch_lists_nothing():
     # A profile without corners has an empty corner batch.
     cones, corner = ellipsoid(1, 2, 4).vertex_cones

@@ -423,7 +423,9 @@ def _all_cones_t_min_oracle(p, n_oracle=200):
 # ---------------------------------------------------------------------------
 # Only the cones that can hold a vector beyond the small-vector listing
 
-N_ORACLE = (1, 2, 3, 7, 200)
+# The oracle lists the vectors of max norm <= r = min(4, n_oracle) itself:
+# r = n_oracle below 4, and r = 4 from there on.
+N_ORACLE = (1, 2, 3, 4, 5, 7, 200)
 
 
 def _result(oracle, p, n_oracle):
@@ -484,11 +486,45 @@ def test_pruned_oracle_on_strained_domains(domain, flatten, log_eps, n_oracle):
     [(50, 5, 0.3122772078282362), (178, 2, 0.5683180213370486)],
 )
 def test_pruned_oracle_keeps_a_cone_where_a_max_norm_3_vector_wins(seed, vertex, action, n_oracle):
-    """On these star profiles (-3, 1), of norm sqrt(10) < 4, beats every
-    listed small vector at 1.20 and 1.06 times the bound 3u of its cone:
-    a prune by 4u would drop that cone and return a larger action."""
+    """On these star profiles (-3, 1), of norm sqrt(10) < 4, wins at 1.20
+    and 1.06 times the bound 3u of its cone.  When the oracle listed only
+    max norm <= 2, that cone was enumerated, and a prune by 4u would have
+    dropped it.  (-3, 1) is now listed (max norm <= 3 at n_oracle = 3,
+    <= 4 above) rather than pruned, so this checks the listing."""
     got = _same_as_all_cones(random_star_profile(random.Random(seed)), n_oracle)
     assert (got[0], got[1].mn, got[1].location_index) == (action, (-3, 1), vertex)
+
+
+# (-5, 2) wins at the reflex vertex (2, 5.5) of this profile: its cone,
+# from the normal of (2, 5.5) -> (0, 1.02) at 155.9 degrees to that of
+# (5.7, 14.8) -> (2, 5.5), (-93, 37) at 158.3 degrees, holds no vector of
+# max norm <= 4.  See the test below for how it was built.
+MAX_NORM_5_WINNER = [(1.02, 0.0), (5.7, 14.8), (2.0, 5.5), (0.0, 1.02)]
+
+
+@pytest.mark.parametrize("n_oracle", (5, 7, 200))
+def test_pruned_oracle_keeps_a_cone_where_a_max_norm_5_vector_wins(n_oracle):
+    """(-5, 2), of max norm 5, wins at action 1.0 in a cone with u =
+    0.17484: 5u = 0.874 <= cut 1.02 < 6u = 1.049, so the cone is
+    enumerated, and a prune by (r + 2)u = 6u would drop it and return the
+    axis action 1.02.
+
+    Random star and monotone profiles (seeds 0-2,999 each) give no such
+    case: an (r + 2)u prune changes none of their results.  So it is
+    built by hand.  A winning (-5, 2) cannot sit at a convex vertex: its
+    action rises to 2b at (0, b), above T_min <= b, so past a local
+    maximum the boundary would reach a cheaper local minimum.  So the
+    vertex V is reflex, and V is placed where (-2, 1) acts above (-5, 2),
+    2.5 V1 < V2 < 3 V1: V = (2, 5.5), action 1.  V joins (0, 1.02)
+    directly, and (5.7, 14.8) before it lies along (0.37, 0.93), so that
+    the incoming normal (-93, 37) stays within 0.11 degree of (-5, 2)
+    (unit action 0.1748 > cut / 6).  The small vectors, all at that
+    convex corner, act at 3.4 or more, so the cut is the axis action."""
+    p = from_vertices(MAX_NORM_5_WINNER)
+    assert [t < 0 for t in p.normal_turns] == [False, True]
+    action, witness = _same_as_all_cones(p, n_oracle)
+    assert (action, witness) == t_min(p)
+    assert (action, witness.mn, witness.location_index) == (1.0, (-5, 2), 2)
 
 
 @pytest.mark.parametrize("n_oracle", N_ORACLE)
@@ -519,12 +555,19 @@ def _enumerated(p, monkeypatch):
     "p, batches",
     [
         (ball(2), []),  # no corner at all
-        (polydisk(1, 2), []),  # the cut is the (1, 0) axis action 1 < 3 * 1
+        (polydisk(1, 2), []),  # the cut is the (1, 0) axis action 1 < 5 * 1
         (smooth_corners(polydisk(1, 2), 0.2), []),  # 17 corners, all pruned
         (strangulate(ball(2), 0.1).profile, [3]),  # the notch: u is about eps
         (strain(flatten_near_intercept(ball(2, 16), 0.4)[0], 0.05).profile, [1]),
+        # No corner of these has 5u below the cut; a listing of max norm 2
+        # left 2 and 1 cones to enumerate.
+        (random_star_profile(random.Random(0)), []),
+        (random_star_profile(random.Random(1)), []),
     ],
-    ids=["ball", "polydisk", "smoothed_polydisk", "strangulated_ball", "strained_ball"],
+    ids=[
+        "ball", "polydisk", "smoothed_polydisk", "strangulated_ball", "strained_ball", "star_0",
+        "star_1",
+    ],
 )
 def test_only_cones_that_can_beat_the_listing_are_enumerated(p, batches, monkeypatch):
     assert _enumerated(p, monkeypatch) == batches
