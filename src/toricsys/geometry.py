@@ -429,13 +429,12 @@ class MomentProfile:
         """The primitive integer vector parallel to the outward normal of
         segment i, rebuilt from the shortest round-trip decimals of its
         two vertices' coordinates, or None beyond RATIONAL_CAP; computed
-        once per segment, when first asked for.  Defined at segments 0 to
-        n_segments - 1 (IndexError elsewhere, and nothing is memoized)."""
+        once per segment, when first asked for.  The index is checked as
+        ``segment`` checks it, and nothing is memoized for a bad one."""
         memo = self._primitive_normals
+        i = self._segment_index(i)
         if i not in memo:
-            if not 0 <= i < self.n_segments:
-                raise IndexError("primitive_normal is defined at segments 0 to n_segments - 1")
-            (x0, y0), (x1, y1) = self.segment(i)
+            (x0, y0), (x1, y1) = self.vertex(i), self.vertex(i + 1)
             memo[i] = _primitive_normal(
                 (_decimal_ratio(x0), _decimal_ratio(y0)), (_decimal_ratio(x1), _decimal_ratio(y1))
             )
@@ -477,12 +476,25 @@ class MomentProfile:
         """Vertex i as a float pair (a row of ``xy``)."""
         return self.xy.item(i, 0), self.xy.item(i, 1)
 
+    def _segment_index(self, i) -> int:
+        """i read through ``errors.integer`` (a plain int skips the call),
+        which raises ParamOutOfRange for a non-integer; IndexError outside
+        0 to n_segments - 1."""
+        if type(i) is not int:
+            i = integer(i, "segment index")
+        if not 0 <= i < len(self.xy) - 1:
+            raise IndexError("segments are indexed 0 to n_segments - 1")
+        return i
+
     def segment(self, i: int) -> tuple[Point, Point]:
+        """The end vertices of segment i (see ``_segment_index``)."""
+        i = self._segment_index(i)
         return self.vertex(i), self.vertex(i + 1)
 
     def segment_normal(self, i: int) -> Point:
-        """Unit outward normal of segment i (a row of ``normals``)."""
-        return tuple(self.normals[i].tolist())
+        """Unit outward normal of segment i (a row of ``normals``; see
+        ``_segment_index``)."""
+        return tuple(self.normals[self._segment_index(i)].tolist())
 
     def scaled(self, s: float) -> "MomentProfile":
         """All vertex coordinates (and tag curves) multiplied by s > 0."""

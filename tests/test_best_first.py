@@ -1,11 +1,9 @@
-"""The best-first ``t_min`` against the per-cone loop it replaced.
+"""The best-first ``t_min`` against the exact reference (``exact.py``).
 
-``_old_t_min_fast`` is a verbatim copy (renamed only, with the oracle
-branch dropped, and the removed ``NormalCone`` dataclass ported to cone
-rows (start, end, vertex)) of the fast path that evaluated every
-segment orbit and searched every vertex cone in path order.  The best-first pass must give
-the same ``(action, OrbitDatum)``, compared with ``==``.  The bounds it
-skips candidates by must be lower bounds, and it must skip most of them.
+On every profile below, ``t_min``'s result must keep the least-orbit
+contract of ``exact.check_orbit`` over every closed orbit of the
+profile.  The bounds it skips candidates by must be lower bounds, and it
+must skip most of them.
 """
 
 import math
@@ -29,29 +27,9 @@ from toricsys import (
 from toricsys import geometry, reeb
 from toricsys.experiments import random_monotone_profile, random_star_profile
 from toricsys.lattice import min_in_cone
-from toricsys.reeb import OrbitDatum, _base_keys, _candidate_bounds, _orbit
+from toricsys.reeb import _candidate_bounds
 
-
-def _old_t_min_fast(p):
-    candidates = [_orbit(p, k) for k in _base_keys(p)]
-    best = min(o.action for o in candidates)
-
-    rows, _ = p.vertex_cones
-    cones = [
-        (vi, tuple(map(tuple, rows[vi - 1].tolist())))
-        for vi, turn in enumerate(p.normal_turns, start=1)
-        if abs(turn) > 1e-12
-    ]
-
-    for vi, cone in cones:
-        got, _ = min_in_cone(cone, best)
-        if got is not None:
-            action, mn = got
-            candidates.append(OrbitDatum(mn, cone[2], action, "vertex", vi))
-            best = min(best, action)
-
-    winner = min(candidates, key=OrbitDatum.sort_key)
-    return winner.action, winner
+import exact
 
 
 RAYS = (math.pi / 4, 0.4, 1.2)
@@ -81,22 +59,22 @@ NAMED = {**STRANGULATED, **STRAINED, **DENSE}
 
 @pytest.mark.parametrize("build", NAMED.values(), ids=NAMED.keys())
 def test_matches_per_cone_loop_on_named_profiles(build):
-    # Fresh profiles for each side, so that neither reads the other's memo.
-    assert t_min(build()) == _old_t_min_fast(build())
+    p = build()
+    exact.check_orbit(p, *t_min(p))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**9))
 def test_matches_per_cone_loop_on_star_profiles(seed):
     p = random_star_profile(random.Random(seed))
-    assert t_min(p) == _old_t_min_fast(p)
+    exact.check_orbit(p, *t_min(p))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**9))
 def test_matches_per_cone_loop_on_monotone_profiles(seed):
     p = random_monotone_profile(random.Random(seed))
-    assert t_min(p) == _old_t_min_fast(p)
+    exact.check_orbit(p, *t_min(p))
 
 
 def _assert_bounds_hold(p) -> int:
@@ -158,4 +136,4 @@ def test_ties_are_broken_by_sort_key():
     p = ellipsoid(1, 1, 7)
     action, w = t_min(p)
     assert (action, w.mn, w.location_kind, w.location_index) == (1.0, (0, 1), "axis", 1)
-    assert t_min(p) == _old_t_min_fast(p)
+    exact.check_orbit(p, action, w)

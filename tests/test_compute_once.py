@@ -1,19 +1,17 @@
 """Per-profile derived geometry, the vectorised quadratures, and what
 is computed once or only when read.
 
-The scalar functions below are the plain per-node loops that `area`,
-`ruelle_quadrature` and `MomentProfile.primitive_normal` replace, with
-each tag's curve written out in `math` (`ref_point_deriv`); the library
-must agree with them to 1e-12 relative (summation order differs) and
-exactly for the integer normals.
+The scalar functions below are the plain per-node loops that `area` and
+`ruelle_quadrature` replace, with each tag's curve written out in `math`
+(`ref_point_deriv`); the library must agree with them to 1e-12 relative
+(summation order differs).  `MomentProfile.primitive_normal` must equal
+the exact decimal reading of `exact.decimal_normal`.
 """
 
 import math
 import pickle
 import random
 from collections import Counter
-from decimal import Decimal
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -42,17 +40,15 @@ from toricsys.experiments import (
     run_sweep,
 )
 from toricsys.surgery import flatten_near_intercept, strain, strangulate
-from toricsys.geometry import RATIONAL_CAP, TOL_REL, _gl_nodes
+from toricsys.geometry import TOL_REL, _gl_nodes
 from toricsys.invariants import GL_ORDER, area, gromov_width_monotone, ruelle_quadrature
+
+import exact
 
 
 def _nodes(order):
     x, w = np.polynomial.legendre.leggauss(order)
     return [float(t) for t in (x + 1) / 2], [float(v) for v in w / 2]
-
-
-def _cross(u, v):
-    return u[0] * v[1] - u[1] * v[0]
 
 
 def ref_point_deriv(tag, t):
@@ -80,10 +76,10 @@ def ref_area(p, order=GL_ORDER):
         tag = p.tag(i)
         if tag is None:
             a, b = p.segment(i)
-            total += 0.5 * _cross(a, b)
+            total += 0.5 * exact.cross(a, b)
         else:
             for t, w in zip(nodes, weights):
-                total += w * 0.5 * _cross(*ref_point_deriv(tag, t))
+                total += w * 0.5 * exact.cross(*ref_point_deriv(tag, t))
     return total
 
 
@@ -105,28 +101,8 @@ def ref_ruelle(p, order=GL_ORDER):
             denom = nu[0] * pt[0] + nu[1] * pt[1]
             if denom <= tol:
                 raise DegenerateDenominator(f"nu.w = {denom} on segment {i}")
-            total += w * (nu[0] + nu[1]) / denom * _cross(pt, dv)
+            total += w * (nu[0] + nu[1]) / denom * exact.cross(pt, dv)
     return total
-
-
-def _fraction(x):
-    return Fraction(Decimal(repr(x)))
-
-
-def ref_primitive_normal(p, i):
-    (x0, y0), (x1, y1) = p.segment(i)
-    n1 = _fraction(y1) - _fraction(y0)
-    n2 = _fraction(x0) - _fraction(x1)
-    if n1 == 0 and n2 == 0:
-        return None
-    lcm = math.lcm(n1.denominator, n2.denominator)
-    a1 = n1.numerator * (lcm // n1.denominator)
-    a2 = n2.numerator * (lcm // n2.denominator)
-    g = math.gcd(abs(a1), abs(a2))
-    m, n = a1 // g, a2 // g
-    if max(abs(m), abs(n)) > RATIONAL_CAP:
-        return None
-    return (m, n)
 
 
 def _profiles():
@@ -175,7 +151,7 @@ class TestAgainstScalarReference:
 
     def test_primitive_normals_exact(self, p):
         got = [p.primitive_normal(i) for i in range(p.n_segments)]
-        assert got == [ref_primitive_normal(p, i) for i in range(p.n_segments)]
+        assert got == [exact.decimal_normal(p, i) for i in range(p.n_segments)]
 
 
 MONOTONE = [(i, p) for i, (_, p) in enumerate(PROFILES) if classify(p).monotone]

@@ -430,19 +430,33 @@ class TestFamilies:
         assert closed_orbit_on_segment(p, i(1)) == closed_orbit_on_segment(p, 1)
 
     @pytest.mark.parametrize(
-        "index", [-1, 2, np.int64(-1)], ids=["minus_one", "n_segments", "numpy_minus_one"]
+        "index, error, message",
+        [
+            (-1, IndexError, "segments are indexed 0 to n_segments - 1"),
+            (2, IndexError, "segments are indexed 0 to n_segments - 1"),
+            (np.int64(-1), IndexError, "segments are indexed 0 to n_segments - 1"),
+            (0.5, ParamOutOfRange, "segment index must be an integer; got 0.5"),
+        ],
+        ids=["minus_one", "n_segments", "numpy_minus_one", "fraction"],
     )
     @pytest.mark.parametrize(
-        "call", [closed_orbit_on_segment, geometry.MomentProfile.primitive_normal]
+        "call",
+        [
+            closed_orbit_on_segment,
+            geometry.MomentProfile.primitive_normal,
+            geometry.MomentProfile.segment,
+            geometry.MomentProfile.segment_normal,
+        ],
     )
-    def test_segment_index_out_of_range(self, call, index):
+    def test_segment_index_out_of_range(self, call, index, error, message):
         """polydisk(1, 2) has segments 0 and 1.  Index -1 once wrapped to
-        the chord from (0, 2) back to (1, 0), an orbit of action -2.0
-        memoized under -1, and index 2 raised numpy's own IndexError."""
+        the chord from (0, 2) back to (1, 0) (in ``segment`` and
+        ``segment_normal``, and in ``primitive_normal``, an orbit of action
+        -2.0 memoized under -1), index 2 raised numpy's own IndexError, and
+        0.5 an untyped TypeError."""
         p = geometry.polydisk(1, 2)
         assert p.n_segments == 2
-        message = "primitive_normal is defined at segments 0 to n_segments - 1"
-        with pytest.raises(IndexError, match=f"^{message}$"):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call(p, index)
         assert p._primitive_normals == {}
 

@@ -13,7 +13,6 @@ lists what is known to be broken.
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -37,7 +36,10 @@ from toricsys import (
     t_min,
 )
 from toricsys.experiments import random_convex_monotone_profile
+from toricsys.lattice import min_in_cone
 from toricsys.reeb import LOCATION_KINDS
+
+import exact
 
 
 def known(item: str, raises, what: str):
@@ -162,46 +164,62 @@ def test_shear_on_a_rounded_corner_is_nonzero(point):
 # Item 12: one exact cone search
 
 
-def _cross(a, b):
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _exact_least_orbit(p, box: int) -> tuple:
-    """The least sort key (action, rank, m, n, index) of every primitive
-    closed orbit with max(|m|, |n|) <= box, the float vertices taken as
-    exact rationals: the two axis orbits, a segment's when (m, n) points
-    along its exact outward normal, and a vertex's when (m, n) lies in
-    the closed arc of outward normals between its two segments' (the
-    shorter way round, so a reflex vertex's too) with positive action."""
-    v = [(Fraction(x), Fraction(y)) for x, y in p.vertices]
-    normals = [(y1 - y0, x0 - x1) for (x0, y0), (x1, y1) in zip(v, v[1:])]
-    keys = [(v[0][0], 0, 1, 0, 0), (v[-1][1], 0, 0, 1, 1)]
-    for m in range(-box, box + 1):
-        for n in range(-box, box + 1):
-            if math.gcd(m, n) != 1:
-                continue
-            for i, nu in enumerate(normals):
-                if _cross(nu, (m, n)) == 0 and nu[0] * m + nu[1] * n > 0:
-                    (x0, y0), (x1, y1) = v[i], v[i + 1]
-                    keys.append((m * (x0 + x1) / 2 + n * (y0 + y1) / 2, 1, m, n, i))
-            for i in range(1, len(v) - 1):
-                start, end = normals[i - 1], normals[i]
-                if _cross(start, end) < 0:
-                    start, end = end, start
-                action = m * v[i][0] + n * v[i][1]
-                if _cross(start, (m, n)) >= 0 and _cross((m, n), end) >= 0 and action > 0:
-                    keys.append((action, 2, m, n, i))
-    return min(keys)
-
-
 @known("12", AssertionError, "the float cone test admits (-4, 5) outside vertex 1's exact cone")
 def test_t_min_is_the_exact_least_orbit():
-    # Below action 0.2 the only candidates are the (-k, k + 1) with
-    # |k| <= 5, at the notch's apex or along its sides, so the box
-    # max(|m|, |n|) <= 8 holds the least orbit.
     p = strangulate(ball(2), 0.1).profile
     action, orbit = t_min(p)
-    exact, rank, m, n, i = _exact_least_orbit(p, 8)
+    least, rank, m, n, i = exact.least_orbit(p, 0.2)
     where = (orbit.mn, orbit.location_kind, orbit.location_index)
     assert where == ((m, n), LOCATION_KINDS[rank], i)
-    assert math.isclose(action, exact, rel_tol=1e-15)
+    assert math.isclose(action, least, rel_tol=1e-15)
+
+
+# Corner cones where the descent's least (m, n) is not the exact one:
+# (surgery or family, its arguments, vertex, exact least (m, n)).  At the
+# diagonal strangulation's apex (vertex 2) every (-k, k + 1) acts about
+# eps, and the rounding of m*v1 + n*v2 ranks two of them wrongly
+# (1e-2, 10**-2.5, 1e-4); at the other cones the CONE_TOL band admits a
+# vector outside the exact cone.
+DESCENT_CASES = [
+    ("strangulate", (1e-1,), 1, (-3, 4)),
+    ("strangulate", (1e-1,), 2, (-3, 4)),
+    ("strangulate", (1e-1,), 3, (4, -3)),
+    ("strangulate", (1e-2,), 1, (-48, 49)),
+    ("strangulate", (1e-2,), 2, (-48, 49)),
+    ("strangulate", (1e-2,), 3, (49, -48)),
+    ("strangulate", (10**-2.5,), 2, (-157, 158)),
+    ("strangulate", (1e-3,), 1, (-498, 499)),
+    ("strangulate", (1e-3,), 2, (-498, 499)),
+    ("strangulate", (1e-3,), 3, (499, -498)),
+    ("strangulate", (1e-4,), 2, (-4999, 5000)),
+    ("strangulate", (1e-4, 0.4), 3, (13281, -31405)),
+    ("strangulate", (10**-3.5, 1.2), 1, (-21291, 8284)),
+    ("strain", (10**-2.5,), 1, (1, 2)),
+    ("strain", (1e-3,), 1, (1, 2)),
+    ("strain", (1e-4,), 1, (1, 2)),
+    ("fc_domain", (2, 0.7, 16), 16, (22, 23)),
+    ("fc_domain", (2, 0.7, 256), 256, (358, 359)),
+    ("fc_domain", (1, 0.9, 32), 33, (58, 57)),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, args, vertex, want",
+    [
+        pytest.param(*case, marks=known("12", AssertionError, "the descent misses the exact least"))
+        for case in DESCENT_CASES
+    ],
+    ids=[f"{kind}{args}-vertex-{vertex}" for kind, args, vertex, _ in DESCENT_CASES],
+)
+def test_descent_finds_the_exact_least(kind, args, vertex, want):
+    if kind == "strangulate":
+        p = strangulate(ball(2), *args).profile
+    elif kind == "strain":
+        p = strain(flatten_near_intercept(ball(2, 16), 0.1)[0], *args).profile
+    else:
+        p = fc_domain(*args)
+    cone = exact.Cone.at_vertex(p, vertex)
+    if cone.least(cone.action(*want))[1:] != want:
+        pytest.fail(f"the exact least is not {want}")  # not the known defect: fails
+    got, _ = min_in_cone(p.vertex_cones[0][vertex - 1].tolist(), math.inf)
+    assert got[1] == want

@@ -1,13 +1,10 @@
-"""The lattice-cone kernel against the searches it replaced.
+"""The lattice-cone kernel against the exact reference (``exact.py``).
 
-The functions prefixed ``_old`` are verbatim copies (renamed only, and
-ported from the removed ``NormalCone`` dataclass to cone rows (start,
-end, vertex)) of the unit-step Stern-Brocot descent and the bounding-box
-enumerator that ``toricsys.lattice`` replaces.  On every cone below the descent must
-return the least (action, (m, n)) of the reference's candidate list, or
-None when that list is empty, and the enumerator the same orbit sets.
-Strangulation's witness, the least (action, m, n) of the descent over
-the apex cone, is checked against the enumerator.
+On every cone below, the descent's least (action, (m, n)) and the
+strangulation witness keep the least-orbit contract, and the
+enumerator's lists the listing contract, both stated in ``exact``: the
+float answer may differ from the exact one only by the CONE_TOL band
+and the rounding of a float action.
 """
 
 import math
@@ -31,137 +28,17 @@ from toricsys import (
 )
 from toricsys.errors import DegenerateDenominator, ParamOutOfRange, RadiusTooLarge
 from toricsys.experiments import random_monotone_profile, random_star_profile
-from toricsys.geometry import cross, dot
+from toricsys.geometry import dot
 from toricsys import lattice
-from toricsys.lattice import CONE_TOL, enumerate_in_cone, min_in_cone
+from toricsys.lattice import CUTOFF_SLACK, enumerate_in_cone, min_in_cone
 from toricsys.cli import main
 from toricsys.reeb import _base_keys, orbits_below
 
-
-# ---------------------------------------------------------------------------
-# The replaced searches, verbatim
-
-
-def _old_in_cone(cone, d):
-    start, end, _ = cone
-    norm = math.hypot(d[0], d[1])
-    tol = CONE_TOL * norm
-    return cross(start, d) >= -tol and cross(d, end) >= -tol
-
-
-def _old_enumerate_cone(cone, cutoff):
-    """Integer primitive (m, n) in the closed cone with m*w1 + n*w2 <= cutoff."""
-    start, end, v = cone
-    corners = [(0.0, 0.0)]
-    for r in (start, end):
-        f = r[0] * v[0] + r[1] * v[1]
-        if f <= 0:
-            raise DegenerateDenominator("cone boundary has nonpositive action")
-        corners.append((r[0] * cutoff / f, r[1] * cutoff / f))
-    m_lo = math.floor(min(c[0] for c in corners)) - 1
-    m_hi = math.ceil(max(c[0] for c in corners)) + 1
-    n_lo = math.floor(min(c[1] for c in corners)) - 1
-    n_hi = math.ceil(max(c[1] for c in corners)) + 1
-    for m in range(m_lo, m_hi + 1):
-        for n in range(n_lo, n_hi + 1):
-            if (m, n) == (0, 0) or math.gcd(abs(m), abs(n)) != 1:
-                continue
-            if not _old_in_cone(cone, (m, n)):
-                continue
-            action = m * v[0] + n * v[1]
-            if action <= cutoff * (1 + 1e-12):
-                yield m, n, action
-
-
-_OLD_QUADRANT_PAIRS = (
-    ((1, 0), (0, 1)),
-    ((0, 1), (-1, 0)),
-    ((-1, 0), (0, -1)),
-    ((0, -1), (1, 0)),
-)
-
-
-def _old_arcs_intersect(L, R, cone) -> bool:
-    """Does the (unimodular) arc L->R intersect the target cone arc?
-
-    Both arcs are shorter than pi, so intersection happens iff either arc
-    contains an endpoint of the other.
-    """
-    if _old_in_cone(cone, L) or _old_in_cone(cone, R):
-        return True
-    start, end, _ = cone
-
-    def in_lr(d):
-        norm = math.hypot(d[0], d[1])
-        tol = CONE_TOL * norm
-        return cross(L, d) >= -tol and cross(d, R) >= -tol
-
-    return in_lr(start) or in_lr(end)
-
-
-def _old_min_in_cone_fast(cone, incumbent):
-    """Candidates (action, (m, n)) in the cone with action <= incumbent,
-    found by mediant descent with pruning by the running best.
-
-    The pruning bound uses f(a*L + b*R) = a*f(L) + b*f(R) >= f(L) + f(R)
-    for interior vectors of a subtree with both endpoint values positive;
-    ties with the incumbent are never pruned, so tie-breaking matches the
-    brute-force oracle.
-    """
-    _, _, v = cone
-
-    def f(d):
-        return d[0] * v[0] + d[1] * v[1]
-
-    best = incumbent
-    found = []
-    seen = set()
-
-    def consider(d):
-        nonlocal best
-        if d in seen:
-            return
-        seen.add(d)
-        a = f(d)
-        if a <= best:
-            best = min(best, a)
-            found.append((a, d))
-
-    stack = [
-        (L, R)
-        for L, R in _OLD_QUADRANT_PAIRS
-        if _old_arcs_intersect(L, R, cone)
-    ]
-    steps = 0
-    while stack:
-        steps += 1
-        if steps > 2_000_000:
-            raise RuntimeError("mediant search failed to converge")
-        L, R = stack.pop()
-        if _old_in_cone(cone, L):
-            consider(L)
-        if _old_in_cone(cone, R):
-            consider(R)
-        fL, fR = f(L), f(R)
-        if fL > 0 and fR > 0 and fL + fR > best:
-            continue
-        M = (L[0] + R[0], L[1] + R[1])
-        if _old_arcs_intersect(L, M, cone):
-            stack.append((L, M))
-        if _old_arcs_intersect(M, R, cone):
-            stack.append((M, R))
-    return [(a, d) for a, d in found if a <= best]
+import exact
 
 
 # ---------------------------------------------------------------------------
 # Cones
-
-
-def _vertex_cones(p):
-    """The cones ``t_min`` searches, in its order, as rows (start, end,
-    vertex) of pairs."""
-    cones, corner = p.vertex_cones
-    return [tuple(map(tuple, cone)) for cone in cones[corner].tolist()]
 
 
 def _batch(cones):
@@ -170,22 +47,26 @@ def _batch(cones):
     return np.array(cones, dtype=float).reshape(-1, 3, 2)
 
 
-def _least(found):
-    """What ``min_in_cone`` returns for a candidate list of the unit-step
-    descent: its least (action, (m, n)), or None when it is empty."""
-    return min(found, default=None)
+def _corners(p):
+    """The cones ``t_min`` searches, in its order: each corner vertex's
+    index and its row (start, end, vertex) of pairs."""
+    cones, corner = p.vertex_cones
+    return [(i, cones[i - 1].tolist()) for i in (corner.nonzero()[0] + 1).tolist()]
 
 
-def _assert_descent_matches(p):
-    """Run both descents over the profile's cones as ``t_min`` does, the
-    incumbent falling with each cone's winner."""
+def _descend(p):
+    """The descent over the profile's corner cones as ``t_min`` runs it,
+    the incumbent falling with each cone's winner: per corner, its index,
+    the incumbent and the result, each checked against the exact cone."""
     best = min(_base_keys(p))[0]
-    for cone in _vertex_cones(p):
-        want = _old_min_in_cone_fast(cone, best)
+    out = []
+    for i, cone in _corners(p):
         got, _ = min_in_cone(cone, best)
-        assert got == _least(want), cone
+        exact.check_least(exact.Cone.at_vertex(p, i), got, best)
+        out.append((i, best, got))
         if got is not None:
             best = min(best, got[0])
+    return out
 
 
 def _strained(eps):
@@ -220,20 +101,23 @@ APEX_EPS = (1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3, 10**-3.5, 1e-4)
     + [f"rounded{i}" for i in range(len(ROUNDED))],
 )
 def test_descent_matches_unit_steps(p):
-    _assert_descent_matches(p)
+    _descend(p)
 
 
 @pytest.mark.parametrize("eps", APEX_EPS)
 def test_descent_matches_on_diagonal_apex_cones(eps):
     # The apex cone's action is flat along (-k, k + 1) up to rounding, so
-    # the candidate list depends on every skipped vector's float action.
-    _assert_descent_matches(strangulate(ball(2), eps).profile)
+    # the winner depends on every skipped vector's float action.
+    _descend(strangulate(ball(2), eps).profile)
 
 
 def test_long_in_cone_runs_are_taken_in_bounded_passes(monkeypatch):
-    # About 1,000 tied vectors in passes of at most 16.
+    # About 1,000 tied vectors in passes of at most 16, with the results
+    # of unbounded passes.
+    p = strangulate(ball(2), 1e-3).profile
+    want = _descend(p)
     monkeypatch.setattr(lattice, "_MAX_BULK_RUN", 16)
-    _assert_descent_matches(strangulate(ball(2), 1e-3).profile)
+    assert _descend(p) == want
 
 
 @pytest.mark.parametrize(
@@ -248,19 +132,19 @@ def test_long_in_cone_runs_are_taken_in_bounded_passes(monkeypatch):
     ],
 )
 def test_descent_matches_on_other_apex_cones(build, eps, ray):
-    _assert_descent_matches(strangulate(build(), eps, ray).profile)
+    _descend(strangulate(build(), eps, ray).profile)
 
 
 @pytest.mark.parametrize("eps", (1e-2, 1e-3, 1e-4))
 def test_descent_and_enumeration_match_on_strain_tips(eps):
     out = _strained(eps)
-    _assert_descent_matches(out)
-    cone = _vertex_cones(out)[0]
-    assert out.vertex_cones[1][0]  # the tip, vertex 1, is a corner
+    _descend(out)
+    [(tip, cone), *_] = _corners(out)
+    assert tip == 1
     cutoff = 2 * t_min(flatten_near_intercept(ball(2, 16), 0.1)[0])[0]
     _, m, n, action = enumerate_in_cone(_batch([cone]), cutoff)
-    got = sorted(zip(m.tolist(), n.tolist(), action.tolist()))
-    assert got == sorted(_old_enumerate_cone(cone, cutoff))
+    got = list(zip(m.tolist(), n.tolist(), action.tolist()))
+    exact.check_listing(exact.Cone.at_vertex(out, 1), got, cutoff * CUTOFF_SLACK)
     assert len(got) == round(2 / eps) + 1
 
 
@@ -285,7 +169,7 @@ def test_run_end_does_not_depend_on_its_guess(monkeypatch):
 
     monkeypatch.setattr(lattice, "_run_end", record)
     for p in profiles:
-        for cone in _vertex_cones(p):
+        for _, cone in _corners(p):
             for incumbent in (math.inf, min(_base_keys(p))[0]):
                 min_in_cone(cone, incumbent)
     assert len(runs) > 1000
@@ -324,7 +208,7 @@ def test_descent_matches_on_near_rational_cones(seed):
         cone = _near_rational_cone(rng)
         incumbent = rng.choice([math.inf, rng.uniform(0.1, 10) * math.hypot(*cone[2])])
         got, _ = min_in_cone(cone, incumbent)
-        assert got == _least(_old_min_in_cone_fast(cone, incumbent)), cone
+        exact.check_least(exact.Cone(*cone), got, incumbent)
 
 
 def _apex_cone(rng, diagonal):
@@ -351,24 +235,23 @@ def test_winner_is_the_least_reference_candidate(seed, kind, finite):
         cone = _apex_cone(rng, kind == "diagonal apex")
     incumbent = rng.uniform(0.1, 10) * math.hypot(*cone[2]) if finite else math.inf
     got, _ = min_in_cone(cone, incumbent)
-    assert got == _least(_old_min_in_cone_fast(cone, incumbent)), cone
+    exact.check_least(exact.Cone(*cone), got, incumbent)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_enumeration_matches_bounding_box(seed):
     rng = random.Random(seed)
     p = (random_star_profile if seed % 2 else random_monotone_profile)(rng)
-    for cone in _vertex_cones(p):
+    for i, cone in _corners(p):
         cutoff = rng.uniform(0.5, 4) * min(p.a_intercept, p.b_intercept)
-        want = sorted(_old_enumerate_cone(cone, cutoff))
         for n_max in (None, 1, 7, 200):
             _, m, n, action = enumerate_in_cone(_batch([cone]), cutoff, n_max)
-            got = sorted(zip(m.tolist(), n.tolist(), action.tolist()))
-            assert got == [t for t in want if n_max is None or max(map(abs, t[:2])) <= n_max]
+            got = list(zip(m.tolist(), n.tolist(), action.tolist()))
+            exact.check_listing(exact.Cone.at_vertex(p, i), got, cutoff * CUTOFF_SLACK, n_max)
 
 
 def test_enumeration_rejects_nonpositive_boundary_action():
-    [cone] = _vertex_cones(polydisk(1, 2))
+    [(_, cone)] = _corners(polydisk(1, 2))
     flat = (cone[0], cone[1], (0.0, 0.0))
     for batch in ([flat], [cone, flat]):
         with pytest.raises(DegenerateDenominator):
@@ -390,9 +273,9 @@ def _random_cone(rng):
     both boundary rays, at any angle."""
     if rng.random() < 0.5:
         p = (random_star_profile if rng.random() < 0.5 else random_monotone_profile)(rng)
-        cones = _vertex_cones(p)
+        cones = _corners(p)
         if cones:
-            return rng.choice(cones)
+            return rng.choice(cones)[1]
     a = rng.uniform(-math.pi, math.pi)
     width = min(10 ** rng.uniform(-10, 0.5), math.pi - 1e-6)
     b = a + width / 2 + rng.uniform(-0.9, 0.9) * (math.pi - width) / 2
@@ -508,15 +391,16 @@ def test_each_apex_cone_takes_few_steps():
     # The unit-step descent took about 10,000 steps on each of these.
     p = strangulate(ball(2), 1e-4).profile
     best = min(_base_keys(p))[0]
-    cones = _vertex_cones(p)
+    cones = _corners(p)
     assert len(cones) == 3
-    for cone in cones:
+    for _, cone in cones:
         got, steps = min_in_cone(cone, best)
         assert steps <= 100
         if got is not None:
             best = min(best, got[0])
     action, witness = t_min(p)
     assert (action, witness.mn) == (9.999999999987796e-05, (-4950, 4951))
+    exact.check_orbit(p, action, witness)
 
 
 def test_descent_makes_few_python_calls():
@@ -563,13 +447,10 @@ def test_witness_matches_loop(seed):
     apex = (eps * (u[0] / umax), eps * (u[1] / umax))
     assert witness.location_kind == "vertex"
     assert witness.base_point == out.profile.vertices[witness.location_index] == apex
-    # The least (action, m, n) of every primitive vector in the apex cone
-    # up to the witness's action, listed by the enumerator.
     i = witness.location_index
-    cones, corner = out.profile.vertex_cones
-    assert corner[i - 1]
-    _, m, n, action = enumerate_in_cone(cones[i - 1 : i], witness.action)
-    assert min(zip(action.tolist(), m.tolist(), n.tolist())) == (witness.action, *witness.mn)
+    assert out.profile.vertex_cones[1][i - 1]
+    cone = exact.Cone.at_vertex(out.profile, i)
+    exact.check_least(cone, (witness.action, witness.mn), math.inf)
     if ray == math.pi / 4:
         # (1, 1) lies in the apex cone, with action 2 * eps.
         assert witness.action <= 2 * eps * (1 + 1e-12)
@@ -577,8 +458,10 @@ def test_witness_matches_loop(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_mask_is_the_scalar_predicate(seed):
+    """The array membership test admits every direction of the exact cone
+    and nothing outside its CONE_TOL band."""
     rng = np.random.default_rng(seed)
-    for cone in _vertex_cones(random_star_profile(random.Random(seed))):
+    for _, cone in _corners(random_star_profile(random.Random(seed))):
         # Random vectors, and vectors within a unit of each boundary ray.
         t = rng.uniform(1, 10**6, 500)
         m = [rng.integers(-10**6, 10**6, 1000)]
@@ -587,5 +470,7 @@ def test_mask_is_the_scalar_predicate(seed):
             m.append(np.rint(t * r[0]).astype(np.int64) + rng.integers(-1, 2, t.size))
             n.append(np.rint(t * r[1]).astype(np.int64) + rng.integers(-1, 2, t.size))
         m, n = np.concatenate(m), np.concatenate(n)
-        want = [_old_in_cone(cone, (a, b)) for a, b in zip(m.tolist(), n.tolist())]
-        assert lattice._in_cone(*cone[0], *cone[1], m, n).tolist() == want
+        mask = lattice._in_cone(*cone[0], *cone[1], m, n).tolist()
+        row = exact.Cone(*cone)
+        for a, b, admitted in zip(m.tolist(), n.tolist(), mask):
+            assert row.near(a, b) if admitted else not row.contains(a, b), (a, b)

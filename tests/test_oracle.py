@@ -1,31 +1,19 @@
-"""The brute-force T_min oracle against the full-table scan it replaced.
+"""The brute-force T_min oracle against the exact reference (``exact.py``).
 
-``_old_primitive_vectors`` and ``_old_cone_candidates_oracle`` are verbatim
-copies (renamed only, the membership call ported from the removed
-array wrapper ``in_cone_mask`` to ``lattice._in_cone``, and the removed
-``NormalCone`` dataclass to cone rows (start, end, vertex)) of the oracle's
-per-cone step when it ran that predicate over every primitive vector of
-max norm <= n_max, and
-``_old_t_min_oracle`` is a verbatim copy of ``t_min``'s oracle branch
-around it.  The oracle now lists the vectors of all corner cones in one
-``lattice.enumerate_in_cone`` batch, clipped to that max norm and cut at an
-action cutoff.  On every cone below, one cone's list must give the old
-minimum when that minimum lies within the cutoff and None otherwise,
-compared with ``==``; ``t_min``'s oracle must return the same
-``(action, OrbitDatum)`` and raise ``OracleCutoffInsufficient`` with the
-same message.
-
-``_all_cones_t_min_oracle`` is a verbatim copy of ``t_min``'s oracle
-branch when it passed every corner cone to the enumerator, cut at the
-least positive action of a small vector (``_old_least_small_action``,
-verbatim too).  The oracle now lists the small vectors itself and
-enumerates only the cones that can hold a larger vector below its cut;
-it must return the same ``(action, OrbitDatum)``, or raise the same
-exception with the same message, and the cones it skips are counted.
+The oracle lists the small vectors of every corner cone itself and hands
+``lattice.enumerate_in_cone`` one batch of the cones that can hold a
+larger vector below its cut.  On every cone below, one cone's list, cut
+at an action and clipped to a max norm, must give a least (action,
+(m, n)) that keeps the least-orbit contract of ``exact.check_least``.
+On every profile, a result of ``t_min``'s oracle must keep the contract
+over every closed orbit, which is what its certificate claims, and a
+refusal must name a best action that keeps it over the orbits within the
+max norm, with the bound (n_oracle + 1) u below it.
 """
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -45,72 +33,12 @@ from toricsys import (
     strangulate,
     t_min,
 )
-from toricsys.errors import OracleCutoffInsufficient, ToricError
+from toricsys.errors import OracleCutoffInsufficient
 from toricsys.experiments import random_monotone_profile, random_star_profile
 from toricsys.geometry import dot
-from toricsys.lattice import _in_cone, enumerate_in_cone
-from toricsys.reeb import OrbitDatum, _base_keys, _orbit
+from toricsys.lattice import CUTOFF_SLACK, enumerate_in_cone
 
-
-# ---------------------------------------------------------------------------
-# The replaced oracle, verbatim
-
-_OLD_PRIMITIVE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _old_primitive_vectors(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    if n_max not in _OLD_PRIMITIVE_CACHE:
-        rng = np.arange(-n_max, n_max + 1)
-        mm, nn = np.meshgrid(rng, rng, indexing="ij")
-        mm, nn = mm.ravel(), nn.ravel()
-        mask = np.gcd(np.abs(mm), np.abs(nn)) == 1
-        _OLD_PRIMITIVE_CACHE[n_max] = (mm[mask], nn[mask])
-    return _OLD_PRIMITIVE_CACHE[n_max]
-
-
-def _old_cone_candidates_oracle(cone, n_max):
-    """Exact per-cone minimum over primitive vectors with max norm <= n_max."""
-    mm, nn = _old_primitive_vectors(n_max)
-    start, end, v = cone
-    member = _in_cone(*start, *end, mm, nn)
-    if not member.any():
-        return None
-    actions = mm[member] * v[0] + nn[member] * v[1]
-    amin = actions.min()
-    ties = np.flatnonzero(actions == amin)
-    cand = sorted((int(mm[member][i]), int(nn[member][i])) for i in ties)
-    return float(amin), cand[0]
-
-
-def _old_t_min_oracle(p, n_oracle=200):
-    candidates = [_orbit(p, k) for k in _base_keys(p)]
-    rows, corner = p.vertex_cones
-    cones = [
-        (vi, tuple(map(tuple, rows[vi - 1].tolist())))
-        for vi, turn in enumerate(p.normal_turns, start=1)
-        if abs(turn) > 1e-12
-    ]
-    assert [vi for vi, _ in cones] == (np.flatnonzero(corner) + 1).tolist()
-    for vi, cone in cones:
-        got = _old_cone_candidates_oracle(cone, n_oracle)
-        if got is None:
-            continue
-        action, mn = got
-        candidates.append(OrbitDatum(mn, cone[2], action, "vertex", vi))
-    best = min(o.action for o in candidates)
-    # Vectors beyond the cutoff have euclidean norm > n_oracle; over a
-    # cone arc shorter than pi the unit-direction action is minimized
-    # at one of the boundary rays.
-    uncovered = math.inf
-    for _, (start, end, v) in cones:
-        unit_min = min(dot(start, v), dot(end, v))
-        uncovered = min(uncovered, (n_oracle + 1) * unit_min)
-    if uncovered < best * (1 + 1e-9):
-        raise OracleCutoffInsufficient(
-            f"best action {best} not certified: cutoff-{n_oracle} bound is {uncovered}"
-        )
-    winner = min(candidates, key=OrbitDatum.sort_key)
-    return winner.action, winner
+import exact
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +78,22 @@ def _cone(start_angle, width, t, r=1.0):
 
 
 def _same(cone, n_max):
-    """The oracle's per-cone step at four cutoffs: half the cone's least
-    unit-direction action, one above every action in the max-norm box,
-    the old minimum itself, and one below it, where the result is None."""
+    """The oracle's per-cone step at four cutoffs, each checked against the
+    exact cone: half the cone's least unit-direction action, one above
+    every action in the max-norm box, the least action listed there, and
+    half of that."""
     start, end, v = cone
     unit_min = min(dot(start, v), dot(end, v))
     assert unit_min > 0
-    old = _old_cone_candidates_oracle(cone, n_max)
-    cutoffs = [unit_min / 2, 2 * n_max * (abs(v[0]) + abs(v[1]))]
-    if old is not None:
-        cutoffs += [old[0], old[0] - abs(old[0]) / 2]
-    for cutoff in cutoffs:
-        want = old if old is not None and old[0] <= cutoff * (1 + 1e-12) else None
-        assert _cone_candidates(cone, cutoff, n_max) == want, (cone, cutoff)
+    reference = exact.Cone(*cone)
+    above = 2 * n_max * (abs(v[0]) + abs(v[1]))
+    got = {cutoff: _cone_candidates(cone, cutoff, n_max) for cutoff in (unit_min / 2, above)}
+    least = got[above]
+    if least is not None:
+        for cutoff in (least[0], least[0] - abs(least[0]) / 2):
+            got[cutoff] = _cone_candidates(cone, cutoff, n_max)
+    for cutoff, found in got.items():
+        exact.check_least(reference, found, cutoff * CUTOFF_SLACK, n_max)
 
 
 @settings(max_examples=120, deadline=None)
@@ -257,17 +188,31 @@ def test_ties_go_to_the_least_vector(lo, hi, ties, n_max):
 # t_min's oracle on profiles
 
 
-def _outcome(oracle, p, n_oracle):
-    try:
-        return oracle(p, n_oracle)
-    except OracleCutoffInsufficient as exc:
-        return OracleCutoffInsufficient, str(exc)
-
-
 def _same_t_min(p, n_oracle=200):
-    new = _outcome(lambda p, n: t_min(p, method="oracle", n_oracle=n), p, n_oracle)
-    assert new == _outcome(_old_t_min_oracle, p, n_oracle)
-    return new
+    """``t_min``'s oracle on p, checked against the exact reference: its
+    result, or its refusal as (OracleCutoffInsufficient, message).  The
+    certificate is (n_oracle + 1) u, u the least action of a unit normal
+    on a corner cone's side: a result keeps the least-orbit contract over
+    every closed orbit and acts at most the certificate / (1 + 1e-9); a
+    refusal names the least action listed within the max norm, which
+    keeps the contract over the orbits within it, and a bound below it."""
+    cones, corner = p.vertex_cones
+    u = min((min(dot(s, v), dot(e, v)) for s, e, v in cones[corner].tolist()), default=math.inf)
+    try:
+        action, orbit = t_min(p, method="oracle", n_oracle=n_oracle)
+    except OracleCutoffInsufficient as exc:
+        best, n, bound = re.fullmatch(
+            r"best action (\S+) not certified: cutoff-(\d+) bound is (\S+)", str(exc)
+        ).groups()
+        best, bound = float(best), float(bound)
+        assert (int(n), bound) == (n_oracle, (n_oracle + 1) * u)
+        assert bound < best * (1 + 1e-9)
+        exact.check_best(p, best, n_oracle)
+        return OracleCutoffInsufficient, str(exc)
+    exact.check_orbit(p, action, orbit)
+    assert orbit.location_kind != "vertex" or max(map(abs, orbit.mn)) <= n_oracle
+    assert (n_oracle + 1) * u >= action * (1 + 1e-9)
+    return action, orbit
 
 
 @settings(max_examples=40, deadline=None)
@@ -316,6 +261,19 @@ def test_both_outcomes_are_covered():
     assert failed[0] is OracleCutoffInsufficient
 
 
+def _band_acts_negative(p, i):
+    """Does the CONE_TOL band of vertex i's exact cone hold a vector of max
+    norm <= 3 and negative action, which a table of the vectors of a max
+    norm returns as its least?"""
+    cone = exact.Cone.at_vertex(p, i)
+    return any(
+        cone.near(m, n) and cone.action(m, n) < 0
+        for m in range(-3, 4)
+        for n in range(-3, 4)
+        if (m, n) != (0, 0)
+    )
+
+
 @pytest.mark.parametrize(
     "vertices",
     (
@@ -333,8 +291,8 @@ def test_far_opposite_vectors_of_a_needle_cone_are_not_listed(vertices):
     the far side, so there the oracle agrees with fast ``t_min``: the
     (0, 1) axis orbit of action 1."""
     p = from_vertices(vertices)
-    assert _old_t_min_oracle(p)[0] < 0
-    assert t_min(p, method="oracle") == t_min(p)
+    assert _band_acts_negative(p, 1)
+    assert _same_t_min(p) == t_min(p)
     assert t_min(p)[1].mn == (0, 1)
 
 
@@ -350,8 +308,8 @@ def test_needle_cone_does_not_cut_the_other_cones():
     action 2."""
     vertices = list(strangulate(ball(2), 0.1).profile.vertices)
     p = from_vertices(vertices[:1] + [(1.5 + 1e-10, 0.5 + 1e-10)] + vertices[1:])
-    assert _old_t_min_oracle(p)[0] < 0
-    action, witness = t_min(p, method="oracle")
+    assert _band_acts_negative(p, 1)
+    action, witness = _same_t_min(p)
     assert (action, witness) == t_min(p)
     assert (action, witness.mn, witness.location_index) == (0.09999999999910081, (-4, 5), 2)
 
@@ -363,61 +321,11 @@ def test_needle_cone_at_the_diagonal_lists_no_nonpositive_action():
     T_min.  Neither the oracle nor the orbit list keeps an action <= 0:
     both give the axis orbits of action 1, as fast t_min does."""
     p = from_vertices([(1, 0), (0.5, 0.5000000001), (0, 1)])
-    assert _old_t_min_oracle(p)[0] < 0
-    assert t_min(p, method="oracle") == t_min(p)
+    assert _band_acts_negative(p, 1)
+    assert _same_t_min(p) == t_min(p)
     assert t_min(p)[0] == 1
     assert [o.mn for o in orbits_below(p, 1)] == [(0, 1), (1, 0)]
     assert [o.mn for o in orbits_at_vertex(p, 1, 2)] == [(1, 1)]
-
-
-# ---------------------------------------------------------------------------
-# The oracle that enumerated every corner cone, verbatim
-
-_OLD_SMALL_VECTORS = {
-    r: np.array(
-        [(m, n) for m in range(-r, r + 1) for n in range(-r, r + 1) if math.gcd(m, n) == 1]
-    ).T
-    for r in (1, 2)
-}
-
-
-def _old_least_small_action(cones: np.ndarray, max_norm: int) -> float:
-    m, n = _OLD_SMALL_VECTORS[max_norm]
-    (sx, sy), (ex, ey), (v0, v1) = cones.transpose(1, 2, 0)[..., None]
-    action = m * v0 + n * v1
-    inside = _in_cone(sx, sy, ex, ey, m, n) & (action > 0)
-    return float(action[inside].min(initial=math.inf))
-
-
-def _all_cones_t_min_oracle(p, n_oracle=200):
-    candidates = [_orbit(p, k) for k in _base_keys(p)]
-    ceiling = min(o.action for o in candidates)
-    cones, corner = p.vertex_cones
-    vi, cones = corner.nonzero()[0] + 1, cones[corner]
-    cutoff = min(ceiling, _old_least_small_action(cones, min(2, n_oracle)))
-    cone, m, n, action = enumerate_in_cone(cones, cutoff, n_oracle)
-    keep = action > 0  # as in ``orbits_at_vertex``
-    if not keep.all():
-        cone, m, n, action = cone[keep], m[keep], n[keep], action[keep]
-    if action.size:
-        # The least (action, m, n) and then vertex over every cone.
-        k = np.lexsort((cone, n, m, action))[0]
-        j = int(vi[cone[k]])
-        mn = (int(m[k]), int(n[k]))
-        candidates.append(OrbitDatum(mn, p.vertex(j), float(action[k]), "vertex", j))
-    best = min(o.action for o in candidates)
-    # Vectors beyond the cutoff have euclidean norm > n_oracle; over a
-    # cone arc shorter than pi the unit-direction action is minimized
-    # at one of the boundary rays.
-    ray_action = cones[:, :2] * cones[:, 2:]
-    unit_min = float((ray_action[..., 0] + ray_action[..., 1]).min(initial=math.inf))
-    uncovered = (n_oracle + 1) * unit_min
-    if uncovered < best * (1 + 1e-9):
-        raise OracleCutoffInsufficient(
-            f"best action {best} not certified: cutoff-{n_oracle} bound is {uncovered}"
-        )
-    winner = min(candidates, key=OrbitDatum.sort_key)
-    return winner.action, winner
 
 
 # ---------------------------------------------------------------------------
@@ -428,24 +336,11 @@ def _all_cones_t_min_oracle(p, n_oracle=200):
 N_ORACLE = (1, 2, 3, 4, 5, 7, 200)
 
 
-def _result(oracle, p, n_oracle):
-    try:
-        return oracle(p, n_oracle)
-    except ToricError as exc:
-        return type(exc), str(exc)
-
-
-def _same_as_all_cones(p, n_oracle):
-    got = _result(lambda p, n: t_min(p, method="oracle", n_oracle=n), p, n_oracle)
-    assert got == _result(_all_cones_t_min_oracle, p, n_oracle)
-    return got
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9), st.booleans(), st.sampled_from(N_ORACLE))
 def test_pruned_oracle_on_random_profiles(seed, star, n_oracle):
     make = random_star_profile if star else random_monotone_profile
-    _same_as_all_cones(make(random.Random(seed)), n_oracle)
+    _same_t_min(make(random.Random(seed)), n_oracle)
 
 
 DOMAINS = (
@@ -465,7 +360,7 @@ DOMAINS = (
     st.sampled_from(N_ORACLE),
 )
 def test_pruned_oracle_on_strangulated_domains(domain, log_eps, ray, n_oracle):
-    _same_as_all_cones(strangulate(domain, 10**-log_eps, ray).profile, n_oracle)
+    _same_t_min(strangulate(domain, 10**-log_eps, ray).profile, n_oracle)
 
 
 @settings(max_examples=40, deadline=None)
@@ -477,7 +372,7 @@ def test_pruned_oracle_on_strangulated_domains(domain, log_eps, ray, n_oracle):
 )
 def test_pruned_oracle_on_strained_domains(domain, flatten, log_eps, n_oracle):
     flat = flatten_near_intercept(domain, flatten)[0]
-    _same_as_all_cones(strain(flat, 10**-log_eps).profile, n_oracle)
+    _same_t_min(strain(flat, 10**-log_eps).profile, n_oracle)
 
 
 @pytest.mark.parametrize("n_oracle", (3, 7, 200))
@@ -491,7 +386,7 @@ def test_pruned_oracle_keeps_a_cone_where_a_max_norm_3_vector_wins(seed, vertex,
     max norm <= 2, that cone was enumerated, and a prune by 4u would have
     dropped it.  (-3, 1) is now listed (max norm <= 3 at n_oracle = 3,
     <= 4 above) rather than pruned, so this checks the listing."""
-    got = _same_as_all_cones(random_star_profile(random.Random(seed)), n_oracle)
+    got = _same_t_min(random_star_profile(random.Random(seed)), n_oracle)
     assert (got[0], got[1].mn, got[1].location_index) == (action, (-3, 1), vertex)
 
 
@@ -522,7 +417,7 @@ def test_pruned_oracle_keeps_a_cone_where_a_max_norm_5_vector_wins(n_oracle):
     convex corner, act at 3.4 or more, so the cut is the axis action."""
     p = from_vertices(MAX_NORM_5_WINNER)
     assert [t < 0 for t in p.normal_turns] == [False, True]
-    action, witness = _same_as_all_cones(p, n_oracle)
+    action, witness = _same_t_min(p, n_oracle)
     assert (action, witness) == t_min(p)
     assert (action, witness.mn, witness.location_index) == (1.0, (-5, 2), 2)
 
@@ -534,7 +429,7 @@ def test_pruned_oracle_on_the_needle(n_oracle):
     0.71, is more than half the cut 1, so no vector of max norm >= 2 in
     it acts below the cut: it is pruned, and the axis orbits win."""
     p = from_vertices([(1, 0), (0.5, 0.5 + 1e-10), (0, 1)])
-    assert _same_as_all_cones(p, n_oracle)[0] == 1
+    assert _same_t_min(p, n_oracle)[0] == 1
 
 
 def _enumerated(p, monkeypatch):
@@ -547,7 +442,7 @@ def _enumerated(p, monkeypatch):
         return enumerate_in_cone(cones, *args)
 
     monkeypatch.setattr(reeb, "enumerate_in_cone", counted)
-    _same_as_all_cones(p, 200)
+    _same_t_min(p, 200)
     return batches
 
 

@@ -5,6 +5,7 @@ listing lives in ``reeb``, and every CLI flag is read by its command."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,8 +22,6 @@ from toricsys.geometry import (
     MomentProfile,
     ball,
     classify,
-    cross,
-    dot,
     ellipsoid,
     fc_domain,
     from_vertices,
@@ -30,6 +29,8 @@ from toricsys.geometry import (
     ray_hit,
     smooth_corners,
 )
+
+import exact
 
 
 # ---------------------------------------------------------------------------
@@ -101,35 +102,26 @@ class TestConvex4d:
 # One ray-polyline intersection
 
 
-def old_ray_hit(p, u):
-    """The strangulation ray hit before it moved to geometry.ray_hit."""
-    for i in range(p.n_segments):
-        a, b = p.segment(i)
-        d = (b[0] - a[0], b[1] - a[1])
-        denom = cross(u, d)
-        if abs(denom) < 1e-300:
-            continue
-        s = cross(u, a) / -denom
-        if -1e-12 <= s <= 1 + 1e-12:
-            t = cross(a, d) / denom
-            if t > 0:
-                return t, i
-    raise RayMissesBoundary(f"ray direction {u} does not hit the profile")
+# How far past a segment's ends ``ray_hit`` takes a crossing.
+SLACK = Fraction(1e-12)
 
 
-def old_project_radial(p, x):
-    """reeb.project_radial before it became a wrapper of ray_hit."""
+def exact_hit(p, u):
+    """The first segment in path order whose line the ray t*u (t > 0)
+    meets at a parameter s in [-1e-12, 1 + 1e-12] along it, as (t, s, i),
+    the floats read as exact rationals: the decision ``ray_hit`` makes in
+    floats."""
+    ux, uy = map(Fraction, u)
     for i in range(p.n_segments):
-        a, b = p.segment(i)
-        denom = cross((b[0] - a[0], b[1] - a[1]), x)
-        if abs(denom) < 1e-300:
+        (ax, ay), (bx, by) = (map(Fraction, v) for v in p.segment(i))
+        dx, dy = bx - ax, by - ay
+        denom = ux * dy - uy * dx
+        if denom == 0:
             continue
-        s = cross((x[0] - a[0], x[1] - a[1]), x) / denom
-        if -1e-9 <= s <= 1 + 1e-9:
-            pt = (a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1]))
-            if dot(pt, x) > 0:
-                return pt, i
-    raise AssertionError("miss")
+        s, t = (uy * ax - ux * ay) / denom, (ax * dy - ay * dx) / denom
+        if -SLACK <= s <= 1 + SLACK and t > 0:
+            return t, s, i
+    raise AssertionError(f"ray {u} misses")
 
 
 def _star_profiles():
@@ -148,7 +140,11 @@ class TestRayHit:
             for ang in ANGLES:
                 u = (math.cos(ang), math.sin(ang))
                 t, s, i = ray_hit(p, u)
-                assert (t, i) == old_ray_hit(p, u)
+                et, es, ei = exact_hit(p, u)
+                # Within a few dozen roundings of the exact crossing.
+                assert i == ei
+                assert t == pytest.approx(float(et), rel=1e-14)
+                assert s == pytest.approx(float(es), abs=1e-14)
                 assert -1e-12 <= s <= 1 + 1e-12
 
     def test_project_radial_agrees_with_old_loop(self):
@@ -156,10 +152,10 @@ class TestRayHit:
             for ang in ANGLES:
                 x = (0.3 * math.cos(ang), 0.3 * math.sin(ang))
                 (px, py), i = reeb.project_radial(p, x)
-                (qx, qy), j = old_project_radial(p, x)
+                t, _, j = exact_hit(p, x)
                 assert i == j
-                assert px == pytest.approx(qx, rel=1e-12, abs=1e-15)
-                assert py == pytest.approx(qy, rel=1e-12, abs=1e-15)
+                assert px == pytest.approx(float(t * Fraction(x[0])), rel=1e-12, abs=1e-15)
+                assert py == pytest.approx(float(t * Fraction(x[1])), rel=1e-12, abs=1e-15)
 
     def test_axis_direction_misses(self):
         with pytest.raises(RayMissesBoundary):
@@ -168,15 +164,6 @@ class TestRayHit:
 
 # ---------------------------------------------------------------------------
 # Orbit listing
-
-
-def old_cli_orbits(p, cutoff):
-    """The orbit listing as the CLI's ``orbits`` command built it."""
-    orbits = [reeb._orbit(p, k) for k in reeb._base_keys(p) if k[0] <= cutoff]
-    for vi in range(1, len(p.vertices) - 1):
-        orbits.extend(reeb.orbits_at_vertex(p, vi, cutoff))
-    orbits.sort(key=reeb.OrbitDatum.sort_key)
-    return orbits
 
 
 class TestOrbitsBelow:
@@ -191,13 +178,13 @@ class TestOrbitsBelow:
         ],
     )
     def test_matches_old_cli_loop(self, p, cutoff):
-        assert reeb.orbits_below(p, cutoff) == old_cli_orbits(p, cutoff)
+        exact.check_orbits_below(p, cutoff, reeb.orbits_below(p, cutoff))
 
     def test_random_star_profiles(self):
         rng = random.Random(5)
         for _ in range(20):
             p = random_star_profile(rng)
-            assert reeb.orbits_below(p, 3.0) == old_cli_orbits(p, 3.0)
+            exact.check_orbits_below(p, 3.0, reeb.orbits_below(p, 3.0))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from toricsys.invariants import area, ruelle_closed_form
 from toricsys.lattice import _in_cone, min_in_cone
 from toricsys.surgery import _clip, _sector_intervals
 
-from test_lattice import _old_min_in_cone_fast
+import exact
 
 
 class TestStrangulate:
@@ -55,11 +55,14 @@ class TestStrangulate:
         assert w.action <= 0.2 * (1 + 1e-12)
         assert w.mn == (-4, 5)
         assert w.action == pytest.approx(0.1, rel=1e-12)
-        # The unit-step reference lists both ties; the descent keeps the
-        # least of them.
-        ties = [(w.action, (-4, 5)), (w.action, (-3, 4))]
-        assert sorted(_old_min_in_cone_fast(cone, math.inf)) == ties
-        assert min_in_cone(cone, math.inf)[0] == min(ties)
+        # Both act w.action in floats, and the descent keeps the least.
+        # Exactly, (-3, 4) is the apex cone's least and (-4, 5) lies in its
+        # CONE_TOL band (a ledger entry in test_found.py).
+        reference = exact.Cone.at_vertex(out.profile, w.location_index)
+        assert [reference.float_action(*mn) for mn in ((-4, 5), (-3, 4))] == [w.action] * 2
+        assert reference.least(0.2)[1:] == (-3, 4)
+        exact.check_least(reference, (w.action, w.mn), math.inf)
+        assert min_in_cone(cone, math.inf)[0] == (w.action, w.mn)
 
     def test_short_orbit_created(self):
         for eps in (0.2, 0.05):

@@ -1,15 +1,14 @@
 """``reeb.orbits_at_vertex`` keeps a vertex's orbits as sorted columns.
 
-The reference below is the list it returned before: every orbit of the
-cone made up front as an ``OrbitDatum`` from ``enumerate_in_cone`` and
-sorted by ``OrbitDatum.sort_key``.  The columns must read back as that
-list in every way a sequence is read, and ``strain`` must make no orbit
-object for a tip orbit that nobody reads.
+The columns must hold what the exact reference (``exact.py``) says a
+vertex's orbits are, sorted by action and then (m, n), and read back as
+the list of ``OrbitDatum`` they stand for in every way a sequence is
+read; ``strain`` must make no orbit object for a tip orbit that nobody
+reads.
 """
 
 import math
 import random
-from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,35 +16,19 @@ from hypothesis import given, settings, strategies as st
 from toricsys import ball, ellipsoid, polydisk, reeb, surgery
 from toricsys.errors import ParamOutOfRange
 from toricsys.experiments import random_star_profile
-from toricsys.lattice import enumerate_in_cone
 from toricsys.reeb import OrbitDatum, VertexOrbits, orbits_at_vertex, orbits_below
 
+import exact
 
-def eager_orbits_at_vertex(p, vi, cutoff):
-    """The orbit list as ``orbits_at_vertex`` built it before the columns."""
-    cones, corner = p.vertex_cones
+
+def checked(p, vi, cutoff):
+    """``orbits_at_vertex(p, vi, cutoff)``, its rows checked against the
+    exact reference, and the list of ``OrbitDatum`` they stand for."""
+    got = orbits_at_vertex(p, vi, cutoff)
+    rows = list(zip(got.m.tolist(), got.n.tolist(), got.action.tolist()))
+    exact.check_vertex_orbits(p, vi, rows, cutoff)
     v = p.vertex(vi)
-    if not corner[vi - 1]:
-        mn = p.primitive_normal(vi - 1)
-        if mn is None:
-            return []
-        action = mn[0] * v[0] + mn[1] * v[1]
-        if action > cutoff * (1 + 1e-12):
-            return []
-        return [OrbitDatum(mn, v, action, "vertex", vi)]
-    _, m, n, action = enumerate_in_cone(cones[vi - 1 : vi], cutoff)
-    orbits = [
-        OrbitDatum((mi, ni), v, a, "vertex", vi)
-        for mi, ni, a in zip(m.tolist(), n.tolist(), action.tolist())
-    ]
-    return sorted(orbits, key=OrbitDatum.sort_key)
-
-
-def eager_orbits_below(p, cutoff):
-    orbits = [reeb._orbit(p, k) for k in reeb._base_keys(p) if k[0] <= cutoff]
-    for vi in range(1, len(p.vertices) - 1):
-        orbits.extend(eager_orbits_at_vertex(p, vi, cutoff))
-    return sorted(orbits, key=OrbitDatum.sort_key)
+    return got, [OrbitDatum((m, n), v, a, "vertex", vi) for m, n, a in rows]
 
 
 def assert_reads_as(got, want):
@@ -72,8 +55,8 @@ def test_random_star_vertices_read_as_the_eager_list(seed, scale):
     p = random_star_profile(random.Random(seed))
     cutoff = scale * min(p.a_intercept, p.b_intercept)
     for vi in range(1, len(p.vertices) - 1):
-        assert_reads_as(orbits_at_vertex(p, vi, cutoff), eager_orbits_at_vertex(p, vi, cutoff))
-    assert orbits_below(p, cutoff) == eager_orbits_below(p, cutoff)
+        assert_reads_as(*checked(p, vi, cutoff))
+    exact.check_orbits_below(p, cutoff, orbits_below(p, cutoff))
 
 
 @settings(max_examples=15, deadline=None)
@@ -82,8 +65,8 @@ def test_strain_tips_read_as_the_eager_list(eps, share):
     p, _ = surgery.flatten_near_intercept(ball(2, 16), 0.4)
     out = surgery.strain(p, eps).profile
     cutoff = share * 2 * surgery.input_t_min(p)
-    assert_reads_as(orbits_at_vertex(out, 1, cutoff), eager_orbits_at_vertex(out, 1, cutoff))
-    assert orbits_below(out, cutoff) == eager_orbits_below(out, cutoff)
+    assert_reads_as(*checked(out, 1, cutoff))
+    exact.check_orbits_below(out, cutoff, orbits_below(out, cutoff))
 
 
 @pytest.mark.parametrize(
@@ -97,7 +80,7 @@ def test_strain_tips_read_as_the_eager_list(eps, share):
     ],
 )
 def test_collinear_and_empty_vertices(p, vi, cutoff):
-    assert_reads_as(orbits_at_vertex(p, vi, cutoff), eager_orbits_at_vertex(p, vi, cutoff))
+    assert_reads_as(*checked(p, vi, cutoff))
 
 
 @pytest.mark.parametrize("vi", [0, 4, -1, 5])
@@ -169,7 +152,8 @@ class TestStrainBuildsNoOrbits:
         assert made == [] and len(witnesses) == 20001
         first = witnesses[0]
         assert len(made) == 1
-        # The counting subclass never equals an OrbitDatum: compare fields.
-        least = min(eager_orbits_at_vertex(out.profile, 1, 2 * surgery.input_t_min(p)),
-                    key=OrbitDatum.sort_key)
-        assert astuple(first) == astuple(least)
+        cone = exact.Cone.at_vertex(out.profile, 1)
+        exact.check_least(cone, (first.action, first.mn), 2 * surgery.input_t_min(p))
+        assert (first.base_point, first.location_kind, first.location_index) == (
+            out.profile.vertex(1), "vertex", 1,
+        )
