@@ -244,10 +244,11 @@ class MomentProfile:
 
     Derived geometry is computed on first use and then cached on the
     instance: the read-only array ``normals`` (per segment);
-    ``normal_turns`` and the cone table ``vertex_cones`` at the interior
-    vertices; the primitive integer normal of each segment
-    (``primitive_normal``, memoised per segment, so that a caller that
-    needs only a few segments, like ``reeb.t_min``, pays only for those);
+    ``normal_crosses``, ``normal_turns`` and the cone table
+    ``vertex_cones`` at the interior vertices; the primitive integer
+    normal of each segment (``primitive_normal``, memoised per segment,
+    from each vertex's decimals read once, so that a caller that needs
+    only a few segments, like ``reeb.t_min``, pays only for those);
     the tag samples at the Gauss-Legendre nodes of each order
     (``curve_samples``); and the whole-profile results their owners store
     with ``memo``: ``classify`` and ``invariants.area``.  Every cache
@@ -398,13 +399,23 @@ class MomentProfile:
         return _read_only(self.directions[:, ::-1] * (1.0, -1.0) / self.lengths[:, None])
 
     @cached_property
+    def normal_crosses(self) -> np.ndarray:
+        """Read-only: the cross product a0 b1 - a1 b0 of the unit normals
+        a, b of the two segments at each interior vertex 1..n-1, the sine
+        of the normal's turn there (up to rounding)."""
+        pq = self.normals[:-1] * self.normals[1:, ::-1]
+        return _read_only(pq[:, 0] - pq[:, 1])
+
+    def _normal_dots(self) -> np.ndarray:
+        """a . b for the same normals, the cosine of each turn."""
+        a, b = self.normals[:-1], self.normals[1:]
+        return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
+
+    @cached_property
     def normal_turns(self) -> tuple[float, ...]:
         """Signed turning angle of the outward normal at each interior
         vertex 1..n-1, positive at convex corners."""
-        a, b = self.normals[:-1], self.normals[1:]
-        c = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-        d = a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
-        return tuple(map(math.atan2, c.tolist(), d.tolist()))
+        return tuple(map(math.atan2, self.normal_crosses.tolist(), self._normal_dots().tolist()))
 
     @cached_property
     def vertex_cones(self) -> tuple[np.ndarray, np.ndarray]:
@@ -414,16 +425,43 @@ class MomentProfile:
         incoming and outgoing segment normals, swapped where the normal
         turns backwards (``normal_turns`` < 0, a reflex vertex).
         ``corner`` marks turns beyond ``COLLINEAR_TURN``; the other
-        vertices are collinear, with no cone to search."""
-        turns = np.fromiter(self.normal_turns, float)
+        vertices are collinear, with no cone to search.
+
+        Both masks have the bits ``normal_turns`` would give, read from
+        the cross product c (``normal_crosses``): where |c| > 1e-11 the
+        turn has the sign of c and a size above 1e-11 / (1 + rounding) >
+        COLLINEAR_TURN.  Only the other rows, the collinear vertices, ±0.0
+        (whose turn is ±0 or ±pi by the sign of the dot product) and turns
+        near the threshold, call ``math.atan2``."""
+        c = self.normal_crosses
+        swap, corner = c < 0, np.abs(c) > 1e-11
+        near = (~corner).nonzero()[0]
+        if len(near):
+            d = self._normal_dots()[near]
+            turns = np.array(list(map(math.atan2, c[near].tolist(), d.tolist())))
+            swap[near], corner[near] = turns < 0, np.abs(turns) > COLLINEAR_TURN
         a, b = self.normals[:-1], self.normals[1:]
-        swap = (turns < 0)[:, None]
+        swap = swap[:, None]
         cones = np.concatenate((np.where(swap, b, a), np.where(swap, a, b), self.xy[1:-1]), axis=1)
-        return _read_only(cones.reshape(-1, 3, 2)), _read_only(np.abs(turns) > COLLINEAR_TURN)
+        return _read_only(cones.reshape(-1, 3, 2)), _read_only(corner)
 
     @cached_property
     def _primitive_normals(self) -> dict[int, Optional[tuple[int, int]]]:
         return {}
+
+    @cached_property
+    def _decimal_vertices(self) -> dict[int, tuple[tuple[int, int], tuple[int, int]]]:
+        return {}
+
+    def _decimal_vertex(self, i: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Vertex i's coordinates as shortest round-trip decimals, exact
+        (numerator, denominator) pairs; read once per vertex, since the
+        two segments at a vertex share it."""
+        memo = self._decimal_vertices
+        if i not in memo:
+            xy = self.xy
+            memo[i] = _decimal_ratio(xy.item(i, 0)), _decimal_ratio(xy.item(i, 1))
+        return memo[i]
 
     def primitive_normal(self, i: int) -> Optional[tuple[int, int]]:
         """The primitive integer vector parallel to the outward normal of
@@ -434,10 +472,7 @@ class MomentProfile:
         memo = self._primitive_normals
         i = self._segment_index(i)
         if i not in memo:
-            (x0, y0), (x1, y1) = self.vertex(i), self.vertex(i + 1)
-            memo[i] = _primitive_normal(
-                (_decimal_ratio(x0), _decimal_ratio(y0)), (_decimal_ratio(x1), _decimal_ratio(y1))
-            )
+            memo[i] = _primitive_normal(self._decimal_vertex(i), self._decimal_vertex(i + 1))
         return memo[i]
 
     @cached_property
@@ -473,8 +508,16 @@ class MomentProfile:
         )
 
     def vertex(self, i: int) -> Point:
-        """Vertex i as a float pair (a row of ``xy``)."""
-        return self.xy.item(i, 0), self.xy.item(i, 1)
+        """Vertex i as a float pair (a row of ``xy``): i read through
+        ``errors.integer`` (a plain int skips the call), which raises
+        ParamOutOfRange for a non-integer; IndexError outside 0 to
+        n_segments."""
+        if type(i) is not int:
+            i = integer(i, "vertex index")
+        xy = self.xy
+        if not 0 <= i < len(xy):
+            raise IndexError("vertices are indexed 0 to n_segments")
+        return xy.item(i, 0), xy.item(i, 1)
 
     def _segment_index(self, i) -> int:
         """i read through ``errors.integer`` (a plain int skips the call),

@@ -85,7 +85,8 @@ def clear_of_axes(normals: np.ndarray) -> np.ndarray:
     vector and meets only the first quadrant arc, up to the membership
     tolerance, so ``min_in_cone``'s first step pops ((1, 0), (0, 1)) and
     returns (None, 1) exactly when v1 + v2 (the same float sum) exceeds the
-    incumbent: v1 + v2 is a lower bound on the cone's least action."""
+    incumbent: v1 + v2 is a lower bound on the cone's least action, one of
+    the bounds fast ``reeb.t_min`` takes the largest of."""
     return np.minimum(normals[:, 0], normals[:, 1]) > 2 * CONE_TOL
 
 

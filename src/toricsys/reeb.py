@@ -244,18 +244,28 @@ def t_min(
 
     ``fast`` is a best-first pass (branch and bound): every segment and
     vertex cone gets a float lower bound on its action, and they are
-    visited in bound order until a bound exceeds the best action found
-    (ties are visited).  The two axis orbits are the first incumbent.  A
-    segment whose direction has dw1 < 0 < dw2 is bounded by mid1 + mid2:
-    shortest round-trip decimals keep the order of floats, so its
-    primitive normal has m, n >= 1, and m*mid1 + n*mid2 >= mid1 + mid2
-    after rounding.  A vertex cone between two unit normals that are
+    visited in bound order until a bound exceeds the best action found.
+    A bound equal to the best action is visited only when the incumbent
+    ranks with the candidate or after it (axis 0, segment 1, vertex 2):
+    otherwise the candidate can at best tie on action and loses on rank.
+    The two axis orbits are the first incumbent.  Each bound is the
+    largest of those that apply (``_candidate_bounds``).  A segment whose
+    direction has dw1 < 0 < dw2 is bounded by mid1 + mid2: shortest
+    round-trip decimals keep the order of floats, so its primitive normal
+    has m, n >= 1, and m*mid1 + n*mid2 >= mid1 + mid2 after rounding.  A
+    vertex cone between two unit normals that are
     ``lattice.clear_of_axes`` is bounded by v1 + v2, the sum
-    ``min_in_cone`` prunes it by in its first step.  Every other segment
-    or cone is bounded by -inf and always visited.  A visited segment
-    computes its primitive normal (``MomentProfile.primitive_normal``); a
-    visited corner's row of the profile's cone table (``vertex_cones``,
-    built on the first visit) is searched by ``lattice.min_in_cone``, a
+    ``min_in_cone`` prunes it by in its first step.  Every segment is
+    bounded by its support distance h = cross / length less a rounding
+    slack, since its integer normal is at least a unit long, and every
+    cone but a needle (narrower than a few CONE_TOL, where the membership
+    tolerance admits opposite directions) by the lesser support distance
+    of its two segments, whose lines meet at its vertex, less the same
+    slacks and 4 CONE_TOL (v1 + v2).  A candidate no bound covers is
+    bounded by -inf and always visited.  A visited segment computes its
+    primitive normal (``MomentProfile.primitive_normal``); a visited
+    corner's row of the profile's cone table (``vertex_cones``, built on
+    the first visit) is searched by ``lattice.min_in_cone``, a
     Stern-Brocot descent with pruning that takes each continued-fraction
     run in one step and returns the cone's one least (action, m, n) at or
     below the incumbent.  The result does not depend on the visiting order.  A
@@ -342,12 +352,68 @@ def t_min(
 def _candidate_bounds(p: MomentProfile) -> np.ndarray:
     """Float lower bounds on the action of each candidate of ``t_min``'s
     best-first pass: entry i < n for segment i, entry n + j for the cone
-    at vertex j + 1 (n segments)."""
+    at vertex j + 1 (n segments).  Each is the largest of the bounds that
+    apply, -inf where none does."""
     xy, d = p.xy, p.directions
     mid = (xy[:-1] + xy[1:]) / 2
     seg = np.where((d[:, 0] < 0) & (d[:, 1] > 0), mid[:, 0] + mid[:, 1], -np.inf)
     clear = clear_of_axes(p.normals)
-    cone = np.where(clear[:-1] & clear[1:], xy[1:-1, 0] + xy[1:-1, 1], -np.inf)
+    v_sum = xy[1:-1, 0] + xy[1:-1, 1]
+    cone = np.where(clear[:-1] & clear[1:], v_sum, -np.inf)
+    diam = p.diameter
+    # Below this scale a product of coordinates can underflow, and the
+    # relative rounding bounds below do not hold.  Above it every nonzero
+    # coordinate is at least tol = 1e-9 diam, and so every product and
+    # difference that follows is a normal float.
+    if not diam > 1e-100:
+        return np.concatenate((seg, cone))
+    # The support distance h = cross / length of each segment's line is
+    # nu . w for every w on the line, nu its exact unit normal.  The bound
+    # is hb = (cross - 2**-48 diam^2) / length, positive since validation
+    # keeps cross > tol diam = 1e-9 diam^2.
+    #
+    # A segment.  Its orbit is the primitive normal (m, n) of the decimal
+    # reading of its ends, |(m, n)| >= 1 times the decimal unit normal
+    # nu', and its action the float m*mid1 + n*mid2.  With u = 2**-53, D
+    # the exact difference of its float ends, L the float length and every
+    # coordinate in [0, diam], so that h <= sqrt(2) diam <= 2 diam^2 / L,
+    # the action per unit of |(m, n)| falls short of cross / L by at most,
+    # in units of u diam^2 / L:
+    # - 9 for h's rounding: the float cross product is within 3 u diam^2
+    #   of the exact one (two coordinate products and their difference),
+    #   and L within 3 u L of |D| (rounded differences, hypot), which
+    #   costs 3 u h <= 6 u diam^2 / L;
+    # - 8 for the decimal normal: each decimal end is within u |w| <=
+    #   sqrt(2) u diam of the float end, so |nu' - nu| <= 2 * 2 sqrt(2) u
+    #   diam / |D|, and over |mid| <= sqrt(2) diam, nu' . mid >= h - 8 u
+    #   diam^2 / |D|;
+    # - 6 for the float action: rounding the midpoint, the two products
+    #   and their sum costs 3 u |mid| <= 3 sqrt(2) u diam <= 6 u diam^2 / L
+    #   (L <= sqrt(2) diam).
+    # That is 23; the slack 2**-48 diam^2 is 32 u diam^2, less the
+    # rounding of hb's difference and quotient (2 u hb <= 4 u diam^2 / L)
+    # and of diam^2.  So the float action is at least |(m, n)| hb >= hb.
+    hb = (p.cross_products - 2.0**-48 * diam * diam) / p.lengths
+    np.maximum(seg, hb, out=seg)
+    # A cone.  Vertex j lies on the lines of segments j - 1 and j, so
+    # every d = a nu_(j-1) + b nu_j (a, b >= 0) in the exact cone acts
+    # a h_(j-1) + b h_j >= |d| min(h_(j-1), h_j), and each h is at least
+    # its hb (9 of the 32 u above).  ``min_in_cone`` also admits a d within
+    # an angle CONE_TOL (plus rounding) of the float cone, whose normals
+    # are within a few u of the exact ones, so d . v loses at most about
+    # CONE_TOL |d| |v| <= CONE_TOL |d| (v1 + v2), and the float m*v1 +
+    # n*v2 a further 2 u |d| |v|.  The slack 4 CONE_TOL (v1 + v2), as in
+    # the oracle's prune, covers both and the rounding of the bound cb.
+    # Where cb > 0, every action the descent can return is at least
+    # |d| cb >= cb.  A direction opposite the cone passes both half-plane
+    # tests only when the cone is at most about 2 CONE_TOL wide: such a
+    # needle admits actions below any support bound.  So a cone whose
+    # normals' cross product, the sine of its width up to a few u, is at
+    # most 4 CONE_TOL gets no support bound; a cone nearly pi wide reads as
+    # one too, and only loses its bound.
+    wide = np.abs(p.normal_crosses) > 4 * CONE_TOL
+    cb = np.minimum(hb[:-1], hb[1:]) - 4 * CONE_TOL * v_sum
+    np.maximum(cone, cb, out=cone, where=wide & (cb > 0))
     return np.concatenate((seg, cone))
 
 
@@ -357,12 +423,18 @@ def _t_min_fast(p: MomentProfile) -> tuple[float, OrbitDatum]:
     best = min(_axis_keys(p))
     n = p.n_segments
     bounds = _candidate_bounds(p)
-    # The incumbent only falls: nothing bounded above it now is visited.
-    live = (bounds <= best[0]).nonzero()[0]
+    # The incumbent only falls: nothing bounded at or above it now can win.
+    # A candidate bounded at the axis incumbent's action could at best tie
+    # on action, and it ranks after every axis orbit.
+    live = (bounds < best[0]).nonzero()[0]
     live = live[bounds[live].argsort(kind="stable")]
     for bound, k in zip(bounds[live].tolist(), live.tolist()):
         if bound > best[0]:
             break
+        # A tie on action loses on rank to an incumbent that ranks before
+        # the candidate (axis 0, segment 1, vertex 2).
+        if bound == best[0] and best[1] < (1 if k < n else 2):
+            continue
         if k < n:
             got = _segment_key(p, k)
             if got is not None:

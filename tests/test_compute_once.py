@@ -244,7 +244,8 @@ class TestComputeOnce:
 
     def test_derived_arrays_read_only(self):
         p = fc_domain(1, 0.5, 8)
-        for arr in (p.xy, p.directions, p.normals, p.tagged, *p.curve_samples(4)):
+        derived = (p.xy, p.directions, p.normals, p.normal_crosses, p.tagged)
+        for arr in (*derived, *p.curve_samples(4)):
             with pytest.raises(ValueError):
                 arr[0] = 0
 

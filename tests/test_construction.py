@@ -460,6 +460,26 @@ class TestFamilies:
             call(p, index)
         assert p._primitive_normals == {}
 
+    @pytest.mark.parametrize(
+        "index, error, message",
+        [
+            (-1, IndexError, "vertices are indexed 0 to n_segments"),
+            (3, IndexError, "vertices are indexed 0 to n_segments"),
+            (np.int64(-1), IndexError, "vertices are indexed 0 to n_segments"),
+            (0.5, ParamOutOfRange, "vertex index must be an integer; got 0.5"),
+        ],
+        ids=["minus_one", "n_segments_plus_one", "numpy_minus_one", "fraction"],
+    )
+    def test_vertex_index_out_of_range(self, index, error, message):
+        """polydisk(1, 2) has vertices 0 to 2.  Index -1 once wrapped to
+        the last vertex (0, 2), index 3 raised numpy's own IndexError, and
+        0.5 an untyped TypeError."""
+        p = geometry.polydisk(1, 2)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            p.vertex(index)
+        assert p.vertex(2) == p.vertex(np.int64(2)) == (0.0, 2.0)
+        assert p.vertex(0) == (1.0, 0.0)
+
     def test_ellipsoid_bad_parameters(self):
         for args in [(0, 1, 2), (1, -1, 2), (1, 1, 0), (math.inf, 1, 2), (math.nan, 1, 2)]:
             assert_same(outcome(geometry.ellipsoid, *args), outcome(ellipsoid, *args))

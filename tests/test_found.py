@@ -174,6 +174,14 @@ def test_t_min_is_the_exact_least_orbit():
     assert math.isclose(action, least, rel_tol=1e-15)
 
 
+@known("12", OverflowError, "a needle cone about an axis sends the descent's run end past any int")
+def test_t_min_on_a_needle_about_an_axis():
+    # Vertex 1's cone is 2e-10 rad wide about (1, 0), and the CONE_TOL band
+    # also admits (-1, 0), opposite it; the oracle answers the axis (1, 0).
+    p = from_vertices([(1, 0), (1 + 1e-10, 1), (1, 2), (0, 2)])
+    exact.check_orbit(p, *t_min(p))
+
+
 # Corner cones where the descent's least (m, n) is not the exact one:
 # (surgery or family, its arguments, vertex, exact least (m, n)).  At the
 # diagonal strangulation's apex (vertex 2) every (-k, k + 1) acts about

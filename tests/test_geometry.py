@@ -195,6 +195,64 @@ class TestNormalCones:
             assert not corner.any()
         assert not corner[[i - 1 for i in mids]].any()
 
+    @staticmethod
+    def _atan2_table(p):
+        """The cone table as ``normal_turns`` gives it, one ``math.atan2``
+        per vertex: a reference for ``vertex_cones``."""
+        turns = np.array(p.normal_turns, dtype=float)
+        a, b = p.normals[:-1], p.normals[1:]
+        swap = (turns < 0)[:, None]
+        cones = np.concatenate((np.where(swap, b, a), np.where(swap, a, b), p.xy[1:-1]), axis=1)
+        return cones.reshape(-1, 3, 2), np.abs(turns) > COLLINEAR_TURN
+
+    def _assert_table_is_atan2s(self, p):
+        (cones, corner), (want_cones, want_corner) = p.vertex_cones, self._atan2_table(p)
+        assert cones.shape == want_cones.shape and cones.tobytes() == want_cones.tobytes()
+        assert corner.shape == want_corner.shape and corner.tobytes() == want_corner.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**9), st.sampled_from(["star", "monotone"]), st.booleans())
+    def test_table_equals_atan2_reference(self, seed, kind, split):
+        """Every bit of both arrays, on random profiles with and without
+        collinear midpoints."""
+        rng = random.Random(seed)
+        p = (random_star_profile if kind == "star" else random_monotone_profile)(rng)
+        if split:
+            p, _ = _with_midpoints(p, rng)
+        self._assert_table_is_atan2s(p)
+
+    def test_table_equals_atan2_reference_near_the_threshold(self):
+        """Normals set by hand so that the cross product c of each pair is
+        one of ±0.0, ±1e-12, ±1e-11 (and its float neighbours) or ±2e-11,
+        with the dot product +1 or -1.  c = ±0.0 at dot -1 is a turn of
+        ±pi: a corner, swapped for -0.0, which the sign of c alone gets
+        wrong."""
+        cs = [0.0, 1e-12, 1e-11, math.nextafter(1e-11, 0), math.nextafter(1e-11, 1), 2e-11]
+        cs += [-c for c in cs]
+        rows = []
+        for c in cs:
+            for x in (1.0, -1.0):
+                # (1, ±0.0) x (x, c) is c - (±0.0 * x) = c, bit for bit.
+                rows += [(1.0, math.copysign(0.0, x)), (x, c)]
+        p = ellipsoid(1, 1, len(rows))
+        # The normals are cached on first read; these stand in for them.
+        p.__dict__["normals"] = np.array(rows)
+        got = p.normal_crosses[::2].tolist()
+        want = [c for c in cs for _ in (1.0, -1.0)]
+        assert [(abs(c), math.copysign(1, c)) for c in got] == [
+            (abs(c), math.copysign(1, c)) for c in want
+        ]
+        self._assert_table_is_atan2s(p)
+        cones, corner = p.vertex_cones
+        turns = p.normal_turns
+        # Pair j of rows is table row 2 j; -0.0 is the first negated entry.
+        j = 2 * (len(cs) // 2) + 1
+        assert rows[2 * j : 2 * j + 2] == [(1.0, -0.0), (-1.0, -0.0)]
+        assert math.copysign(1, got[j]) == -1
+        k = 2 * j
+        assert turns[k] == -math.pi and corner[k]
+        assert cones[k, 0].tolist() == [-1.0, 0.0] and math.copysign(1, cones[k, 0, 1]) == -1
+
 
 class TestSqrtTransform:
     """``SquaredSegment`` is a straight segment in mu = sqrt(w)
