@@ -290,7 +290,8 @@ def emit_profile_svg(p: MomentProfile, path) -> None:
     parts = [_svg_header(W, H)]
     parts.append(poly([(0, 0), (x_max * 1.05, 0)], "black"))
     parts.append(poly([(0, 0), (0, y_max * 1.05)], "black"))
-    curves = dict(zip(p.tagged.tolist(), p.sample_curves(np.arange(8) / 8)[0].tolist()))
+    x, y = p.sample_curves(np.arange(8) / 8)
+    curves = {i: list(zip(xs, ys)) for i, xs, ys in zip(p.tagged.tolist(), x.tolist(), y.tolist())}
     pts = [q for i, v in enumerate(p.vertices[:-1]) for q in curves.get(i, [v])]
     pts.append(p.vertices[-1])
     parts.append(poly(pts, "blue"))

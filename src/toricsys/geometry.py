@@ -18,8 +18,16 @@ same bits: ``a[1:] - a[:-1]`` for ``np.diff``, a preallocated output or
 ``np.hstack``, and ``.nonzero()[0]`` and ``.argsort()`` for
 ``np.flatnonzero`` and ``np.argsort``.  It searches a mask with argmax,
 the first True, read with ``.item``, rather than testing it with
-``any()``.  And a profile without tags does no tag work: no mask of its
-straight segments and no curve samples.
+``any()``.  A profile without tags does no tag work: no mask of its
+straight segments and no curve samples.  Tag curves are sampled into
+contiguous columns x and y, and their derivatives dx and dy are computed
+only for a caller that reads them (area and the Ruelle quadrature); the
+end check, the Gromov width and the SVG read points only.  And rows of
+two to four numbers (points, normals, a segment's planes) are never
+reduced along axis 1 by ``min``, ``max``, ``sum``, ``any`` or ``all``,
+which takes about 20 µs on 512 rows: the columns are combined instead,
+as ``np.minimum(a[:, 0], a[:, 1])`` or ``x + y`` (about 1 µs).  Only
+error reports, which run once on refused input, keep such a reduction.
 """
 
 from __future__ import annotations
@@ -118,7 +126,9 @@ class Tag:
     """An analytic curve along one segment, ``Arc`` or ``SquaredSegment``,
     given by one row of floats (``numbers``).  Each type samples and
     scales columns of many tags' numbers at once (``sample_numbers`` and
-    ``scale_factors``)."""
+    ``scale_factors``).  ``sample_numbers`` is the type's one sampling
+    kernel: it returns the curve's points as the separate arrays x and y,
+    and the derivatives dx and dy only when asked for them."""
 
     kind: ClassVar[str]
     n_numbers: ClassVar[int]
@@ -146,16 +156,21 @@ class Arc(Tag):
         return (*self.center, self.r, self.a0, self.a1)
 
     @staticmethod
-    def sample_numbers(numbers, t) -> tuple[np.ndarray, np.ndarray]:
-        """Points and derivatives at the parameters ``t`` of the arc with
-        these ``numbers``, stacked on a last axis of length 2; each number
-        may be an array that broadcasts with ``t``, such as a column of
-        many arcs' numbers."""
+    def sample_numbers(numbers, t, derivatives: bool = False) -> tuple[np.ndarray, ...]:
+        """The arc's points at the parameters ``t`` as the columns
+        ``(x, y)``, or ``(x, y, dx, dy)`` with the derivatives in t when
+        ``derivatives`` is set; the derivatives are computed only then.
+        Each number may be a float or an array that broadcasts with
+        ``t``: the profile passes its (k, 1) column views of k arcs'
+        numbers and a 1-D ``t``, and gets C-contiguous (k, len(t))
+        arrays."""
         cx, cy, r, a0, a1 = numbers
         da = a1 - a0
         a = a0 + da * t
         cos, sin = r * np.cos(a), r * np.sin(a)
-        return _pairs(cx + cos, cy + sin), _pairs(-da * sin, da * cos)
+        if derivatives:
+            return cx + cos, cy + sin, -da * sin, da * cos
+        return cx + cos, cy + sin
 
     @staticmethod
     def scale_factors(s: float) -> tuple[float, ...]:
@@ -183,12 +198,14 @@ class SquaredSegment(Tag):
         return (*self.mu0, *self.mu1)
 
     @staticmethod
-    def sample_numbers(numbers, t) -> tuple[np.ndarray, np.ndarray]:
+    def sample_numbers(numbers, t, derivatives: bool = False) -> tuple[np.ndarray, ...]:
         """As ``Arc.sample_numbers``."""
         p0, q0, p1, q1 = numbers
         dp, dq = p1 - p0, q1 - q0
         p, q = p0 + dp * t, q0 + dq * t
-        return _pairs(p * p, q * q), _pairs(2 * p * dp, 2 * q * dq)
+        if derivatives:
+            return p * p, q * q, 2 * p * dp, 2 * q * dq
+        return p * p, q * q
 
     @staticmethod
     def scale_factors(s: float) -> tuple[float, ...]:
@@ -196,15 +213,10 @@ class SquaredSegment(Tag):
         return (math.sqrt(s),) * 4
 
 
-def _pairs(x, y) -> np.ndarray:
-    """``np.stack((x, y), -1)`` for x and y of one shape, scalars
-    included, written into one preallocated float array."""
-    x = np.asarray(x)
-    out = np.empty((*x.shape, 2))
-    out[..., 0] = x
-    out[..., 1] = y
-    return out
-
+# The parameters of a tag's two ends, and their vertices' offsets from the
+# segment index.
+_ENDS = _read_only(np.array([0.0, 1.0]))
+_ENDS_INDEX = _read_only(np.array([0, 1]))
 
 # Tag types by the name profile files give them.
 TAG_KINDS: dict[str, type] = {cls.kind: cls for cls in (Arc, SquaredSegment)}
@@ -249,8 +261,9 @@ class MomentProfile:
     normal of each segment (``primitive_normal``, memoised per segment,
     from each vertex's decimals read once, so that a caller that needs
     only a few segments, like ``reeb.t_min``, pays only for those);
-    the tag samples at the Gauss-Legendre nodes of each order
-    (``curve_samples``); and the whole-profile results their owners store
+    the tag samples at the Gauss-Legendre nodes of each order, points and
+    derivatives as four (k, order) columns (``curve_samples``); and the
+    whole-profile results their owners store
     with ``memo``: ``classify`` and ``invariants.area``.  Every cache
     assumes the instance never changes, so a profile refuses attribute
     assignment; build a new one instead.
@@ -327,15 +340,23 @@ class MomentProfile:
 
     def _check_tag_ends(self) -> None:
         """Every tag's curve must start and end at its segment's vertices,
-        within the profile's tolerance; sampled at t = 0 and 1 in one numpy
-        call per tag type."""
-        ends, _ = self.sample_curves(np.array([0.0, 1.0]))
-        idx, xy = self.tagged, self.xy
-        gap = np.maximum(np.abs(ends[:, 0] - xy[idx]), np.abs(ends[:, 1] - xy[idx + 1]))
-        off = ~(gap.max(axis=1) <= self.tol)
+        within the profile's tolerance; its points at t = 0 and 1 (no
+        derivatives) are sampled in one numpy call per tag type.  Numbers
+        that are not finite, or too large to square, give points that are
+        inf or nan, which fail the check: the arithmetic is quieted
+        (``_quiet``), so that they raise ParamOutOfRange and no warning.
+        Entering ``np.errstate`` costs less than testing the numbers'
+        size first."""
+        idx, (x0, y0), tol = self.tagged, self.xy.T, self.tol
+        # Row j of the (k, 2) columns is segment idx[j]'s start and end.
+        ends = idx[:, None] + _ENDS_INDEX
+        with _quiet():
+            x, y = self.sample_curves(_ENDS)
+            off = ~((np.abs(x - x0[ends]) <= tol) & (np.abs(y - y0[ends]) <= tol))
         if off.item(k := int(off.argmax())):
+            k //= 2
             i = int(idx[k])
-            (s0, s1), (e0, e1) = ends[k].tolist()
+            (s0, e0), (s1, e1) = x[k].tolist(), y[k].tolist()
             v0, v1 = self.segment(i)
             raise ParamOutOfRange(
                 f"tag of segment {i} runs from {(s0, s1)} to {(e0, e1)}, not from "
@@ -488,23 +509,32 @@ class MomentProfile:
             memo[key] = compute()
         return memo[key]
 
-    def sample_curves(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Points and derivatives of the tagged segments (in the order of
-        ``tagged``) at the parameters ``t``, as two (k, len(t), 2) arrays;
-        each tag type is sampled in one numpy call on its columns."""
-        pts = np.empty((len(self.tagged), len(t), 2))
-        ders = np.empty_like(pts)
-        for cls, (segs, nums) in self.tag_columns.items():
+    def sample_curves(self, t: np.ndarray, derivatives: bool = False) -> tuple[np.ndarray, ...]:
+        """The tagged segments' curves at the 1-D parameters ``t`` as
+        C-contiguous (k, len(t)) columns, row j for segment ``tagged[j]``:
+        ``(x, y)``, or ``(x, y, dx, dy)`` with the derivatives in t, which
+        are computed only when ``derivatives`` is set.  Each tag type is
+        sampled in one call of its ``sample_numbers`` on its numbers'
+        column views; the arrays of a profile with one tag type are that
+        call's, and only several types are scattered into shared rows."""
+        columns = self.tag_columns
+        if len(columns) == 1:
+            ((cls, (_, nums)),) = columns.items()
+            return cls.sample_numbers(nums.T[..., None], t, derivatives)
+        out = np.empty((4 if derivatives else 2, len(self.tagged), len(t)))
+        for cls, (segs, nums) in columns.items():
             rows = self.tagged.searchsorted(segs)
-            pts[rows], ders[rows] = cls.sample_numbers(nums.T[..., None], t)
-        return pts, ders
+            for o, c in zip(out, cls.sample_numbers(nums.T[..., None], t, derivatives)):
+                o[rows] = c
+        return tuple(out)
 
-    def curve_samples(self, order: int) -> tuple[np.ndarray, np.ndarray]:
-        """``sample_curves`` at the ``order`` Gauss-Legendre nodes on
-        [0, 1], read-only; sampled once per order (``memo``)."""
+    def curve_samples(self, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``sample_curves`` with derivatives at the ``order``
+        Gauss-Legendre nodes on [0, 1], the read-only columns
+        ``(x, y, dx, dy)``; sampled once per order (``memo``)."""
         return self.memo(
             f"curve_samples {order}",
-            lambda: tuple(map(_read_only, self.sample_curves(_gl_nodes(order)[0]))),
+            lambda: tuple(map(_read_only, self.sample_curves(_gl_nodes(order)[0], True))),
         )
 
     def vertex(self, i: int) -> Point:
@@ -847,7 +877,8 @@ def _classify(p: MomentProfile) -> Classification:
     witnesses: dict = {}
     # A segment decreases where a normal component is below -TOL_REL and
     # is flat where one is at most TOL_REL: both read the lesser component.
-    low = p.normals.min(axis=1)
+    nu = p.normals
+    low = np.minimum(nu[:, 0], nu[:, 1])
     decreasing, flat = low < -TOL_REL, low <= TOL_REL
     monotone = not decreasing.item(i := int(decreasing.argmax()))
     if not monotone:

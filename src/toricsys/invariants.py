@@ -43,8 +43,8 @@ def _area(p: MomentProfile) -> float:
     total = math.fsum(_straight(p, p.cross_products).tolist())
     if p.tagged.size:
         _, weights = _gl_nodes(GL_ORDER)
-        pt, dv = p.curve_samples(GL_ORDER)
-        total += (weights * (pt[..., 0] * dv[..., 1] - pt[..., 1] * dv[..., 0])).sum()
+        x, y, dx, dy = p.curve_samples(GL_ORDER)
+        total += (weights * (x * dy - y * dx)).sum()
     return float(0.5 * total)
 
 
@@ -74,14 +74,14 @@ def ruelle_quadrature(p: MomentProfile, n: int = GL_ORDER) -> float:
     total = (d[:, 1] - d[:, 0]).sum()
     if p.tagged.size:
         _, weights = _gl_nodes(n)
-        pt, dv = p.curve_samples(n)
-        speed = np.hypot(dv[..., 0], dv[..., 1])
-        nu1, nu2 = dv[..., 1] / speed, -dv[..., 0] / speed
+        x, y, dx, dy = p.curve_samples(n)
+        speed = np.hypot(dx, dy)
+        nu1, nu2 = dy / speed, -dx / speed
         denom = reeb.nu_dot_w(
-            p, (pt[..., 0], pt[..., 1]), (nu1, nu2),
+            p, (x, y), (nu1, nu2),
             lambda k, value: f"nu.w = {value} on segment {int(p.tagged[k[0]])}",
         )
-        crs = pt[..., 0] * dv[..., 1] - pt[..., 1] * dv[..., 0]
+        crs = x * dy - y * dx
         total += (weights * ((nu1 + nu2) / denom) * crs).sum()
     return float(total)
 
@@ -148,15 +148,17 @@ def report_to_csv_row(r: InvariantReport) -> str:
 def gromov_width_monotone(p: MomentProfile) -> float:
     """First-touch value of the antidiagonal line w1 + w2 = L: the
     minimum of w1 + w2 over the boundary path (monotone profiles only),
-    taken at the vertices and at t = j/64 (0 < j < 64) on each curve."""
+    taken at the vertices and at t = j/64 (0 < j < 64) on each curve,
+    whose points alone are sampled."""
     cls = classify(p)
     if not cls.monotone:
         raise NotMonotone(f"witness segment {cls.witnesses.get('monotone')}")
     xy = p.xy
+    low = (xy[:, 0] + xy[:, 1]).min()
     if len(p.tagged):
-        pts, _ = p.sample_curves(np.arange(1, 64) / 64)
-        xy = np.concatenate((xy, pts.reshape(-1, 2)))
-    return float(xy.sum(axis=1).min())
+        x, y = p.sample_curves(np.arange(1, 64) / 64)
+        low = np.minimum(low, (x + y).min())
+    return float(low)
 
 
 def vol_fc(b: float, c: float) -> float:

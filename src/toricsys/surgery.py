@@ -34,7 +34,6 @@ from .geometry import (
     Classification,
     MomentProfile,
     Point,
-    _pairs,
     classify,
     ray_hit,
 )
@@ -89,11 +88,15 @@ def _clip(step: np.ndarray, room: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     parameters s in [0, 1] with step * s <= room for every plane.  The
     interval is empty when s_in > s_out; a plane parallel to its segment
     (step 0) empties it by s_in = inf when the segment lies outside
-    (room < 0) and otherwise leaves it alone."""
+    (room < 0) and otherwise leaves it alone.  Each bound is reduced
+    over the plane columns one column at a time, elementwise along the
+    segments."""
     miss = np.where(room < 0, math.inf, -math.inf)
     r = np.divide(room, step, out=miss, where=step != 0)
-    s_in = np.where(step <= 0, r, 0.0).max(axis=1, initial=0.0)
-    s_out = np.where(step > 0, r, 1.0).min(axis=1, initial=1.0)
+    lower, upper = np.where(step <= 0, r, 0.0), np.where(step > 0, r, 1.0)
+    s_in, s_out = 0.0, 1.0
+    for j in range(step.shape[1]):
+        s_in, s_out = np.maximum(s_in, lower[:, j]), np.minimum(s_out, upper[:, j])
     return s_in, s_out
 
 
@@ -133,7 +136,9 @@ def _sector_intervals(
     # Inside is cross(right, x - apex) >= 0 and cross(left, x - apex) <= 0:
     # f >= 0 for both columns of f.  Along a segment f0 + s * (f1 - f0) >= 0
     # is the plane (f0 - f1) * s <= f0.
-    f = _pairs(right[0] * y - right[1] * x, left[1] * x - left[0] * y)
+    f = np.empty((len(x), 2))
+    f[:, 0] = right[0] * y - right[1] * x
+    f[:, 1] = left[1] * x - left[0] * y
     f0, f1 = f[:-1], f[1:]
     lo, hi = _clip(f0 - f1, f0)
     return lo, hi, ~(lo >= hi - 1e-15)

@@ -33,6 +33,11 @@ COPIES = {
     f"test_direct_arrays.{name}": "a helper's former spelling; checks no lattice decision"
     for name in ("_old_normals", "_old_classify", "_old_arc", "_old_squared", "_old_gromov")
 } | {
+    f"test_direct_arrays.{name}": "the stacked tag samples and their readers; checks no lattice decision"
+    for name in (
+        "_old_sample_curves", "_old_tag_ends_error", "_old_area", "_old_ruelle", "_old_svg_points"
+    )
+} | {
     f"test_sector_angle.{name}": "the strangulation bisection, an independent method within 1e-15"
     for name in ("_old_rot", "_old_sector_interval", "_old_point_on", "_old_strangulate")
 }

@@ -109,6 +109,25 @@ def test_tag_off_its_segment_in_a_profile_file(text, says, tmp_path, capsys):
     assert captured.err == f"error: ParamOutOfRange: {says}\n"
 
 
+def test_overflowing_tag_numbers_in_a_profile_file(tmp_path):
+    # In a fresh interpreter with the default warning filters, so that a
+    # numpy RuntimeWarning would reach stderr.
+    path = tmp_path / "profile.txt"
+    path.write_text("tag 0 squared 1e200 0 0 1e200\nvertices:\n1 0\n0 1\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(toricsys.__file__).resolve().parents[1])}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricsys.cli", "invariants", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_INVALID
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: ParamOutOfRange: tag of segment 0 runs from (inf, 0.0) to (0.0, inf), "
+        "not from vertex 0 at (1.0, 0.0) to vertex 1 at (0.0, 1.0)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [

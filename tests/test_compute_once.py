@@ -220,21 +220,22 @@ class TestComputeOnce:
         calls = []
         for cls in (Arc, SquaredSegment):
 
-            def counted(numbers, t, cls=cls, real=cls.sample_numbers):
-                calls.append((cls, len(t)))
-                return real(numbers, t)
+            def counted(numbers, t, derivatives=False, cls=cls, real=cls.sample_numbers):
+                calls.append((cls, len(t), derivatives))
+                return real(numbers, t, derivatives)
 
             monkeypatch.setattr(cls, "sample_numbers", staticmethod(counted))
         p = fc_domain(2, 0.7, 8)
         q = smooth_corners(polydisk(1, 2), 0.2, 4)
-        # Construction samples each tag's two ends (``_check_tag_ends``).
-        assert calls == [(SquaredSegment, 2), (Arc, 2)]
+        # Construction samples each tag's two ends (``_check_tag_ends``),
+        # points only.
+        assert calls == [(SquaredSegment, 2, False), (Arc, 2, False)]
         report(p)
         report(q)
-        assert calls[2:] == [(SquaredSegment, GL_ORDER), (Arc, GL_ORDER)]
+        assert calls[2:] == [(SquaredSegment, GL_ORDER, True), (Arc, GL_ORDER, True)]
         ruelle_quadrature(p, 5)
         report(p)
-        assert calls[4:] == [(SquaredSegment, 5)]
+        assert calls[4:] == [(SquaredSegment, 5, True)]
 
     def test_gl_nodes_cached_and_read_only(self):
         nodes, weights = _gl_nodes(8)

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -261,9 +262,9 @@ class TestSqrtTransform:
     def test_midpoint_value(self):
         # mu = (1/2, 1/2) halfway from (1, 0) to (0, 1), so w = (1/4, 1/4).
         tag = SquaredSegment((1.0, 0.0), (0.0, 1.0))
-        point, velocity = tag.sample_numbers(tag.numbers(), 0.5)
-        assert point.tolist() == [0.25, 0.25]
-        assert velocity.tolist() == [-1.0, 1.0]
+        x, y, dx, dy = tag.sample_numbers(tag.numbers(), 0.5, True)
+        assert (x, y) == (0.25, 0.25)
+        assert (dx, dy) == (-1.0, 1.0)
 
     @given(
         st.lists(
@@ -279,9 +280,9 @@ class TestSqrtTransform:
         """The ends of each piece are its squared mu endpoints."""
         for mu0, mu1 in zip(pts, pts[1:]):
             tag = SquaredSegment(mu0, mu1)
-            ends, _ = tag.sample_numbers(tag.numbers(), np.array([0.0, 1.0]))
-            assert ends[0].tolist() == [mu0[0] * mu0[0], mu0[1] * mu0[1]]
-            for got, mu in zip(ends[1].tolist(), mu1):
+            x, y = tag.sample_numbers(tag.numbers(), np.array([0.0, 1.0]))
+            assert [x[0], y[0]] == [mu0[0] * mu0[0], mu0[1] * mu0[1]]
+            for got, mu in zip([x[1], y[1]], mu1):
                 assert got == pytest.approx(mu * mu, rel=1e-12)
 
 
@@ -377,6 +378,30 @@ class TestTagEnds:
     def test_tag_off_its_segment(self, tag):
         with pytest.raises(ParamOutOfRange, match="not from vertex 0 at .* to vertex 1"):
             MomentProfile(((1.0, 0.0), (0.0, 1.0)), (tag,))
+
+    @pytest.mark.parametrize(
+        "cls, numbers, ends",
+        [
+            (SquaredSegment, [math.inf, 0, 0, 1], "(nan, 0.0) to (nan, 1.0)"),
+            (SquaredSegment, [1e200, 0, 0, 1e200], "(inf, 0.0) to (0.0, inf)"),
+            (SquaredSegment, [1, 0, math.nan, 1], "(nan, 0.0) to (nan, 1.0)"),
+            (Arc, [0, 0, math.inf, 0, math.pi / 2], "(inf, nan) to (inf, inf)"),
+            (Arc, [1.5e308, 0, 1.5e308, 0, 1], "(inf, 0.0) to (inf, 1.2622064772118449e+308)"),
+            (Arc, [1, 1, 1, -math.inf, math.inf], "(nan, nan) to (nan, nan)"),
+        ],
+        ids=["inf-mu", "overflowing-square", "nan-mu", "inf-radius", "overflowing-sum", "inf-angles"],
+    )
+    def test_numbers_that_do_not_sample_raise_only_out_of_range(self, cls, numbers, ends):
+        # Overflow and inf * 0 give ends of inf and nan, and no warning:
+        # the suite makes every RuntimeWarning an error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParamOutOfRange) as info:
+                MomentProfile([(1, 0), (0, 1)], {cls: ([0], [numbers])})
+        assert str(info.value) == (
+            f"tag of segment 0 runs from {ends}, not from vertex 0 at (1.0, 0.0) "
+            "to vertex 1 at (0.0, 1.0)"
+        )
 
     def test_end_within_tolerance_passes(self):
         tag = SquaredSegment((1.0, 0.0), (0.0, 1.0 + 1e-12))
