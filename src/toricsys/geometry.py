@@ -23,11 +23,14 @@ straight segments and no curve samples.  Tag curves are sampled into
 contiguous columns x and y, and their derivatives dx and dy are computed
 only for a caller that reads them (area and the Ruelle quadrature); the
 end check, the Gromov width and the SVG read points only.  And rows of
-two to four numbers (points, normals, a segment's planes) are never
-reduced along axis 1 by ``min``, ``max``, ``sum``, ``any`` or ``all``,
-which takes about 20 µs on 512 rows: the columns are combined instead,
-as ``np.minimum(a[:, 0], a[:, 1])`` or ``x + y`` (about 1 µs).  Only
-error reports, which run once on refused input, keep such a reduction.
+two numbers (points, normals) are never reduced along axis 1 by
+``min``, ``max``, ``sum``, ``any`` or ``all``, which takes about 20 µs
+on 512 rows: the columns are combined instead, as
+``np.minimum(a[:, 0], a[:, 1])`` or ``x + y`` (about 1 µs).  Only error
+reports, which run once on refused input, keep such a reduction, and
+``surgery._clip``, whose rows of two or four planes come from the few
+dozen segments a surgery is run on, where folding the columns one at a
+time measured no faster.
 """
 
 from __future__ import annotations

@@ -88,15 +88,11 @@ def _clip(step: np.ndarray, room: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     parameters s in [0, 1] with step * s <= room for every plane.  The
     interval is empty when s_in > s_out; a plane parallel to its segment
     (step 0) empties it by s_in = inf when the segment lies outside
-    (room < 0) and otherwise leaves it alone.  Each bound is reduced
-    over the plane columns one column at a time, elementwise along the
-    segments."""
+    (room < 0) and otherwise leaves it alone."""
     miss = np.where(room < 0, math.inf, -math.inf)
     r = np.divide(room, step, out=miss, where=step != 0)
-    lower, upper = np.where(step <= 0, r, 0.0), np.where(step > 0, r, 1.0)
-    s_in, s_out = 0.0, 1.0
-    for j in range(step.shape[1]):
-        s_in, s_out = np.maximum(s_in, lower[:, j]), np.minimum(s_out, upper[:, j])
+    s_in = np.where(step <= 0, r, 0.0).max(axis=1, initial=0.0)
+    s_out = np.where(step > 0, r, 1.0).min(axis=1, initial=1.0)
     return s_in, s_out
 
 
