@@ -154,9 +154,11 @@ def _orbits(args, p) -> int:
 
 
 def _surgery_output(out: surgery.SurgeryOutcome, args) -> int:
+    witnesses = out.new_orbit_witnesses
+    len(witnesses)  # a witness listing that fails does so before any output
     print(f"volume_delta = {out.volume_delta:.17g}")
     print(f"volume_delta_bound = {out.volume_delta_bound:.17g}")
-    for o in out.new_orbit_witnesses:
+    for o in witnesses:
         (m, n), (w1, w2) = o.mn, o.base_point
         print(f"witness_orbit = ({m},{n}) at ({w1:.17g},{w2:.17g}) action {o.action:.17g}")
     c = out.preserved_flags

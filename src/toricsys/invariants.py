@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NotMonotone, ParamOutOfRange, integer
-from .geometry import FLAGS, Classification, MomentProfile, _gl_nodes, classify
+from .geometry import FLAGS, Classification, MomentProfile, _gl_nodes, _quiet, classify
 from . import reeb
 
 GL_ORDER = 8
@@ -76,7 +76,10 @@ def ruelle_quadrature(p: MomentProfile, n: int = GL_ORDER) -> float:
         _, weights = _gl_nodes(n)
         x, y, dx, dy = p.curve_samples(n)
         speed = np.hypot(dx, dy)
-        nu1, nu2 = dy / speed, -dx / speed
+        # A curve stationary at a node has nu = 0/0 = nan there, which the
+        # nu . w check below refuses without a numpy warning.
+        with _quiet():
+            nu1, nu2 = dy / speed, -dx / speed
         denom = reeb.nu_dot_w(
             p, (x, y), (nu1, nu2),
             lambda k, value: f"nu.w = {value} on segment {int(p.tagged[k[0]])}",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Callable, Optional
 
@@ -117,17 +118,42 @@ class VertexOrbits(Sequence):
     ``m``, ``n`` and ``action``, sorted by action, then by (m, n): the
     order of ``OrbitDatum.sort_key`` within one vertex.  An ``OrbitDatum``
     is made only when one is read, by index, slice (a list) or
-    iteration, so the about 2/eps orbits of a strain tip cost three
-    arrays until they are read."""
+    iteration.  ``orbits_at_vertex`` defers the listing itself: its
+    columns are listed on first read (of a column, ``len``, an orbit,
+    ``==`` or ``repr``), once, so the about 2/eps orbits of a strain tip
+    cost nothing until they are read, and an error of the listing is
+    raised by that read."""
 
-    __slots__ = ("m", "n", "action", "base_point", "vertex_index")
+    __slots__ = ("_columns", "_list", "base_point", "vertex_index")
 
     def __init__(
         self, m: np.ndarray, n: np.ndarray, action: np.ndarray, base_point: Point, vertex_index: int
     ):
-        self.m, self.n, self.action = (_read_only(c) for c in (m, n, action))
+        self._columns = tuple(_read_only(c) for c in (m, n, action))
+        self._list = None
         self.base_point = base_point
         self.vertex_index = vertex_index
+
+    @classmethod
+    def _deferred(
+        cls, list_columns: Callable[[], tuple], base_point: Point, vertex_index: int
+    ) -> VertexOrbits:
+        """Orbits whose columns ``list_columns()`` returns on first read."""
+        self = cls.__new__(cls)
+        self._columns, self._list = None, list_columns
+        self.base_point = base_point
+        self.vertex_index = vertex_index
+        return self
+
+    def _read(self) -> tuple:
+        if self._columns is None:
+            self._columns = tuple(_read_only(c) for c in self._list())
+            self._list = None
+        return self._columns
+
+    m = property(lambda self: self._read()[0])
+    n = property(lambda self: self._read()[1])
+    action = property(lambda self: self._read()[2])
 
     def __len__(self) -> int:
         return len(self.action)
@@ -162,6 +188,20 @@ class VertexOrbits(Sequence):
         return f"VertexOrbits({len(self)} orbits at vertex {self.vertex_index} {self.base_point})"
 
 
+def _cone_orbits(cone: np.ndarray, action_cutoff: float) -> tuple:
+    """The columns (m, n, action) of the primitive orbits in one corner
+    cone (a one-row table of ``MomentProfile.vertex_cones``) with action
+    <= cutoff, sorted by action, then by (m, n)."""
+    _, m, n, action = enumerate_in_cone(cone, action_cutoff)
+    # An action is a period, > 0; the membership tolerance admits a
+    # needle's opposite.
+    keep = action > 0
+    if not keep.all():
+        m, n, action = m[keep], n[keep], action[keep]
+    order = np.lexsort((n, m, action))
+    return m[order], n[order], action[order]
+
+
 def orbits_at_vertex(
     p: MomentProfile, vertex_index: int, action_cutoff: float
 ) -> VertexOrbits:
@@ -170,15 +210,16 @@ def orbits_at_vertex(
 
     Covers interior vertices (IndexError elsewhere); at a collinear one
     (no ``MomentProfile.vertex_cones`` corner) the cone degenerates to the
-    incident segment's normal ray, with 0 or 1 orbit.  The cone's lattice
-    points come from ``lattice.enumerate_in_cone`` as a batch of its one
-    table row, which scans only the lattice lines along the shorter side
-    of the cone's bounding box, so time and memory grow with the number
-    of orbits returned rather than with the box's area.  They stay columns
-    (``VertexOrbits``): at a strain tip, where there are about 2/eps of
-    them, ``[0]`` is the minimal orbit and ``len`` the count, and no
-    other orbit object is made unless it is read.  The cutoff must be
-    finite.
+    incident segment's normal ray, with 0 or 1 orbit.  The arguments are
+    checked at call time: the cutoff must be finite.  A corner cone's
+    orbits are listed on first read (``VertexOrbits``), once: the cone's
+    lattice points come from ``lattice.enumerate_in_cone`` as a batch of
+    its one table row, which scans only the lattice lines along the
+    shorter side of the cone's bounding box, so time and memory grow with
+    the number of orbits listed rather than with the box's area.  At a
+    strain tip, where there are about 2/eps of them, ``[0]`` is the
+    minimal orbit and ``len`` the count, and no other orbit object is
+    made unless it is read.
     """
     if not math.isfinite(action_cutoff):
         raise ParamOutOfRange(f"action cutoff must be finite; got {action_cutoff}")
@@ -187,18 +228,12 @@ def orbits_at_vertex(
         raise IndexError("orbits_at_vertex is defined at interior vertices")
     cones, corner = p.vertex_cones
     v = p.vertex(vertex_index)
+    if corner[vertex_index - 1]:
+        cone = cones[[vertex_index - 1]]
+        return VertexOrbits._deferred(partial(_cone_orbits, cone, action_cutoff), v, vertex_index)
     m = n = np.zeros(0, dtype=np.int64)
     action = np.zeros(0)
-    if corner[vertex_index - 1]:
-        _, m, n, action = enumerate_in_cone(cones[[vertex_index - 1]], action_cutoff)
-        # An action is a period, > 0; the membership tolerance admits a
-        # needle's opposite.
-        keep = action > 0
-        if not keep.all():
-            m, n, action = m[keep], n[keep], action[keep]
-        order = np.lexsort((n, m, action))
-        m, n, action = m[order], n[order], action[order]
-    elif (mn := p.primitive_normal(vertex_index - 1)) is not None:
+    if (mn := p.primitive_normal(vertex_index - 1)) is not None:
         a = mn[0] * v[0] + mn[1] * v[1]
         if not a > action_cutoff * CUTOFF_SLACK:
             m, n, action = np.array([mn[0]]), np.array([mn[1]]), np.array([a])

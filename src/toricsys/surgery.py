@@ -269,10 +269,13 @@ def strain(p: MomentProfile, eps: float) -> SurgeryOutcome:
     edge must be shallower than k so the result stays (strictly) monotone.
 
     The witnesses are every orbit at the tip with action <= 2*T_min of the
-    input, about 2/eps of them, as the columns of a ``reeb.VertexOrbits``:
-    ``[0]`` is the minimal tip orbit and ``len`` the count, and an orbit
-    object is made only for an orbit that is read.  The input's T_min and
-    area are computed once per profile (``input_t_min`` and
+    input, about 2/eps of them, as the columns of a ``reeb.VertexOrbits``,
+    listed on first read: ``strain`` lists no tip orbit, and an error of
+    the listing (``ParamOutOfRange`` for a listing too large to allocate)
+    is raised by the first read of ``new_orbit_witnesses``.  ``[0]`` is
+    the minimal tip orbit and ``len`` the count, and an orbit object is
+    made only for an orbit that is read.  The input's T_min and area are
+    computed once per profile (``input_t_min`` and
     ``invariants.area``'s cache).
     """
     if not eps > 0:

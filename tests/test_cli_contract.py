@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import toricsys
+from toricsys import reeb
 from toricsys.cli import EXIT_INVALID, EXIT_PIPE, main
+from toricsys.errors import ParamOutOfRange
 
 
 @pytest.mark.parametrize(
@@ -67,6 +69,20 @@ def test_invalid_input_is_a_typed_error(argv, says, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: ParamOutOfRange: {says}\n"
+
+
+def test_a_strain_witness_listing_that_fails_is_a_typed_error(monkeypatch, capsys):
+    """The tip orbits are listed when the CLI reads them, before it prints
+    anything."""
+
+    def refuse(cone, cutoff):
+        raise ParamOutOfRange("tip listing refused")
+
+    monkeypatch.setattr(reeb, "enumerate_in_cone", refuse)
+    assert main("strain ball:2 --flatten 0.1 --eps 1e-3".split()) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ParamOutOfRange: tip listing refused\n"
 
 
 def test_empty_grid_is_not_ignored(capsys):

@@ -379,13 +379,17 @@ class TestLazyWitness:
         assert in_sweep == len(seen["min_in_cone"]) >= 1
         assert seen["enumerate_in_cone"] == []
 
-    def test_strain_lists_its_tip_at_call_time(self, monkeypatch):
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+    def test_strain_lists_its_tip_on_first_read(self, monkeypatch, eps):
         p, _ = flatten_near_intercept(ball(2, 16), 0.1)
         seen = _count_searches(monkeypatch)
-        out = strain(p, 1e-3)
+        out = strain(p, eps)
+        assert seen["enumerate_in_cone"] == []
+        first = out.new_orbit_witnesses
+        assert len(first) == round(2 / eps) + 1
         assert len(seen["enumerate_in_cone"]) == 1
         listed = len(seen["min_in_cone"]), len(seen["enumerate_in_cone"])
-        assert len(out.new_orbit_witnesses) == round(2 / 1e-3) + 1
+        assert out.new_orbit_witnesses is first and len(first) == round(2 / eps) + 1
         assert (len(seen["min_in_cone"]), len(seen["enumerate_in_cone"])) == listed
 
     def test_outcomes_pickle_with_their_witnesses(self):
@@ -394,6 +398,14 @@ class TestLazyWitness:
             back = pickle.loads(pickle.dumps(out))
             assert back.new_orbit_witnesses == out.new_orbit_witnesses
             assert len(back.new_orbit_witnesses) >= 1
+
+    def test_strain_outcome_pickles_before_its_witnesses_are_read(self, monkeypatch):
+        p, _ = flatten_near_intercept(ball(2, 16), 0.1)
+        seen = _count_searches(monkeypatch)
+        back = pickle.loads(pickle.dumps(strain(p, 1e-3)))
+        assert seen["enumerate_in_cone"] == []
+        assert back.new_orbit_witnesses == strain(p, 1e-3).new_orbit_witnesses
+        assert len(back.new_orbit_witnesses) == round(2 / 1e-3) + 1
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

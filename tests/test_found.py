@@ -99,13 +99,22 @@ def test_collinear_ellipsoid_segments_all_carry_the_diagonal_orbit():
 
 
 # ---------------------------------------------------------------------------
-# Item 3: a certified oracle
+# Item 18: certificates that a checker verifies
 
 
-@known("3", OracleCutoffInsufficient, "the cutoff-200 oracle cannot certify a thin notch")
+@known("18", OracleCutoffInsufficient, "the cutoff-200 oracle cannot certify a thin notch")
 def test_oracle_certifies_strangulated_ball():
     action, _ = t_min(strangulate(ball(2), 1e-3).profile, "oracle")
     assert action > 0
+
+
+# Vertex 1's cone has least unit-normal action u = 0.00137, so the global
+# bound (200 + 1) * u is 0.275, below T_min = 0.7, although nothing in that
+# cone acts below 0.998.
+@known("18", OracleCutoffInsufficient, "the global cutoff-200 bound cannot certify the fc family")
+def test_oracle_certifies_fc_domain():
+    action, _ = t_min(fc_domain(2, 0.7, 256), "oracle")
+    assert action == t_min(fc_domain(2, 0.7, 256))[0] == 0.7
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from toricsys import (
+    DegenerateDenominator,
+    MomentProfile,
     NotMonotone,
     ParamOutOfRange,
     ball,
@@ -16,6 +18,7 @@ from toricsys import (
     ruelle_closed_form,
     ruelle_quadrature,
     smooth_corners,
+    SquaredSegment,
     vol_fc,
 )
 from toricsys.invariants import (
@@ -58,6 +61,18 @@ class TestRuelle:
     def test_quadrature_needs_two_points(self):
         with pytest.raises(ParamOutOfRange, match="got 1"):
             ruelle_quadrature(ball(1), n=1)
+
+    def test_curve_stationary_at_a_node_is_a_typed_error(self):
+        # mu2 of the tagged segment is 0 exactly at the first Gauss-Legendre
+        # node of order 8, so nu there is 0/0; tier-1 turns a numpy
+        # RuntimeWarning into an error, so only the typed error passes.
+        t = 0.019855071751231912
+        p = MomentProfile(
+            [(1, 0), (1, t * t), (1, (1 - t) ** 2), (0, 1)],
+            {SquaredSegment: ([1], [[1, -t, 1, 1 - t]])},
+        )
+        with pytest.raises(DegenerateDenominator, match="^nu.w = nan on segment 1$"):
+            ruelle_quadrature(p)
 
     def test_quadrature_takes_at_most_100_points(self):
         assert ruelle_quadrature(ball(1), n=100) == pytest.approx(2.0, rel=1e-12)

@@ -114,6 +114,25 @@ def test_cutoff_beyond_memory_is_out_of_range(cutoff, count):
     assert str(exc.value) == f"action cutoff {cutoff} asks for {count} lattice lines, too many to list"
 
 
+def test_a_deferred_listing_raises_its_error_on_first_read(monkeypatch):
+    """A corner cone is listed on first read, so a listing that fails
+    raises its typed error there and not at the call; a failed listing
+    is not kept, and the next read fails again."""
+
+    def refuse(cone, cutoff):
+        raise ParamOutOfRange("too many to list")
+
+    monkeypatch.setattr(reeb, "enumerate_in_cone", refuse)
+    got = orbits_at_vertex(polydisk(1, 2), 1, 10)
+    for read in (len, lambda o: o.m, lambda o: o[0], repr, lambda o: o == []):
+        with pytest.raises(ParamOutOfRange, match="^too many to list$"):
+            read(got)
+    p, _ = surgery.flatten_near_intercept(ball(2, 16), 0.1)
+    out = surgery.strain(p, 1e-3)
+    with pytest.raises(ParamOutOfRange, match="^too many to list$"):
+        len(out.new_orbit_witnesses)
+
+
 def test_equality_between_columns():
     p = polydisk(1, 2)
     got = orbits_at_vertex(p, 1, 10)
