@@ -12,10 +12,12 @@ in the descent) and the two searches over those vectors:
   Stern-Brocot descent that takes each continued-fraction run of the
   cone's boundary directions in one step, so it costs O(log coefficient)
   Python steps instead of one per unit of each coefficient, and that
-  keeps one winner, picking it in numpy within a run.  It is one loop
-  over integer pairs: its membership, arc and action tests are inline
-  float expressions, and a run's end is found by one plain helper,
-  ``_run_end``;
+  keeps one winner.  A run of in-cone vectors whose float actions
+  provably fall is decided by three of them; only a near-tie, whose
+  actions are equal up to rounding, is evaluated in a numpy pass.  It is
+  one loop over integer pairs: its membership, arc and action tests are
+  inline float expressions, and a run's end is found by one plain
+  helper, ``_run_end``;
 * ``enumerate_in_cone``: every vector with action below a cutoff (and
   optionally max norm below a bound) in each cone of a batch, the cones
   given as the rows of one (k, 3, 2) array, found line by line
@@ -55,12 +57,18 @@ CUTOFF_SLACK = 1 + 1e-12
 # arc, where the descent starts.
 _AXES = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
-# An in-cone run shorter than _MIN_BULK_RUN is stepped through one node at
-# a time: below it the numpy pass costs more than the Python steps it
+# An in-cone run that the rounding certificate does not take in closed
+# form and that is shorter than _MIN_BULK_RUN is stepped through one node
+# at a time: below it the numpy pass costs more than the Python steps it
 # saves.  A longer one is taken in numpy passes of at most _MAX_BULK_RUN
 # vectors, so memory stays bounded however small the cone's angle.
 _MIN_BULK_RUN = 8
 _MAX_BULK_RUN = 1 << 16
+
+# The unit roundoff of a float, which bounds the rounding of each action
+# along an in-cone run; a run whose actions provably fall by more than
+# their rounding is taken in closed form, from three of them.
+_ROUNDING_UNIT = 2.0**-53
 
 Vector = tuple[int, int]
 
@@ -117,10 +125,15 @@ def min_in_cone(cone, incumbent: float) -> tuple[Optional[tuple[float, Vector]],
     (F, X + k*F)) share the endpoint F and repeat the same decisions.  Such
     a run is taken in one step, its end found by ``_run_end``: a run
     outside the cone jumps to its last node; a run of in-cone vectors
-    toward a boundary where f(F) <= 0 also jumps, and the actions of the
-    vectors it skips are evaluated in one numpy pass, which also picks
-    the run's least (m, n) of least action.  The result is the one that
-    taking every node in turn would give.
+    toward a boundary where f(F) <= 0 also jumps.  When a forward rounding
+    bound proves that the run's float actions fall strictly, the jump and
+    the run's winner follow from three of them, those of X, X + F and its
+    last vector, in O(1) whatever the run's length.  Otherwise (a
+    near-tie, where |f(F)| is below the rounding, as at the apex of a
+    diagonal strangulation) the actions of the vectors it skips are
+    evaluated in one numpy pass, which also picks the run's least (m, n)
+    of least action.  The result is the one that taking every node in
+    turn would give.
     """
     (sx, sy), (ex, ey), (v0, v1) = cone
     tol_s = CONE_TOL * math.hypot(sx, sy)
@@ -129,6 +142,13 @@ def min_in_cone(cone, incumbent: float) -> tuple[Optional[tuple[float, Vector]],
     best = incumbent
     winner: Optional[tuple[float, Vector]] = None
     steps = 0
+    # 8u, the factor of an in-cone run's rounding certificate, or inf (no
+    # certificate) where a product of the vertex with an integer could
+    # underflow.
+    if min(abs(v0), abs(v1)) >= sys.float_info.min:
+        rounding = 8 * _ROUNDING_UNIT
+    else:
+        rounding = math.inf
     axis = []
     for m, n in _AXES:
         axis.append(sx * n - sy * m >= -CONE_TOL and m * ey - n * ex >= -CONE_TOL)
@@ -230,6 +250,50 @@ def min_in_cone(cone, incumbent: float) -> tuple[Optional[tuple[float, Vector]],
                     else:
                         stack[-1] = (f0, f1, xk, yk, in_f, False)
             else:
+                # A run whose float actions provably fall is decided by
+                # three of them.  Write (x_k, y_k) = X + kF, S_k = |x_k v0|
+                # + |y_k v1|, T = |f0 v0| + |f1 v1|, u = _ROUNDING_UNIT and
+                # gamma3 = 3u / (1 - 3u).  With v0 and v1 normal floats,
+                # every product of one with a nonzero integer is a normal
+                # float or inf, so the float action of X + kF, the
+                # expression fl(fl(fl(x_k) v0) + fl(fl(y_k) v1)) of the loop
+                # and of the numpy pass, is within gamma3 S_k of the exact
+                # f(X) + k f(F), and fl(f(F)) is within gamma3 T of f(F).
+                # S_k is convex in k, so at most S = max(S_0, S_K) along the
+                # run, and consecutive float actions fall strictly when
+                # -f(F) > 2 gamma3 S, which holds when -fl(f(F)) > gamma3
+                # (2S + T).  The float S + T below is at least (1 - 5u) (S +
+                # T), and 8u times it exceeds gamma3 (2S + T) by at least
+                # 1.9u (S + T), more than that product's rounding should it
+                # be subnormal (S + T >= T >= 2**-1022).
+                #
+                # With the float actions fx_k strictly falling, the numpy
+                # pass below reduces to fx_0 = f(X), fx_1 = f(X + F) (the
+                # mediant's action a) and fx_K: its running best ends at
+                # min(best, fx_K), and only X + KF can tie it; every fx_k >
+                # 0 iff fx_K > 0, and then fl(fx_(k+1) + fx_k) >= 2 fx_(k+1)
+                # > running[k] (float addition is monotone), except toward
+                # L at k = 0, where running[0] is best itself.
+                if K >= 2:
+                    xk, yk = x0 + K * f0, x1 + K * f1
+                    if -ff > rounding * (
+                        max(abs(x0 * v0) + abs(x1 * v1), abs(xk * v0) + abs(yk * v1))
+                        + (abs(f0 * v0) + abs(f1 * v1))
+                    ):
+                        fk = xk * v0 + yk * v1
+                        if fk > 0 and (toward_r or a + fx0 > best):
+                            if fk <= best:
+                                best = fk
+                                if winner is None or (fk, (xk, yk)) < winner:
+                                    winner = (fk, (xk, yk))
+                            if toward_r:
+                                stack[-1] = (xk, yk, rx, ry, True, in_r)
+                            else:
+                                stack.pop()
+                                stack[-1] = (lx, ly, xk, yk, in_l, True)
+                        continue
+                # The near-ties, where |f(F)| is below the rounding: the
+                # numpy pass or, on a short run, one node at a time.
                 K = min(K, _MAX_BULK_RUN)
                 if K >= _MIN_BULK_RUN:
                     k = np.arange(K + 1)

@@ -249,11 +249,15 @@ def _axis_keys(p: MomentProfile) -> list[tuple]:
     return [(p.a_intercept, 0, 1, 0, 0), (p.b_intercept, 0, 0, 1, 1)]
 
 
-def _base_keys(p: MomentProfile) -> list[tuple]:
-    """Sort keys of the axis-intercept and rational-segment orbits (shared
-    by both methods)."""
-    segments = (_segment_key(p, i) for i in range(p.n_segments))
-    return _axis_keys(p) + [k for k in segments if k is not None]
+def _base_keys(p: MomentProfile, below: float = math.inf) -> list[tuple]:
+    """Sort keys of the axis-intercept and rational-segment orbits, less
+    the segments whose support bound (``_support_bounds``, a lower bound
+    on their action) is at least ``below``."""
+    segments = range(p.n_segments)
+    if below < math.inf and (hb := _support_bounds(p)) is not None:
+        segments = (hb < below).nonzero()[0].tolist()
+    keys = (_segment_key(p, i) for i in segments)
+    return _axis_keys(p) + [k for k in keys if k is not None]
 
 
 def orbits_below(p: MomentProfile, cutoff: float) -> list[OrbitDatum]:
@@ -303,9 +307,12 @@ def t_min(
     the first visit) is searched by ``lattice.min_in_cone``, a
     Stern-Brocot descent with pruning that takes each continued-fraction
     run in one step and returns the cone's one least (action, m, n) at or
-    below the incumbent.  The result does not depend on the visiting order.  A
-    strangulated profile's apex cone is searched here and nowhere else
-    unless its surgery witness is read (``surgery.strangulate``).
+    below the incumbent: a run of in-cone vectors whose float actions
+    provably fall (a rounding bound) costs three actions, and only a
+    near-tie, such as a diagonal strangulation's apex, a numpy pass.  The
+    result does not depend on the visiting order.  A strangulated
+    profile's apex cone is searched here and nowhere else unless its
+    surgery witness is read (``surgery.strangulate``).
 
     ``oracle`` brute-forces all primitive integer vectors with max-norm
     <= n_oracle (an integer >= 1) over the table's corner cones and raises
@@ -314,7 +321,10 @@ def t_min(
     ``lattice.SMALL_MAX_NORM``) in every corner cone itself, in one
     broadcast of at most 48 vectors (``lattice.small_in_cones``), and cuts
     actions at min(ceiling, seed).  The ceiling is the least axis or
-    segment action, which T_min cannot exceed; the seed is the least
+    segment action, which T_min cannot exceed; only the segments whose
+    support bound (``_support_bounds``) is below min(a, b) are read for
+    it, since any other acts at least as much as an axis orbit and ranks
+    after it.  The seed is the least
     action of that listing, so the cut drops only vectors that cannot
     win, and a listed small vector above it loses to the seed or the
     ceiling.  A vector beyond the listing has norm >= r + 1, so its action is
@@ -339,7 +349,9 @@ def t_min(
     n_oracle = integer(n_oracle, "oracle cutoff")
     if n_oracle < 1:
         raise ParamOutOfRange(f"oracle cutoff must be at least 1; got {n_oracle}")
-    keys = _base_keys(p)
+    # A segment bounded at or above min(a, b) can neither beat the axis
+    # orbit of that action nor tie it, since it ranks after it.
+    keys = _base_keys(p, min(p.a_intercept, p.b_intercept))
     ceiling = min(keys)[0]
     cones, corner = p.vertex_cones
     vi, cones = corner.nonzero()[0] + 1, cones[corner]
@@ -384,30 +396,22 @@ def t_min(
     return best[0], _orbit(p, best)
 
 
-def _candidate_bounds(p: MomentProfile) -> np.ndarray:
-    """Float lower bounds on the action of each candidate of ``t_min``'s
-    best-first pass: entry i < n for segment i, entry n + j for the cone
-    at vertex j + 1 (n segments).  Each is the largest of the bounds that
-    apply, -inf where none does."""
-    xy, d = p.xy, p.directions
-    mid = (xy[:-1] + xy[1:]) / 2
-    seg = np.where((d[:, 0] < 0) & (d[:, 1] > 0), mid[:, 0] + mid[:, 1], -np.inf)
-    clear = clear_of_axes(p.normals)
-    v_sum = xy[1:-1, 0] + xy[1:-1, 1]
-    cone = np.where(clear[:-1] & clear[1:], v_sum, -np.inf)
+def _support_bounds(p: MomentProfile) -> Optional[np.ndarray]:
+    """Per segment, a float lower bound hb on the action of its orbit, or
+    None on a profile too small for the rounding bounds to hold."""
     diam = p.diameter
     # Below this scale a product of coordinates can underflow, and the
     # relative rounding bounds below do not hold.  Above it every nonzero
     # coordinate is at least tol = 1e-9 diam, and so every product and
     # difference that follows is a normal float.
     if not diam > 1e-100:
-        return np.concatenate((seg, cone))
+        return None
     # The support distance h = cross / length of each segment's line is
     # nu . w for every w on the line, nu its exact unit normal.  The bound
     # is hb = (cross - 2**-48 diam^2) / length, positive since validation
     # keeps cross > tol diam = 1e-9 diam^2.
     #
-    # A segment.  Its orbit is the primitive normal (m, n) of the decimal
+    # A segment's orbit is the primitive normal (m, n) of the decimal
     # reading of its ends, |(m, n)| >= 1 times the decimal unit normal
     # nu', and its action the float m*mid1 + n*mid2.  With u = 2**-53, D
     # the exact difference of its float ends, L the float length and every
@@ -428,7 +432,23 @@ def _candidate_bounds(p: MomentProfile) -> np.ndarray:
     # That is 23; the slack 2**-48 diam^2 is 32 u diam^2, less the
     # rounding of hb's difference and quotient (2 u hb <= 4 u diam^2 / L)
     # and of diam^2.  So the float action is at least |(m, n)| hb >= hb.
-    hb = (p.cross_products - 2.0**-48 * diam * diam) / p.lengths
+    return (p.cross_products - 2.0**-48 * diam * diam) / p.lengths
+
+
+def _candidate_bounds(p: MomentProfile) -> np.ndarray:
+    """Float lower bounds on the action of each candidate of ``t_min``'s
+    best-first pass: entry i < n for segment i, entry n + j for the cone
+    at vertex j + 1 (n segments).  Each is the largest of the bounds that
+    apply, -inf where none does."""
+    xy, d = p.xy, p.directions
+    mid = (xy[:-1] + xy[1:]) / 2
+    seg = np.where((d[:, 0] < 0) & (d[:, 1] > 0), mid[:, 0] + mid[:, 1], -np.inf)
+    clear = clear_of_axes(p.normals)
+    v_sum = xy[1:-1, 0] + xy[1:-1, 1]
+    cone = np.where(clear[:-1] & clear[1:], v_sum, -np.inf)
+    hb = _support_bounds(p)
+    if hb is None:
+        return np.concatenate((seg, cone))
     np.maximum(seg, hb, out=seg)
     # A cone.  Vertex j lies on the lines of segments j - 1 and j, so
     # every d = a nu_(j-1) + b nu_j (a, b >= 0) in the exact cone acts

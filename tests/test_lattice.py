@@ -120,6 +120,136 @@ def test_long_in_cone_runs_are_taken_in_bounded_passes(monkeypatch):
     assert _descend(p) == want
 
 
+def _uncertified(cone, incumbent):
+    """``min_in_cone`` with the rounding certificate off: every in-cone
+    run is taken by the numpy pass or stepped, as before the closed form."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice, "_ROUNDING_UNIT", math.inf)
+        return min_in_cone(cone, incumbent)
+
+
+def _both_ways(p):
+    """Each corner cone's result and steps with and without the
+    certificate, at the incumbents ``t_min`` hands it (falling with each
+    cone's winner) and at inf."""
+    best = min(_base_keys(p))[0]
+    got, want = [], []
+    for _, cone in _corners(p):
+        for incumbent in (best, math.inf):
+            got.append(min_in_cone(cone, incumbent))
+            want.append(_uncertified(cone, incumbent))
+        if got[-2][0] is not None:
+            best = min(best, got[-2][0][0])
+    return got, want
+
+
+def test_certified_runs_keep_every_result():
+    """The closed form of a certified in-cone run returns, bit for bit,
+    what the numpy pass or the steps return, and saves steps."""
+    profiles = STAR + MONOTONE + ANALYTIC + ROUNDED
+    profiles += [
+        strangulate(ball(2), eps, ray).profile
+        for ray in (math.pi / 4, 0.3, 1.2)
+        for eps in APEX_EPS
+    ]
+    profiles += [_strained(eps) for eps in (1e-2, 1e-3, 1e-4)]
+    saved = 0
+    for p in profiles:
+        got, want = _both_ways(p)
+        assert [g[0] for g in got] == [w[0] for w in want]
+        saved += sum(w[1] - g[1] for g, w in zip(got, want))
+    assert saved > 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(["near-rational", "diagonal apex", "off-diagonal apex", "random"]),
+    st.booleans(),
+)
+def test_certified_runs_keep_the_result_on_random_cones(seed, kind, finite):
+    rng = random.Random(seed)
+    if kind == "near-rational":
+        cone = _near_rational_cone(rng)
+    elif kind == "random":
+        cone = _random_cone(rng)
+    else:
+        cone = _apex_cone(rng, kind == "diagonal apex")
+    incumbent = rng.uniform(0.1, 10) * math.hypot(*cone[2]) if finite else math.inf
+    assert min_in_cone(cone, incumbent)[0] == _uncertified(cone, incumbent)[0]
+
+
+def _passes(monkeypatch):
+    """The sizes of the numpy passes over a run made from now on (the
+    descent's only ``np.arange`` calls)."""
+    sizes = []
+    arange = np.arange
+
+    def spy(*args, **kwargs):
+        out = arange(*args, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "arange", spy)
+    return sizes
+
+
+def test_diagonal_apex_near_tie_is_not_certified(monkeypatch):
+    """At the diagonal apex of a strangulated ball every (-k, k + 1) acts
+    about eps: f(-1, 1) = v2 - v1 is below the rounding of the actions,
+    which do not fall monotonically along the run.  The certificate
+    refuses that run, and the numpy pass takes it."""
+    p = strangulate(ball(2), 1e-3).profile
+    [_, (apex, cone), _] = _corners(p)
+    assert p.vertex(apex)[0] == 1e-3
+    runs = []
+    run_end = lattice._run_end
+
+    def record(*args):
+        runs.append((args, run_end(*args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(lattice, "_run_end", record)
+    sizes = _passes(monkeypatch)
+    min_in_cone(cone, math.inf)
+    [((_, _, _, _, x0, x1, f0, f1, _, outside, _, _), K)] = [
+        r for r in runs if r[0][6:8] == (-1, 1)
+    ]
+    assert not outside and K > 400
+    (_, _, (v0, v1)) = cone
+    fx = [(x0 + k * f0) * v0 + (x1 + k * f1) * v1 for k in range(K + 1)]
+    steps = [b - a for a, b in zip(fx, fx[1:])]
+    assert min(steps) < 0 < max(steps)
+    assert sizes == [K + 1]
+
+
+@pytest.mark.parametrize("eps", (1e-2, 1e-3, 1e-4))
+@pytest.mark.parametrize("ray", (math.pi / 4, 0.3, 1.2), ids=("diagonal", "ray0.3", "ray1.2"))
+def test_only_the_diagonal_apex_makes_a_pass(ray, eps, monkeypatch):
+    """No layer may grow like 1/eps: at the entry and exit cones of a
+    strangulated ball, and at every cone off the diagonal, each in-cone
+    run's actions provably fall and are taken in closed form, with no
+    numpy pass, whatever the incumbent.  Only the diagonal apex's near-tie
+    still makes one."""
+    p = strangulate(ball(2), eps, ray).profile
+    corners = _corners(p)
+    best = min(_base_keys(p))[0]
+    sizes = _passes(monkeypatch)
+    passes = {}
+    for i, cone in corners:
+        for incumbent in (math.inf, best):
+            got, _ = min_in_cone(cone, incumbent)
+        passes[i] = len(sizes)
+        sizes.clear()
+        if got is not None:
+            best = min(best, got[0])
+    [(entry, _), (apex, _), (last, _)] = corners
+    if ray == math.pi / 4:
+        assert passes == {entry: 0, apex: 2, last: 0}
+    else:
+        assert passes == {entry: 0, apex: 0, last: 0}
+
+
 @pytest.mark.parametrize(
     "build, eps, ray",
     [

@@ -466,3 +466,25 @@ def _enumerated(p, monkeypatch):
 )
 def test_only_cones_that_can_beat_the_listing_are_enumerated(p, batches, monkeypatch):
     assert _enumerated(p, monkeypatch) == batches
+
+
+def test_only_segments_below_the_axis_actions_are_keyed(monkeypatch):
+    """A segment acts at least its support bound, so one bounded at or
+    above min(a, b) can neither beat nor tie the axis orbit of that action,
+    which ranks before it: the oracle reads the decimal normal of no such
+    segment.  Here 65 of the 66 segments are rounded corner arcs, all
+    farther from the origin than a = 1.3."""
+    p = smooth_corners(polydisk(1.3, 2.1), 0.2, 64)
+    keyed = []
+    segment_key = reeb._segment_key
+
+    def spy(p, i):
+        keyed.append(i)
+        return segment_key(p, i)
+
+    monkeypatch.setattr(reeb, "_segment_key", spy)
+    action, orbit = _same_t_min(p)
+    assert keyed == [0] and p.n_segments == 66
+    assert (action, orbit.location_kind) == (1.3, "axis")
+    # The least key over every segment is the axis orbit's too.
+    assert min(reeb._base_keys(p)) == (1.3, 0, 1, 0, 0)
