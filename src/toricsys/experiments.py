@@ -229,8 +229,8 @@ def run_corpus_bounds(seed: int, n: int) -> dict:
 
 def run_fc_scan(b: float, grid) -> dict:
     """Per-c records of Gromov width / volume over the extremal family
-    (16 segments per domain), with quadrature area cross-checked against
-    the closed form."""
+    (16 segments per domain), with the profile's area (``vol_quad``, summed
+    from its tags' closed-form integrals) checked against ``vol_fc``."""
     lo = fc_c_min(b)
     if not grid:
         raise ParamOutOfRange("the c grid is empty")

@@ -21,8 +21,9 @@ the first True, read with ``.item``, rather than testing it with
 ``any()``.  A profile without tags does no tag work: no mask of its
 straight segments and no curve samples.  Tag curves are sampled into
 contiguous columns x and y, and their derivatives dx and dy are computed
-only for a caller that reads them (area and the Ruelle quadrature); the
-end check, the Gromov width and the SVG read points only.  And rows of
+only for a caller that reads them (the Ruelle quadrature); the end check
+and the SVG read points only, and area and the Gromov width sample no
+curve (each tag type's ``cross_integrals`` and ``least_sums``).  And rows of
 two numbers (points, normals) are never reduced along axis 1 by
 ``min``, ``max``, ``sum``, ``any`` or ``all``, which takes about 20 µs
 on 512 rows: the columns are combined instead, as
@@ -131,7 +132,10 @@ class Tag:
     scales columns of many tags' numbers at once (``sample_numbers`` and
     ``scale_factors``).  ``sample_numbers`` is the type's one sampling
     kernel: it returns the curve's points as the separate arrays x and y,
-    and the derivatives dx and dy only when asked for them."""
+    and the derivatives dx and dy only when asked for them.  Two more
+    kernels give each tag's exact ``cross_integrals`` (twice the area its
+    curve sweeps about the origin) and ``least_sums`` (the least w1 + w2
+    on its curve) from the same columns, without sampling."""
 
     kind: ClassVar[str]
     n_numbers: ClassVar[int]
@@ -176,6 +180,32 @@ class Arc(Tag):
         return cx + cos, cy + sin
 
     @staticmethod
+    def cross_integrals(numbers) -> np.ndarray:
+        """Each arc's integral of x dy - y dx over t in [0, 1]:
+        r^2 (a1 - a0) + r (cx (sin a1 - sin a0) - cy (cos a1 - cos a0)),
+        with the differences of sines and cosines written as products,
+        2 sin(da/2) cos(m) and -2 sin(da/2) sin(m) about the mid-angle m,
+        which keep their precision on short arcs.  ``numbers`` are the
+        five columns of k arcs' numbers; the result has k entries."""
+        cx, cy, r, a0, a1 = numbers
+        m = (a0 + a1) / 2
+        return r * (r * (a1 - a0) + 2 * np.sin((a1 - a0) / 2) * (cx * np.cos(m) + cy * np.sin(m)))
+
+    @staticmethod
+    def least_sums(numbers) -> np.ndarray:
+        """Each arc's least w1 + w2 = cx + cy + r (cos a + sin a): the
+        smaller of its ends, or cx + cy - |r| sqrt(2) where the arc passes
+        the angle that gives it, 5 pi/4 (mod 2 pi) for r > 0 and pi/4 for
+        r < 0.  ``numbers`` as for ``cross_integrals``."""
+        cx, cy, r, a0, a1 = numbers
+        ends = np.minimum(r * (np.cos(a0) + np.sin(a0)), r * (np.cos(a1) + np.sin(a1)))
+        # The first angle of the least point at or above the arc's lower end.
+        lo, hi = np.minimum(a0, a1), np.maximum(a0, a1)
+        at = np.where(r > 0, 1.25 * math.pi, 0.25 * math.pi)
+        at += 2 * math.pi * np.ceil((lo - at) / (2 * math.pi))
+        return cx + cy + np.where(at <= hi, -math.sqrt(2) * np.abs(r), ends)
+
+    @staticmethod
     def scale_factors(s: float) -> tuple[float, ...]:
         """What each number is multiplied by when the plane is scaled by s."""
         return (s, s, s, 1.0, 1.0)
@@ -209,6 +239,29 @@ class SquaredSegment(Tag):
         if derivatives:
             return p * p, q * q, 2 * p * dp, 2 * q * dq
         return p * p, q * q
+
+    @staticmethod
+    def cross_integrals(numbers) -> np.ndarray:
+        """As ``Arc.cross_integrals``: on w = (p^2, q^2), x dy - y dx is
+        2 p q k with k = p0 dq - q0 dp constant in t, so the integral is
+        2 k (p0 q0 + (p0 dq + q0 dp)/2 + dp dq/3)."""
+        p0, q0, p1, q1 = numbers
+        dp, dq = p1 - p0, q1 - q0
+        kappa = p0 * dq - q0 * dp
+        return 2 * kappa * (p0 * q0 + (p0 * dq + q0 * dp) / 2 + dp * dq / 3)
+
+    @staticmethod
+    def least_sums(numbers) -> np.ndarray:
+        """As ``Arc.least_sums``: w1 + w2 = p^2 + q^2 is a convex quadratic
+        in t, least at its vertex -(p0 dp + q0 dq) / (dp^2 + dq^2) clipped
+        to [0, 1]."""
+        p0, q0, p1, q1 = numbers
+        dp, dq = p1 - p0, q1 - q0
+        # fmin and fmax take the nan 0/0 of a curve of one point to t = 1.
+        with _quiet():
+            t = np.fmax(np.fmin(-(p0 * dp + q0 * dq) / (dp * dp + dq * dq), 1.0), 0.0)
+        p, q = p0 + dp * t, q0 + dq * t
+        return p * p + q * q
 
     @staticmethod
     def scale_factors(s: float) -> tuple[float, ...]:
@@ -264,10 +317,11 @@ class MomentProfile:
     normal of each segment (``primitive_normal``, memoised per segment,
     from each vertex's decimals read once, so that a caller that needs
     only a few segments, like ``reeb.t_min``, pays only for those);
-    the tag samples at the Gauss-Legendre nodes of each order, points and
-    derivatives as four (k, order) columns (``curve_samples``); and the
-    whole-profile results their owners store
-    with ``memo``: ``classify`` and ``invariants.area``.  Every cache
+    and the whole-profile results their owners store with ``memo``:
+    ``classify`` and ``invariants.area``.  Tag curves are not cached:
+    ``sample_curves`` samples them for each caller (the end check, the
+    Ruelle quadrature and the SVG), and area and the Gromov width read
+    each tag type's closed forms instead.  Every cache
     assumes the instance never changes, so a profile refuses attribute
     assignment; build a new one instead.
     """
@@ -530,15 +584,6 @@ class MomentProfile:
             for o, c in zip(out, cls.sample_numbers(nums.T[..., None], t, derivatives)):
                 o[rows] = c
         return tuple(out)
-
-    def curve_samples(self, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``sample_curves`` with derivatives at the ``order``
-        Gauss-Legendre nodes on [0, 1], the read-only columns
-        ``(x, y, dx, dy)``; sampled once per order (``memo``)."""
-        return self.memo(
-            f"curve_samples {order}",
-            lambda: tuple(map(_read_only, self.sample_curves(_gl_nodes(order)[0], True))),
-        )
 
     def vertex(self, i: int) -> Point:
         """Vertex i as a float pair (a row of ``xy``): i read through
@@ -933,7 +978,7 @@ def smooth_corners(p: MomentProfile, r: float, arc_points: int = 16) -> MomentPr
     both incident segments.  Reflex corners are left sharp.
 
     The arc is sampled into ``arc_points`` sub-segments, each carrying an
-    ``Arc`` tag for exact quadrature.  A corner whose normal turns
+    ``Arc`` tag for its exact area.  A corner whose normal turns
     (``normal_turns``) by at most ``COLLINEAR_TURN`` counts as collinear
     and stays; so does one whose arc, of length r * turn, is too short to
     split into ``arc_points`` chords above the profile's tolerance.

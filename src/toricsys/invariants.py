@@ -1,16 +1,23 @@
 """Scalar invariants of a moment profile.
 
 Area in moment coordinates equals the 4D symplectic volume; the contact
-volume of the boundary is twice that.  The Ruelle invariant equals
-a + b in closed form; an independent quadrature of the rotation-density
-line integral is kept as a cross-check.  The convexity-criterion product
-is ru * sqrt(sys) = Ru * T_min / contact_volume.
+volume of the boundary is twice that.  The area sums shoelace terms on
+straight segments and each tag type's closed-form integral on its
+curves, with no quadrature.  The Ruelle invariant equals a + b in closed form.  The
+quadrature of the rotation-density line integral, which no quantity of
+the paper needs, is not an independent check of it: its integrand is
+dw2 - dw1 wherever the curve's normal is defined, so it telescopes to
+a + b on every segment, and on a tag it is Gauss-Legendre of dw2 - dw1.
+``report`` therefore leaves it to the first read of its field.  The
+convexity-criterion product is ru * sqrt(sys) = Ru * T_min /
+contact_volume.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -32,20 +39,19 @@ def _straight(p: MomentProfile, column: np.ndarray) -> np.ndarray:
 
 
 def area(p: MomentProfile) -> float:
-    """Area between the profile and the axes: shoelace on straight
-    segments (their ``cross_products``, summed by ``math.fsum`` so that
-    their order does not matter), Gauss-Legendre on the tagged curves;
-    computed once per profile (``MomentProfile.memo``)."""
+    """Area between the profile and the axes: half the exact sum of the
+    straight segments' shoelace terms (their ``cross_products``) and each
+    tag's ``cross_integrals``, rounded once by ``math.fsum``, so that
+    their order does not matter; computed once per profile
+    (``MomentProfile.memo``)."""
     return p.memo("area", lambda: _area(p))
 
 
 def _area(p: MomentProfile) -> float:
-    total = math.fsum(_straight(p, p.cross_products).tolist())
-    if p.tagged.size:
-        _, weights = _gl_nodes(GL_ORDER)
-        x, y, dx, dy = p.curve_samples(GL_ORDER)
-        total += (weights * (x * dy - y * dx)).sum()
-    return float(0.5 * total)
+    terms = _straight(p, p.cross_products).tolist()
+    for cls, (_, nums) in p.tag_columns.items():
+        terms += cls.cross_integrals(nums.T).tolist()
+    return 0.5 * math.fsum(terms)
 
 
 def ruelle_closed_form(p: MomentProfile) -> float:
@@ -61,8 +67,12 @@ def ruelle_quadrature(p: MomentProfile, n: int = GL_ORDER) -> float:
     segments are summed in closed form and, over a polygon, the result
     telescopes to a + b.  Tagged (curved) pieces take n Gauss-Legendre
     points each, 2 <= n <= 100 (numpy's ``leggauss`` is tested only up to
-    degree 100); only there is this an independent check of
-    ``ruelle_closed_form``.  On a validated straight segment
+    degree 100), sampled with their derivatives on each call.  There the
+    integrand is again dw2 - dw1 at every node where the curve moves, so
+    the sum is Gauss-Legendre of dw2 - dw1, exact for the polynomial
+    ``SquaredSegment`` and within quadrature error of the chord's
+    dw2 - dw1 on an ``Arc``: it checks the sampling and the nu . w test,
+    not ``ruelle_closed_form``.  On a validated straight segment
     nu . w = cross(a, b) / |b - a| > 0, so nu . w is checked at the tag
     nodes only."""
     n = integer(n, "quadrature points per segment")
@@ -73,8 +83,8 @@ def ruelle_quadrature(p: MomentProfile, n: int = GL_ORDER) -> float:
     d = _straight(p, p.directions)
     total = (d[:, 1] - d[:, 0]).sum()
     if p.tagged.size:
-        _, weights = _gl_nodes(n)
-        x, y, dx, dy = p.curve_samples(n)
+        nodes, weights = _gl_nodes(n)
+        x, y, dx, dy = p.sample_curves(nodes, True)
         speed = np.hypot(dx, dy)
         # A curve stationary at a node has nu = 0/0 = nan there, which the
         # nu . w check below refuses without a numpy warning.
@@ -89,12 +99,40 @@ def ruelle_quadrature(p: MomentProfile, n: int = GL_ORDER) -> float:
     return float(total)
 
 
+class _OnFirstRead:
+    """A data descriptor for a dataclass field that may be given as a
+    callable of no arguments: the first read calls it and keeps its
+    value in place of it, and every read returns that value.  Read
+    through the class it raises AttributeError, so the field keeps no
+    default and stays a required init argument; ``__init__`` of a frozen
+    dataclass sets it through ``__set__``."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class InvariantReport:
+    """The invariants of one profile.  ``report`` gives
+    ``ruelle_quadrature`` as ``partial(ruelle_quadrature, p)``, computed on
+    the first read of the field (equality, ``repr``, ``replace``, pickling
+    and the text and CSV rows all read it)."""
+
     area: float
     contact_volume: float
     ruelle: float
-    ruelle_quadrature: float
+    ruelle_quadrature: float = _OnFirstRead()
     t_min: float
     sys: float
     ru: float
@@ -104,6 +142,10 @@ class InvariantReport:
     def flags_string(self) -> str:
         """The names of the classification's true flags, joined by ';'."""
         return ";".join(name for name in FLAGS if getattr(self.classification, name))
+
+    def __getstate__(self):
+        # Pickled with the quadrature's value, not the callable behind it.
+        return {**self.__dict__, "ruelle_quadrature": self.ruelle_quadrature}
 
 
 # The report's columns: its numbers in field order, then the classification
@@ -122,7 +164,7 @@ def report(p: MomentProfile) -> InvariantReport:
         area=vol,
         contact_volume=cv,
         ruelle=ru_cf,
-        ruelle_quadrature=ruelle_quadrature(p),
+        ruelle_quadrature=partial(ruelle_quadrature, p),
         t_min=tmin,
         sys=sys_ratio,
         ru=ru_ratio,
@@ -151,16 +193,14 @@ def report_to_csv_row(r: InvariantReport) -> str:
 def gromov_width_monotone(p: MomentProfile) -> float:
     """First-touch value of the antidiagonal line w1 + w2 = L: the
     minimum of w1 + w2 over the boundary path (monotone profiles only),
-    taken at the vertices and at t = j/64 (0 < j < 64) on each curve,
-    whose points alone are sampled."""
+    taken exactly: the least vertex, and each tag's ``least_sums``."""
     cls = classify(p)
     if not cls.monotone:
         raise NotMonotone(f"witness segment {cls.witnesses.get('monotone')}")
     xy = p.xy
     low = (xy[:, 0] + xy[:, 1]).min()
-    if len(p.tagged):
-        x, y = p.sample_curves(np.arange(1, 64) / 64)
-        low = np.minimum(low, (x + y).min())
+    for tag_type, (_, nums) in p.tag_columns.items():
+        low = min(low, tag_type.least_sums(nums.T).min())
     return float(low)
 
 

@@ -1,10 +1,11 @@
 """Per-profile derived geometry, the vectorised quadratures, and what
 is computed once or only when read.
 
-The scalar functions below are the plain per-node loops that `area` and
-`ruelle_quadrature` replace, with each tag's curve written out in `math`
-(`ref_point_deriv`); the library must agree with them to 1e-12 relative
-(summation order differs).  `MomentProfile.primitive_normal` must equal
+The scalar functions below are the plain per-node loops that
+`ruelle_quadrature` replaces and that the 8-node Gauss-Legendre area
+computed before its closed forms, with each tag's curve written out in
+`math` (`ref_point_deriv`); the library must agree with them to 1e-12
+relative (summation order and the rule's error differ).  `MomentProfile.primitive_normal` must equal
 the exact decimal reading of `exact.decimal_normal`.
 """
 
@@ -216,7 +217,7 @@ class TestComputeOnce:
         assert len(calls) == 1  # the construction; report validates nothing
         assert p.diameter == 4 and p.tol == TOL_REL * 4
 
-    def test_curves_sampled_once_per_order(self, monkeypatch):
+    def test_only_the_quadrature_field_samples_curves(self, monkeypatch):
         calls = []
         for cls in (Arc, SquaredSegment):
 
@@ -230,12 +231,19 @@ class TestComputeOnce:
         # Construction samples each tag's two ends (``_check_tag_ends``),
         # points only.
         assert calls == [(SquaredSegment, 2, False), (Arc, 2, False)]
-        report(p)
-        report(q)
+        reports = report(p), report(q)
+        gromov_width_monotone(p), gromov_width_monotone(q)
+        assert len(calls) == 2
+        # The first read of the field samples each tag type once, with
+        # derivatives; a second read samples nothing.
+        for rep in reports:
+            for _ in range(2):
+                rep.ruelle_quadrature
         assert calls[2:] == [(SquaredSegment, GL_ORDER, True), (Arc, GL_ORDER, True)]
+        # The quadrature itself keeps no samples: each call samples again.
         ruelle_quadrature(p, 5)
-        report(p)
-        assert calls[4:] == [(SquaredSegment, 5, True)]
+        ruelle_quadrature(p, 5)
+        assert calls[4:] == [(SquaredSegment, 5, True)] * 2
 
     def test_gl_nodes_cached_and_read_only(self):
         nodes, weights = _gl_nodes(8)
@@ -246,7 +254,7 @@ class TestComputeOnce:
     def test_derived_arrays_read_only(self):
         p = fc_domain(1, 0.5, 8)
         derived = (p.xy, p.directions, p.normals, p.normal_crosses, p.tagged)
-        for arr in (*derived, *p.curve_samples(4)):
+        for arr in derived:
             with pytest.raises(ValueError):
                 arr[0] = 0
 

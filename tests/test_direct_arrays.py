@@ -1,7 +1,8 @@
 """The per-profile rule of ``toricsys.geometry``: direct array expressions
 instead of numpy's Python-level helpers, masks searched by argmax, no tag
 work on a profile without tags, curve derivatives only where they are
-read, and no reduction along rows of point pairs or short plane rows.
+read, no curve samples where a closed form exists, and no reduction along
+rows of point pairs or short plane rows.
 
 The guard runs the per-profile path with ``np.diff``, ``np.column_stack``,
 ``np.hstack``, ``np.stack``, ``np.flatnonzero`` and ``np.argsort`` made to
@@ -9,7 +10,8 @@ raise, spies on the tag types' sampling kernels, and reads the package's
 source for row reductions.  The reference properties keep the expressions
 the direct ones replaced (``_old_*``), among them the stacked tag samplers
 and the consumers that read their pairs, and require the same bits from
-both.
+both; the area and the Gromov width, which read closed forms now, are held
+to at least the old samples' accuracy instead.
 """
 
 import math
@@ -122,21 +124,26 @@ def kernel_calls(monkeypatch):
 
 
 def test_only_the_quadratures_derive_curves(kernel_calls, tmp_path):
-    """Construction, the Gromov width and the SVG read curve points only;
-    area and the Ruelle quadrature read the derivatives too."""
+    """Construction and the SVG read curve points only; the Ruelle
+    quadrature reads the derivatives too; area, the Gromov width and
+    ``report`` read no curve at all."""
     profiles = [
         profile_io.loads(MIXED),
         fc_domain(2, 0.7, 8),
         smooth_corners(polydisk(1, 2), 0.2, 4),
         fc_domain(2, 0.7, 8).scaled(3.0),
     ]
+    del kernel_calls[:]
+    reports = [report(p) for p in profiles]
     for p in profiles:
         gromov_width_monotone(p)
+    assert kernel_calls == []
+    for p in profiles:
         emit_profile_svg(p, tmp_path / "profile.svg")
     assert {kind for kind, _ in kernel_calls} == {"arc", "squared"}
     assert [call for call in kernel_calls if call[1]] == []
     del kernel_calls[:]
-    report(profiles[0])
+    reports[0].ruelle_quadrature
     assert sorted(kernel_calls) == [("arc", True), ("squared", True)]
 
 
@@ -319,13 +326,20 @@ def test_normals_and_classify_match_the_old_expressions(seed):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**9))
-def test_gromov_width_matches_the_old_expression(seed):
+def test_gromov_width_is_at_most_the_old_expression(seed):
+    """The exact least w1 + w2 has the old value's bits on a profile
+    without tags; on tagged ones it is at or below the old samples at
+    t = j/64, and above them by less than their spacing can hide."""
     for p in drawn_profiles(random.Random(seed)):
         if not classify(p).monotone:
             with pytest.raises(NotMonotone):
                 gromov_width_monotone(p)
             continue
-        assert same_bits(gromov_width_monotone(p), _old_gromov(p)), p.vertices
+        got, old = gromov_width_monotone(p), _old_gromov(p)
+        if not len(p.tagged):
+            assert same_bits(got, old), p.vertices
+        else:
+            assert old - 1e-4 * old <= got <= old, p.vertices
 
 
 finite = st.floats(-1e3, 1e3, allow_nan=False)
@@ -373,11 +387,14 @@ class TestMixedTags:
             assert all(same_bits(g, w) for g, w in zip(p.sample_curves(t), want))
 
     def test_consumers_match_the_old_expressions(self, tmp_path):
+        """The quadrature reads the samples with the old bits; area and the
+        Gromov width read closed forms, within 2 ulps of the old area and
+        at or below the old width."""
         p = profile_io.loads(MIXED)
-        assert same_bits(_area(p), _old_area(p))
         for n in (2, GL_ORDER, 13):
             assert same_bits(ruelle_quadrature(p, n), _old_ruelle(p, n))
-        assert same_bits(gromov_width_monotone(p), _old_gromov(p))
+        assert math.isclose(_area(p), _old_area(p), rel_tol=2**-51, abs_tol=0)
+        assert gromov_width_monotone(p) <= _old_gromov(p)
         emit_profile_svg(p, tmp_path / "p.svg")
         assert f'<polyline points="{_old_svg_points(p)}" stroke="blue"' in (tmp_path / "p.svg").read_text()
 

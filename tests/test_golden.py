@@ -21,7 +21,10 @@ each to the same apex with an action no larger.  The four cases on large
 family constructors (``invariants_fc_256``, ``classify_ellipsoid_512``,
 ``invariants_ellipsoid_512`` and ``strangulate_fc_64``) were captured
 before the constructors and ``_validate`` moved from per-vertex Python to
-numpy arrays, and hold that move to the same bytes.
+numpy arrays, and hold that move to the same bytes.  When tag areas
+became closed forms instead of 8-node Gauss-Legendre sums, one line moved:
+``strangulate_fc_64``'s ``volume_delta``, a difference of two areas, by
+5.6e-17 (9.4e-15 relative; the input's area moved by 1 ulp).
 
 To recapture after an intended change of output:
 ``python tests/test_golden.py`` (with ``src`` on ``PYTHONPATH``).

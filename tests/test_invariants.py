@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -22,6 +24,8 @@ from toricsys import (
     vol_fc,
 )
 from toricsys.invariants import (
+    REPORT_FIELDS,
+    InvariantReport,
     area,
     report_csv_header,
     report_to_csv_row,
@@ -112,6 +116,59 @@ class TestReport:
         row = report_to_csv_row(r).split(",")
         assert len(header) == len(row) == 9
         assert header[0] == "area" and header[-1] == "flags"
+
+
+class TestQuadratureOnFirstRead:
+    """``report`` gives ``ruelle_quadrature`` as a callable, computed on
+    the first read of the field; everything else sees a float field."""
+
+    def test_fields_unchanged(self):
+        assert REPORT_FIELDS == (
+            "area", "contact_volume", "ruelle", "ruelle_quadrature", "t_min", "sys", "ru",
+            "product", "flags",
+        )
+        (field,) = [f for f in dataclasses.fields(InvariantReport) if f.name == "ruelle_quadrature"]
+        assert field.init and field.default is dataclasses.MISSING
+
+    def test_report_equals_one_built_from_floats(self):
+        p = fc_domain(2, 0.7, 8)
+        rep = report(p)
+        values = {f.name: getattr(report(p), f.name) for f in dataclasses.fields(rep)}
+        eager = InvariantReport(**values)
+        assert type(eager.__dict__["ruelle_quadrature"]) is float
+        assert rep == eager and repr(rep) == repr(eager)
+        assert report_to_text(report(p)) == report_to_text(eager)
+        assert report_to_csv_row(report(p)) == report_to_csv_row(eager)
+
+    def test_replace_and_pickle(self):
+        p = smooth_corners(polydisk(1, 2), 0.2, 4)
+        rep = report(p)
+        assert dataclasses.replace(report(p), ruelle_quadrature=7.0).ruelle_quadrature == 7.0
+        assert dataclasses.replace(report(p), area=1.0).ruelle_quadrature == rep.ruelle_quadrature
+        back = pickle.loads(pickle.dumps(report(p)))
+        # The pickle holds the value, not the profile behind it.
+        assert back.__dict__["ruelle_quadrature"] == rep.ruelle_quadrature
+        assert back == rep
+
+    def test_frozen(self):
+        rep = report(ball(1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.ruelle_quadrature = 1.0
+        assert rep.ruelle_quadrature == 2.0
+
+    def test_stationary_curve_raises_on_read(self):
+        """The error of a curve stationary at a node moved from ``report``
+        to every read of the field, and so to the text the CLI prints."""
+        t = 0.019855071751231912
+        p = MomentProfile(
+            [(1, 0), (1, t * t), (1, (1 - t) ** 2), (0, 1)],
+            {SquaredSegment: ([1], [[1, -t, 1, 1 - t]])},
+        )
+        rep = report(p)
+        for read in (lambda: rep.ruelle_quadrature, lambda: rep.ruelle_quadrature,
+                     lambda: report_to_text(rep)):
+            with pytest.raises(DegenerateDenominator, match="^nu.w = nan on segment 1$"):
+                read()
 
 
 class TestGromovWidth:
