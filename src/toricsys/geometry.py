@@ -907,8 +907,9 @@ class Classification:
     monotone: bool
     strictly_monotone: bool
     convex_4d: bool
-    # Index of the violating segment (in path order) for each False flag.
-    witnesses: dict = field(default_factory=dict)
+    # Index of the violating segment (in path order) for each False flag;
+    # compared, but not hashed, so that a classification is hashable.
+    witnesses: dict = field(default_factory=dict, hash=False)
 
 
 # The names of the Classification flags, in field order.

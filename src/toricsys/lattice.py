@@ -4,9 +4,9 @@ The normal cone at a vertex v is the arc of outward normals from start
 counterclockwise to end (shorter than pi), a row (start, end, vertex) of
 ``MomentProfile.vertex_cones``.  The closed Reeb orbits at v are the
 primitive integer vectors (m, n) in it, with action f(m, n) = m*v1 +
-n*v2.  This module owns the membership test (within CONE_TOL * |(m, n)|
-of both boundary rays: ``_in_cone`` over arrays, written out on floats
-in the descent) and the two searches over those vectors:
+n*v2, a period.  This module owns the membership test (within CONE_TOL *
+|(m, n)| of both rays, and f > 0: ``_in_cone`` over arrays, written out
+on floats in the descent) and the two searches over those vectors:
 
 * ``min_in_cone``: the least (action, (m, n)) in the cone, by a
   Stern-Brocot descent that takes each continued-fraction run of the
@@ -73,18 +73,19 @@ _ROUNDING_UNIT = 2.0**-53
 Vector = tuple[int, int]
 
 
-def _in_cone(sx, sy, ex, ey, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Is each integer direction (m, n) in the closed cone from (sx, sy)
-    counterclockwise to (ex, ey), up to CONE_TOL * |(m, n)|?  Over
-    integer arrays m and n, for boundary components given as floats or as
-    arrays that broadcast against them; ``min_in_cone`` writes out the
-    same test, operand for operand, on Python floats.  The norm is the
-    square root of the exact integer m*m + n*n, the correctly rounded
-    hypotenuse, which is what ``math.hypot`` returns (CPython 3.10 and
-    later round it correctly almost always; ``np.hypot`` is often one
-    unit off)."""
+def _in_cone(sx, sy, ex, ey, m: np.ndarray, n: np.ndarray, action: np.ndarray) -> np.ndarray:
+    """Is each integer direction (m, n), of action m*v1 + n*v2, in the
+    closed cone from (sx, sy) counterclockwise to (ex, ey), up to
+    CONE_TOL * |(m, n)|, and of positive action (the band alone also holds
+    the directions opposite a needle cone)?  Over integer arrays, for
+    boundary components given as floats or as arrays that broadcast
+    against them; ``min_in_cone`` writes out the same test, operand for
+    operand, on Python floats.  The norm is the square root of the exact
+    integer m*m + n*n, the correctly rounded hypotenuse, which is what
+    ``math.hypot`` returns (CPython 3.10 and later round it correctly
+    almost always; ``np.hypot`` is often one unit off)."""
     tol = CONE_TOL * np.sqrt(m * m + n * n)
-    return (sx * n - sy * m >= -tol) & (m * ey - n * ex >= -tol)
+    return (sx * n - sy * m >= -tol) & (m * ey - n * ex >= -tol) & (action > 0)
 
 
 def clear_of_axes(normals: np.ndarray) -> np.ndarray:
@@ -115,11 +116,12 @@ def min_in_cone(cone, incumbent: float) -> tuple[Optional[tuple[float, Vector]],
     and the (action, m, n) tie-break matches the brute-force oracle.
     Only the winner so far is kept, no list of the tied vectors.
 
-    The descent is one loop over integer pairs.  Its tests are written
-    out on local floats: membership of d (both cross products with the
-    boundary rays at least -CONE_TOL * |d|), whether an arc meets the
-    cone, and the action f.  A stack entry is a flat tuple (lx, ly, rx,
-    ry, in_l, in_r): an arc's two ends and whether each is in the cone.
+    The descent is one loop over integer pairs.  Its tests are written out
+    on local floats: membership of d (both cross products with the
+    boundary rays at least -CONE_TOL * |d|, and f(d) > 0), whether an arc
+    meets the cone, and the action f.  A stack entry is a flat tuple (lx,
+    ly, rx, ry, in_l, in_r): an arc's two ends and whether each is in the
+    cone.
 
     Within a continued-fraction run, consecutive nodes (X + k*F, F) (or
     (F, X + k*F)) share the endpoint F and repeat the same decisions.  Such
@@ -151,7 +153,9 @@ def min_in_cone(cone, incumbent: float) -> tuple[Optional[tuple[float, Vector]],
         rounding = math.inf
     axis = []
     for m, n in _AXES:
-        axis.append(sx * n - sy * m >= -CONE_TOL and m * ey - n * ex >= -CONE_TOL)
+        axis.append(
+            sx * n - sy * m >= -CONE_TOL and m * ey - n * ex >= -CONE_TOL and m * v0 + n * v1 > 0
+        )
     # Two arcs shorter than pi meet when one holds an endpoint of the
     # other; the quadrant arcs that meet the cone are descended from, the
     # last one first.
@@ -187,7 +191,8 @@ def min_in_cone(cone, incumbent: float) -> tuple[Optional[tuple[float, Vector]],
             mx, my = lx + rx, ly + ry
             tol = CONE_TOL * math.hypot(mx, my)
             cross_s, cross_e = sx * my - sy * mx, mx * ey - my * ex
-            in_m = cross_s >= -tol and cross_e >= -tol
+            a = mx * v0 + my * v1
+            in_m = cross_s >= -tol and cross_e >= -tol and a > 0
             left = (
                 in_l
                 or in_m
@@ -204,12 +209,10 @@ def min_in_cone(cone, incumbent: float) -> tuple[Optional[tuple[float, Vector]],
                 stack.append((lx, ly, mx, my, in_l, in_m))
             if right:
                 stack.append((mx, my, rx, ry, in_m, in_r))
-            if in_m:
-                a = mx * v0 + my * v1
-                if a <= best:
-                    best = a
-                    if winner is None or (a, (mx, my)) < winner:
-                        winner = (a, (mx, my))
+            if in_m and a <= best:
+                best = a
+                if winner is None or (a, (mx, my)) < winner:
+                    winner = (a, (mx, my))
 
             # A continued-fraction run X + kF toward F starts here.  In an
             # outside run only the child toward F meets the cone and
@@ -307,8 +310,8 @@ def min_in_cone(cone, incumbent: float) -> tuple[Optional[tuple[float, Vector]],
                     # popped right after node k, with best action
                     # running[k]; toward R it waits under the run, for a
                     # best <= running[-1], and child 0 is already on the
-                    # stack.  (Only an in-cone vector with f <= 0, on a
-                    # degenerate cone, fails this; such runs are stepped.)
+                    # stack.  In-cone actions are positive, so only
+                    # rounding can fail this; such runs are stepped.
                     a, b = fx[1:], fx[:-1]
                     pruned = (a > 0) & (b > 0) & (a + b > (running[-1] if toward_r else running))
                     pruned[0] |= toward_r
@@ -363,7 +366,7 @@ def _run_end(cone, tol_s, tol_e, best, x0, x1, f0, f1, limit, outside, right, in
         # Does node k keep the pattern?
         nx, ny = x0 + (k + 1) * f0, x1 + (k + 1) * f1
         tol = CONE_TOL * math.hypot(nx, ny)
-        keeps = sx * ny - sy * nx >= -tol and nx * ey - ny * ex >= -tol
+        keeps = sx * ny - sy * nx >= -tol and nx * ey - ny * ex >= -tol and nx * v0 + ny * v1 > 0
         if outside:
             kx, ky = nx - f0, ny - f1
             fk = kx * v0 + ky * v1
@@ -423,16 +426,16 @@ _SMALL_VECTORS = {
 def small_in_cones(cones: np.ndarray, max_norm: int) -> tuple:
     """Every primitive vector of max norm <= max_norm (1 to
     SMALL_MAX_NORM) that ``_in_cone`` puts in one of the cones (rows
-    (start, end, vertex) of a (k, 3, 2) array) with positive action
-    m*v1 + n*v2, as arrays cone (the cone's row), m, n and action, in the
-    layout of ``enumerate_in_cone``: one broadcast over the cones and at
-    most 48 vectors.  Such a vector lies in its cone's box at every cutoff
-    from its action up, so ``enumerate_in_cone`` lists it there, with the
-    same action, when n_max >= max_norm."""
+    (start, end, vertex) of a (k, 3, 2) array), as arrays cone (the
+    cone's row), m, n and action, in the layout of ``enumerate_in_cone``:
+    one broadcast over the cones and at most 48 vectors.  Such a vector
+    lies in its cone's box at every cutoff from its action up, so
+    ``enumerate_in_cone`` lists it there, with the same action, when
+    n_max >= max_norm."""
     m, n = _SMALL_VECTORS[max_norm]
     (sx, sy), (ex, ey), (v0, v1) = cones.transpose(1, 2, 0)[..., None]
     action = m * v0 + n * v1
-    cone, j = (_in_cone(sx, sy, ex, ey, m, n) & (action > 0)).nonzero()
+    cone, j = _in_cone(sx, sy, ex, ey, m, n, action).nonzero()
     return cone, m[j], n[j], action[cone, j]
 
 
@@ -496,7 +499,7 @@ def enumerate_in_cone(
     cones: np.ndarray, cutoff: float, n_max: Optional[int] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every primitive (m, n) in each closed cone of a batch with action
-    m*v1 + n*v2 <= cutoff (up to a relative 1e-12), and with max norm
+    0 < m*v1 + n*v2 <= cutoff (up to a relative 1e-12), and with max norm
     max(|m|, |n|) <= n_max unless n_max is None, as arrays cone (the
     cone's row), m, n and action.  The rows of a cone are contiguous and
     in cone order; within a cone their order is unspecified.
@@ -553,7 +556,7 @@ def enumerate_in_cone(
             m, n = np.where(swap, inner, outer), np.where(swap, outer, inner)
             sx, sy, ex, ey, v0, v1 = cones.reshape(k, 6)[cone].T
         action = m * v0 + n * v1
-        keep = (np.gcd(m, n) == 1) & _in_cone(sx, sy, ex, ey, m, n)
+        keep = (np.gcd(m, n) == 1) & _in_cone(sx, sy, ex, ey, m, n, action)
         keep &= action <= cutoff * CUTOFF_SLACK
         m, n, action = m[keep], n[keep], action[keep]
         cone = np.zeros(len(m), dtype=np.intp) if k == 1 else cone[keep]

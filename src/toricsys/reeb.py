@@ -118,11 +118,11 @@ class VertexOrbits(Sequence):
     ``m``, ``n`` and ``action``, sorted by action, then by (m, n): the
     order of ``OrbitDatum.sort_key`` within one vertex.  An ``OrbitDatum``
     is made only when one is read, by index, slice (a list) or
-    iteration.  ``orbits_at_vertex`` defers the listing itself: its
-    columns are listed on first read (of a column, ``len``, an orbit,
-    ``==`` or ``repr``), once, so the about 2/eps orbits of a strain tip
-    cost nothing until they are read, and an error of the listing is
-    raised by that read."""
+    iteration.  ``orbits_at_vertex`` and strangulation's witness defer the
+    listing itself: the columns are listed on first read (of a column,
+    ``len``, an orbit, ``==`` or ``repr``), once, so the about 2/eps
+    orbits of a strain tip cost nothing until they are read, and an error
+    of the listing is raised by that read."""
 
     __slots__ = ("_columns", "_list", "base_point", "vertex_index")
 
@@ -193,11 +193,6 @@ def _cone_orbits(cone: np.ndarray, action_cutoff: float) -> tuple:
     cone (a one-row table of ``MomentProfile.vertex_cones``) with action
     <= cutoff, sorted by action, then by (m, n)."""
     _, m, n, action = enumerate_in_cone(cone, action_cutoff)
-    # An action is a period, > 0; the membership tolerance admits a
-    # needle's opposite.
-    keep = action > 0
-    if not keep.all():
-        m, n, action = m[keep], n[keep], action[keep]
     order = np.lexsort((n, m, action))
     return m[order], n[order], action[order]
 
@@ -283,8 +278,8 @@ def t_min(
 
     ``fast`` is a best-first pass (branch and bound): every segment and
     vertex cone gets a float lower bound on its action, and they are
-    visited in bound order until a bound exceeds the best action found.
-    A bound equal to the best action is visited only when the incumbent
+    visited in bound order until a bound exceeds the best action found.  A
+    bound equal to the best action is visited only when the incumbent
     ranks with the candidate or after it (axis 0, segment 1, vertex 2):
     otherwise the candidate can at best tie on action and loses on rank.
     The two axis orbits are the first incumbent.  Each bound is the
@@ -297,25 +292,24 @@ def t_min(
     ``min_in_cone`` prunes it by in its first step.  Every segment is
     bounded by its support distance h = cross / length less a rounding
     slack, since its integer normal is at least a unit long, and every
-    cone but a needle (narrower than a few CONE_TOL, where the membership
-    tolerance admits opposite directions) by the lesser support distance
-    of its two segments, whose lines meet at its vertex, less the same
-    slacks and 4 CONE_TOL (v1 + v2).  A candidate no bound covers is
-    bounded by -inf and always visited.  A visited segment computes its
-    primitive normal (``MomentProfile.primitive_normal``); a visited
-    corner's row of the profile's cone table (``vertex_cones``, built on
-    the first visit) is searched by ``lattice.min_in_cone``, a
-    Stern-Brocot descent with pruning that takes each continued-fraction
-    run in one step and returns the cone's one least (action, m, n) at or
-    below the incumbent: a run of in-cone vectors whose float actions
-    provably fall (a rounding bound) costs three actions, and only a
-    near-tie, such as a diagonal strangulation's apex, a numpy pass.  The
-    result does not depend on the visiting order.  A strangulated
-    profile's apex cone is searched here and nowhere else unless its
-    surgery witness is read (``surgery.strangulate``).
+    cone by the lesser support distance of its two segments, whose lines
+    meet at its vertex, less the same slacks and 4 CONE_TOL (v1 + v2).  A
+    candidate no bound covers is bounded by -inf and always visited.  A
+    visited segment computes its primitive normal
+    (``MomentProfile.primitive_normal``); a visited corner's row of the
+    profile's cone table (``vertex_cones``, built on the first visit) is
+    searched by ``lattice.min_in_cone``, a Stern-Brocot descent with
+    pruning that takes each continued-fraction run in one step and returns
+    the cone's one least (action, m, n) at or below the incumbent: a run
+    of in-cone vectors whose float actions provably fall (a rounding
+    bound) costs three actions, and only a near-tie, such as a diagonal
+    strangulation's apex, a numpy pass.  The result does not depend on the
+    visiting order.  A strangulated profile's apex cone is searched here
+    and nowhere else unless its surgery witness is read
+    (``surgery.strangulate``).
 
-    ``oracle`` brute-forces all primitive integer vectors with max-norm
-    <= n_oracle (an integer >= 1) over the table's corner cones and raises
+    ``oracle`` brute-forces all primitive integer vectors with max-norm <=
+    n_oracle (an integer >= 1) over the table's corner cones and raises
     OracleCutoffInsufficient when larger vectors could still win.  It
     lists the vectors of max norm <= r = min(4, n_oracle) (4 is
     ``lattice.SMALL_MAX_NORM``) in every corner cone itself, in one
@@ -324,21 +318,20 @@ def t_min(
     segment action, which T_min cannot exceed; only the segments whose
     support bound (``_support_bounds``) is below min(a, b) are read for
     it, since any other acts at least as much as an axis orbit and ranks
-    after it.  The seed is the least
-    action of that listing, so the cut drops only vectors that cannot
-    win, and a listed small vector above it loses to the seed or the
-    ceiling.  A vector beyond the listing has norm >= r + 1, so its action is
-    at least (r + 1) times the least unit-normal action u at its cone's
-    vertex, less a slack for the membership tolerance and rounding: a
-    cone where that exceeds the cut holds no such vector below it.  Only
-    the other corner cones, those whose u is below about cut / (r + 1)
-    (at r = 4 strangulation notches and strain tips), go to
-    ``lattice.enumerate_in_cone``, as one batch with the box clipped to
-    the max-norm bound, and none when no cone qualifies.  Listed rows of
-    action <= 0 are dropped, and one lexsort of both listings then picks
-    the least action, then the least (m, n), then the least vertex, whose
-    key joins the axis and segment keys for one ``min``.  The oracle
-    shares no search with ``min_in_cone``, the descent it checks.
+    after it.  The seed is the least action of that listing, so the cut
+    drops only vectors that cannot win, and a listed small vector above it
+    loses to the seed or the ceiling.  A vector beyond the listing has
+    norm >= r + 1, so its action is at least (r + 1) times the least
+    unit-normal action u at its cone's vertex, less a slack for the
+    membership tolerance and rounding: a cone where that exceeds the cut
+    holds no such vector below it.  Only the other corner cones, those
+    whose u is below about cut / (r + 1) (at r = 4 strangulation notches
+    and strain tips), go to ``lattice.enumerate_in_cone``, as one batch
+    with the box clipped to the max-norm bound, and none when no cone
+    qualifies.  One lexsort of both listings then picks the least action,
+    then the least (m, n), then the least vertex, whose key joins the axis
+    and segment keys for one ``min``.  The oracle shares no search with
+    ``min_in_cone``, the descent it checks.
 
     Any other ``method`` raises ParamOutOfRange.
     """
@@ -364,24 +357,21 @@ def t_min(
     unit = ray_action[..., 0] + ray_action[..., 1]
     unit = np.minimum(unit[:, 0], unit[:, 1])
     # A vector d that ``_in_cone`` admits lies within an angle of about
-    # CONE_TOL of its cone's arc, or, in a needle cone narrower than that,
-    # of the opposite arc, where its action is negative when u > 0.  Near
-    # the arc, d.v >= |d| (u - CONE_TOL |v|), and rounding in the cross
-    # products, in u and in m*v1 + n*v2 costs under 1e-15 |d| (v1 + v2)
-    # more; |v| <= v1 + v2 at an interior vertex.  So the listed action of
-    # d, of norm >= r + 1, is at least (r + 1)(u - slack) with slack =
-    # 4 CONE_TOL (v1 + v2), and where (r + 1)(u - slack)(1 - CONE_TOL)
-    # exceeds the cutoff it is beyond the enumerator's cutoff * CUTOFF_SLACK.
-    # At r = 4 (n_oracle >= 4) that leaves only cones with u below about
-    # cutoff / 5.
+    # CONE_TOL of its cone's arc, so d.v >= |d| (u - CONE_TOL |v|), and
+    # rounding in the cross products, in u and in m*v1 + n*v2 costs under
+    # 1e-15 |d| (v1 + v2) more; |v| <= v1 + v2 at an interior vertex.  So
+    # the listed action of d, of norm >= r + 1, is at least (r + 1)(u -
+    # slack) with slack = 4 CONE_TOL (v1 + v2), and where (r + 1)(u -
+    # slack)(1 - CONE_TOL) exceeds the cutoff it is beyond the enumerator's
+    # cutoff * CUTOFF_SLACK.  At r = 4 (n_oracle >= 4) that leaves only
+    # cones with u below about cutoff / 5.
     slack = 4 * CONE_TOL * (cones[:, 2, 0] + cones[:, 2, 1])
     deep = ((r + 1) * (unit - slack) * (1 - CONE_TOL) <= cutoff).nonzero()[0]
     if deep.size:
         c, dm, dn, da = enumerate_in_cone(cones[deep], cutoff, n_oracle)
-        keep = da > 0  # as in ``orbits_at_vertex``
-        cone = np.concatenate((cone, deep[c[keep]]))
-        m, n = np.concatenate((m, dm[keep])), np.concatenate((n, dn[keep]))
-        action = np.concatenate((action, da[keep]))
+        cone = np.concatenate((cone, deep[c]))
+        m, n = np.concatenate((m, dm)), np.concatenate((n, dn))
+        action = np.concatenate((action, da))
     if action.size:
         # The least (action, m, n) and then vertex over every cone.
         k = np.lexsort((cone, n, m, action))[0]
@@ -460,15 +450,9 @@ def _candidate_bounds(p: MomentProfile) -> np.ndarray:
     # n*v2 a further 2 u |d| |v|.  The slack 4 CONE_TOL (v1 + v2), as in
     # the oracle's prune, covers both and the rounding of the bound cb.
     # Where cb > 0, every action the descent can return is at least
-    # |d| cb >= cb.  A direction opposite the cone passes both half-plane
-    # tests only when the cone is at most about 2 CONE_TOL wide: such a
-    # needle admits actions below any support bound.  So a cone whose
-    # normals' cross product, the sine of its width up to a few u, is at
-    # most 4 CONE_TOL gets no support bound; a cone nearly pi wide reads as
-    # one too, and only loses its bound.
-    wide = np.abs(p.normal_crosses) > 4 * CONE_TOL
+    # |d| cb >= cb.
     cb = np.minimum(hb[:-1], hb[1:]) - 4 * CONE_TOL * v_sum
-    np.maximum(cone, cb, out=cone, where=wide & (cb > 0))
+    np.maximum(cone, cb, out=cone, where=cb > 0)
     return np.concatenate((seg, cone))
 
 

@@ -11,11 +11,9 @@ expected failure count is updated with the fix.
 
 from __future__ import annotations
 
-import copy
 import math
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -59,20 +57,16 @@ class StrainSpec:
 
 @dataclass(frozen=True)
 class SurgeryOutcome:
-    """A surgery's output profile and certificates.  ``find_witnesses``
-    returns the new orbits; ``new_orbit_witnesses`` calls it once, on
-    first read, so a witness nobody reads costs no search."""
+    """A surgery's output profile and certificates.  The new orbits,
+    ``new_orbit_witnesses``, are listed on their first read
+    (``reeb.VertexOrbits``), so a witness nobody reads costs no search."""
 
     profile: MomentProfile
     volume_delta: float
     volume_delta_bound: float
-    find_witnesses: Callable[[], Sequence[reeb.OrbitDatum]] = field(compare=False, repr=False)
+    new_orbit_witnesses: reeb.VertexOrbits = field(compare=False, repr=False)
     preserved_flags: Classification
     spec: object
-
-    @cached_property
-    def new_orbit_witnesses(self) -> Sequence[reeb.OrbitDatum]:
-        return self.find_witnesses()
 
 
 def input_t_min(p: MomentProfile) -> float:
@@ -140,15 +134,15 @@ def _sector_intervals(
     return lo, hi, ~(lo >= hi - 1e-15)
 
 
-def _apex_witnesses(out: MomentProfile, apex_index: int) -> list[reeb.OrbitDatum]:
-    """The witness of a strangulation: the least (action, m, n) in the
-    output's apex normal cone, as a one-orbit list."""
+def _apex_orbit(out: MomentProfile, apex_index: int) -> tuple:
+    """The columns (m, n, action) of a strangulation's witness: the least
+    (action, m, n) in the output's apex normal cone, one row."""
     cones, _ = out.vertex_cones
     got, _ = min_in_cone(cones[apex_index - 1].tolist(), math.inf)
     if got is None:
-        return []
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     action, (m, n) = got
-    return [reeb._orbit(out, (action, 2, m, n, apex_index))]
+    return np.array([m]), np.array([n]), np.array([action])
 
 
 def strangulate(
@@ -165,10 +159,10 @@ def strangulate(
     preserved; the apex vertex carries a new short orbit, the witness:
     the least-action apex orbit (``lattice.min_in_cone``, least (m, n) on
     ties), <= 2*eps on the diagonal since (1, 1) lies in the cone.  The
-    witness is searched when ``new_orbit_witnesses`` is first read, not
-    here: ``reeb.t_min`` of the output searches the same cone, and a
-    sweep reads only that.  The descent never raises, so deferring it
-    moves no error.
+    witness is a one-row ``reeb.VertexOrbits`` searched on its first
+    read, not here: ``reeb.t_min`` of the output searches the same cone,
+    and a sweep reads only that.  The descent never raises, so deferring
+    it moves no error.
     """
     if not eps > 0:
         raise ParamOutOfRange(f"eps must be positive; got {eps}")
@@ -221,7 +215,9 @@ def strangulate(
         profile=out,
         volume_delta=invariants.area(p) - invariants.area(out),
         volume_delta_bound=8 * w_star * w_star * theta,
-        find_witnesses=partial(_apex_witnesses, out, apex_index),
+        new_orbit_witnesses=reeb.VertexOrbits._deferred(
+            partial(_apex_orbit, out, apex_index), out.vertex(apex_index), apex_index
+        ),
         preserved_flags=classify(out),
         spec=StrangulationSpec(eps=eps, ray_angle=ray_angle, theta=theta, w_star=w_star),
     )
@@ -272,9 +268,9 @@ def strain(p: MomentProfile, eps: float) -> SurgeryOutcome:
     input, about 2/eps of them, as the columns of a ``reeb.VertexOrbits``,
     listed on first read: ``strain`` lists no tip orbit, and an error of
     the listing (``ParamOutOfRange`` for a listing too large to allocate)
-    is raised by the first read of ``new_orbit_witnesses``.  ``[0]`` is
-    the minimal tip orbit and ``len`` the count, and an orbit object is
-    made only for an orbit that is read.  The input's T_min and area are
+    is raised by the first read of the witnesses, ``len`` included.
+    ``[0]`` is the minimal tip orbit and ``len`` the count, and an orbit
+    object is made only for an orbit that is read.  The input's T_min and area are
     computed once per profile (``input_t_min`` and
     ``invariants.area``'s cache).
     """
@@ -309,13 +305,12 @@ def strain(p: MomentProfile, eps: float) -> SurgeryOutcome:
         rest, at = rest[1:], 1
     out = MomentProfile(np.concatenate(([(spike, 0.0), tip], rest)), p.tag_columns_from(1, at))
 
-    tmin_in = input_t_min(p)
-    witnesses = reeb.orbits_at_vertex(out, 1, action_cutoff=2 * tmin_in)
+    witnesses = reeb.orbits_at_vertex(out, 1, action_cutoff=2 * input_t_min(p))
     return SurgeryOutcome(
         profile=out,
         volume_delta=invariants.area(out) - invariants.area(p),
         volume_delta_bound=math.sqrt(eps) / 2,
-        find_witnesses=partial(copy.copy, witnesses),
+        new_orbit_witnesses=witnesses,
         preserved_flags=classify(out),
         spec=StrainSpec(eps=eps, k=k, w_star_eps=w_star, spike_intercept=spike),
     )

@@ -371,9 +371,10 @@ class TestLazyWitness:
         out = strangulate(ball(2), 1e-3)
         seen = _count_searches(monkeypatch)
         first = out.new_orbit_witnesses
-        assert first is out.new_orbit_witnesses
-        assert len(seen["min_in_cone"]) == 1 and seen["enumerate_in_cone"] == []
+        assert seen == {"min_in_cone": [], "enumerate_in_cone": []}
         [w] = first
+        assert first is out.new_orbit_witnesses and first == [w]
+        assert len(seen["min_in_cone"]) == 1 and seen["enumerate_in_cone"] == []
         assert w.base_point == out.profile.vertex(w.location_index)
 
     def test_sweep_point_searches_as_t_min_alone(self, monkeypatch):

@@ -183,12 +183,24 @@ def test_t_min_is_the_exact_least_orbit():
     assert math.isclose(action, least, rel_tol=1e-15)
 
 
-@known("12", OverflowError, "a needle cone about an axis sends the descent's run end past any int")
-def test_t_min_on_a_needle_about_an_axis():
-    # Vertex 1's cone is 2e-10 rad wide about (1, 0), and the CONE_TOL band
-    # also admits (-1, 0), opposite it; the oracle answers the axis (1, 0).
-    p = from_vertices([(1, 0), (1 + 1e-10, 1), (1, 2), (0, 2)])
-    exact.check_orbit(p, *t_min(p))
+@pytest.mark.parametrize(
+    "vertices, winner",
+    [
+        ([(1, 0), (1 + 1e-10, 1), (1, 2), (0, 2)], ((1, 0), "axis", 0)),
+        ([(2, 0), (2, 1), (1, 1 + 1e-10), (0, 1)], ((0, 1), "axis", 1)),
+        ([(1, 0), (1 - 1e-10, 1), (1, 2), (0, 2)], ((1, 0), "vertex", 1)),
+    ],
+)
+def test_t_min_on_a_needle_about_an_axis(vertices, winner):
+    # A cone 2e-10 rad wide about (1, 0) or (0, 1) (convex, or reflex on the
+    # third profile): the CONE_TOL band also admits the axis vector opposite
+    # it, whose negative action once sent the descent's run end past any int.
+    # Membership now asks for a positive action.
+    p = from_vertices(vertices)
+    action, orbit = t_min(p)
+    exact.check_orbit(p, action, orbit)
+    assert (orbit.mn, orbit.location_kind, orbit.location_index) == winner
+    assert (action, orbit) == t_min(p, "oracle")
 
 
 # Corner cones where the descent's least (m, n) is not the exact one:

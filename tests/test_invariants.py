@@ -117,6 +117,21 @@ class TestReport:
         assert len(header) == len(row) == 9
         assert header[0] == "area" and header[-1] == "flags"
 
+    def test_reports_and_outcomes_are_hashable(self):
+        """Equal reports hash equal, and reports, classifications and
+        surgery outcomes go into a set: a classification's ``witnesses``
+        dict is compared but not hashed, an outcome's witnesses neither."""
+        bent = from_vertices([(1, 0), (1.5, 1), (0, 2)])
+        reports = [report(ball(1)), report(ball(1)), report(bent)]
+        assert reports[0] == reports[1] and hash(reports[0]) == hash(reports[1])
+        assert len(set(reports)) == 2
+        flags = [r.classification for r in reports]
+        assert flags[2].witnesses and len(set(flags)) == 2
+        p, _ = surgery.flatten_near_intercept(ball(2, 16), 0.1)
+        outcomes = [surgery.strangulate(ball(2), 0.1) for _ in range(2)] + [surgery.strain(p, 1e-2)]
+        assert hash(outcomes[0]) == hash(outcomes[1])
+        assert len(set(outcomes)) == 2
+
 
 class TestQuadratureOnFirstRead:
     """``report`` gives ``ruelle_quadrature`` as a callable, computed on

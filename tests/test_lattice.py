@@ -354,13 +354,15 @@ def _apex_cone(rng, diagonal):
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(0, 10**9),
-    st.sampled_from(["near-rational", "diagonal apex", "off-diagonal apex"]),
+    st.sampled_from(["near-rational", "diagonal apex", "off-diagonal apex", "random"]),
     st.booleans(),
 )
 def test_winner_is_the_least_reference_candidate(seed, kind, finite):
     rng = random.Random(seed)
     if kind == "near-rational":
         cone = _near_rational_cone(rng)
+    elif kind == "random":
+        cone = _random_cone(rng)
     else:
         cone = _apex_cone(rng, kind == "diagonal apex")
     incumbent = rng.uniform(0.1, 10) * math.hypot(*cone[2]) if finite else math.inf
@@ -400,14 +402,19 @@ def _per_cone(cones, cutoff, n_max):
 def _random_cone(rng):
     """A vertex cone of a random star or monotone profile, or a cone of
     random width (down to needles) whose vertex has positive action on
-    both boundary rays, at any angle."""
+    both boundary rays, at any angle or as a needle about one of the four
+    axis directions, whose CONE_TOL band holds the opposite axis vector."""
     if rng.random() < 0.5:
         p = (random_star_profile if rng.random() < 0.5 else random_monotone_profile)(rng)
         cones = _corners(p)
         if cones:
             return rng.choice(cones)[1]
-    a = rng.uniform(-math.pi, math.pi)
-    width = min(10 ** rng.uniform(-10, 0.5), math.pi - 1e-6)
+    if rng.random() < 0.25:
+        width = 10 ** rng.uniform(-12, -8)
+        a = rng.randrange(4) * math.pi / 2 - rng.random() * width
+    else:
+        a = rng.uniform(-math.pi, math.pi)
+        width = min(10 ** rng.uniform(-10, 0.5), math.pi - 1e-6)
     b = a + width / 2 + rng.uniform(-0.9, 0.9) * (math.pi - width) / 2
     r = 10 ** rng.uniform(-1, 0.5)
     return (
@@ -436,6 +443,7 @@ def test_batch_lists_what_each_cone_lists(seed, k, scale, n_max):
     assert cone.dtype.kind == m.dtype.kind == n.dtype.kind == "i"
     assert action.dtype == float
     assert len(cone) == len(m) == len(n) == len(action)
+    assert (action > 0).all()
     assert (np.diff(cone) >= 0).all()
     got = [
         sorted(zip(m[cone == j].tolist(), n[cone == j].tolist(), action[cone == j].tolist()))
@@ -457,10 +465,10 @@ def _rows(cone, m, n, action):
 )
 def test_small_vectors_are_what_the_enumerator_lists(seed, kind, log_eps, ray):
     """The T_min oracle prunes a cone on the promise that its small-vector
-    listing holds every vector of max norm <= r with positive action.  For
-    every r, ``small_in_cones`` lists, row for row, what the enumerator
-    clipped to max norm r lists with positive action at the largest listed
-    action (at a cutoff above every such action when nothing is listed)."""
+    listing holds every vector of max norm <= r.  For every r,
+    ``small_in_cones`` lists, row for row, what the enumerator clipped to
+    max norm r lists at the largest listed action (at a cutoff above every
+    action when nothing is listed), and both list only positive actions."""
     if kind == "strangulated":
         p = strangulate(ball(2), 10**-log_eps, ray).profile
     else:
@@ -475,9 +483,9 @@ def test_small_vectors_are_what_the_enumerator_lists(seed, kind, log_eps, ray):
             cutoff = float(small[3].max())
         else:
             cutoff = r * float(np.abs(cones[:, 2]).sum(axis=1).max(initial=1))
-        cone, m, n, action = enumerate_in_cone(cones, cutoff, r)
-        keep = action > 0
-        assert _rows(*small) == _rows(cone[keep], m[keep], n[keep], action[keep])
+        listed = enumerate_in_cone(cones, cutoff, r)
+        assert (listed[3] > 0).all()
+        assert _rows(*small) == _rows(*listed)
 
 
 def test_empty_batch_lists_nothing():
@@ -600,7 +608,8 @@ def test_mask_is_the_scalar_predicate(seed):
             m.append(np.rint(t * r[0]).astype(np.int64) + rng.integers(-1, 2, t.size))
             n.append(np.rint(t * r[1]).astype(np.int64) + rng.integers(-1, 2, t.size))
         m, n = np.concatenate(m), np.concatenate(n)
-        mask = lattice._in_cone(*cone[0], *cone[1], m, n).tolist()
+        action = m * cone[2][0] + n * cone[2][1]
+        mask = lattice._in_cone(*cone[0], *cone[1], m, n, action).tolist()
         row = exact.Cone(*cone)
         for a, b, admitted in zip(m.tolist(), n.tolist(), mask):
             assert row.near(a, b) if admitted else not row.contains(a, b), (a, b)

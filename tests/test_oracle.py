@@ -274,6 +274,12 @@ def _band_acts_negative(p, i):
     )
 
 
+def _listed_actions(p, cutoff=3.0):
+    """The actions that ``enumerate_in_cone`` lists in p's corner cones."""
+    cones, corner = p.vertex_cones
+    return enumerate_in_cone(cones[corner], cutoff)[3]
+
+
 @pytest.mark.parametrize(
     "vertices",
     (
@@ -284,31 +290,32 @@ def _band_acts_negative(p, i):
 )
 def test_far_opposite_vectors_of_a_needle_cone_are_not_listed(vertices):
     """A vertex a hair off the line through its neighbours has a cone
-    narrower than 2 * CONE_TOL, and ``in_cone`` then also admits the
-    directions opposite it, such as (-1, -2) on the first profile.  The
-    full table found those up to the max norm and returned their negative
-    action; the enumerator's box reaches only one unit past the origin on
-    the far side, so there the oracle agrees with fast ``t_min``: the
-    (0, 1) axis orbit of action 1."""
+    narrower than 2 * CONE_TOL, whose CONE_TOL band also holds the
+    directions opposite it, such as (-1, -2) on the first profile, of
+    negative action.  A full table of the vectors up to a max norm once
+    returned that action.  Membership asks for a positive action, so the
+    enumerator lists none of them, and the oracle agrees with fast
+    ``t_min``: the (0, 1) axis orbit of action 1."""
     p = from_vertices(vertices)
     assert _band_acts_negative(p, 1)
+    assert (_listed_actions(p) > 0).all()
     assert _same_t_min(p) == t_min(p)
     assert t_min(p)[1].mn == (0, 1)
 
 
 def test_needle_cone_does_not_cut_the_other_cones():
     """A vertex 1e-10 off the diagonal side of a strangulated ball has a
-    needle cone around (1, 1) whose membership tolerance also admits
-    (-1, -1), of action -2.  Both the old table and the enumerator list
-    (-1, -1), a unit from the origin, and the old oracle returned it; an
-    action is a period, so the oracle now drops it and agrees with fast
-    t_min: (-4, 5) at 0.0999....  The cut that the oracle takes from small
-    vectors must come from positive actions only: a cut at -2 would list
-    nothing, not even (-1, -1), and leave the (0, 1) axis orbit of
-    action 2."""
+    needle cone around (1, 1) whose CONE_TOL band also holds (-1, -1), of
+    action -2, which an old oracle returned.  An action is a period, so
+    membership asks for a positive one: neither listing holds (-1, -1),
+    and the oracle agrees with fast t_min: (-4, 5) at 0.0999....  The cut
+    that the oracle takes from small vectors comes from positive actions
+    only: a cut at -2 would list nothing and leave the (0, 1) axis orbit
+    of action 2."""
     vertices = list(strangulate(ball(2), 0.1).profile.vertices)
     p = from_vertices(vertices[:1] + [(1.5 + 1e-10, 0.5 + 1e-10)] + vertices[1:])
     assert _band_acts_negative(p, 1)
+    assert (_listed_actions(p) > 0).all()
     action, witness = _same_t_min(p)
     assert (action, witness) == t_min(p)
     assert (action, witness.mn, witness.location_index) == (0.09999999999910081, (-4, 5), 2)
@@ -316,12 +323,14 @@ def test_needle_cone_does_not_cut_the_other_cones():
 
 def test_needle_cone_at_the_diagonal_lists_no_nonpositive_action():
     """The vertex (0.5, 0.5 + 1e-10) between the two unit intercepts turns
-    the normal by 2e-10, so ``in_cone`` admits (-1, -1) opposite its
-    cone, of action -1.0000000001, and the old oracle returned it as
-    T_min.  Neither the oracle nor the orbit list keeps an action <= 0:
-    both give the axis orbits of action 1, as fast t_min does."""
+    the normal by 2e-10, so the CONE_TOL band holds (-1, -1) opposite its
+    cone, of action -1.0000000001, which an old oracle returned as T_min.
+    Membership asks for a positive action, so neither the enumerator, the
+    oracle nor the orbit list holds an action <= 0: both give the axis
+    orbits of action 1, as fast t_min does."""
     p = from_vertices([(1, 0), (0.5, 0.5000000001), (0, 1)])
     assert _band_acts_negative(p, 1)
+    assert (_listed_actions(p) > 0).all()
     assert _same_t_min(p) == t_min(p)
     assert t_min(p)[0] == 1
     assert [o.mn for o in orbits_below(p, 1)] == [(0, 1), (1, 0)]
@@ -424,11 +433,13 @@ def test_pruned_oracle_keeps_a_cone_where_a_max_norm_5_vector_wins(n_oracle):
 
 @pytest.mark.parametrize("n_oracle", N_ORACLE)
 def test_pruned_oracle_on_the_needle(n_oracle):
-    """The needle cone's membership tolerance admits (-1, -1), opposite
-    it, of negative action.  The cone's least unit-normal action, about
-    0.71, is more than half the cut 1, so no vector of max norm >= 2 in
-    it acts below the cut: it is pruned, and the axis orbits win."""
+    """The needle cone's CONE_TOL band holds (-1, -1), opposite it, of
+    negative action, which membership rejects.  The cone's least
+    unit-normal action, about 0.71, is more than half the cut 1, so no
+    vector of max norm >= 2 in it acts below the cut: it is pruned, and
+    the axis orbits win."""
     p = from_vertices([(1, 0), (0.5, 0.5 + 1e-10), (0, 1)])
+    assert (_listed_actions(p) > 0).all()
     assert _same_t_min(p, n_oracle)[0] == 1
 
 

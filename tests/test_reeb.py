@@ -240,7 +240,7 @@ def test_enumerated_orbits_well_formed(seed):
             if abs(p.normal_turns[vi - 1]) > 1e-12:
                 assert corner[vi - 1]
                 (sx, sy), (ex, ey), _ = cones[vi - 1].tolist()
-                assert lattice._in_cone(sx, sy, ex, ey, *o.mn)
+                assert lattice._in_cone(sx, sy, ex, ey, *o.mn, o.action)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ class TestStrangulate:
         assert (w.location_kind, w.base_point) == ("vertex", (0.1, 0.09999999999999999))
         assert w.base_point == out.profile.vertices[w.location_index]
         cone = tuple(map(tuple, out.profile.vertex_cones[0][w.location_index - 1].tolist()))
-        assert _in_cone(*cone[0], *cone[1], 1, 1)
+        assert _in_cone(*cone[0], *cone[1], 1, 1, sum(cone[2]))
         assert w.action <= 0.2 * (1 + 1e-12)
         assert w.mn == (-4, 5)
         assert w.action == pytest.approx(0.1, rel=1e-12)
